@@ -1,8 +1,8 @@
 """Command-line front end: scenario runs, offline scoring, paired comparisons.
 
-Exit codes: 0 success, 2 validation problems (bad scenario, unknown backend,
-missing files) with a diagnostic naming the offending path, 1 runtime
-failure.
+Exit codes: 0 success, 2 validation problems (bad scenario, fabric or
+reactions file, unknown backend, missing files, out-of-range flags) with a
+diagnostic naming the offending path, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.rounds is not None and args.rounds < 0:
+        print("--rounds must be >= 0", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         result = simulation.run(config, seed=args.seed, rounds=args.rounds)
         _write_outputs(Path(args.out), result)
@@ -72,16 +75,24 @@ def cmd_score(args: argparse.Namespace) -> int:
             print(f"file not found: {path}", file=sys.stderr)
             return EXIT_CONFIG
     try:
+        # ValueError covers undecodable text and invalid JSON too.
         fabric = SocialFabric.from_json(fabric_path.read_text(encoding="utf-8"))
-        # Explicit, unlike SocialFabric.audit's asserts, so it holds under -O.
-        for cid in sorted(fabric.communities):
-            problem = fabric.communities[cid].bloc_problem()
-            if problem is not None:
-                print(f"fabric error: {fabric_path}: {problem}", file=sys.stderr)
-                return EXIT_CONFIG
+    except ValueError as exc:
+        print(f"fabric error: {fabric_path}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    # Explicit, unlike SocialFabric.audit's asserts, so it holds under -O.
+    for cid in sorted(fabric.communities):
+        problem = fabric.communities[cid].bloc_problem()
+        if problem is not None:
+            print(f"fabric error: {fabric_path}: {problem}", file=sys.stderr)
+            return EXIT_CONFIG
+    try:
         text = reactions_path.read_text(encoding="utf-8")
         reactions = ReactionMatrix.from_csv(text) if text.strip() else ReactionMatrix()
-
+    except ValueError as exc:
+        print(f"reactions error: {reactions_path}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
         catalog: dict[int, ContentItem] = {}
         current_round = 0
         for mid in reactions.contents():
@@ -198,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True, help="scenario JSON path")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_run.add_argument("--rounds", type=int, default=None, help="override the round count")
+    p_run.add_argument("--rounds", type=int, default=None, help="override the round count (>= 0)")
     p_run.set_defaults(func=cmd_run)
 
     p_score = sub.add_parser(

@@ -304,28 +304,47 @@ class SocialFabric:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SocialFabric":
+        """Rebuild a fabric from `to_dict` output.
+
+        A document of another shape raises ValueError naming the offending
+        record, e.g. "communities[2]: missing key 'id'".
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("the document must be a JSON object")
+        for section in ("citizens", "communities", "memberships"):
+            if not isinstance(doc.get(section), list):
+                raise ValueError(f"missing list {section!r}")
         fab = cls()
-        for rec in doc["citizens"]:
-            fab.add_citizen(lambda_=rec.get("lambda", 0.0),
-                               subscriber=rec.get("subscriber", False),
-                               accepts_personal_ads=rec.get("accepts_personal_ads", False),
-                               citizen_id=rec["id"])
-        for rec in doc["communities"]:
-            derived = tuple(rec["derived_from"]) if rec.get("derived_from") else None
-            cid = fab.add_community(lambda_=rec.get("lambda", 0.0),
-                                       admin_registered=rec.get("admin_registered", False),
-                                       derived_from=derived,
-                                       community_id=rec["id"])
-            fab.communities[cid].principal_subcommunities = [
-                set(g) for g in rec.get("principal_subcommunities", [])]
-            if derived is not None:
-                fab.intersection_cache[derived] = cid
-        for rec in doc["memberships"]:
-            p = fab._citizen(rec["citizen"])
-            c = fab._community(rec["community"])
-            p.memberships[rec["community"]] = MembershipEdge(
-                rec["raw_standing"], rec["raw_devotion"], rec.get("opted_in", True))
-            c.members.add(rec["citizen"])
+        where = ""
+        try:
+            for k, rec in enumerate(doc["citizens"]):
+                where = f"citizens[{k}]"
+                fab.add_citizen(lambda_=rec.get("lambda", 0.0),
+                                subscriber=rec.get("subscriber", False),
+                                accepts_personal_ads=rec.get("accepts_personal_ads", False),
+                                citizen_id=rec["id"])
+            for k, rec in enumerate(doc["communities"]):
+                where = f"communities[{k}]"
+                derived = tuple(rec["derived_from"]) if rec.get("derived_from") else None
+                cid = fab.add_community(lambda_=rec.get("lambda", 0.0),
+                                        admin_registered=rec.get("admin_registered", False),
+                                        derived_from=derived,
+                                        community_id=rec["id"])
+                fab.communities[cid].principal_subcommunities = [
+                    set(g) for g in rec.get("principal_subcommunities", [])]
+                if derived is not None:
+                    fab.intersection_cache[derived] = cid
+            for k, rec in enumerate(doc["memberships"]):
+                where = f"memberships[{k}]"
+                p = fab._citizen(rec["citizen"])
+                c = fab._community(rec["community"])
+                p.memberships[rec["community"]] = MembershipEdge(
+                    rec["raw_standing"], rec["raw_devotion"], rec.get("opted_in", True))
+                c.members.add(rec["citizen"])
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError, NotFound) as exc:
+            raise ValueError(f"{where}: {exc}") from None
         return fab
 
     @classmethod

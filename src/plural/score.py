@@ -138,16 +138,35 @@ class ReactionMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "ReactionMatrix":
+        """Parse `to_csv` output; a malformed row raises ValueError naming its line."""
         rm = cls()
         reader = csv.DictReader(io.StringIO(text))
+        if reader.fieldnames is not None:    # None: empty text, no rows
+            missing = [c for c in REACTIONS_CSV_HEADER if c not in reader.fieldnames]
+            if missing:
+                raise ValueError(f"line 1: missing column(s) {', '.join(missing)}")
         for row in reader:
-            citizen, content = int(row["citizen_id"]), int(row["content_id"])
-            round_, exposed = int(row["round"]), bool(int(row["exposed"]))
-            reaction = int(row["reaction"])
+            line = reader.line_num
+            fields = []
+            for col in REACTIONS_CSV_HEADER:
+                if row[col] is None:
+                    raise ValueError(f"line {line}: missing field {col}")
+                try:
+                    fields.append(int(row[col]))
+                except ValueError:
+                    raise ValueError(f"line {line}: {col} is not an integer: "
+                                     f"{row[col]!r}") from None
+            citizen, content, round_, exposed, reaction = fields
+            if exposed not in (0, 1):
+                raise ValueError(f"line {line}: exposed must be 0 or 1, got {exposed}")
             if reaction != 0 and not exposed:
-                raise ValueError(f"reaction without exposure at citizen {citizen}, content {content}")
+                raise ValueError(f"line {line}: reaction without exposure at citizen "
+                                 f"{citizen}, content {content}")
             if exposed:
-                rm.record_reaction(citizen, content, reaction, round_)
+                try:
+                    rm.record_reaction(citizen, content, reaction, round_)
+                except ValueError as exc:
+                    raise ValueError(f"line {line}: {exc}") from None
         return rm
 
     def to_attitudes(self, row_ids: Sequence[int] | None = None,
@@ -340,13 +359,16 @@ class MfFit:
 
 
 def bridging_mf(reactions: ReactionMatrix, raters: Iterable[int],
-                latent_dim: int = 1, reg: float = 0.05, epochs: int = 400,
+                reg: float = 0.05, epochs: int = 400,
                 lr: float = 0.05, seed: int = 0,
                 contents: Iterable[int] | None = None) -> MfFit:
-    """Fit r_ui = mu + b_u + b_i + f_u . f_i on explicit votes (+1 -> 1, -1 -> 0).
+    """Fit r_ui = mu + b_u + b_i + f_u * f_i on explicit votes (+1 -> 1, -1 -> 0).
 
-    Seeded SGD with L2 regularization on the biases and factors; exposures
-    without a vote are excluded. beta_raw(item) = clamp(mu + b_item, 0, 1).
+    Seeded rank-1 SGD with L2 regularization on the biases and factors;
+    exposures without a vote are excluded. beta_raw(item) = clamp(mu + b_item,
+    0, 1). The loop runs over plain floats but performs the same IEEE-754
+    operations in the same order as an SGD over numpy arrays of shape (n, 1),
+    so its results are bit-identical to that form.
     """
     raters = set(raters)
     pool = None if contents is None else set(contents)
@@ -368,35 +390,34 @@ def bridging_mf(reactions: ReactionMatrix, raters: Iterable[int],
     rng = derive_rng(seed, "mf")
     r_index = {p: i for i, p in enumerate(sorted(voters))}
     i_index = {m: j for j, m in enumerate(sorted(items))}
+    samples = [(r_index[p], i_index[m], y) for p, m, y in obs]
     mu = float(np.mean([y for _, _, y in obs]))
-    b_u = np.zeros(len(r_index))
-    b_i = np.zeros(len(i_index))
-    f_u = rng.normal(0.0, 0.1, size=(len(r_index), latent_dim))
-    f_i = rng.normal(0.0, 0.1, size=(len(i_index), latent_dim))
+    b_u = [0.0] * len(r_index)
+    b_i = [0.0] * len(i_index)
+    f_u = rng.normal(0.0, 0.1, size=(len(r_index), 1))[:, 0].tolist()
+    f_i = rng.normal(0.0, 0.1, size=(len(i_index), 1))[:, 0].tolist()
 
     order = np.arange(len(obs))
     for _ in range(epochs):
         rng.shuffle(order)
-        for idx in order:
-            p, m, y = obs[idx]
-            u, i = r_index[p], i_index[m]
-            pred = mu + b_u[u] + b_i[i] + float(f_u[u] @ f_i[i])
-            err = y - pred
+        for k in order.tolist():
+            u, i, y = samples[k]
+            fu, fi = f_u[u], f_i[i]
+            err = y - (mu + b_u[u] + b_i[i] + fu * fi)
             mu += lr * err
             b_u[u] += lr * (err - reg * b_u[u])
             b_i[i] += lr * (err - reg * b_i[i])
-            fu = f_u[u].copy()
-            f_u[u] += lr * (err * f_i[i] - reg * f_u[u])
-            f_i[i] += lr * (err * fu - reg * f_i[i])
+            f_u[u] = fu + lr * (err * fi - reg * fu)
+            f_i[i] = fi + lr * (err * fu - reg * fi)
 
     beta_raw = {m: float(np.clip(mu + b_i[i_index[m]], 0.0, 1.0)) for m in i_index}
     return MfFit(
         beta_raw=beta_raw,
         mu=mu,
-        rater_bias={p: float(b_u[r_index[p]]) for p in r_index},
-        item_bias={m: float(b_i[i_index[m]]) for m in i_index},
-        rater_factor={p: f_u[r_index[p]].copy() for p in r_index},
-        item_factor={m: f_i[i_index[m]].copy() for m in i_index},
+        rater_bias={p: b_u[r_index[p]] for p in r_index},
+        item_bias={m: b_i[i_index[m]] for m in i_index},
+        rater_factor={p: np.array([f_u[r_index[p]]]) for p in r_index},
+        item_factor={m: np.array([f_i[i_index[m]]]) for m in i_index},
     )
 
 

@@ -122,6 +122,21 @@ class TestCmdRun:
                      "--rounds", "2"]) == 0
         assert len((out / "metrics.csv").read_text().splitlines()) == 3
 
+    def test_negative_rounds_exit_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, TINY_SCENARIO)
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(path), "--out", str(out), "--rounds", "-1"])
+        assert code == 2
+        assert "--rounds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_rounds_valid(self, tmp_path):
+        path = write_scenario(tmp_path, TINY_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out),
+                     "--rounds", "0"]) == 0
+        assert len((out / "metrics.csv").read_text().splitlines()) == 1
+
 
 class TestCmdScore:
     def _fabric_json(self, tmp_path):
@@ -202,6 +217,52 @@ class TestCmdScore:
         err = capsys.readouterr().err
         assert str(fabric) in err and "community 0" in err
         assert not out.exists()
+
+    def _score(self, tmp_path, fabric, reactions):
+        out = tmp_path / "cards.csv"
+        code = main(["score", "--reactions", str(reactions), "--fabric", str(fabric),
+                     "--backend", "gac_penrose", "--out", str(out)])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("text, expected", [
+        ('{"citizens": [], "memberships": []}', "'communities'"),
+        ('{"citizens": [{"id": 0}], "communities": [{"lambda": 1.0}], '
+         '"memberships": []}', "communities[0]: missing key 'id'"),
+        ('{"citizens": [', "Expecting"),
+    ], ids=["missing_communities", "record_without_id", "invalid_json"])
+    def test_malformed_fabric_exit_2(self, tmp_path, capsys, text, expected):
+        fabric = tmp_path / "fabric.json"
+        fabric.write_text(text, encoding="utf-8")
+        reactions = tmp_path / "reactions.csv"
+        reactions.write_text("", encoding="utf-8")
+        assert self._score(tmp_path, fabric, reactions) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fabric error: {fabric}: ")
+        assert expected in err
+
+    @pytest.mark.parametrize("row, expected", [
+        ("0,x,0,1,1", "line 3: content_id is not an integer: 'x'"),
+        ("1,0,0,0,1", "line 3: reaction without exposure"),
+        ("1,0,0,1", "line 3: missing field reaction"),
+        ("1,0,0,7,1", "line 3: exposed must be 0 or 1"),
+    ], ids=["non_integer", "reaction_without_exposure", "short_row", "exposed_not_0_1"])
+    def test_malformed_reactions_exit_2(self, tmp_path, capsys, row, expected):
+        fabric = self._fabric_json(tmp_path)
+        reactions = tmp_path / "reactions.csv"
+        reactions.write_text("citizen_id,content_id,round,exposed,reaction\n"
+                             f"0,0,0,1,1\n{row}\n", encoding="utf-8")
+        assert self._score(tmp_path, fabric, reactions) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"reactions error: {reactions}: {expected}")
+
+    def test_reactions_missing_column_exit_2(self, tmp_path, capsys):
+        fabric = self._fabric_json(tmp_path)
+        reactions = tmp_path / "reactions.csv"
+        reactions.write_text("citizen_id,content_id,round,reaction\n0,0,0,1\n",
+                             encoding="utf-8")
+        assert self._score(tmp_path, fabric, reactions) == 2
+        assert "line 1: missing column(s) exposed" in capsys.readouterr().err
 
     def test_no_stored_blocs_detects_them(self, tmp_path):
         from plural.detect import principal_subcommunities

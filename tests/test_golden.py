@@ -1,0 +1,52 @@
+"""Golden lock: short `mf` runs of the demo scenario must reproduce their
+artifacts byte for byte. A change that alters outputs on purpose updates
+these digests and says why."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from plural.cli import main
+
+DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
+
+# sha256 of each artifact of the demo with scoring.backend "mf" and 2 rounds.
+MF_DEMO_DIGESTS = {
+    "metrics.csv": "cb9c3d96fae51a890f75dd97faec4f10457b80e248aefb22a73f23460705e01a",
+    "feeds.jsonl": "dcf82effdae7c68ec738714365475e53f1cd08643e57caa9dd30355c25286485",
+    "ledger.csv": "02b6fa9dd46c0c09266bc918b85cd10377c3ced127744709eb9fdb24dc3094cb",
+    "fabric.json": "6fd6c1783e6b2d3a23bb72edccc7ca90fe78cd8b7ae43c85cd916e647f955ca2",
+    "scorecards.csv": "ce50183a7a06261d6d632aa54ce30c83e717422197643c2c9f81e7465d12b69f",
+}
+
+# The same with blocs refreshed every round. At the demo's refresh interval
+# no community has blocs within 2 rounds, so the fitted mf betas never reach
+# a card; here they do, and scorecards.csv carries them.
+MF_REFRESH_1_DIGESTS = {
+    "metrics.csv": "e6145fd99a364d07007bd4fcd0680ce43fac7d809f7e72a6d5bd74a7438b27fe",
+    "feeds.jsonl": "dcf82effdae7c68ec738714365475e53f1cd08643e57caa9dd30355c25286485",
+    "ledger.csv": "02b6fa9dd46c0c09266bc918b85cd10377c3ced127744709eb9fdb24dc3094cb",
+    "fabric.json": "056560f220a809880a40cb4c96408e8e9a7f58d1c726d6fa10b2258a0e177d9e",
+    "scorecards.csv": "68be8a308f6edd66c7c45f4c0def1379a153905d2165d964c64e42a95d5c35ad",
+}
+
+
+@pytest.mark.parametrize("refresh_interval, digests", [
+    (None, MF_DEMO_DIGESTS),
+    (1, MF_REFRESH_1_DIGESTS),
+], ids=["demo", "refresh_1"])
+def test_mf_demo_artifacts_match_digests(tmp_path, refresh_interval, digests):
+    doc = json.loads(DEMO.read_text(encoding="utf-8"))
+    doc["scoring"]["backend"] = "mf"
+    doc["sim"]["rounds"] = 2
+    if refresh_interval is not None:
+        doc["sim"]["refresh_interval"] = refresh_interval
+    scenario = tmp_path / "demo_mf.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in digests}
+    assert got == digests

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plural._rng import derive_rng
 from plural.errors import FewerThanTwoBlocs, InsufficientData
 from plural.fabric import SocialFabric
 from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, LABEL_NEITHER,
-                          ContentItem, ReactionMatrix, ScoringParams, ScoreSet,
+                          ContentItem, MfFit, ReactionMatrix, ScoringParams, ScoreSet,
                           assign_label, balancing_set, bloc_rates, bridging_gac,
                           bridging_mf, citizen_score, community_score,
                           consensus_product, divisiveness, interest,
@@ -341,6 +342,116 @@ def batch_mf_oracle(rm, raters, reg=0.05, iters=20000, lr=0.02, seed=0):
         f_u += lr * g_fu / 6.0
         f_i += lr * g_fi / 20.0
     return {m: float(np.clip(mu + b_i[j], 0, 1)) for m, j in items_idx.items()}
+
+
+def _reference_mf(reactions, raters, reg=0.05, epochs=400, lr=0.05, seed=0,
+                  contents=None):
+    """The SGD over numpy arrays of shape (n, 1), one element at a time, that
+    bridging_mf's scalar loop must reproduce bit for bit."""
+    raters = set(raters)
+    pool = None if contents is None else set(contents)
+    obs = []
+    items = set()
+    voters = set()
+    for (p, m), cell in sorted(reactions.items()):
+        if p not in raters or cell.reaction == 0:
+            continue
+        if pool is not None and m not in pool:
+            continue
+        obs.append((p, m, 1.0 if cell.reaction > 0 else 0.0))
+        items.add(m)
+        voters.add(p)
+
+    rng = derive_rng(seed, "mf")
+    r_index = {p: i for i, p in enumerate(sorted(voters))}
+    i_index = {m: j for j, m in enumerate(sorted(items))}
+    mu = float(np.mean([y for _, _, y in obs]))
+    b_u = np.zeros(len(r_index))
+    b_i = np.zeros(len(i_index))
+    f_u = rng.normal(0.0, 0.1, size=(len(r_index), 1))
+    f_i = rng.normal(0.0, 0.1, size=(len(i_index), 1))
+
+    order = np.arange(len(obs))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for idx in order:
+            p, m, y = obs[idx]
+            u, i = r_index[p], i_index[m]
+            pred = mu + b_u[u] + b_i[i] + float(f_u[u] @ f_i[i])
+            err = y - pred
+            mu += lr * err
+            b_u[u] += lr * (err - reg * b_u[u])
+            b_i[i] += lr * (err - reg * b_i[i])
+            fu = f_u[u].copy()
+            f_u[u] += lr * (err * f_i[i] - reg * f_u[u])
+            f_i[i] += lr * (err * fu - reg * f_i[i])
+
+    beta_raw = {m: float(np.clip(mu + b_i[i_index[m]], 0.0, 1.0)) for m in i_index}
+    return MfFit(
+        beta_raw=beta_raw,
+        mu=mu,
+        rater_bias={p: float(b_u[r_index[p]]) for p in r_index},
+        item_bias={m: float(b_i[i_index[m]]) for m in i_index},
+        rater_factor={p: f_u[r_index[p]].copy() for p in r_index},
+        item_factor={m: f_i[i_index[m]].copy() for m in i_index},
+    )
+
+
+def sparse_mf_instance():
+    """Uneven votes: rater 0 casts one vote, item 9 has one voter, raters
+    100-104 vote but sit outside the pool, and some exposures carry no vote."""
+    rng = np.random.default_rng(5)
+    rm = ReactionMatrix()
+    raters = list(range(12))
+    for p in range(1, 12):
+        for m in range(9):
+            if rng.random() < 0.3 + 0.05 * p:
+                rm.record_reaction(p, m, int(rng.choice([-1, 1])), 0)
+            elif rng.random() < 0.3:
+                rm.record_exposure(p, m, 0)
+    rm.record_reaction(0, 3, 1, 0)
+    rm.record_reaction(4, 9, -1, 0)
+    for p in range(100, 105):
+        for m in range(10):
+            rm.record_reaction(p, m, 1 if (p + m) % 3 else -1, 0)
+    return rm, raters
+
+
+def assert_fits_identical(fit, ref):
+    assert fit.mu == ref.mu
+    assert fit.beta_raw == ref.beta_raw
+    assert fit.rater_bias == ref.rater_bias
+    assert fit.item_bias == ref.item_bias
+    for got, want in ((fit.rater_factor, ref.rater_factor),
+                      (fit.item_factor, ref.item_factor)):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].shape == want[key].shape == (1,)
+            assert got[key][0] == want[key][0]
+
+
+class TestBridgingMfBitExact:
+    @pytest.mark.parametrize("seed", [0, 3, 7, 11])
+    def test_planted_matches_reference(self, seed):
+        rm, raters = planted_mf_instance()
+        assert_fits_identical(bridging_mf(rm, raters, seed=seed),
+                              _reference_mf(rm, raters, seed=seed))
+
+    def test_sparse_uneven_matches_reference(self):
+        rm, raters = sparse_mf_instance()
+        fit = bridging_mf(rm, raters, seed=2)
+        assert 0 in fit.rater_bias and 9 in fit.item_bias
+        assert not any(p >= 100 for p in fit.rater_bias)
+        assert_fits_identical(fit, _reference_mf(rm, raters, seed=2))
+
+    def test_content_pool_matches_reference(self):
+        rm, raters = sparse_mf_instance()
+        pool = [1, 2, 3, 5, 8, 9]
+        fit = bridging_mf(rm, raters, reg=0.1, epochs=60, lr=0.03, seed=4,
+                          contents=pool)
+        assert set(fit.item_bias) == set(pool)
+        assert_fits_identical(fit, _reference_mf(rm, raters, reg=0.1, epochs=60,
+                                                 lr=0.03, seed=4, contents=pool))
 
 
 class TestBridgingMf:
