@@ -1,21 +1,16 @@
-"""Deterministic RNG derivation and the worker-pool helper.
+"""Deterministic RNG derivation.
 
 Every random draw in the package comes from a generator derived here, so a
 run is a pure function of the scenario seed. Streams are derived per entity
-and per phase: parallel execution cannot reorder draws.
+and per phase, so the draws of one entity do not depend on the order in
+which other entities are processed.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def _entropy(part) -> int:
@@ -38,24 +33,3 @@ def derive_seed(seed: int, *stream: object) -> int:
     ss = np.random.SeedSequence([_entropy(seed)] + [_entropy(p) for p in stream])
     return int(ss.generate_state(1, dtype=np.uint32)[0])
 
-
-def thread_count() -> int:
-    """Worker cap from PLURAL_THREADS (default 1); never below 1."""
-    raw = os.environ.get("PLURAL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def map_deterministic(fn: Callable[[T], R], items: Sequence[T], threads: int | None = None) -> list[R]:
-    """Map `fn` over `items`, preserving order regardless of worker count.
-
-    `fn` must be pure per item (any randomness keyed by the item itself) so
-    results are identical at any thread count.
-    """
-    n = thread_count() if threads is None else max(1, threads)
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

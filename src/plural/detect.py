@@ -3,8 +3,9 @@
 Two pathways: fuzzy c-means over signed-attitude rows (the overlap-capable
 route, used both for candidate communities and for a community's principal
 subcommunities) and single-level greedy modularity passes over a weighted
-friendship graph (partitional only). Both are deterministic given a seed;
-graph tie-breaks go to the smallest community id.
+friendship graph (partitional only). Fuzzy c-means is deterministic given a
+seed, the graph pass needs none; graph tie-breaks go to the smallest
+community id.
 """
 
 from __future__ import annotations
@@ -203,13 +204,6 @@ def detect_communities(reactions: AttitudeMatrix, min_size: int, threshold: floa
     return out
 
 
-def candidates_to_json(cands: Sequence[CommunityCandidate]) -> list[dict]:
-    """JSON-ready export: member id arrays plus per-citizen degrees."""
-    return [{"members": sorted(c.members),
-             "degrees": {str(p): c.degrees[p] for p in sorted(c.degrees)}}
-            for c in cands]
-
-
 def principal_subcommunities(fabric, community: int, reactions: AttitudeMatrix,
                              seed: int = 0, fuzzifier: float = 2.0) -> list[set[int]]:
     """Detect a community's 2-7 dominant internal blocs and store them.
@@ -267,14 +261,13 @@ def modularity(edges: Sequence[tuple[int, int, float]],
 
 
 def graph_cluster(edges: Sequence[tuple[int, int, float]],
-                  resolution: float = 1.0, seed: int = 0) -> list[set[int]]:
+                  resolution: float = 1.0) -> list[set[int]]:
     """Greedy single-level modularity maximization over a weighted graph.
 
     Nodes start in singleton communities; repeated passes in sorted node
     order move each node to the neighboring community with the best positive
     modularity gain (ties to the smallest community id) until stable.
-    Deterministic given the edge list; the seed is accepted for interface
-    stability but unused by the greedy sweep.
+    Deterministic given the edge list.
     """
     if not edges:
         return []

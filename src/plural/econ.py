@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import InsufficientFunds, NoAcceptedDeal, NotFound, Unregistered
+from .rank import attention_terms
 
 OwnerRef = tuple[str, int]
 
@@ -84,13 +86,16 @@ class Ledger:
         self._balances[to_owner] += amount
         self.entries.append(LedgerEntry(round_, from_owner, to_owner, amount, reason))
 
-    def round_totals(self, round_: int) -> tuple[float, float]:
-        debits = sum(e.amount for e in self.entries if e.round == round_)
-        credits = sum(e.amount for e in self.entries if e.round == round_)
-        return debits, credits
-
     def audit(self, tol: float = 1e-9) -> None:
-        """Recompute balances from entries; check conservation and positivity."""
+        """Check conservation, then recompute balances from entries and check
+        them and their positivity.
+
+        Conservation: balances sum to the opening balances, to within `tol`
+        relative to that total (each posting may round both balances).
+        """
+        opening = math.fsum(self._initial.values())
+        assert abs(math.fsum(self._balances.values()) - opening) <= tol * max(1.0, opening), \
+            "money not conserved: balances do not sum to the opening balances"
         recomputed = dict(self._initial)
         for e in self.entries:
             recomputed[e.from_owner] = recomputed.get(e.from_owner, 0.0) - e.amount
@@ -99,9 +104,6 @@ class Ledger:
             assert abs(bal - recomputed.get(owner, 0.0)) <= tol, \
                 f"balance drift on {owner}"
             assert bal >= -tol, f"negative balance on {owner}"
-        for round_ in sorted({e.round for e in self.entries}):
-            debits, credits = self.round_totals(round_)
-            assert abs(debits - credits) <= tol, f"round {round_} not conserved"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -207,13 +209,7 @@ class PolicyBook:
     def apply_pending(self, fabric) -> None:
         """Round boundary: copy queued weights into the live policy and fabric."""
         for owner in sorted(self.pending):
-            pol = self.pending[owner]
-            self.policies[owner] = pol
-            kind, oid = owner
-            if kind == "citizen" and oid in fabric.citizens:
-                fabric.citizens[oid].lambda_ = pol.lambda_
-            elif kind == "community" and oid in fabric.communities:
-                fabric.communities[oid].lambda_ = pol.lambda_
+            self._set(owner, self.pending[owner], fabric)
         self.pending.clear()
 
     def clamp(self, owner: OwnerRef, fabric) -> None:
@@ -221,12 +217,16 @@ class PolicyBook:
         future rounds."""
         pol = self.policies.get(owner) or LambdaPolicy(owner)
         pol.lambda_ = 0.0
+        self._set(owner, pol, fabric)
+
+    def _set(self, owner: OwnerRef, pol: LambdaPolicy, fabric) -> None:
+        """Make `pol` the live policy and copy its weight into the fabric."""
         self.policies[owner] = pol
         kind, oid = owner
         if kind == "citizen" and oid in fabric.citizens:
-            fabric.citizens[oid].lambda_ = 0.0
+            fabric.citizens[oid].lambda_ = pol.lambda_
         elif kind == "community" and oid in fabric.communities:
-            fabric.communities[oid].lambda_ = 0.0
+            fabric.communities[oid].lambda_ = pol.lambda_
 
 
 def attribute_entry(citizen: int, content: int, fabric, psi_view) -> list[tuple[OwnerRef, float]]:
@@ -236,16 +236,9 @@ def attribute_entry(citizen: int, content: int, fabric, psi_view) -> list[tuple[
     its term contributed. Fractions sum to 1; an all-zero numerator (uniform
     fallback or exploration slot) has no sponsors.
     """
-    p = fabric.citizens[citizen]
-    devotions = fabric.devotions(citizen)
-    terms: list[tuple[OwnerRef, float]] = []
-    own = p.lambda_ * psi_view.psi(content, ("citizen", citizen))
-    if own > 0:
-        terms.append((("citizen", citizen), own))
-    for c in sorted(devotions):
-        t = devotions[c] * fabric.communities[c].lambda_ * psi_view.psi(content, ("community", c))
-        if t > 0:
-            terms.append((("community", c), t))
+    terms = [(owner, w * psi_view.psi(content, owner))
+             for owner, w in attention_terms(citizen, fabric)]
+    terms = [(owner, v) for owner, v in terms if v > 0]
     total = sum(v for _, v in terms)
     if total <= 0:
         return []
@@ -277,21 +270,22 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
         clamped.add(owner)
         events.append({"round": round_, "kind": "lambda_clamped", "owner": owner})
 
-    # static numerator coefficients per citizen (owner, lambda/devotion weight)
+    def pay_ad(adv: Advertiser, to_owner: OwnerRef, amount: float) -> None:
+        if ledger.balance(("advertiser", adv.id)) + 1e-12 < amount:
+            events.append({"round": round_, "kind": "ad_skipped",
+                           "owner": ("advertiser", adv.id)})
+        else:
+            ledger.post(round_, ("advertiser", adv.id), to_owner, amount, "AdImpression")
+
+    # A citizen's numerator coefficients are read at their first sponsored
+    # entry and kept for the round. A clamp zeroes the owner's lambda in the
+    # fabric at once, so citizens reached after it no longer include it.
     term_cache: dict[int, list[tuple[OwnerRef, float]]] = {}
 
     def static_terms(citizen: int) -> list[tuple[OwnerRef, float]]:
         if citizen not in term_cache:
-            p = fabric.citizens[citizen]
-            terms: list[tuple[OwnerRef, float]] = []
-            if p.lambda_ > 0:
-                terms.append((("citizen", citizen), p.lambda_))
-            devotions = fabric.devotions(citizen)
-            for c in sorted(devotions):
-                w = devotions[c] * fabric.communities[c].lambda_
-                if w > 0:
-                    terms.append((("community", c), w))
-            term_cache[citizen] = terms
+            term_cache[citizen] = [(owner, w) for owner, w in attention_terms(citizen, fabric)
+                                   if w > 0]
         return term_cache[citizen]
 
     for citizen in sorted(feeds):
@@ -312,23 +306,11 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
                     if comm is None or citizen not in comm.members:
                         continue
                     amount = deal.price_per_impression * share
-                    if amount <= 0:
-                        continue
-                    if ledger.balance(("advertiser", adv.id)) + 1e-12 < amount:
-                        events.append({"round": round_, "kind": "ad_skipped",
-                                       "owner": ("advertiser", adv.id)})
-                        continue
-                    ledger.post(round_, ("advertiser", adv.id),
-                                ("community", deal.community), amount, "AdImpression")
+                    if amount > 0:
+                        pay_ad(adv, ("community", deal.community), amount)
                 p = fabric.citizens[citizen]
                 if adv.personal_targeting and p.accepts_personal_ads and adv.personal_price > 0:
-                    amount = adv.personal_price * share
-                    if ledger.balance(("advertiser", adv.id)) + 1e-12 < amount:
-                        events.append({"round": round_, "kind": "ad_skipped",
-                                       "owner": ("advertiser", adv.id)})
-                    else:
-                        ledger.post(round_, ("advertiser", adv.id),
-                                    ("citizen", citizen), amount, "AdImpression")
+                    pay_ad(adv, ("citizen", citizen), adv.personal_price * share)
                 continue
 
             contributions = [(owner, w * psi_view.psi(entry.content, owner))

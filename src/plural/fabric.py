@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import AlreadyMember, InsufficientStanding, NotFound
 
@@ -36,6 +36,12 @@ class MembershipEdge:
     raw_standing: float
     raw_devotion: float
     opted_in: bool = True
+
+    def __post_init__(self) -> None:
+        # `not w > 0` also rejects NaN
+        if not (self.raw_standing > 0 and self.raw_devotion > 0):
+            raise ValueError(f"raw weights must be > 0, got raw_standing "
+                             f"{self.raw_standing!r}, raw_devotion {self.raw_devotion!r}")
 
 
 @dataclass
@@ -137,13 +143,12 @@ class SocialFabric:
         intersections cascade into those intersections when they belong to
         both parents.
         """
-        if raw_standing <= 0 or raw_devotion <= 0:
-            raise ValueError("raw weights must be > 0")
+        edge = MembershipEdge(raw_standing, raw_devotion, opted_in)
         p = self._citizen(citizen)
         c = self._community(community)
         if community in p.memberships:
             raise AlreadyMember(f"citizen {citizen} already in community {community}")
-        p.memberships[community] = MembershipEdge(raw_standing, raw_devotion, opted_in)
+        p.memberships[community] = edge
         c.members.add(citizen)
         self._cascade_intersections(citizen, community)
 

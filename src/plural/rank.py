@@ -14,7 +14,7 @@ and what balances it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from ._rng import derive_rng
 from .errors import InsufficientStanding
@@ -92,6 +92,20 @@ class EffectivePsi:
         return self.scores.psi(content, scope)
 
 
+def attention_terms(citizen: int, fabric) -> list[tuple[Scope, float]]:
+    """The attention numerator's coefficients for one citizen.
+
+    numerator(m) = sum of weight * psi(m; scope) over the returned
+    (scope, weight) pairs: the citizen's own scope with weight lambda(p)
+    first, then each community c in id order with devotion(c; p) * lambda(c).
+    Ranking sums these terms; settlement charges each term's owner.
+    """
+    devotions = fabric.devotions(citizen)
+    return [(("citizen", citizen), fabric.citizens[citizen].lambda_)] + \
+        [(("community", c), devotions[c] * fabric.communities[c].lambda_)
+         for c in sorted(devotions)]
+
+
 def exposure_weights(citizen: int, fabric, psi_view, pool: Sequence[int]) -> dict[int, float]:
     """Attention share per pool content for one citizen.
 
@@ -101,15 +115,8 @@ def exposure_weights(citizen: int, fabric, psi_view, pool: Sequence[int]) -> dic
     """
     if not pool:
         raise ValueError("candidate pool must be non-empty")
-    p = fabric.citizens[citizen]
-    devotions = fabric.devotions(citizen)
-    terms = [(c, devotions[c] * fabric.communities[c].lambda_) for c in sorted(devotions)]
-    numerators: dict[int, float] = {}
-    for m in pool:
-        acc = p.lambda_ * psi_view.psi(m, ("citizen", citizen))
-        for c, weight in terms:
-            acc += weight * psi_view.psi(m, ("community", c))
-        numerators[m] = acc
+    terms = attention_terms(citizen, fabric)
+    numerators = {m: sum(w * psi_view.psi(m, scope) for scope, w in terms) for m in pool}
     total = sum(numerators.values())
     if total <= 0.0:
         share = 1.0 / len(pool)
@@ -118,19 +125,16 @@ def exposure_weights(citizen: int, fabric, psi_view, pool: Sequence[int]) -> dic
 
 
 def _provenance_for(citizen: int, content: int, fabric, scores: ScoreSet) -> list[ProvenanceTag]:
+    """Tags for the citizen's communities in id order, then the citizen's own scope."""
+    scopes = [("community", c) for c in fabric.member_communities(citizen)]
     tags: list[ProvenanceTag] = []
-    for c in fabric.member_communities(citizen):
-        card = scores.get(content, ("community", c))
+    for scope in scopes + [("citizen", citizen)]:
+        card = scores.get(content, scope)
         if card is None or card.label not in (LABEL_BRIDGING, LABEL_DIVISIVE):
             continue
-        peek = tuple(scores.balancing_for(content, ("community", c))) \
+        peek = tuple(scores.balancing_for(content, scope)) \
             if card.label == LABEL_DIVISIVE else ()
-        tags.append(ProvenanceTag(("community", c), card.label, peek))
-    own = scores.get(content, ("citizen", citizen))
-    if own is not None and own.label in (LABEL_BRIDGING, LABEL_DIVISIVE):
-        peek = tuple(scores.balancing_for(content, ("citizen", citizen))) \
-            if own.label == LABEL_DIVISIVE else ()
-        tags.append(ProvenanceTag(("citizen", citizen), own.label, peek))
+        tags.append(ProvenanceTag(scope, card.label, peek))
     return tags
 
 

@@ -18,7 +18,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -103,10 +103,6 @@ class ReactionMatrix:
 
     def get(self, citizen: int, content: int) -> Optional[Interaction]:
         return self._cells.get((citizen, content))
-
-    def has_reacted(self, citizen: int, content: int) -> bool:
-        cell = self._cells.get((citizen, content))
-        return cell is not None and cell.reaction != 0
 
     def citizens_for(self, content: int) -> set[int]:
         return self._by_content.get(content, set())
@@ -226,6 +222,40 @@ class ScoringParams:
 
 
 # -- the scoring primitives ---------------------------------------------------
+# Each formula is written once, over one content's reaction records as
+# `ReactionMatrix.by_content` yields them (sorted by citizen id, which fixes
+# the order of every floating-point sum). `score_round` and the per-card
+# functions below are callers of these three.
+
+def _decayed(cell: Interaction, current_round: int, half_life: float) -> float:
+    """One exposure's interest weight: 2^(-age/half_life) * (1 + 0.5*|reaction|)."""
+    age = max(0, current_round - cell.round)
+    return 2.0 ** (-age / half_life) * (1.0 + 0.5 * abs(cell.reaction))
+
+
+def _interest(records: Sequence[tuple[int, Interaction]], members: Collection[int],
+              current_round: int, half_life: float) -> float:
+    if not members:
+        return 0.0
+    total = 0.0
+    for p, cell in records:
+        if cell.exposed and p in members:
+            total += _decayed(cell, current_round, half_life)
+    return total / len(members)
+
+
+def _smoothed_rate(records: Sequence[tuple[int, Interaction]], members: Collection[int],
+                   alpha: float) -> float:
+    pos = neg = 0
+    for p, cell in records:
+        if p in members:
+            if cell.reaction > 0:
+                pos += 1
+            elif cell.reaction < 0:
+                neg += 1
+    denom = pos + neg + 2.0 * alpha
+    return (pos + alpha) / denom if denom > 0 else 0.5
+
 
 def interest(reactions: ReactionMatrix, content: int, members: Iterable[int],
              current_round: int, half_life: float) -> float:
@@ -237,17 +267,8 @@ def interest(reactions: ReactionMatrix, content: int, members: Iterable[int],
     """
     if half_life <= 0:
         raise ValueError("half_life must be > 0")
-    members = list(members)
-    if not members:
-        return 0.0
-    total = 0.0
-    for p in members:
-        cell = reactions.get(p, content)
-        if cell is None or not cell.exposed:
-            continue
-        age = max(0, current_round - cell.round)
-        total += 2.0 ** (-age / half_life) * (1.0 + 0.5 * abs(cell.reaction))
-    return total / len(members)
+    return _interest(list(reactions.by_content(content)), set(members),
+                     current_round, half_life)
 
 
 def bloc_rates(reactions: ReactionMatrix, content: int,
@@ -256,20 +277,8 @@ def bloc_rates(reactions: ReactionMatrix, content: int,
 
     Blocs with no votes sit at the 0.5 prior, also in the alpha=0 mode.
     """
-    rates = np.empty(len(blocs))
-    for g, bloc in enumerate(blocs):
-        pos = neg = 0
-        for p in bloc:
-            cell = reactions.get(p, content)
-            if cell is None:
-                continue
-            if cell.reaction > 0:
-                pos += 1
-            elif cell.reaction < 0:
-                neg += 1
-        denom = pos + neg + 2.0 * alpha
-        rates[g] = (pos + alpha) / denom if denom > 0 else 0.5
-    return rates
+    records = list(reactions.by_content(content))
+    return np.array([_smoothed_rate(records, set(b), alpha) for b in blocs], dtype=float)
 
 
 def _bloc_weights(sizes: Sequence[int], weighting: str) -> np.ndarray:
@@ -283,12 +292,16 @@ def _bloc_weights(sizes: Sequence[int], weighting: str) -> np.ndarray:
 
 
 def consensus_product(rates: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted geometric mean of bloc rates; exact under consensus."""
+    """Weighted geometric mean of bloc rates; exact under consensus.
+
+    Entries with zero weight are ignored: the product is 0 only when a
+    positively weighted rate is <= 0.
+    """
     if np.all(rates == rates[0]):
         return float(rates[0])
-    if np.any(rates <= 0.0):
+    if np.any(rates[weights > 0] <= 0.0):
         return 0.0
-    return float(np.exp(np.sum(weights * np.log(rates))))
+    return float(np.exp(np.sum(weights * np.log(np.where(rates > 0, rates, 1.0)))))
 
 
 def bridging_gac(reactions: ReactionMatrix, content: int,
@@ -318,10 +331,13 @@ def divisiveness(reactions: ReactionMatrix, content: int,
     blocs = [list(b) for b in blocs]
     if len(blocs) < 2:
         raise FewerThanTwoBlocs("divisiveness needs at least two blocs")
-    rates = bloc_rates(reactions, content, blocs, alpha=alpha)
-    delta = float(rates.max() - rates.min())
-    characteristic = frozenset(int(g) for g in np.nonzero(rates >= 0.5)[0])
-    return delta, characteristic
+    return _spread(bloc_rates(reactions, content, blocs, alpha=alpha))
+
+
+def _spread(rates: np.ndarray) -> tuple[float, frozenset[int]]:
+    """Approval spread across blocs, and the blocs at or above 0.5."""
+    return (float(rates.max() - rates.min()),
+            frozenset(int(g) for g in np.nonzero(rates >= 0.5)[0]))
 
 
 def community_score(iota: float, beta: float, delta: float) -> float:
@@ -467,8 +483,7 @@ def _card_from_rates(content: int, scope: Scope, iota: float, rates: np.ndarray,
     if len(sizes) >= 2:
         beta = consensus_product(rates, _bloc_weights(sizes, weighting)) \
             if beta_override is None else beta_override
-        delta = float(rates.max() - rates.min())
-        characteristic = frozenset(int(g) for g in np.nonzero(rates >= 0.5)[0])
+        delta, characteristic = _spread(rates)
         low_confidence = False
     else:
         # Degenerate structure: raw smoothed approval over the single bloc.
@@ -482,14 +497,23 @@ def _card_from_rates(content: int, scope: Scope, iota: float, rates: np.ndarray,
                      low_confidence=low_confidence)
 
 
-def _card_from_blocs(content: int, scope: Scope, iota: float,
-                     reactions: ReactionMatrix, blocs: Sequence[set[int]],
-                     params: ScoringParams,
-                     beta_override: float | None = None) -> ScoreCard:
-    rates = bloc_rates(reactions, content, blocs, params.alpha) if blocs \
-        else np.empty(0)
-    return _card_from_rates(content, scope, iota, rates, [len(b) for b in blocs],
-                            params, beta_override)
+def _community_card(mid: int, comm, records: Sequence[tuple[int, Interaction]],
+                    params: ScoringParams, current_round: int,
+                    whole_rate: Callable[[], float],
+                    beta_override: float | None = None) -> ScoreCard:
+    """Card for one content in one community; `whole_rate()` gives the
+    smoothed rate over all members, the degenerate fallback's single bloc."""
+    iota = _interest(records, comm.members, current_round, params.half_life)
+    blocs = comm.principal_subcommunities
+    if len(blocs) >= 2:
+        rates = [_smoothed_rate(records, b, params.alpha) for b in blocs]
+        sizes = [len(b) for b in blocs]
+    elif comm.members:
+        rates, sizes = [whole_rate()], [len(comm.members)]
+    else:
+        rates, sizes = [], []
+    return _card_from_rates(mid, ("community", comm.id), iota, np.array(rates, dtype=float),
+                            sizes, params, beta_override)
 
 
 def score_for_community(content: ContentItem, community, reactions: ReactionMatrix,
@@ -501,13 +525,10 @@ def score_for_community(content: ContentItem, community, reactions: ReactionMatr
     of them the card falls back to the raw approval rate and is flagged
     low-confidence.
     """
-    members = sorted(community.members)
-    iota = interest(reactions, content.id, members, current_round, params.half_life)
-    blocs = [set(g) for g in community.principal_subcommunities]
-    if len(blocs) < 2:
-        blocs = [set(members)] if members else []
-    return _card_from_blocs(content.id, ("community", community.id), iota,
-                            reactions, blocs, params, beta_override)
+    records = list(reactions.by_content(content.id))
+    return _community_card(
+        content.id, community, records, params, current_round,
+        lambda: _smoothed_rate(records, community.members, params.alpha), beta_override)
 
 
 def citizen_score(content: ContentItem, citizen: int, fabric, reactions: ReactionMatrix,
@@ -520,11 +541,12 @@ def citizen_score(content: ContentItem, citizen: int, fabric, reactions: Reactio
     scope. With fewer than two memberships the card falls back like a
     degenerate community.
     """
-    iota = interest(reactions, content.id, [citizen], current_round, params.half_life)
-    comms = fabric.member_communities(citizen)
-    blocs = [set(fabric.communities[c].members) for c in comms]
-    return _card_from_blocs(content.id, ("citizen", citizen), iota, reactions,
-                            blocs, params)
+    records = list(reactions.by_content(content.id))
+    iota = _interest(records, {citizen}, current_round, params.half_life)
+    blocs = [fabric.communities[c].members for c in fabric.member_communities(citizen)]
+    rates = np.array([_smoothed_rate(records, b, params.alpha) for b in blocs], dtype=float)
+    return _card_from_rates(content.id, ("citizen", citizen), iota, rates,
+                            [len(b) for b in blocs], params)
 
 
 def balancing_set(scope: Scope, content: int, scores: ScoreSet,
@@ -583,62 +605,24 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
 
     records: dict[int, list[tuple[int, Interaction]]] = {
         mid: list(reactions.by_content(mid)) for mid in catalog}
-
-    def community_iota(mid: int, members: set[int]) -> float:
-        if not members:
-            return 0.0
-        total = 0.0
-        for p, cell in records[mid]:
-            if cell.exposed and p in members:
-                age = max(0, current_round - cell.round)
-                total += 2.0 ** (-age / params.half_life) * (1.0 + 0.5 * abs(cell.reaction))
-        return total / len(members)
-
-    def counts_for(mid: int, members: set[int]) -> tuple[int, int]:
-        pos = neg = 0
-        for p, cell in records[mid]:
-            if p in members:
-                if cell.reaction > 0:
-                    pos += 1
-                elif cell.reaction < 0:
-                    neg += 1
-        return pos, neg
-
-    def smoothed(pos: int, neg: int) -> float:
-        denom = pos + neg + 2.0 * params.alpha
-        return (pos + params.alpha) / denom if denom > 0 else 0.5
-
     whole_rate_cache: dict[tuple[int, int], float] = {}
 
     def whole_rate(mid: int, cid: int) -> float:
         key = (mid, cid)
         if key not in whole_rate_cache:
-            whole_rate_cache[key] = smoothed(*counts_for(mid, fabric.communities[cid].members))
+            whole_rate_cache[key] = _smoothed_rate(
+                records[mid], fabric.communities[cid].members, params.alpha)
         return whole_rate_cache[key]
 
     for mid in sorted(catalog):
-        content = catalog[mid]
-        for cid in sorted(content.target_communities):
+        for cid in sorted(catalog[mid].target_communities):
             comm = fabric.communities.get(cid)
             if comm is None:
                 continue
-            iota = community_iota(mid, comm.members)
-            blocs = comm.principal_subcommunities
-            if len(blocs) >= 2:
-                rates = np.array([smoothed(*counts_for(mid, bloc)) for bloc in blocs])
-                sizes = [len(b) for b in blocs]
-                override = None
-                if params.backend == "mf":
-                    fit = mf_fits.get(cid)
-                    if fit is not None and mid in fit.beta_raw:
-                        override = fit.beta_raw[mid]
-                card = _card_from_rates(mid, ("community", cid), iota, rates, sizes,
-                                        params, beta_override=override)
-            else:
-                rates = np.array([whole_rate(mid, cid)]) if comm.members else np.empty(0)
-                card = _card_from_rates(mid, ("community", cid), iota, rates,
-                                        [len(comm.members)] if comm.members else [], params)
-            scores.add(card)
+            fit = mf_fits.get(cid)
+            override = fit.beta_raw.get(mid) if fit is not None else None
+            scores.add(_community_card(mid, comm, records[mid], params, current_round,
+                                       lambda: whole_rate(mid, cid), override))
 
     by_community: dict[int, list[int]] = {}
     for mid in sorted(catalog):
@@ -659,10 +643,8 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
         row = reactions.for_citizen(pid)
         for mid in pool_cache[comms]:
             cell = row.get(mid)
-            iota = 0.0
-            if cell is not None and cell.exposed:
-                age = max(0, current_round - cell.round)
-                iota = 2.0 ** (-age / params.half_life) * (1.0 + 0.5 * abs(cell.reaction))
+            iota = _decayed(cell, current_round, params.half_life) \
+                if cell is not None and cell.exposed else 0.0
             proto = signature_cache.get((comms, mid))
             if proto is None:
                 rates = np.array([whole_rate(mid, c) for c in comms])

@@ -6,7 +6,7 @@ personal belief is attitude times accumulated exposure, and a scope's common
 belief is a consensus-sensitive aggregate of member beliefs: standing-
 weighted means inside each principal subcommunity, combined across
 subcommunities by a square-root-weighted geometric mean. A single seed fixes
-every draw, so runs are reproducible byte for byte at any worker count.
+every draw, so runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -17,17 +17,17 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._rng import derive_rng, derive_seed, map_deterministic
+from ._rng import derive_rng, derive_seed
 from .config import ScenarioConfig
 from .detect import principal_subcommunities
-from .econ import (PLATFORM, Advertiser, AdDeal, EconParams, LambdaPolicy, Ledger,
+from .econ import (PLATFORM, Advertiser, AdDeal, LambdaPolicy, Ledger,
                    PolicyBook, reward_standing, sell_standing, settle_round)
-from .errors import DegenerateInput, EmptyCommunity, InsufficientStanding, TooSmall
+from .errors import DegenerateInput, EmptyCommunity, TooSmall
 from .fabric import SocialFabric
-from .rank import (EffectivePsi, PsiOverrides, RankingParams, build_feed,
+from .rank import (EffectivePsi, PsiOverrides, build_feed,
                    exposure_weights, feed_to_records, seed_content)
-from .score import (ContentItem, ReactionMatrix, ScoreSet, ScoringParams,
-                    bloc_rates, consensus_product, score_round)
+from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights,
+                    consensus_product, divisiveness, score_round)
 
 
 @dataclass
@@ -37,12 +37,6 @@ class AgentState:
     citizen: int
     ideology: np.ndarray
     attitudes: dict[int, float] = field(default_factory=dict)
-    beliefs: dict[int, float] = field(default_factory=dict)
-
-
-@dataclass
-class CommunityBeliefState:
-    community: int
     beliefs: dict[int, float] = field(default_factory=dict)
 
 
@@ -131,17 +125,15 @@ def react(attitude_value: float, exposure_share: float, rng: np.random.Generator
 def bloc_aggregate(means: Sequence[float], sizes: Sequence[int] | None = None) -> float:
     """Across-subcommunity aggregation: sqrt-size-weighted geometric mean.
 
-    Exact under consensus; zero whenever any subcommunity mean is zero
-    (weakest link).
+    Exact under consensus; zero whenever the mean of any subcommunity with
+    members is zero (weakest link).
     """
     means = np.asarray(means, dtype=float)
     if means.size == 0:
         raise EmptyCommunity("no subcommunity means")
-    if sizes is None:
-        w = np.ones(means.size)
-    else:
-        w = np.sqrt(np.asarray(sizes, dtype=float))
-    return consensus_product(means, w / w.sum())
+    weights = _bloc_weights(means, "uniform") if sizes is None \
+        else _bloc_weights(sizes, "penrose")
+    return consensus_product(means, weights)
 
 
 def _aggregate_values(values: np.ndarray, weights: np.ndarray,
@@ -158,10 +150,7 @@ def _aggregate_values(values: np.ndarray, weights: np.ndarray,
             means.append(float(np.sum(w * values[idx]) / np.sum(w)))
             sizes.append(int(idx.size))
         return bloc_aggregate(means, sizes)
-    w = weights / weights.sum()
-    if np.any(values[w > 0] == 0.0):
-        return 0.0
-    return float(np.exp(np.sum(w * np.log(np.where(values > 0, values, 1.0)))))
+    return consensus_product(values, weights / weights.sum())
 
 
 def aggregate_belief(beliefs: Mapping[int, float], standings: Mapping[int, float],
@@ -181,12 +170,16 @@ def aggregate_belief(beliefs: Mapping[int, float], standings: Mapping[int, float
         raise ValueError("beliefs must lie in [0, 1]")
     values = np.clip(values, 0.0, 1.0)
     weights = np.array([standings[p] for p in members], dtype=float)
-    bloc_idx = None
-    if structure and len(structure) >= 2:
-        index = {p: i for i, p in enumerate(members)}
-        bloc_idx = [np.array([index[p] for p in sorted(bloc) if p in index], dtype=int)
-                    for bloc in structure]
-    return _aggregate_values(values, weights, bloc_idx)
+    return _aggregate_values(values, weights, _bloc_positions(members, structure))
+
+
+def _bloc_positions(members: Sequence[int],
+                    structure: Sequence[set[int]] | None) -> list[np.ndarray] | None:
+    """Each bloc's positions in the sorted `members`; None below two blocs."""
+    if not structure or len(structure) < 2:
+        return None
+    pos = {p: i for i, p in enumerate(members)}
+    return [np.array([pos[p] for p in sorted(b) if p in pos], dtype=int) for b in structure]
 
 
 def attention_gini(totals: Sequence[float]) -> float:
@@ -352,29 +345,26 @@ class _Simulation:
             pools[key] = pool
         return pools
 
-    def _candidate_pool(self, citizen: int, base_pools: dict | None = None) -> list[int]:
+    def _candidate_pool(self, citizen: int, base_pools: dict) -> list[int]:
         p = self.fabric.citizens[citizen]
         key = (tuple(self.fabric.member_communities(citizen)), p.accepts_personal_ads)
-        base = base_pools[key] if base_pools is not None else self._base_pools()[key]
         row = self.reactions.for_citizen(citizen)
-        return [mid for mid in base
+        return [mid for mid in base_pools[key]
                 if mid not in row or row[mid].reaction == 0]
 
     def _rank_phase(self, round_: int, psi_view: EffectivePsi) -> dict[int, list]:
         base_pools = self._base_pools()
-
-        def feed_for(citizen: int):
+        feeds: dict[int, list] = {}
+        for citizen in sorted(self.fabric.citizens):
             pool = self._candidate_pool(citizen, base_pools)
             if not pool:
-                return citizen, []
+                continue
             weights = exposure_weights(citizen, self.fabric, psi_view, pool)
             feed = build_feed(citizen, self.fabric, weights, self.scores,
                               self.config.ranking, seed=self.seed, round_=round_)
-            return citizen, feed
-
-        ids = sorted(self.fabric.citizens)
-        feeds = dict(map_deterministic(feed_for, ids))
-        return {p: f for p, f in feeds.items() if f}
+            if feed:
+                feeds[citizen] = feed
+        return feeds
 
     def _react_phase(self, round_: int, feeds: Mapping[int, list]) -> None:
         scale = self.config.sim.engagement_scale
@@ -394,12 +384,12 @@ class _Simulation:
         idx = np.array(members, dtype=int)
         standings = self.fabric.standings(cid)
         w = np.array([standings[p] for p in members])
-        bloc_idx = None
-        if len(comm.principal_subcommunities) >= 2:
-            pos = {p: i for i, p in enumerate(members)}
-            bloc_idx = [np.array([pos[p] for p in sorted(b) if p in pos], dtype=int)
-                        for b in comm.principal_subcommunities]
-        return idx, w, bloc_idx
+        return idx, w, _bloc_positions(members, comm.principal_subcommunities)
+
+    def _common_belief(self, mid: int, idx: np.ndarray, w: np.ndarray, bloc_idx) -> float:
+        """A community's common belief about one content (its member arrays)."""
+        values = self.attitude_arr[mid][idx] * self.cum_exposure[mid][idx]
+        return _aggregate_values(values, w, bloc_idx)
 
     def _belief_phase(self, round_: int, feeds: Mapping[int, list]) -> None:
         for citizen in sorted(feeds):
@@ -436,8 +426,7 @@ class _Simulation:
                 continue
             idx, w, bloc_idx = self._community_arrays(cid)
             for mid in sorted(self.catalog):
-                values = self.attitude_arr[mid][idx] * self.cum_exposure[mid][idx]
-                out[(mid, cid)] = _aggregate_values(values, w, bloc_idx)
+                out[(mid, cid)] = self._common_belief(mid, idx, w, bloc_idx)
         return out
 
     def _adapt_devotion(self, feeds: Mapping[int, list]) -> None:
@@ -470,31 +459,22 @@ class _Simulation:
             if not comm.members:
                 continue
             idx, w, bloc_idx = self._community_arrays(cid)
-            structure = comm.principal_subcommunities \
-                if len(comm.principal_subcommunities) >= 2 else None
             exposure = community_exposure.get(cid, {})
             top = sorted(exposure, key=lambda m: (-exposure[m], m))[:10]
 
             if top:
-                vals = []
-                for mid in top:
-                    values = self.attitude_arr[mid][idx] * self.cum_exposure[mid][idx]
-                    vals.append(_aggregate_values(values, w, bloc_idx))
+                vals = [self._common_belief(mid, idx, w, bloc_idx) for mid in top]
                 commons.append(float(np.mean(vals)))
-                if structure:
-                    per_content = []
-                    for mid in top:
-                        rates = bloc_rates(self.reactions, mid, structure, alpha=scoring.alpha)
-                        per_content.append(float(rates.max() - rates.min()))
+                if bloc_idx is not None:
+                    per_content = [divisiveness(self.reactions, mid, comm.principal_subcommunities,
+                                                alpha=scoring.alpha)[0] for mid in top]
                     spreads.append(float(np.mean(per_content)))
 
             if self.scores is not None:
                 cards = self.scores.community_cards(cid)
                 cards.sort(key=lambda c: (-c.psi, c.content))
-                vals = []
-                for card in cards[:5]:
-                    values = self.attitude_arr[card.content][idx] * self.cum_exposure[card.content][idx]
-                    vals.append(_aggregate_values(values, w, bloc_idx))
+                vals = [self._common_belief(card.content, idx, w, bloc_idx)
+                        for card in cards[:5]]
                 coherence[cid] = float(np.mean(vals)) if vals else 0.0
 
         return RoundMetrics(

@@ -241,6 +241,20 @@ class TestCmdScore:
         assert err.startswith(f"fabric error: {fabric}: ")
         assert expected in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("raw_standing", 0), ("raw_devotion", -1), ("raw_devotion", float("nan")),
+    ], ids=["zero_standing", "negative_devotion", "nan_devotion"])
+    def test_non_positive_weight_exit_2(self, tmp_path, capsys, key, value):
+        fabric = self._fabric_json(tmp_path)
+        doc = json.loads(fabric.read_text(encoding="utf-8"))
+        doc["memberships"][5][key] = value
+        fabric.write_text(json.dumps(doc), encoding="utf-8")
+        reactions = tmp_path / "reactions.csv"
+        reactions.write_text("", encoding="utf-8")
+        assert self._score(tmp_path, fabric, reactions) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fabric error: {fabric}: memberships[5]: raw weights must be > 0")
+
     @pytest.mark.parametrize("row, expected", [
         ("0,x,0,1,1", "line 3: content_id is not an integer: 'x'"),
         ("1,0,0,0,1", "line 3: reaction without exposure"),

@@ -239,7 +239,7 @@ def clique(nodes, w=1.0):
 class TestGraphCluster:
     def test_two_cliques_bruteforce_oracle(self):
         edges = clique(list(range(5))) + clique(list(range(5, 10))) + [(0, 5, 1.0)]
-        result = graph_cluster(edges, resolution=1.0, seed=0)
+        result = graph_cluster(edges, resolution=1.0)
         expected = [{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}]
         assert result == expected
 

@@ -56,12 +56,24 @@ class TestLedger:
         assert lines[1] == "2,community,0,platform,0,1.5,PlatformFee"
         assert lines[2] == "2,community,0,citizen,3,0.5,CreatorReward"
 
-    def test_round_totals_balance(self):
+    def test_audit_catches_created_money(self):
         ledger = Ledger()
         ledger.open_account(("community", 0), 5.0)
         ledger.post(0, ("community", 0), PLATFORM, 1.0, "PlatformFee")
-        debits, credits = ledger.round_totals(0)
-        assert debits == credits == 1.0
+        ledger.audit()
+        ledger._balances[PLATFORM] += 1.0
+        with pytest.raises(AssertionError, match="not conserved"):
+            ledger.audit()
+
+    def test_audit_catches_balance_drift(self):
+        ledger = Ledger()
+        ledger.open_account(("community", 0), 5.0)
+        ledger.post(0, ("community", 0), PLATFORM, 1.0, "PlatformFee")
+        # moved between accounts without a posting: the total still holds
+        ledger._balances[("community", 0)] -= 0.5
+        ledger._balances[PLATFORM] += 0.5
+        with pytest.raises(AssertionError, match="balance drift"):
+            ledger.audit()
 
 
 class TestSettleRound:

@@ -1,6 +1,7 @@
-"""Golden lock: short `mf` runs of the demo scenario must reproduce their
-artifacts byte for byte. A change that alters outputs on purpose updates
-these digests and says why."""
+"""Golden lock: short runs of the demo scenario, on the `mf` backend and on
+the default `gac_penrose` backend, must reproduce their artifacts byte for
+byte. A change that alters outputs on purpose updates these digests and says
+why."""
 
 import hashlib
 import json
@@ -32,15 +33,28 @@ MF_REFRESH_1_DIGESTS = {
     "scorecards.csv": "68be8a308f6edd66c7c45f4c0def1379a153905d2165d964c64e42a95d5c35ad",
 }
 
+# The demo on its own backend (gac_penrose) for 8 rounds with blocs refreshed
+# every round: Divisive cards, feed entries with non-empty balancing peeks and
+# about 15.5k ledger postings all reach the artifacts.
+PENROSE_8_REFRESH_1_DIGESTS = {
+    "metrics.csv": "ca25abfa1905cc728f0198fa71a1680111b821a96c4cf9a8b44a383858bae7f3",
+    "feeds.jsonl": "efd9b3578c0a40436d1d15db97db1bcbe8f33addb455cbf8f3f424585c99a753",
+    "ledger.csv": "28fa6cfb802c148cc8a554509c7b95b65da6726bdd16cbe46759099300f9f515",
+    "fabric.json": "cd7b386a87a25b03a3c605db6ad2312558aa93c9a79b2fafa20c04b87980eb16",
+    "scorecards.csv": "ba26e8d4f64f1cf14c35b4f43f1b9e7e6ff870abcf980c19cdfc09df42a2809f",
+}
 
-@pytest.mark.parametrize("refresh_interval, digests", [
-    (None, MF_DEMO_DIGESTS),
-    (1, MF_REFRESH_1_DIGESTS),
-], ids=["demo", "refresh_1"])
-def test_mf_demo_artifacts_match_digests(tmp_path, refresh_interval, digests):
+
+@pytest.mark.parametrize("backend, rounds, refresh_interval, digests", [
+    ("mf", 2, None, MF_DEMO_DIGESTS),
+    ("mf", 2, 1, MF_REFRESH_1_DIGESTS),
+    ("gac_penrose", 8, 1, PENROSE_8_REFRESH_1_DIGESTS),
+], ids=["demo", "refresh_1", "penrose_8_refresh_1"])
+def test_mf_demo_artifacts_match_digests(tmp_path, backend, rounds, refresh_interval,
+                                         digests):
     doc = json.loads(DEMO.read_text(encoding="utf-8"))
-    doc["scoring"]["backend"] = "mf"
-    doc["sim"]["rounds"] = 2
+    doc["scoring"]["backend"] = backend
+    doc["sim"]["rounds"] = rounds
     if refresh_interval is not None:
         doc["sim"]["refresh_interval"] = refresh_interval
     scenario = tmp_path / "demo_mf.json"

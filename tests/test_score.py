@@ -10,7 +10,7 @@ from plural._rng import derive_rng
 from plural.errors import FewerThanTwoBlocs, InsufficientData
 from plural.fabric import SocialFabric
 from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, LABEL_NEITHER,
-                          ContentItem, MfFit, ReactionMatrix, ScoringParams, ScoreSet,
+                          ContentItem, MfFit, ReactionMatrix, ScoreCard, ScoringParams, ScoreSet,
                           assign_label, balancing_set, bloc_rates, bridging_gac,
                           bridging_mf, citizen_score, community_score,
                           consensus_product, divisiveness, interest,
@@ -81,6 +81,12 @@ class TestBridgingGac:
         # alpha=0 mode keeps the 0.5 prior for voteless blocs
         beta0 = bridging_gac(rm, 0, blocs, "uniform", alpha=0.0)
         assert beta0 == pytest.approx(np.sqrt(1.0 * 0.5))
+
+    def test_zero_weight_entries_ignored(self):
+        # a zero-weight rate neither forces the product to 0 nor enters the log
+        w = np.array([0.0, 0.5, 0.5])
+        assert consensus_product(np.array([0.0, 0.81, 0.25]), w) == pytest.approx(0.45)
+        assert consensus_product(np.array([0.3, 0.0, 0.25]), w) == 0.0
 
     def test_fewer_than_two_blocs(self):
         rm, blocs = votes([(2, 2)])
@@ -527,48 +533,172 @@ class TestReactionMatrix:
             rm.record_reaction(0, 0, 2, 0)
 
 
-def test_score_round_matches_pairwise_ops():
-    # the batched pass must agree with the public per-card operations
-    rng = np.random.default_rng(5)
-    f, a, b = two_community_fabric()
-    f.communities[a].principal_subcommunities = [{0, 1}, {2, 3}]
+# -- brute-force oracle for score_round and the per-card functions ---------------
+# Per-member loops over ReactionMatrix.get, kept here as the reference the
+# shared scoring primitives must reproduce bit for bit.
+
+def _ref_interest(rm, content, members, current_round, half_life):
+    members = list(members)
+    if not members:
+        return 0.0
+    total = 0.0
+    for p in members:
+        cell = rm.get(p, content)
+        if cell is None or not cell.exposed:
+            continue
+        age = max(0, current_round - cell.round)
+        total += 2.0 ** (-age / half_life) * (1.0 + 0.5 * abs(cell.reaction))
+    return total / len(members)
+
+
+def _ref_bloc_rates(rm, content, blocs, alpha):
+    rates = np.empty(len(blocs))
+    for g, bloc in enumerate(blocs):
+        pos = neg = 0
+        for p in bloc:
+            cell = rm.get(p, content)
+            if cell is None:
+                continue
+            if cell.reaction > 0:
+                pos += 1
+            elif cell.reaction < 0:
+                neg += 1
+        denom = pos + neg + 2.0 * alpha
+        rates[g] = (pos + alpha) / denom if denom > 0 else 0.5
+    return rates
+
+
+def _ref_card(content, scope, iota, blocs, rm, params):
+    rates = _ref_bloc_rates(rm, content, blocs, params.alpha)
+    sizes = [len(b) for b in blocs]
+    if len(sizes) >= 2:
+        w = np.ones(len(sizes)) if params.backend == "gac_uniform" \
+            else np.sqrt(np.asarray(sizes, dtype=float))
+        w = w / w.sum()
+        if np.all(rates == rates[0]):
+            beta = float(rates[0])
+        elif np.any(rates <= 0.0):
+            beta = 0.0
+        else:
+            beta = float(np.exp(np.sum(w * np.log(rates))))
+        delta = float(rates.max() - rates.min())
+        characteristic = frozenset(int(g) for g in np.nonzero(rates >= 0.5)[0])
+    else:
+        beta = float(rates[0]) if len(sizes) else 0.5
+        delta, characteristic = 0.0, frozenset()
+    label = assign_label(beta, delta, characteristic, max(len(sizes), 1), params.label_floor)
+    psi = iota if params.popularity_only else iota * max(beta, delta)
+    return ScoreCard(content=content, scope=scope, iota=iota, beta=beta, delta=delta,
+                     psi=psi, characteristic_blocs=characteristic, label=label,
+                     low_confidence=len(sizes) < 2)
+
+
+def _ref_community_card(item, comm, rm, params, current_round):
+    members = sorted(comm.members)
+    iota = _ref_interest(rm, item.id, members, current_round, params.half_life)
+    blocs = [set(g) for g in comm.principal_subcommunities]
+    if len(blocs) < 2:
+        blocs = [set(members)] if members else []
+    return _ref_card(item.id, ("community", comm.id), iota, blocs, rm, params)
+
+
+def _ref_citizen_card(item, pid, f, rm, params, current_round):
+    iota = _ref_interest(rm, item.id, [pid], current_round, params.half_life)
+    blocs = [set(f.communities[c].members) for c in f.member_communities(pid)]
+    return _ref_card(item.id, ("citizen", pid), iota, blocs, rm, params)
+
+
+def _card_fields(card):
+    return (card.iota, card.beta, card.delta, card.psi, card.label,
+            card.characteristic_blocs, card.low_confidence)
+
+
+def _random_votes(f, targets, n_contents, seed):
+    rng = np.random.default_rng(seed)
     rm = ReactionMatrix()
     catalog = {}
-    for mid in range(5):
-        catalog[mid] = ContentItem(id=mid, creator=int(rng.integers(6)),
-                                   target_communities={a} if mid % 2 else {a, b},
-                                   created_round=0)
-        for p in range(6):
+    for mid in range(n_contents):
+        catalog[mid] = ContentItem(id=mid, creator=int(rng.integers(len(f.citizens))),
+                                   target_communities=targets(mid), created_round=0)
+        for p in sorted(f.citizens):
             if rng.random() < 0.7:
                 r = int(rng.choice([-1, 0, 1]))
-                rm.record_reaction(p, mid, r, int(rng.integers(3)))
-    params = ScoringParams()
-    scores = score_round(f, catalog, rm, params, current_round=3)
-    for mid, item in catalog.items():
-        for cid in item.target_communities:
-            direct = score_for_community(item, f.communities[cid], rm, params, 3)
-            got = scores.get(mid, ("community", cid))
-            assert got.iota == pytest.approx(direct.iota, abs=1e-12)
-            assert got.beta == pytest.approx(direct.beta, abs=1e-12)
-            assert got.delta == pytest.approx(direct.delta, abs=1e-12)
-            assert got.psi == pytest.approx(direct.psi, abs=1e-12)
-            assert (got.label, got.characteristic_blocs) == (direct.label, direct.characteristic_blocs)
-    for pid in f.citizens:
-        for mid, item in catalog.items():
-            if not item.target_communities & set(f.member_communities(pid)):
-                continue
-            direct = citizen_score(item, pid, f, rm, params, 3)
+                rm.record_reaction(p, mid, r, int(rng.integers(5)))
+    return catalog, rm
+
+
+def assert_matches_oracle(f, catalog, rm, params, current_round):
+    """score_round, score_for_community and citizen_score all equal the
+    brute-force reference exactly; returns the cards for case-specific checks."""
+    scores = score_round(f, catalog, rm, params, current_round)
+    checked = []
+    for mid, item in sorted(catalog.items()):
+        for cid in sorted(item.target_communities):
+            comm = f.communities[cid]
+            ref = _ref_community_card(item, comm, rm, params, current_round)
+            assert _card_fields(scores.get(mid, ("community", cid))) == _card_fields(ref)
+            direct = score_for_community(item, comm, rm, params, current_round)
+            assert _card_fields(direct) == _card_fields(ref)
+            checked.append(ref)
+    for pid in sorted(f.citizens):
+        for mid, item in sorted(catalog.items()):
             got = scores.get(mid, ("citizen", pid))
-            assert got is not None
-            assert got.iota == pytest.approx(direct.iota, abs=1e-12)
-            assert got.beta == pytest.approx(direct.beta, abs=1e-12)
-            assert got.delta == pytest.approx(direct.delta, abs=1e-12)
-            assert got.label == direct.label
+            if not item.target_communities & set(f.member_communities(pid)):
+                assert got is None
+                continue
+            ref = _ref_citizen_card(item, pid, f, rm, params, current_round)
+            assert _card_fields(got) == _card_fields(ref)
+            assert _card_fields(citizen_score(item, pid, f, rm, params, current_round)) \
+                == _card_fields(ref)
+            checked.append(ref)
+    return checked
+
+
+def test_score_round_matches_pairwise_ops():
+    # community a has two stored blocs, b none; citizens 2, 3 belong to both
+    f, a, b = two_community_fabric()
+    f.communities[a].principal_subcommunities = [{0, 1}, {2, 3}]
+    catalog, rm = _random_votes(f, lambda mid: {a} if mid % 2 else {a, b}, 5, seed=5)
+    cards = assert_matches_oracle(f, catalog, rm, ScoringParams(), current_round=3)
+    assert any(c.scope[0] == "community" and not c.low_confidence for c in cards)
+
+
+def test_score_round_oracle_community_without_blocs():
+    # no stored blocs anywhere: every community card takes the degenerate
+    # fallback over the whole member set
+    f, a, b = two_community_fabric()
+    catalog, rm = _random_votes(f, lambda mid: {a, b}, 6, seed=11)
+    cards = assert_matches_oracle(f, catalog, rm, ScoringParams(), current_round=4)
+    community = [c for c in cards if c.scope[0] == "community"]
+    assert community and all(c.low_confidence for c in community)
+
+
+def test_score_round_oracle_single_membership_citizen():
+    # citizen 0 belongs to community a only: its card is the single-bloc fallback
+    f, a, b = two_community_fabric()
+    f.communities[a].principal_subcommunities = [{0, 1}, {2, 3}]
+    f.communities[b].principal_subcommunities = [{2, 4}, {3, 5}]
+    catalog, rm = _random_votes(f, lambda mid: {a} if mid % 3 else {b}, 6, seed=2)
+    cards = assert_matches_oracle(f, catalog, rm, ScoringParams(), current_round=2)
+    own = [c for c in cards if c.scope == ("citizen", 0)]
+    assert own and all(c.low_confidence for c in own)
+
+
+@pytest.mark.parametrize("backend", ["gac_penrose", "gac_uniform"])
+def test_score_round_oracle_alpha_zero(backend):
+    # unsmoothed rates: vote-less blocs sit at 0.5, unanimous ones at 0 or 1
+    f, a, b = two_community_fabric()
+    f.communities[a].principal_subcommunities = [{0, 1}, {2, 3}]
+    catalog, rm = _random_votes(f, lambda mid: {a, b}, 8, seed=7)
+    rm.record_reaction(4, 99, 1, 0)
+    catalog[99] = ContentItem(id=99, creator=4, target_communities={a, b})
+    cards = assert_matches_oracle(f, catalog, rm, ScoringParams(alpha=0.0, backend=backend),
+                                  current_round=5)
+    assert any(c.beta == 0.0 for c in cards) and any(c.label == LABEL_DIVISIVE for c in cards)
 
 
 def test_scorecard_csv_contract():
     scores = ScoreSet()
-    from plural.score import ScoreCard
     scores.add(ScoreCard(content=3, scope=("community", 1), iota=0.5, beta=0.25,
                          delta=0.7, psi=0.35, characteristic_blocs=frozenset({0, 2}),
                          label=LABEL_DIVISIVE))

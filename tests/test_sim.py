@@ -1,7 +1,6 @@
 """Simulation: generative model, belief aggregation, metrics, and the loop."""
 
 import copy
-import os
 
 import numpy as np
 import pytest
@@ -243,23 +242,6 @@ class TestRun:
         b = run(cfg, seed=99)
         ids = sorted(a.fabric.communities)
         assert metrics_csv(a.metrics, ids) != metrics_csv(b.metrics, ids)
-
-    def test_thread_count_invariance(self):
-        cfg = tiny_config()
-        old = os.environ.get("PLURAL_THREADS")
-        try:
-            os.environ["PLURAL_THREADS"] = "1"
-            a = run(cfg)
-            os.environ["PLURAL_THREADS"] = "4"
-            b = run(cfg)
-        finally:
-            if old is None:
-                os.environ.pop("PLURAL_THREADS", None)
-            else:
-                os.environ["PLURAL_THREADS"] = old
-        ids = sorted(a.fabric.communities)
-        assert metrics_csv(a.metrics, ids) == metrics_csv(b.metrics, ids)
-        assert a.feed_records == b.feed_records
 
     def test_audits_and_invariants(self):
         res = run(tiny_config())

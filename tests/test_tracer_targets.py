@@ -1,0 +1,69 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps plural functions by
+name and reads some of their positional arguments. A rename or a reordered
+signature would make every traced benchmark run fail; this test makes it
+fail here instead. It loads the tracer from the checkout and changes
+nothing under perfbench/."""
+
+import importlib.util
+import inspect
+import json
+from pathlib import Path
+
+from plural import cli, rank
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings(tracer_module) -> dict:
+    """Every attribute the tracer may patch, as currently bound."""
+    modules = tracer_module.plural_modules()
+    out = {}
+    for mod, attr, _, _ in tracer_module.TARGETS:
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(modules[f"plural.{mod}"], cls_name)
+            out[(cls, meth)] = cls.__dict__[meth]
+        else:
+            for module in modules.values():
+                if attr in module.__dict__:
+                    out[(module, attr)] = module.__dict__[attr]
+    return out
+
+
+def test_observed_positional_arguments():
+    assert list(inspect.signature(rank.exposure_weights).parameters)[3] == "pool"
+    assert list(inspect.signature(rank.build_feed).parameters)[4] == "params"
+
+
+def test_tracer_installs_traces_a_run_and_restores(tmp_path):
+    tracer_module = _load_tracer()
+    before = _bindings(tracer_module)
+    doc = json.loads((ROOT / "scenarios" / "demo.json").read_text(encoding="utf-8"))
+    doc["population"]["n_citizens"] = 40
+    doc["sim"].update(rounds=2, refresh_interval=1)
+    scenario = tmp_path / "tiny.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert _bindings(tracer_module) != before
+        code = cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    assert _bindings(tracer_module) == before
+    layers = tracer.layers()
+    for key in ("score.cards", "rank.pool_entries", "rank.feed_entries", "econ.postings",
+                "detect.refreshes"):
+        assert layers[key] > 0, key
+    tracer.outcome.fabric.audit()
+    tracer.outcome.ledger.audit()
