@@ -9,6 +9,7 @@ field. Load -> serialize -> load is the identity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Any, Optional
@@ -27,15 +28,38 @@ def _require(doc: dict, key: str, path: str) -> Any:
     return doc[key]
 
 
+def _object(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _array(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(path, f"expected an array, got {type(value).__name__}")
+    return value
+
+
 def _number(value: Any, path: str, lo: float | None = None, hi: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(path, f"must be a finite number, got {value}")
     if lo is not None and v < lo:
         raise ConfigError(path, f"must be >= {lo}, got {v}")
     if hi is not None and v > hi:
         raise ConfigError(path, f"must be <= {hi}, got {v}")
     return v
+
+
+def _coordinates(value: Any, path: str, dim: int) -> list[float]:
+    if not isinstance(value, list) or len(value) != dim:
+        raise ConfigError(path, f"expected {dim} coordinates")
+    return [_number(x, f"{path}[{j}]") for j, x in enumerate(value)]
 
 
 def _integer(value: Any, path: str, lo: int | None = None) -> int:
@@ -140,7 +164,7 @@ class ScenarioConfig:
             raise ConfigError("schema_version", f"unsupported version {version}")
         seed = _integer(_require(doc, "seed", ""), "seed", lo=0)
 
-        pop_doc = _require(doc, "population", "")
+        pop_doc = _object(_require(doc, "population", ""), "population")
         blocs = []
         blocs_doc = _require(pop_doc, "blocs", "population")
         if not isinstance(blocs_doc, list) or not blocs_doc:
@@ -150,12 +174,11 @@ class ScenarioConfig:
         total_fraction = 0.0
         for i, b in enumerate(blocs_doc):
             p = f"population.blocs[{i}]"
+            b = _object(b, p)
             fraction = _number(_require(b, "fraction", p), f"{p}.fraction", lo=0.0, hi=1.0)
-            center = _require(b, "center", p)
-            if not isinstance(center, list) or len(center) != dim:
-                raise ConfigError(f"{p}.center", f"expected {dim} coordinates")
+            center = _coordinates(_require(b, "center", p), f"{p}.center", dim)
             sigma = _number(_require(b, "sigma", p), f"{p}.sigma", lo=0.0)
-            blocs.append(PopulationBloc(fraction, [float(c) for c in center], sigma))
+            blocs.append(PopulationBloc(fraction, center, sigma))
             total_fraction += fraction
         if abs(total_fraction - 1.0) > 1e-9:
             raise ConfigError("population.blocs", f"fractions must sum to 1, got {total_fraction}")
@@ -181,6 +204,7 @@ class ScenarioConfig:
         communities = []
         for i, c in enumerate(comm_doc):
             p = f"communities[{i}]"
+            c = _object(c, p)
             bloc_ids = _require(c, "blocs", p)
             if not isinstance(bloc_ids, list) or not bloc_ids:
                 raise ConfigError(f"{p}.blocs", "must be a non-empty array of bloc indices")
@@ -199,7 +223,7 @@ class ScenarioConfig:
                     _number(price, f"{p}.price_per_lambda_impression", lo=0.0),
             ))
 
-        content_doc = doc.get("content", {})
+        content_doc = _object(doc.get("content", {}), "content")
         content = ContentConfig(
             creators_per_round=_integer(content_doc.get("creators_per_round", 5),
                                         "content.creators_per_round", lo=0),
@@ -211,11 +235,13 @@ class ScenarioConfig:
         )
 
         advertisers = []
-        for i, a in enumerate(doc.get("advertisers", [])):
+        for i, a in enumerate(_array(doc.get("advertisers", []), "advertisers")):
             p = f"advertisers[{i}]"
+            a = _object(a, p)
             deals = []
-            for j, d in enumerate(a.get("deals", [])):
+            for j, d in enumerate(_array(a.get("deals", []), f"{p}.deals")):
                 dp = f"{p}.deals[{j}]"
+                d = _object(d, dp)
                 community = _integer(_require(d, "community", dp), f"{dp}.community", lo=0)
                 if community >= len(communities):
                     raise ConfigError(f"{dp}.community", f"community index {community} out of range")
@@ -227,9 +253,14 @@ class ScenarioConfig:
             purchase = a.get("standing_purchase")
             if purchase is not None:
                 pp = f"{p}.standing_purchase"
+                purchase = _object(purchase, pp)
+                community = _integer(_require(purchase, "community", pp),
+                                     f"{pp}.community", lo=0)
+                if community >= len(communities):
+                    raise ConfigError(f"{pp}.community",
+                                      f"community index {community} out of range")
                 purchase = {
-                    "community": _integer(_require(purchase, "community", pp),
-                                          f"{pp}.community", lo=0),
+                    "community": community,
                     "amount": _number(_require(purchase, "amount", pp), f"{pp}.amount", lo=0.0),
                     "price": _number(_require(purchase, "price", pp), f"{pp}.price", lo=0.0),
                 }
@@ -243,12 +274,12 @@ class ScenarioConfig:
                 items_per_round=_integer(a.get("items_per_round", 0),
                                          f"{p}.items_per_round", lo=0),
                 position=None if a.get("position") is None else
-                    [float(x) for x in a["position"]],
+                    _coordinates(a["position"], f"{p}.position", dim),
                 standing_purchase=purchase,
                 seed_stake=_number(a.get("seed_stake", 0.0), f"{p}.seed_stake", lo=0.0),
             ))
 
-        scoring_doc = doc.get("scoring", {})
+        scoring_doc = _object(doc.get("scoring", {}), "scoring")
         scoring_kwargs: dict[str, Any] = {}
         if "backend" in scoring_doc:
             backend = scoring_doc["backend"]
@@ -272,7 +303,7 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError("scoring", str(exc)) from None
 
-        ranking_doc = doc.get("ranking", {})
+        ranking_doc = _object(doc.get("ranking", {}), "ranking")
         ranking_kwargs: dict[str, Any] = {}
         if "feed_size" in ranking_doc:
             ranking_kwargs["feed_size"] = _integer(ranking_doc["feed_size"],
@@ -288,7 +319,7 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError("ranking", str(exc)) from None
 
-        econ_doc = doc.get("econ", {})
+        econ_doc = _object(doc.get("econ", {}), "econ")
         econ_kwargs: dict[str, Any] = {}
         for key, lo, hi in (("platform_fee", 0.0, 1.0), ("creator_share", 0.0, 1.0),
                             ("default_price_per_lambda_impression", 0.0, None),
@@ -300,7 +331,7 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError("econ", str(exc)) from None
 
-        sim_doc = doc.get("sim", {})
+        sim_doc = _object(doc.get("sim", {}), "sim")
         sim_kwargs: dict[str, Any] = {}
         for key in ("rounds", "refresh_interval"):
             if key in sim_doc:

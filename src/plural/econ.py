@@ -361,19 +361,23 @@ def reward_standing(scores, fabric, reward_rate: float, catalog) -> None:
         raise ValueError("reward_rate must be >= 0")
     if reward_rate == 0:
         return
-    for (content_id, scope) in sorted(scores.cards):
-        if scope[0] != "community":
-            continue
-        card = scores.cards[(content_id, scope)]
-        if card.psi <= 0:
-            continue
-        content = catalog.get(content_id)
-        if content is None or content.creator_kind != "citizen":
-            continue
-        comm = fabric.communities.get(scope[1])
-        if comm is None or content.creator not in comm.members:
-            continue
-        fabric.update_standing(content.creator, scope[1], reward_rate * card.psi)
+    # Each update touches only the edge (creator, cid), and every update of
+    # that edge comes from the scope ("community", cid). Walking each scope
+    # in ascending content order therefore adds to every edge in the same
+    # order as a walk over all cards sorted by (content, scope), so the
+    # standings come out bit for bit the same.
+    for cid in sorted(fabric.communities):
+        members = fabric.communities[cid].members
+        table = scores.scope_cards(("community", cid))
+        for content_id in sorted(table):
+            card = table[content_id]
+            if card.psi <= 0:
+                continue
+            content = catalog.get(content_id)
+            if content is None or content.creator_kind != "citizen" \
+                    or content.creator not in members:
+                continue
+            fabric.update_standing(content.creator, cid, reward_rate * card.psi)
 
 
 def sell_standing(advertiser: Advertiser, community: int, amount: float,

@@ -18,7 +18,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -340,13 +340,21 @@ def _spread(rates: np.ndarray) -> tuple[float, frozenset[int]]:
             frozenset(int(g) for g in np.nonzero(rates >= 0.5)[0]))
 
 
-def community_score(iota: float, beta: float, delta: float) -> float:
-    """Combined score: interest times the stronger of bridging/balancing."""
+def _psi(iota: float, beta: float, delta: float, popularity_only: bool) -> float:
+    """psi = iota * max(beta, delta), or iota alone in the popularity baseline;
+    unchecked, for callers whose inputs are in range by construction."""
+    return iota if popularity_only else iota * max(beta, delta)
+
+
+def community_score(iota: float, beta: float, delta: float,
+                    popularity_only: bool = False) -> float:
+    """Combined score: interest times the stronger of bridging/balancing
+    (interest alone with `popularity_only`)."""
     if not (math.isfinite(iota) and math.isfinite(beta) and math.isfinite(delta)):
         raise ValueError("scores must be finite")
     if iota < 0 or not (0 <= beta <= 1) or not (0 <= delta <= 1):
         raise ValueError("iota >= 0 and beta, delta in [0, 1] required")
-    return iota * max(beta, delta)
+    return _psi(iota, beta, delta, popularity_only)
 
 
 def assign_label(beta: float, delta: float, characteristic: frozenset[int],
@@ -440,14 +448,31 @@ def bridging_mf(reactions: ReactionMatrix, raters: Iterable[int],
 # -- card assembly --------------------------------------------------------------
 
 class ScoreSet:
-    """All cards for one scoring pass, with balancing sets per scope."""
+    """All cards for one scoring pass, with balancing sets per scope.
+
+    Cards are kept by (content, scope) and, for the readers that ask for one
+    scope at a time, indexed by scope as {content: card}.
+    """
 
     def __init__(self) -> None:
         self.cards: dict[tuple[int, Scope], ScoreCard] = {}
         self.balancing: dict[tuple[int, Scope], list[int]] = {}
+        self._by_scope: dict[Scope, dict[int, ScoreCard]] = {}
 
     def add(self, card: ScoreCard) -> None:
+        self._file(self._scope_table(card.scope), card)
+
+    def _scope_table(self, scope: Scope) -> dict[int, ScoreCard]:
+        return self._by_scope.setdefault(scope, {})
+
+    def _file(self, table: dict[int, ScoreCard], card: ScoreCard) -> None:
+        """The one write path; `table` must be `_scope_table(card.scope)`."""
         self.cards[(card.content, card.scope)] = card
+        table[card.content] = card
+
+    def scope_cards(self, scope: Scope) -> Mapping[int, ScoreCard]:
+        """Live view of one scope's cards by content id; do not mutate."""
+        return self._by_scope.get(scope, {})
 
     def get(self, content: int, scope: Scope) -> Optional[ScoreCard]:
         return self.cards.get((content, scope))
@@ -460,8 +485,9 @@ class ScoreSet:
         return self.balancing.get((content, scope), [])
 
     def community_cards(self, community: int) -> list[ScoreCard]:
-        return [c for (m, s), c in sorted(self.cards.items())
-                if s == ("community", community)]
+        """The community scope's cards in content order."""
+        table = self.scope_cards(("community", community))
+        return [table[m] for m in sorted(table)]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -491,7 +517,7 @@ def _card_from_rates(content: int, scope: Scope, iota: float, rates: np.ndarray,
         delta, characteristic = 0.0, frozenset()
         low_confidence = True
     label = assign_label(beta, delta, characteristic, max(len(sizes), 1), params.label_floor)
-    psi = iota if params.popularity_only else community_score(iota, beta, delta)
+    psi = community_score(iota, beta, delta, params.popularity_only)
     return ScoreCard(content=content, scope=scope, iota=iota, beta=beta, delta=delta,
                      psi=psi, characteristic_blocs=characteristic, label=label,
                      low_confidence=low_confidence)
@@ -563,8 +589,8 @@ def balancing_set(scope: Scope, content: int, scores: ScoreSet,
     if base is None or base.label != LABEL_DIVISIVE:
         raise ValueError(f"content {content} is not Divisive in scope {scope}")
     out: list[tuple[float, int]] = []
-    for (m, s), card in scores.cards.items():
-        if s != scope or m == content or card.label != LABEL_DIVISIVE:
+    for m, card in scores.scope_cards(scope).items():
+        if m == content or card.label != LABEL_DIVISIVE:
             continue
         if abs(card.delta - base.delta) > delta_tol:
             continue
@@ -630,36 +656,37 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
             by_community.setdefault(cid, []).append(mid)
 
     # Citizens with identical membership signatures share everything but
-    # interest, so the bloc-rate part of their cards is computed once.
-    signature_cache: dict[tuple[tuple[int, ...], int], ScoreCard] = {}
-    pool_cache: dict[tuple[int, ...], list[int]] = {}
+    # interest, so the bloc-rate part of their cards is computed once, as a
+    # (content, prototype card) list per signature.
+    pool_cache: dict[tuple[int, ...], list[tuple[int, ScoreCard]]] = {}
     for pid in sorted(fabric.citizens):
         comms = tuple(fabric.member_communities(pid))
-        if comms not in pool_cache:
+        pool = pool_cache.get(comms)
+        if pool is None:
             seen: set[int] = set()
             for cid in comms:
                 seen.update(by_community.get(cid, ()))
-            pool_cache[comms] = sorted(seen)
+            sizes = [len(fabric.communities[c].members) for c in comms]
+            pool = pool_cache[comms] = [
+                (mid, _card_from_rates(mid, ("citizen", -1), 0.0,
+                                       np.array([whole_rate(mid, c) for c in comms]),
+                                       sizes, params))
+                for mid in sorted(seen)]
+        scope: Scope = ("citizen", pid)
+        table = scores._scope_table(scope)
         row = reactions.for_citizen(pid)
-        for mid in pool_cache[comms]:
+        for mid, proto in pool:
             cell = row.get(mid)
             iota = _decayed(cell, current_round, params.half_life) \
                 if cell is not None and cell.exposed else 0.0
-            proto = signature_cache.get((comms, mid))
-            if proto is None:
-                rates = np.array([whole_rate(mid, c) for c in comms])
-                sizes = [len(fabric.communities[c].members) for c in comms]
-                proto = _card_from_rates(mid, ("citizen", -1), 0.0, rates, sizes, params)
-                signature_cache[(comms, mid)] = proto
-            psi = iota if params.popularity_only \
-                else iota * max(proto.beta, proto.delta)
-            scores.add(ScoreCard(content=mid, scope=("citizen", pid), iota=iota,
-                                 beta=proto.beta, delta=proto.delta, psi=psi,
-                                 characteristic_blocs=proto.characteristic_blocs,
-                                 label=proto.label,
-                                 low_confidence=proto.low_confidence))
+            scores._file(table, ScoreCard(
+                content=mid, scope=scope, iota=iota, beta=proto.beta, delta=proto.delta,
+                psi=_psi(iota, proto.beta, proto.delta, params.popularity_only),
+                characteristic_blocs=proto.characteristic_blocs, label=proto.label,
+                low_confidence=proto.low_confidence))
 
-    for (mid, scope), card in sorted(scores.cards.items()):
+    # Balancing sets are read by key only, so the sweep needs no order.
+    for (mid, scope), card in scores.cards.items():
         if card.label == LABEL_DIVISIVE:
             scores.balancing[(mid, scope)] = balancing_set(
                 scope, mid, scores, catalog,

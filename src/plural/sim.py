@@ -42,6 +42,16 @@ class AgentState:
 
 @dataclass
 class RoundMetrics:
+    """One row of metrics.csv.
+
+    `mean_common_belief_top_bridging` averages, over communities, the common
+    belief in each community's top-10 contents by cumulative exposure in
+    that community, not by bridging score; the name stays because it is the
+    metrics.csv column header. `polarization_index` is the mean approval
+    spread across principal subcommunities over the same contents, and
+    `coherence` the mean common belief in each community's top-5 cards by psi.
+    """
+
     round: int
     mean_common_belief_top_bridging: float
     polarization_index: float

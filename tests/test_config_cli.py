@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,36 @@ class TestScenarioConfig:
 
 OUTPUTS = ("metrics.csv", "feeds.jsonl", "ledger.csv", "fabric.json", "scorecards.csv")
 
+# (keys down to the field, value written there, JSON path the message names)
+MALFORMED_SCENARIOS = {
+    "nan_alpha": (["scoring", "alpha"], math.nan, "scoring.alpha"),
+    "nan_lambda": (["communities", 0, "lambda"], math.nan, "communities[0].lambda"),
+    "nan_stake_mean": (["content", "stake_mean"], math.nan, "content.stake_mean"),
+    "inf_balance": (["communities", 0, "balance"], math.inf, "communities[0].balance"),
+    "nan_fraction": (["population", "blocs", 0, "fraction"], math.nan,
+                     "population.blocs[0].fraction"),
+    "nan_gamma": (["sim", "attitude_feedback_gamma"], math.nan,
+                  "sim.attitude_feedback_gamma"),
+    "huge_int_budget": (["advertisers"], [{"budget": 10 ** 400}], "advertisers[0].budget"),
+    "ranking_string": (["ranking"], "x", "ranking"),
+    "econ_string": (["econ"], "alpha", "econ"),
+    "community_number": (["communities", 0], 5, "communities[0]"),
+    "bloc_number": (["population", "blocs", 0], 3, "population.blocs[0]"),
+    "content_array": (["content"], [], "content"),
+    "sim_null": (["sim"], None, "sim"),
+    "advertisers_number": (["advertisers"], 5, "advertisers"),
+    "scoring_array": (["scoring"], [{"alpha": 1.0}], "scoring"),
+    "center_string": (["population", "blocs", 0, "center", 0], "left",
+                      "population.blocs[0].center[0]"),
+    "position_string": (["advertisers"], [{"budget": 1.0, "position": ["x"]}],
+                        "advertisers[0].position[0]"),
+    "position_length": (["advertisers"], [{"budget": 1.0, "position": [0.1, 0.2]}],
+                        "advertisers[0].position"),
+    "purchase_community": (["advertisers"], [{"budget": 1.0, "standing_purchase": {
+        "community": 9, "amount": 1.0, "price": 0.5}}],
+        "advertisers[0].standing_purchase.community"),
+}
+
 
 class TestCmdRun:
     def test_missing_scenario_exit_2(self, tmp_path, capsys):
@@ -128,6 +159,21 @@ class TestCmdRun:
         code = main(["run", "--scenario", str(path), "--out", str(out), "--rounds", "-1"])
         assert code == 2
         assert "--rounds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+    def test_malformed_scenario_exit_2(self, tmp_path, capsys, case):
+        keys, value, json_path = MALFORMED_SCENARIOS[case]
+        doc = copy.deepcopy(TINY_SCENARIO)
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"scenario error: {json_path}: ")
         assert not out.exists()
 
     def test_zero_rounds_valid(self, tmp_path):

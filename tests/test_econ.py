@@ -1,6 +1,8 @@
 """Economy: ledger discipline, settlement flows, lambda policies, standing
 rewards, and the advertiser standing market."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -372,3 +374,59 @@ class TestRewardStanding:
                              delta=0.0, psi=0.4))
         reward_standing(scores, f, 0.5, catalog)
         assert f.raw_standing(creator, c) - 1.0 == pytest.approx(2 * (f.raw_standing(other, c) - 1.0))
+
+    def test_matches_walk_over_all_cards_sorted(self):
+        """reward_standing walks one community scope at a time; the standings
+        must equal, with ==, those of a walk over every card sorted by
+        (content, scope)."""
+        f = SocialFabric()
+        creator, other, outsider = f.add_citizen(), f.add_citizen(), f.add_citizen()
+        a, b = f.add_community(), f.add_community()
+        for p in (creator, other):
+            for c in (a, b):
+                f.add_membership(p, c, 1.0, 1.0)
+        f.add_membership(outsider, b, 1.0, 1.0)
+        catalog = {}
+        scores = ScoreSet()
+        # Several contents of one creator in both communities; summing these
+        # psi values in another order gives other floats.
+        psis = [1 / 3, 0.7, 1 / 7, 0.3, 1e-3, 2 / 9]
+        for m, psi in enumerate(psis):
+            catalog[m] = ContentItem(id=m, creator=creator, target_communities={a, b})
+            for c, scale in ((a, 1.0), (b, 0.3)):
+                scores.add(ScoreCard(content=m, scope=("community", c), iota=1.0, beta=psi,
+                                     delta=0.0, psi=psi * scale))
+            scores.add(ScoreCard(content=m, scope=("citizen", other), iota=1.0, beta=0.5,
+                                 delta=0.0, psi=0.5))
+        catalog[6] = ContentItem(id=6, creator=other, target_communities={a})
+        catalog[7] = ContentItem(id=7, creator=outsider, target_communities={a})
+        catalog[8] = ContentItem(id=8, creator=0, target_communities={b},
+                                 creator_kind="advertiser")
+        for m in (6, 7, 8):
+            scores.add(ScoreCard(content=m, scope=("community", a if m < 8 else b),
+                                 iota=1.0, beta=0.9, delta=0.0, psi=0.9))
+        scores.add(ScoreCard(content=9, scope=("community", a), iota=1.0, beta=0.9,
+                             delta=0.0, psi=0.9))          # not in the catalog
+        scores.add(ScoreCard(content=0, scope=("community", 17), iota=1.0, beta=0.9,
+                             delta=0.0, psi=0.9))          # community not in the fabric
+
+        reference = copy.deepcopy(f)
+        for (m, scope) in sorted(scores.cards):
+            card = scores.cards[(m, scope)]
+            if scope[0] != "community" or card.psi <= 0 or m not in catalog:
+                continue
+            content = catalog[m]
+            comm = reference.communities.get(scope[1])
+            if content.creator_kind != "citizen" or comm is None \
+                    or content.creator not in comm.members:
+                continue
+            reference.update_standing(content.creator, scope[1], card.psi)
+
+        reward_standing(scores, f, 1.0, catalog)
+        for p in (creator, other, outsider):
+            for c in f.citizens[p].memberships:
+                assert f.raw_standing(p, c) == reference.raw_standing(p, c), (p, c)
+        reversed_walk = 1.0
+        for psi in reversed(psis):
+            reversed_walk += psi
+        assert reference.raw_standing(creator, a) != reversed_walk

@@ -1,9 +1,10 @@
 """Golden lock: short runs of the demo scenario, on the `mf` backend and on
-the default `gac_penrose` backend, must reproduce their artifacts byte for
-byte. A change that alters outputs on purpose updates these digests and says
-why."""
+the default `gac_penrose` backend, and a short run of the benchmark's
+`market` scenario, must reproduce their artifacts byte for byte. A change
+that alters outputs on purpose updates these digests and says why."""
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 
 from plural.cli import main
 
-DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "scenarios" / "demo.json"
 
 # sha256 of each artifact of the demo with scoring.backend "mf" and 2 rounds.
 MF_DEMO_DIGESTS = {
@@ -64,3 +66,39 @@ def test_mf_demo_artifacts_match_digests(tmp_path, backend, rounds, refresh_inte
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in digests}
     assert got == digests
+
+
+# The benchmark's `market` scenario (instance 0) for 6 rounds with blocs
+# refreshed every 2 rounds. Its citizens sit in two overlapping communities
+# each, so citizen-scope Divisive cards and their balancing sets reach the
+# artifacts: 11 community and 74 citizen Divisive cards in the last round, 80
+# of them with a non-empty balancing set, and about 29.5k ledger postings.
+MARKET_6_REFRESH_2_DIGESTS = {
+    "metrics.csv": "c6803b5ddf016c211c58f31681e09ddce09a28bd3a24bbfc7e82ee02118dd416",
+    "feeds.jsonl": "e05ee112546bb894c38b5e8f95f586d228794c10f94df9ab41bd278849bb1062",
+    "ledger.csv": "cd4885ea2737460c6510cfbfccab15a6ba8006a7f653e0874e112f1ecd9effe5",
+    "fabric.json": "397ad533ae4793114b9201935270ccd6f1c41760ae589fb19a3b3e9d1a89e596",
+    "scorecards.csv": "d0d305a5f4af701a7af1f6ebc75812f3420ec7ac4961a61660d959ca7605344f",
+}
+
+
+def _load_workloads():
+    """perfbench/workloads.py from the checkout, read only."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_market_artifacts_match_digests(tmp_path):
+    base = json.loads(DEMO.read_text(encoding="utf-8"))
+    doc = _load_workloads().scenario(base, "market", 0, rounds=6)
+    doc["sim"]["refresh_interval"] = 2
+    scenario = tmp_path / "market.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in MARKET_6_REFRESH_2_DIGESTS}
+    assert got == MARKET_6_REFRESH_2_DIGESTS

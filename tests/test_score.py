@@ -296,6 +296,70 @@ class TestBalancingSet:
             balancing_set(("community", 0), 0, scores, catalog, False, 0.2)
 
 
+# -- the per-scope index against full scans over ScoreSet.cards -------------------
+
+def _reference_balancing_set(scope, content, scores, catalog, topic_overlap_required,
+                             delta_tol):
+    base = scores.cards[(content, scope)]
+    out = []
+    for (m, s), card in scores.cards.items():
+        if s != scope or m == content or card.label != LABEL_DIVISIVE:
+            continue
+        if abs(card.delta - base.delta) > delta_tol:
+            continue
+        if card.characteristic_blocs & base.characteristic_blocs:
+            continue
+        if topic_overlap_required and not (catalog[m].topics & catalog[content].topics):
+            continue
+        out.append((-card.psi, m))
+    return [m for _, m in sorted(out)]
+
+
+def _reference_community_cards(scores, community):
+    return [c for (m, s), c in sorted(scores.cards.items()) if s == ("community", community)]
+
+
+SCOPES = [("community", 0), ("community", 1), ("community", 2), ("citizen", 0),
+          ("citizen", 5)]
+
+_random_card = st.builds(
+    lambda content, scope, label, delta, psi, blocs: ScoreCard(
+        content=content, scope=scope, iota=1.0, beta=0.0, delta=delta, psi=psi,
+        characteristic_blocs=frozenset(blocs), label=label),
+    st.integers(0, 11), st.sampled_from(SCOPES),
+    st.sampled_from([LABEL_DIVISIVE, LABEL_DIVISIVE, LABEL_BRIDGING, LABEL_NEITHER]),
+    st.sampled_from([0.0, 0.3, 0.5, 0.6, 0.7, 0.8, 1.0]) | st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 2.0),
+    st.frozensets(st.integers(0, 3), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cards=st.lists(_random_card, min_size=1, max_size=40),
+       topics=st.lists(st.frozensets(st.integers(0, 2), min_size=1, max_size=2),
+                       min_size=12, max_size=12),
+       topic_overlap_required=st.booleans(),
+       delta_tol=st.sampled_from([0.0, 0.1, 0.2, 0.5]))
+def test_scope_index_matches_full_scans(cards, topics, topic_overlap_required, delta_tol):
+    """Cards re-added under a key replace the old card in both views."""
+    scores = ScoreSet()
+    for card in cards:
+        scores.add(card)
+    catalog = {m: ContentItem(id=m, creator=0, target_communities={0}, topics=set(t))
+               for m, t in enumerate(topics)}
+    for scope in SCOPES:
+        assert dict(scores.scope_cards(scope)) == \
+            {m: c for (m, s), c in scores.cards.items() if s == scope}
+    for community in (0, 1, 2, 3):
+        assert scores.community_cards(community) == \
+            _reference_community_cards(scores, community)
+    for (m, scope), card in scores.cards.items():
+        if card.label == LABEL_DIVISIVE:
+            assert balancing_set(scope, m, scores, catalog, topic_overlap_required,
+                                 delta_tol) == \
+                _reference_balancing_set(scope, m, scores, catalog,
+                                         topic_overlap_required, delta_tol)
+
+
 # -- matrix factorization ---------------------------------------------------------
 
 def planted_mf_instance():
