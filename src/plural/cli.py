@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from .config import ScenarioConfig
 from .detect import principal_subcommunities
 from .errors import ConfigError, DegenerateInput, PluralError, TooSmall
 from .fabric import SocialFabric
+from .rank import feed_lines
 from .score import (ContentItem, ReactionMatrix, ScoreSet, ScoringParams,
                     score_round)
 from . import sim as simulation
@@ -27,17 +27,20 @@ EXIT_CONFIG = 2
 
 
 def _write_outputs(out_dir: Path, result) -> None:
+    """Write the five artifacts, streaming the three large ones line by line."""
     out_dir.mkdir(parents=True, exist_ok=True)
     community_ids = sorted(result.fabric.communities)
     (out_dir / "metrics.csv").write_text(
         simulation.metrics_csv(result.metrics, community_ids), encoding="utf-8")
     with open(out_dir / "feeds.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for rec in result.feed_records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    (out_dir / "ledger.csv").write_text(result.ledger.to_csv(), encoding="utf-8")
+        for round_, citizen, feed in result.feeds:
+            fh.writelines(feed_lines(round_, citizen, feed))
+    with open(out_dir / "ledger.csv", "w", encoding="utf-8") as fh:
+        fh.writelines(result.ledger.csv_lines())
     (out_dir / "fabric.json").write_text(result.fabric.to_json(indent=2), encoding="utf-8")
-    cards = result.scores.to_csv() if result.scores is not None else ScoreSet().to_csv()
-    (out_dir / "scorecards.csv").write_text(cards, encoding="utf-8")
+    scores = result.scores if result.scores is not None else ScoreSet()
+    with open(out_dir / "scorecards.csv", "w", encoding="utf-8") as fh:
+        fh.writelines(scores.csv_lines())
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -62,11 +62,17 @@ def _coordinates(value: Any, path: str, dim: int) -> list[float]:
     return [_number(x, f"{path}[{j}]") for j, x in enumerate(value)]
 
 
-def _integer(value: Any, path: str, lo: int | None = None) -> int:
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _integer(value: Any, path: str, lo: int) -> int:
+    """An integer in [lo, int64 max]; numpy draws and indexes take no more."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
-    if lo is not None and value < lo:
+    if value < lo:
         raise ConfigError(path, f"must be >= {lo}, got {value}")
+    if value > _INT64_MAX:
+        raise ConfigError(path, f"must be <= {_INT64_MAX} (int64), got {value}")
     return value
 
 

@@ -13,11 +13,9 @@ Account owners are ("citizen", id), ("community", id), ("advertiser", id),
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import InsufficientFunds, NoAcceptedDeal, NotFound, Unregistered
 from .rank import attention_terms
@@ -36,7 +34,7 @@ def creator_pool(community: int) -> OwnerRef:
     return ("creator_pool", community)
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerEntry:
     round: int
     from_owner: OwnerRef
@@ -105,14 +103,17 @@ class Ledger:
                 f"balance drift on {owner}"
             assert bal >= -tol, f"negative balance on {owner}"
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(LEDGER_CSV_HEADER)
+    def csv_lines(self) -> Iterator[str]:
+        """ledger.csv lines, header first. No field needs CSV quoting: ids and
+        rounds are ints, amounts float reprs, kinds and reasons plain words."""
+        yield ",".join(LEDGER_CSV_HEADER) + "\n"
         for e in self.entries:
-            w.writerow([e.round, e.from_owner[0], e.from_owner[1],
-                        e.to_owner[0], e.to_owner[1], repr(e.amount), e.reason])
-        return buf.getvalue()
+            (from_kind, from_id), (to_kind, to_id) = e.from_owner, e.to_owner
+            yield (f"{e.round},{from_kind},{from_id},{to_kind},{to_id},"
+                   f"{e.amount!r},{e.reason}\n")
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_lines())
 
 
 @dataclass

@@ -13,8 +13,9 @@ and what balances it).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from ._rng import derive_rng
 from .errors import InsufficientStanding
@@ -37,7 +38,7 @@ class RankingParams:
             raise ValueError("seed_rounds and stake_scale must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class ProvenanceTag:
     """Why this content is in the feed, per scope it is notable in."""
 
@@ -46,7 +47,7 @@ class ProvenanceTag:
     balancing_peek: tuple[int, ...] = ()        # non-empty only for Divisive
 
 
-@dataclass
+@dataclass(slots=True)
 class FeedEntry:
     content: int
     exposure_share: float
@@ -176,21 +177,28 @@ def build_feed(citizen: int, fabric, weights: Mapping[int, float], scores: Score
     return entries
 
 
+def feed_lines(round_: int, citizen: int, feed: Sequence[FeedEntry]) -> Iterator[str]:
+    """feeds.jsonl lines: one JSON record per (round, citizen, rank_position).
+
+    Each line is byte-equal to `json.dumps(record, sort_keys=True) + "\n"`.
+    Floats are written with `float.__repr__`, json's own float form, which
+    also prints a numpy scalar as a plain number; ids and positions are ints,
+    and the kind and scope-kind words need no escaping.
+    """
+    head = f'{{"citizen": {citizen}, "content": '
+    tail = f', "round": {round_}}}\n'
+    for e in feed:
+        tags = ", ".join(
+            f'{{"balancing_peek": [{", ".join(map(str, t.balancing_peek))}], '
+            f'"kind": "{t.kind}", "scope_id": {t.scope[1]}, "scope_kind": "{t.scope[0]}"}}'
+            for t in e.provenance)
+        yield (f'{head}{e.content}, "exposure_share": {float.__repr__(e.exposure_share)}, '
+               f'"provenance": [{tags}], "rank_position": {e.rank_position}{tail}')
+
+
 def feed_to_records(round_: int, citizen: int, feed: Sequence[FeedEntry]) -> list[dict]:
-    """JSON-lines export shape: one record per (round, citizen, rank_position)."""
-    return [{
-        "round": round_,
-        "citizen": citizen,
-        "rank_position": e.rank_position,
-        "content": e.content,
-        "exposure_share": e.exposure_share,
-        "provenance": [{
-            "scope_kind": t.scope[0],
-            "scope_id": t.scope[1],
-            "kind": t.kind,
-            "balancing_peek": list(t.balancing_peek),
-        } for t in e.provenance],
-    } for e in feed]
+    """The records of `feed_lines`, parsed back into dicts."""
+    return [json.loads(line) for line in feed_lines(round_, citizen, feed)]
 
 
 def seed_content(overrides: PsiOverrides, fabric, content, community: int,

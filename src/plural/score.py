@@ -489,16 +489,21 @@ class ScoreSet:
         table = self.scope_cards(("community", community))
         return [table[m] for m in sorted(table)]
 
+    def csv_lines(self) -> Iterator[str]:
+        """scorecards.csv lines, header first, cards in (content, scope) order.
+        No field needs CSV quoting: ids are ints, scores float reprs, kinds and
+        labels plain words, characteristic blocs `;`-joined ids."""
+        yield ",".join(SCORECARD_CSV_HEADER) + "\n"
+        cards = self.cards
+        for key in sorted(cards):
+            c = cards[key]
+            kind, sid = c.scope
+            blocs = ";".join(map(str, sorted(c.characteristic_blocs)))
+            yield (f"{c.content},{kind},{sid},{c.iota!r},{c.beta!r},{c.delta!r},"
+                   f"{c.psi!r},{c.label},{blocs}\n")
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(SCORECARD_CSV_HEADER)
-        for (content, scope) in sorted(self.cards):
-            c = self.cards[(content, scope)]
-            w.writerow([c.content, c.scope[0], c.scope[1],
-                        repr(c.iota), repr(c.beta), repr(c.delta), repr(c.psi),
-                        c.label, ";".join(str(g) for g in sorted(c.characteristic_blocs))])
-        return buf.getvalue()
+        return "".join(self.csv_lines())
 
 
 def _card_from_rates(content: int, scope: Scope, iota: float, rates: np.ndarray,

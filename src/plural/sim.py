@@ -24,7 +24,7 @@ from .econ import (PLATFORM, Advertiser, AdDeal, LambdaPolicy, Ledger,
                    PolicyBook, reward_standing, sell_standing, settle_round)
 from .errors import DegenerateInput, EmptyCommunity, TooSmall
 from .fabric import SocialFabric
-from .rank import (EffectivePsi, PsiOverrides, build_feed,
+from .rank import (EffectivePsi, FeedEntry, PsiOverrides, build_feed,
                    exposure_weights, feed_to_records, seed_content)
 from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights,
                     consensus_product, divisiveness, score_round)
@@ -32,12 +32,11 @@ from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights,
 
 @dataclass
 class AgentState:
-    """Latent state of one citizen."""
+    """Latent state of one citizen; attitudes and beliefs live in the run's
+    per-content arrays (see `RunResult.exposed`)."""
 
     citizen: int
     ideology: np.ndarray
-    attitudes: dict[int, float] = field(default_factory=dict)
-    beliefs: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -108,16 +107,24 @@ def gen_population(config: ScenarioConfig, seed: int) -> tuple[SocialFabric, dic
     return fabric, states
 
 
+def attitudes(ideologies: np.ndarray, latent_position: np.ndarray,
+              temperature: float) -> np.ndarray:
+    """Every citizen's attitude to one content, one row of `ideologies` each.
+
+    Logistic decay in squared ideological distance, 0.5 at distance zero;
+    the exponent is capped at 700 so exp cannot overflow.
+    """
+    d2 = np.sum((ideologies - np.asarray(latent_position)) ** 2, axis=1)
+    return 1.0 / (1.0 + np.exp(np.minimum(d2 / temperature, 700.0)))
+
+
 def attitude(ideology: np.ndarray, latent_position: np.ndarray,
              temperature: float = 1.0) -> float:
-    """Logistic decay in squared ideological distance; 0.5 at distance zero."""
+    """One citizen's attitude: `attitudes` over a single row."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    d2 = float(np.sum((np.asarray(ideology) - np.asarray(latent_position)) ** 2))
-    z = d2 / temperature
-    if z > 700.0:  # exp would overflow; the attitude is numerically zero
-        return 0.0
-    return 1.0 / (1.0 + math.exp(z))
+    row = np.reshape(np.asarray(ideology, dtype=float), (1, -1))
+    return float(attitudes(row, latent_position, temperature)[0])
 
 
 def react(attitude_value: float, exposure_share: float, rng: np.random.Generator,
@@ -214,8 +221,27 @@ class RunResult:
     reactions: ReactionMatrix
     ledger: Ledger
     scores: Optional[ScoreSet]
-    feed_records: list[dict]
+    feeds: list[tuple[int, int, list[FeedEntry]]]   # (round, citizen, feed)
     events: list[dict]
+    attitude_arr: dict[int, np.ndarray]             # content -> attitude per citizen
+    cum_exposure: dict[int, np.ndarray]             # content -> exposure per citizen
+
+    @property
+    def feed_records(self) -> list[dict]:
+        """Every feed entry as its feeds.jsonl record, derived on demand."""
+        return [rec for round_, citizen, feed in self.feeds
+                for rec in feed_to_records(round_, citizen, feed)]
+
+    def exposed(self, citizen: int) -> dict[int, tuple[float, float]]:
+        """{content: (attitude, belief)} over the contents the citizen has
+        been exposed to; belief is attitude times cumulative exposure."""
+        out = {}
+        for mid in sorted(self.catalog):
+            cum = float(self.cum_exposure[mid][citizen])
+            if cum > 0:
+                a = float(self.attitude_arr[mid][citizen])
+                out[mid] = (a, a * cum)
+        return out
 
 
 class _Simulation:
@@ -233,7 +259,7 @@ class _Simulation:
         self.policies = PolicyBook(default_price=config.econ.default_price_per_lambda_impression)
         self.advertisers: dict[int, Advertiser] = {}
         self.events: list[dict] = []
-        self.feed_records: list[dict] = []
+        self.feeds: list[tuple[int, int, list[FeedEntry]]] = []
         self.metrics: list[RoundMetrics] = []
         self.scores: Optional[ScoreSet] = None
 
@@ -277,9 +303,8 @@ class _Simulation:
                            created_round=round_, target_communities=set(targets),
                            latent_position=position, creator_kind=creator_kind)
         self.catalog[mid] = item
-        temp = self.config.sim.attitude_temperature
-        d2 = np.sum((self._ideologies - np.asarray(position)) ** 2, axis=1)
-        self.attitude_arr[mid] = 1.0 / (1.0 + np.exp(np.minimum(d2 / temp, 700.0)))
+        self.attitude_arr[mid] = attitudes(self._ideologies, position,
+                                           self.config.sim.attitude_temperature)
         self.cum_exposure[mid] = np.zeros(self.n)
         return item
 
@@ -512,7 +537,7 @@ class _Simulation:
             psi_view = EffectivePsi(self.scores, self.overrides, round_)
             feeds = self._rank_phase(round_, psi_view)
             for citizen in sorted(feeds):
-                self.feed_records.extend(feed_to_records(round_, citizen, feeds[citizen]))
+                self.feeds.append((round_, citizen, feeds[citizen]))
                 for entry in feeds[citizen]:
                     for cid in self.fabric.member_communities(citizen):
                         community_exposure.setdefault(cid, {})
@@ -530,17 +555,11 @@ class _Simulation:
             self.metrics.append(self._metrics_phase(round_, community_exposure,
                                                     platform_before))
 
-        for p, state in self.agents.items():
-            for mid in sorted(self.catalog):
-                cum = float(self.cum_exposure[mid][p])
-                if cum > 0:
-                    state.attitudes[mid] = float(self.attitude_arr[mid][p])
-                    state.beliefs[mid] = float(self.attitude_arr[mid][p]) * cum
         return RunResult(config=cfg, metrics=self.metrics, fabric=self.fabric,
                          agents=self.agents, catalog=self.catalog,
                          reactions=self.reactions, ledger=self.ledger,
-                         scores=self.scores, feed_records=self.feed_records,
-                         events=self.events)
+                         scores=self.scores, feeds=self.feeds, events=self.events,
+                         attitude_arr=self.attitude_arr, cum_exposure=self.cum_exposure)
 
 
 def run(config: ScenarioConfig, seed: int | None = None,

@@ -83,6 +83,8 @@ MALFORMED_SCENARIOS = {
     "nan_gamma": (["sim", "attitude_feedback_gamma"], math.nan,
                   "sim.attitude_feedback_gamma"),
     "huge_int_budget": (["advertisers"], [{"budget": 10 ** 400}], "advertisers[0].budget"),
+    "huge_n_topics": (["content", "n_topics"], 10 ** 30, "content.n_topics"),
+    "huge_n_citizens": (["population", "n_citizens"], 10 ** 30, "population.n_citizens"),
     "ranking_string": (["ranking"], "x", "ranking"),
     "econ_string": (["econ"], "alpha", "econ"),
     "community_number": (["communities", 0], 5, "communities[0]"),

@@ -1,7 +1,8 @@
 """Golden lock: short runs of the demo scenario, on the `mf` backend and on
 the default `gac_penrose` backend, and a short run of the benchmark's
-`market` scenario, must reproduce their artifacts byte for byte. A change
-that alters outputs on purpose updates these digests and says why."""
+`market` scenario, must reproduce their artifacts byte for byte, and so must
+`plural score` on that `market` run's fabric and reactions. A change that
+alters outputs on purpose updates these digests and says why."""
 
 import hashlib
 import importlib.util
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from plural import sim as simulation
 from plural.cli import main
+from plural.config import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "scenarios" / "demo.json"
@@ -102,3 +105,34 @@ def test_market_artifacts_match_digests(tmp_path):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in MARKET_6_REFRESH_2_DIGESTS}
     assert got == MARKET_6_REFRESH_2_DIGESTS
+
+
+# `plural score` on the fabric and reactions of the 6-round `market` run
+# above, with each GAC weighting: locks the bytes of its scorecards CSV.
+MARKET_SCORE_DIGESTS = {
+    "gac_penrose": "0de50b0c82d59f22d22b482e21b4f2f2b56a702b65fb5cb960ea5f73cb3de9d0",
+    "gac_uniform": "d3ca5ba93d7192c34b695c534456dd27212e6a00290213dbfe40a862ca1b7ca4",
+}
+
+
+@pytest.fixture(scope="module")
+def market_snapshot(tmp_path_factory):
+    """(fabric.json, reactions.csv) paths from the 6-round `market` run."""
+    base = json.loads(DEMO.read_text(encoding="utf-8"))
+    doc = _load_workloads().scenario(base, "market", 0, rounds=6)
+    doc["sim"]["refresh_interval"] = 2
+    result = simulation.run(ScenarioConfig.from_dict(doc))
+    tmp = tmp_path_factory.mktemp("market_snapshot")
+    fabric, reactions = tmp / "fabric.json", tmp / "reactions.csv"
+    fabric.write_text(result.fabric.to_json(indent=2), encoding="utf-8")
+    reactions.write_text(result.reactions.to_csv(), encoding="utf-8")
+    return fabric, reactions
+
+
+@pytest.mark.parametrize("backend", sorted(MARKET_SCORE_DIGESTS))
+def test_market_score_output_matches_digest(tmp_path, market_snapshot, backend):
+    fabric, reactions = market_snapshot
+    out = tmp_path / "scorecards.csv"
+    assert main(["score", "--reactions", str(reactions), "--fabric", str(fabric),
+                 "--backend", backend, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MARKET_SCORE_DIGESTS[backend]

@@ -9,8 +9,8 @@ from plural.config import ScenarioConfig
 from plural.detect import principal_subcommunities
 from plural.errors import EmptyCommunity
 from plural.score import ReactionMatrix
-from plural.sim import (aggregate_belief, attention_gini, attitude, bloc_aggregate,
-                        gen_population, metrics_csv, react, run)
+from plural.sim import (aggregate_belief, attention_gini, attitude, attitudes,
+                        bloc_aggregate, gen_population, metrics_csv, react, run)
 from plural._rng import derive_rng
 
 TINY_SCENARIO = {
@@ -113,6 +113,20 @@ class TestAttitude:
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
             attitude(np.zeros(1), np.zeros(1), 0.0)
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.37])
+    def test_scalar_equals_the_loops_vector(self, temperature):
+        # the loop scores every citizen at once with `attitudes`; the scalar
+        # must be bit-equal to that citizen's entry, also past the exp cap
+        zs = [0.0, 0.3, 5.0, 700.0, 701.0, 1e6]
+        pos = np.array([0.2, -0.1])
+        rows = np.array([pos + [np.sqrt(z * temperature), 0.0] for z in zs])
+        vector = attitudes(rows, pos, temperature)
+        for i, z in enumerate(zs):
+            assert attitude(rows[i], pos, temperature) == vector[i], z
+        capped = 1.0 / (1.0 + np.exp(700.0))
+        assert attitude(rows[4], pos, temperature) == capped > 0.0
+        assert attitude(rows[5], pos, temperature) == capped
 
 
 class TestReact:
@@ -253,9 +267,11 @@ class TestRun:
             assert 0.0 <= m.attention_gini <= 1.0
             assert 0.0 <= m.mean_common_belief_top_bridging <= 1.0
         # belief = attitude * cumulative exposure, so belief <= attitude
-        for p, state in res.agents.items():
-            for mid, b in state.beliefs.items():
-                assert b <= state.attitudes[mid] + 1e-12
+        exposed = [res.exposed(p) for p in res.agents]
+        assert any(exposed)
+        for pairs in exposed:
+            for a, b in pairs.values():
+                assert b <= a + 1e-12
 
     def test_attention_conservation_every_round(self):
         res = run(tiny_config())
