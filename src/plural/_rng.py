@@ -13,6 +13,11 @@ import zlib
 import numpy as np
 
 
+# Run seeds are 32-bit: `_entropy` keeps only the low 32 bits of an int, so
+# seeds outside [0, SEED_MAX] would alias seeds inside it.
+SEED_MAX = 2 ** 32 - 1
+
+
 def _entropy(part) -> int:
     if isinstance(part, (int, np.integer)):
         return int(part) & 0xFFFFFFFF

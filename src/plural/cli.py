@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 from pathlib import Path
 
+from ._rng import SEED_MAX
 from .config import ScenarioConfig
 from .detect import principal_subcommunities
 from .errors import ConfigError, DegenerateInput, PluralError, TooSmall
@@ -52,6 +54,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     if args.rounds is not None and args.rounds < 0:
         print("--rounds must be >= 0", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.seed is not None and not 0 <= args.seed <= SEED_MAX:
+        print(f"--seed must be in [0, {SEED_MAX}], got {args.seed}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         result = simulation.run(config, seed=args.seed, rounds=args.rounds)
@@ -191,6 +196,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         print("--seeds must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
+    if config.seed + args.seeds - 1 > SEED_MAX:
+        print(f"--seeds {args.seeds} from scenario seed {config.seed} runs past seed "
+              f"{SEED_MAX}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         rows = compare_runs(config, args.seeds)
         out_dir = Path(args.out)
@@ -211,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario and export artifacts")
     p_run.add_argument("--scenario", required=True, help="scenario JSON path")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run.add_argument("--seed", type=int, default=None,
+                       help=f"override the scenario seed (0 to {SEED_MAX})")
     p_run.add_argument("--rounds", type=int, default=None, help="override the round count (>= 0)")
     p_run.set_defaults(func=cmd_run)
 
@@ -235,8 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand with the cyclic garbage collector off.
+
+    A run's state is acyclic and freed by reference counting, so the
+    collector's passes over it free nothing; the caller's collector state
+    is restored on the way out, also when argparse exits.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

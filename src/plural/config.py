@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Any, Optional
 
+from ._rng import SEED_MAX
 from .econ import EconParams
 from .errors import ConfigError
 from .rank import RankingParams
@@ -65,14 +66,16 @@ def _coordinates(value: Any, path: str, dim: int) -> list[float]:
 _INT64_MAX = 2 ** 63 - 1
 
 
-def _integer(value: Any, path: str, lo: int) -> int:
-    """An integer in [lo, int64 max]; numpy draws and indexes take no more."""
+def _integer(value: Any, path: str, lo: int, hi: int = _INT64_MAX) -> int:
+    """An integer in [lo, hi]; hi defaults to int64 max, as numpy draws and
+    indexes take no more."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
     if value < lo:
         raise ConfigError(path, f"must be >= {lo}, got {value}")
-    if value > _INT64_MAX:
-        raise ConfigError(path, f"must be <= {_INT64_MAX} (int64), got {value}")
+    if value > hi:
+        bound = " (int64)" if hi == _INT64_MAX else ""
+        raise ConfigError(path, f"must be <= {hi}{bound}, got {value}")
     return value
 
 
@@ -168,7 +171,7 @@ class ScenarioConfig:
         version = _integer(_require(doc, "schema_version", ""), "schema_version", lo=1)
         if version != SCHEMA_VERSION:
             raise ConfigError("schema_version", f"unsupported version {version}")
-        seed = _integer(_require(doc, "seed", ""), "seed", lo=0)
+        seed = _integer(_require(doc, "seed", ""), "seed", lo=0, hi=SEED_MAX)
 
         pop_doc = _object(_require(doc, "population", ""), "population")
         blocs = []

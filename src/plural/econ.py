@@ -257,7 +257,8 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
     into the context community's creator pool (ImpressionSponsorship).
     Advertiser-created content settles only through deal payments
     (AdImpression): advertisers pay the targeted community, and opted-in
-    citizens directly, per unit of attention.
+    citizens directly, per unit of attention. Sponsors' shares come from
+    `psi_view.column(scope)` (ScoreSet or EffectivePsi).
 
     Returns the event log (lambda clamps, skipped ad payments).
     """
@@ -279,14 +280,15 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
             ledger.post(round_, ("advertiser", adv.id), to_owner, amount, "AdImpression")
 
     # A citizen's numerator coefficients are read at their first sponsored
-    # entry and kept for the round. A clamp zeroes the owner's lambda in the
-    # fabric at once, so citizens reached after it no longer include it.
-    term_cache: dict[int, list[tuple[OwnerRef, float]]] = {}
+    # entry and kept for the round, with each term's psi column. A clamp
+    # zeroes the owner's lambda in the fabric at once, so citizens reached
+    # after it no longer include it.
+    term_cache: dict[int, list[tuple[OwnerRef, float, Mapping[int, float]]]] = {}
 
-    def static_terms(citizen: int) -> list[tuple[OwnerRef, float]]:
+    def static_terms(citizen: int) -> list[tuple[OwnerRef, float, Mapping[int, float]]]:
         if citizen not in term_cache:
-            term_cache[citizen] = [(owner, w) for owner, w in attention_terms(citizen, fabric)
-                                   if w > 0]
+            term_cache[citizen] = [(owner, w, psi_view.column(owner))
+                                   for owner, w in attention_terms(citizen, fabric) if w > 0]
         return term_cache[citizen]
 
     for citizen in sorted(feeds):
@@ -314,8 +316,8 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
                     pay_ad(adv, ("citizen", citizen), adv.personal_price * share)
                 continue
 
-            contributions = [(owner, w * psi_view.psi(entry.content, owner))
-                             for owner, w in static_terms(citizen)]
+            contributions = [(owner, w * col.get(entry.content, 0.0))
+                             for owner, w, col in static_terms(citizen)]
             total = sum(v for _, v in contributions)
             if total <= 0:
                 continue

@@ -63,34 +63,49 @@ class PsiOverrides:
     """
 
     def __init__(self) -> None:
-        self._live: dict[tuple[int, int], tuple[float, int]] = {}
+        self._live: dict[int, dict[int, tuple[float, int]]] = {}   # community -> content
 
     def set(self, content: int, community: int, psi: float, expires_round: int) -> None:
-        self._live[(content, community)] = (psi, expires_round)
+        self._live.setdefault(community, {})[content] = (psi, expires_round)
 
     def get(self, content: int, community: int, current_round: int) -> Optional[float]:
-        hit = self._live.get((content, community))
-        if hit is None:
-            return None
-        psi, expires = hit
-        return psi if current_round < expires else None
+        return self.live(community, current_round).get(content)
+
+    def live(self, community: int, current_round: int) -> dict[int, float]:
+        """The community's overrides live in `current_round`, by content."""
+        return {m: psi for m, (psi, expires) in self._live.get(community, {}).items()
+                if current_round < expires}
 
 
 class EffectivePsi:
-    """Score view merging organic cards with any live seeding overrides."""
+    """Score view merging organic cards with any live seeding overrides.
+
+    `column(scope)` is the scores' psi column with the overrides live in
+    `current_round` laid over it (community scopes only). Each scope is
+    merged once and kept, so build the view after the round's seeding and
+    read it while the overrides stay as they are.
+    """
 
     def __init__(self, scores: ScoreSet, overrides: PsiOverrides | None = None,
                  current_round: int = 0) -> None:
         self.scores = scores
         self.overrides = overrides
         self.current_round = current_round
+        self._columns: dict[Scope, Mapping[int, float]] = {}
+
+    def column(self, scope: Scope) -> Mapping[int, float]:
+        col = self._columns.get(scope)
+        if col is None:
+            col = self.scores.column(scope)
+            if self.overrides is not None and scope[0] == "community":
+                live = self.overrides.live(scope[1], self.current_round)
+                if live:
+                    col = {**col, **live}
+            self._columns[scope] = col
+        return col
 
     def psi(self, content: int, scope: Scope) -> float:
-        if self.overrides is not None and scope[0] == "community":
-            hit = self.overrides.get(content, scope[1], self.current_round)
-            if hit is not None:
-                return hit
-        return self.scores.psi(content, scope)
+        return self.column(scope).get(content, 0.0)
 
 
 def attention_terms(citizen: int, fabric) -> list[tuple[Scope, float]]:
@@ -110,14 +125,23 @@ def attention_terms(citizen: int, fabric) -> list[tuple[Scope, float]]:
 def exposure_weights(citizen: int, fabric, psi_view, pool: Sequence[int]) -> dict[int, float]:
     """Attention share per pool content for one citizen.
 
-    `psi_view` needs a .psi(content, scope) method (ScoreSet or EffectivePsi);
-    missing scores count as zero. When every numerator is zero the budget is
-    spread uniformly so a cold system still serves content.
+    `psi_view` needs a .column(scope) method returning {content: psi}
+    (ScoreSet or EffectivePsi); missing scores count as zero. The numerators
+    are built one term at a time over the whole pool: each is
+    0 + term_1 + term_2 + ..., added left to right in `attention_terms`
+    order (citizen first, then communities by id), as `sum` adds them.
+    When every numerator is zero the budget is spread uniformly so a cold
+    system still serves content.
     """
     if not pool:
         raise ValueError("candidate pool must be non-empty")
-    terms = attention_terms(citizen, fabric)
-    numerators = {m: sum(w * psi_view.psi(m, scope) for scope, w in terms) for m in pool}
+    (scope, w), *rest = attention_terms(citizen, fabric)
+    psi = psi_view.column(scope)
+    acc = [0 + w * psi.get(m, 0.0) for m in pool]
+    for scope, w in rest:
+        psi = psi_view.column(scope)
+        acc = [a + w * psi.get(m, 0.0) for a, m in zip(acc, pool)]
+    numerators = dict(zip(pool, acc))
     total = sum(numerators.values())
     if total <= 0.0:
         share = 1.0 / len(pool)
@@ -125,18 +149,33 @@ def exposure_weights(citizen: int, fabric, psi_view, pool: Sequence[int]) -> dic
     return {m: v / total for m, v in numerators.items()}
 
 
-def _provenance_for(citizen: int, content: int, fabric, scores: ScoreSet) -> list[ProvenanceTag]:
-    """Tags for the citizen's communities in id order, then the citizen's own scope."""
-    scopes = [("community", c) for c in fabric.member_communities(citizen)]
+def _provenance_for(citizen: int, communities: Sequence[int], content: int,
+                    scores: ScoreSet) -> list[ProvenanceTag]:
+    """Tags for the citizen's communities in id order, then the citizen's own
+    scope. Community tags are the same for every citizen, so each
+    (content, community) tag is made once per pass and kept in `scores.memo`."""
     tags: list[ProvenanceTag] = []
-    for scope in scopes + [("citizen", citizen)]:
-        card = scores.get(content, scope)
-        if card is None or card.label not in (LABEL_BRIDGING, LABEL_DIVISIVE):
-            continue
-        peek = tuple(scores.balancing_for(content, scope)) \
-            if card.label == LABEL_DIVISIVE else ()
-        tags.append(ProvenanceTag(scope, card.label, peek))
+    memo = scores.memo
+    for c in communities:
+        key = ("provenance", content, c)
+        if key not in memo:
+            memo[key] = _tag(scores, content, ("community", c))
+        tag = memo[key]
+        if tag is not None:
+            tags.append(tag)
+    tag = _tag(scores, content, ("citizen", citizen))
+    if tag is not None:
+        tags.append(tag)
     return tags
+
+
+def _tag(scores: ScoreSet, content: int, scope: Scope) -> Optional[ProvenanceTag]:
+    label = scores.label(content, scope)
+    if label == LABEL_BRIDGING:
+        return ProvenanceTag(scope, label)
+    if label == LABEL_DIVISIVE:
+        return ProvenanceTag(scope, label, tuple(scores.balancing_for(content, scope)))
+    return None
 
 
 def build_feed(citizen: int, fabric, weights: Mapping[int, float], scores: ScoreSet,
@@ -168,8 +207,9 @@ def build_feed(citizen: int, fabric, weights: Mapping[int, float], scores: Score
         for idx in picks:
             shares[rest[idx]] = epsilon / n_slots
 
+    communities = fabric.member_communities(citizen)
     entries = [FeedEntry(content=m, exposure_share=s,
-                         provenance=_provenance_for(citizen, m, fabric, scores))
+                         provenance=_provenance_for(citizen, communities, m, scores))
                for m, s in shares.items()]
     entries.sort(key=lambda e: (-e.exposure_share, e.content))
     for i, e in enumerate(entries):

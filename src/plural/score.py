@@ -14,6 +14,7 @@ community scope.
 
 from __future__ import annotations
 
+import collections.abc
 import csv
 import io
 import math
@@ -180,7 +181,7 @@ class ReactionMatrix:
         return AttitudeMatrix(rows, cols, values)
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoreCard:
     """Scores for one content in one scope."""
 
@@ -227,20 +228,32 @@ class ScoringParams:
 # the order of every floating-point sum). `score_round` and the per-card
 # functions below are callers of these three.
 
-def _decayed(cell: Interaction, current_round: int, half_life: float) -> float:
-    """One exposure's interest weight: 2^(-age/half_life) * (1 + 0.5*|reaction|)."""
-    age = max(0, current_round - cell.round)
-    return 2.0 ** (-age / half_life) * (1.0 + 0.5 * abs(cell.reaction))
+class _Decay(dict):
+    """One round's interest decay: 2^(-age/half_life) by integer age, each
+    entry computed once with that expression."""
+
+    def __init__(self, current_round: int, half_life: float) -> None:
+        super().__init__()
+        self.current_round = current_round
+        self.half_life = half_life
+
+    def __missing__(self, age: int) -> float:
+        value = self[age] = 2.0 ** (-age / self.half_life)
+        return value
+
+    def weight(self, cell: Interaction) -> float:
+        """One exposure's interest weight: 2^(-age/half_life) * (1 + 0.5*|reaction|)."""
+        return self[max(0, self.current_round - cell.round)] * (1.0 + 0.5 * abs(cell.reaction))
 
 
 def _interest(records: Sequence[tuple[int, Interaction]], members: Collection[int],
-              current_round: int, half_life: float) -> float:
+              decay: _Decay) -> float:
     if not members:
         return 0.0
     total = 0.0
     for p, cell in records:
         if cell.exposed and p in members:
-            total += _decayed(cell, current_round, half_life)
+            total += decay.weight(cell)
     return total / len(members)
 
 
@@ -268,7 +281,7 @@ def interest(reactions: ReactionMatrix, content: int, members: Iterable[int],
     if half_life <= 0:
         raise ValueError("half_life must be > 0")
     return _interest(list(reactions.by_content(content)), set(members),
-                     current_round, half_life)
+                     _Decay(current_round, half_life))
 
 
 def bloc_rates(reactions: ReactionMatrix, content: int,
@@ -447,39 +460,166 @@ def bridging_mf(reactions: ReactionMatrix, raters: Iterable[int],
 
 # -- card assembly --------------------------------------------------------------
 
+@dataclass(slots=True)
+class _Profile:
+    """All of a citizen-scope card but iota and psi. Citizens in the same
+    communities share it, so it is kept once per membership signature."""
+
+    beta: float
+    delta: float
+    label: str
+    characteristic_blocs: frozenset[int]
+    low_confidence: bool
+    strength: float                         # max(beta, delta): psi = iota * strength
+
+
+@dataclass(slots=True)
+class _CitizenRow:
+    """One citizen scope as columns over the contents of `profiles`.
+
+    `iota` and `psi` hold the exposed contents as the reactions stood at
+    scoring time (the react phase later changes the cells in place); every
+    other content of the scope has iota = psi = 0.0.
+    """
+
+    profiles: Mapping[int, _Profile]        # shared with the membership signature
+    iota: dict[int, float]
+    psi: dict[int, float]
+
+    def card(self, content: int, citizen: int) -> Optional[ScoreCard]:
+        p = self.profiles.get(content)
+        if p is None:
+            return None
+        return ScoreCard(content=content, scope=("citizen", citizen),
+                         iota=self.iota.get(content, 0.0), beta=p.beta, delta=p.delta,
+                         psi=self.psi.get(content, 0.0),
+                         characteristic_blocs=p.characteristic_blocs, label=p.label,
+                         low_confidence=p.low_confidence)
+
+
+class _Cards(collections.abc.Mapping):
+    """Every card of a ScoreSet by (content, scope); citizen cards are built
+    when read."""
+
+    __slots__ = ("_scores",)
+
+    def __init__(self, scores: "ScoreSet") -> None:
+        self._scores = scores
+
+    def __getitem__(self, key: tuple[int, Scope]) -> ScoreCard:
+        card = self._scores.get(*key)
+        if card is None:
+            raise KeyError(key)
+        return card
+
+    def __iter__(self) -> Iterator[tuple[int, Scope]]:
+        for scope, table in self._scores._by_scope.items():
+            for content in table:
+                yield content, scope
+        for citizen, row in self._scores._rows.items():
+            scope = ("citizen", citizen)
+            for content in row.profiles:
+                yield content, scope
+
+    def __len__(self) -> int:
+        return sum(map(len, self._scores._by_scope.values())) + \
+            sum(len(row.profiles) for row in self._scores._rows.values())
+
+
 class ScoreSet:
     """All cards for one scoring pass, with balancing sets per scope.
 
-    Cards are kept by (content, scope) and, for the readers that ask for one
-    scope at a time, indexed by scope as {content: card}.
+    Community-scope cards, and any card given to `add`, are kept as
+    ScoreCards indexed by scope as {content: card}. The citizen scopes that
+    `score_round` fills are kept as columns (`_CitizenRow`): the profiles of
+    the citizen's membership signature, shared, and the citizen's own iota
+    and psi. A citizen ScoreCard is built only when `get`, `scope_cards`,
+    `cards` or `csv_lines` asks for one. Ranking and settlement read
+    `column(scope)`, the scope's {content: psi}, where a missing content
+    scores 0.
     """
 
     def __init__(self) -> None:
-        self.cards: dict[tuple[int, Scope], ScoreCard] = {}
         self.balancing: dict[tuple[int, Scope], list[int]] = {}
+        # Views derived from these scores, kept for the pass (rank keeps its
+        # community provenance tags here).
+        self.memo: dict = {}
         self._by_scope: dict[Scope, dict[int, ScoreCard]] = {}
+        self._rows: dict[int, _CitizenRow] = {}
+        self._columns: dict[Scope, dict[int, float]] = {}
+
+    @property
+    def cards(self) -> Mapping[tuple[int, Scope], ScoreCard]:
+        """Read-only view of every card by (content, scope)."""
+        return _Cards(self)
 
     def add(self, card: ScoreCard) -> None:
         self._file(self._scope_table(card.scope), card)
 
     def _scope_table(self, scope: Scope) -> dict[int, ScoreCard]:
-        return self._by_scope.setdefault(scope, {})
+        """The scope's card table; a citizen row becomes cards first."""
+        table = self._by_scope.get(scope)
+        if table is None:
+            table = self._by_scope[scope] = {}
+            row = self._row(scope)
+            if row is not None:
+                del self._rows[scope[1]]
+                for m in row.profiles:
+                    table[m] = row.card(m, scope[1])
+        return table
 
     def _file(self, table: dict[int, ScoreCard], card: ScoreCard) -> None:
         """The one write path; `table` must be `_scope_table(card.scope)`."""
-        self.cards[(card.content, card.scope)] = card
         table[card.content] = card
+        self._columns.pop(card.scope, None)
+
+    def _row(self, scope: Scope) -> Optional[_CitizenRow]:
+        return self._rows.get(scope[1]) if scope[0] == "citizen" else None
+
+    def _profiles(self, scope: Scope) -> Mapping[int, ScoreCard | _Profile]:
+        """The scope's cards, or its citizen row's profiles: both carry the
+        label, delta and characteristic blocs."""
+        table = self._by_scope.get(scope)
+        if table is not None:
+            return table
+        row = self._row(scope)
+        return row.profiles if row is not None else {}
 
     def scope_cards(self, scope: Scope) -> Mapping[int, ScoreCard]:
-        """Live view of one scope's cards by content id; do not mutate."""
-        return self._by_scope.get(scope, {})
+        """One scope's cards by content id; do not mutate. A citizen row's
+        cards are built on each call."""
+        table = self._by_scope.get(scope)
+        if table is not None:
+            return table
+        row = self._row(scope)
+        return {} if row is None else {m: row.card(m, scope[1]) for m in row.profiles}
 
     def get(self, content: int, scope: Scope) -> Optional[ScoreCard]:
-        return self.cards.get((content, scope))
+        table = self._by_scope.get(scope)
+        if table is not None:
+            return table.get(content)
+        row = self._row(scope)
+        return row.card(content, scope[1]) if row is not None else None
+
+    def label(self, content: int, scope: Scope) -> Optional[str]:
+        """The card's label, without building a citizen card; None if no card."""
+        record = self._profiles(scope).get(content)
+        return record.label if record is not None else None
+
+    def column(self, scope: Scope) -> Mapping[int, float]:
+        """The scope's psi by content id; a missing content scores 0. Do not
+        mutate."""
+        row = self._row(scope)
+        if row is not None:
+            return row.psi
+        col = self._columns.get(scope)
+        if col is None:
+            table = self._by_scope.get(scope, {})
+            col = self._columns[scope] = {m: card.psi for m, card in table.items()}
+        return col
 
     def psi(self, content: int, scope: Scope) -> float:
-        card = self.cards.get((content, scope))
-        return card.psi if card is not None else 0.0
+        return self.column(scope).get(content, 0.0)
 
     def balancing_for(self, content: int, scope: Scope) -> list[int]:
         return self.balancing.get((content, scope), [])
@@ -494,22 +634,20 @@ class ScoreSet:
         No field needs CSV quoting: ids are ints, scores float reprs, kinds and
         labels plain words, characteristic blocs `;`-joined ids."""
         yield ",".join(SCORECARD_CSV_HEADER) + "\n"
-        cards = self.cards
-        for key in sorted(cards):
-            c = cards[key]
-            kind, sid = c.scope
+        for content, scope in sorted(self.cards):
+            c = self.get(content, scope)
+            kind, sid = scope
             blocs = ";".join(map(str, sorted(c.characteristic_blocs)))
-            yield (f"{c.content},{kind},{sid},{c.iota!r},{c.beta!r},{c.delta!r},"
+            yield (f"{content},{kind},{sid},{c.iota!r},{c.beta!r},{c.delta!r},"
                    f"{c.psi!r},{c.label},{blocs}\n")
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())
 
 
-def _card_from_rates(content: int, scope: Scope, iota: float, rates: np.ndarray,
-                     sizes: Sequence[int], params: ScoringParams,
-                     beta_override: float | None = None) -> ScoreCard:
-    """Assemble a card from per-bloc approval rates (the one labeling path)."""
+def _profile(rates: np.ndarray, sizes: Sequence[int], params: ScoringParams,
+             beta_override: float | None = None) -> _Profile:
+    """Beta, delta and label from per-bloc approval rates (the one labeling path)."""
     weighting = "uniform" if params.backend == "gac_uniform" else "penrose"
     if len(sizes) >= 2:
         beta = consensus_product(rates, _bloc_weights(sizes, weighting)) \
@@ -522,19 +660,27 @@ def _card_from_rates(content: int, scope: Scope, iota: float, rates: np.ndarray,
         delta, characteristic = 0.0, frozenset()
         low_confidence = True
     label = assign_label(beta, delta, characteristic, max(len(sizes), 1), params.label_floor)
-    psi = community_score(iota, beta, delta, params.popularity_only)
-    return ScoreCard(content=content, scope=scope, iota=iota, beta=beta, delta=delta,
-                     psi=psi, characteristic_blocs=characteristic, label=label,
-                     low_confidence=low_confidence)
+    return _Profile(beta, delta, label, characteristic, low_confidence, max(beta, delta))
+
+
+def _card_from_rates(content: int, scope: Scope, iota: float, rates: np.ndarray,
+                     sizes: Sequence[int], params: ScoringParams,
+                     beta_override: float | None = None) -> ScoreCard:
+    """Assemble a card from per-bloc approval rates."""
+    p = _profile(rates, sizes, params, beta_override)
+    psi = community_score(iota, p.beta, p.delta, params.popularity_only)
+    return ScoreCard(content=content, scope=scope, iota=iota, beta=p.beta, delta=p.delta,
+                     psi=psi, characteristic_blocs=p.characteristic_blocs, label=p.label,
+                     low_confidence=p.low_confidence)
 
 
 def _community_card(mid: int, comm, records: Sequence[tuple[int, Interaction]],
-                    params: ScoringParams, current_round: int,
+                    params: ScoringParams, decay: _Decay,
                     whole_rate: Callable[[], float],
                     beta_override: float | None = None) -> ScoreCard:
     """Card for one content in one community; `whole_rate()` gives the
     smoothed rate over all members, the degenerate fallback's single bloc."""
-    iota = _interest(records, comm.members, current_round, params.half_life)
+    iota = _interest(records, comm.members, decay)
     blocs = comm.principal_subcommunities
     if len(blocs) >= 2:
         rates = [_smoothed_rate(records, b, params.alpha) for b in blocs]
@@ -558,7 +704,7 @@ def score_for_community(content: ContentItem, community, reactions: ReactionMatr
     """
     records = list(reactions.by_content(content.id))
     return _community_card(
-        content.id, community, records, params, current_round,
+        content.id, community, records, params, _Decay(current_round, params.half_life),
         lambda: _smoothed_rate(records, community.members, params.alpha), beta_override)
 
 
@@ -573,7 +719,7 @@ def citizen_score(content: ContentItem, citizen: int, fabric, reactions: Reactio
     degenerate community.
     """
     records = list(reactions.by_content(content.id))
-    iota = _interest(records, {citizen}, current_round, params.half_life)
+    iota = _interest(records, {citizen}, _Decay(current_round, params.half_life))
     blocs = [fabric.communities[c].members for c in fabric.member_communities(citizen)]
     rates = np.array([_smoothed_rate(records, b, params.alpha) for b in blocs], dtype=float)
     return _card_from_rates(content.id, ("citizen", citizen), iota, rates,
@@ -590,11 +736,13 @@ def balancing_set(scope: Scope, content: int, scores: ScoreSet,
     (counterparts exist only where the scope's content allows). Sorted by
     psi descending, then content id.
     """
-    base = scores.get(content, scope)
+    table = scores._profiles(scope)
+    base = table.get(content)
     if base is None or base.label != LABEL_DIVISIVE:
         raise ValueError(f"content {content} is not Divisive in scope {scope}")
+    psi = scores.column(scope)
     out: list[tuple[float, int]] = []
-    for m, card in scores.scope_cards(scope).items():
+    for m, card in table.items():
         if m == content or card.label != LABEL_DIVISIVE:
             continue
         if abs(card.delta - base.delta) > delta_tol:
@@ -604,7 +752,7 @@ def balancing_set(scope: Scope, content: int, scores: ScoreSet,
         if topic_overlap_required:
             if not (catalog[m].topics & catalog[content].topics):
                 continue
-        out.append((-card.psi, m))
+        out.append((-psi.get(m, 0.0), m))
     out.sort()
     return [m for _, m in out]
 
@@ -619,7 +767,8 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
     The mf backend fits one factorization per community and falls back to the
     penrose consensus product where its data preconditions fail. Results are
     identical to calling score_for_community / citizen_score pairwise; this
-    pass just shares the per-(content, community) vote counting.
+    pass just shares the per-(content, community) vote counting, and keeps
+    citizen scopes as columns (see ScoreSet).
     """
     scores = ScoreSet()
     mf_fits: dict[int, MfFit | None] = {}
@@ -634,6 +783,7 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
             except InsufficientData:
                 mf_fits[cid] = None
 
+    decay = _Decay(current_round, params.half_life)
     records: dict[int, list[tuple[int, Interaction]]] = {
         mid: list(reactions.by_content(mid)) for mid in catalog}
     whole_rate_cache: dict[tuple[int, int], float] = {}
@@ -652,8 +802,20 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
                 continue
             fit = mf_fits.get(cid)
             override = fit.beta_raw.get(mid) if fit is not None else None
-            scores.add(_community_card(mid, comm, records[mid], params, current_round,
+            scores.add(_community_card(mid, comm, records[mid], params, decay,
                                        lambda: whole_rate(mid, cid), override))
+
+    def balance(scope: Scope, mid: int) -> None:
+        scores.balancing[(mid, scope)] = balancing_set(
+            scope, mid, scores, catalog,
+            topic_overlap_required=params.topic_overlap_required,
+            delta_tol=params.delta_tol)
+
+    # Balancing sets are read by key only, so the sweep needs no order.
+    for scope, table in scores._by_scope.items():
+        for mid, card in table.items():
+            if card.label == LABEL_DIVISIVE:
+                balance(scope, mid)
 
     by_community: dict[int, list[int]] = {}
     for mid in sorted(catalog):
@@ -661,40 +823,31 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
             by_community.setdefault(cid, []).append(mid)
 
     # Citizens with identical membership signatures share everything but
-    # interest, so the bloc-rate part of their cards is computed once, as a
-    # (content, prototype card) list per signature.
-    pool_cache: dict[tuple[int, ...], list[tuple[int, ScoreCard]]] = {}
+    # interest, so their profiles, and which of them are Divisive, are
+    # computed once per signature.
+    signatures: dict[tuple[int, ...], tuple[dict[int, _Profile], list[int]]] = {}
     for pid in sorted(fabric.citizens):
         comms = tuple(fabric.member_communities(pid))
-        pool = pool_cache.get(comms)
-        if pool is None:
+        shared = signatures.get(comms)
+        if shared is None:
             seen: set[int] = set()
             for cid in comms:
                 seen.update(by_community.get(cid, ()))
             sizes = [len(fabric.communities[c].members) for c in comms]
-            pool = pool_cache[comms] = [
-                (mid, _card_from_rates(mid, ("citizen", -1), 0.0,
-                                       np.array([whole_rate(mid, c) for c in comms]),
-                                       sizes, params))
-                for mid in sorted(seen)]
+            profiles = {mid: _profile(np.array([whole_rate(mid, c) for c in comms]),
+                                      sizes, params)
+                        for mid in sorted(seen)}
+            shared = signatures[comms] = (
+                profiles, [m for m, p in profiles.items() if p.label == LABEL_DIVISIVE])
+        profiles, divisive = shared
+        iota: dict[int, float] = {}
+        for mid, cell in reactions.for_citizen(pid).items():
+            if cell.exposed and mid in profiles:
+                iota[mid] = decay.weight(cell)
+        psi = iota if params.popularity_only else \
+            {mid: v * profiles[mid].strength for mid, v in iota.items()}
+        scores._rows[pid] = _CitizenRow(profiles, iota, psi)
         scope: Scope = ("citizen", pid)
-        table = scores._scope_table(scope)
-        row = reactions.for_citizen(pid)
-        for mid, proto in pool:
-            cell = row.get(mid)
-            iota = _decayed(cell, current_round, params.half_life) \
-                if cell is not None and cell.exposed else 0.0
-            scores._file(table, ScoreCard(
-                content=mid, scope=scope, iota=iota, beta=proto.beta, delta=proto.delta,
-                psi=_psi(iota, proto.beta, proto.delta, params.popularity_only),
-                characteristic_blocs=proto.characteristic_blocs, label=proto.label,
-                low_confidence=proto.low_confidence))
-
-    # Balancing sets are read by key only, so the sweep needs no order.
-    for (mid, scope), card in scores.cards.items():
-        if card.label == LABEL_DIVISIVE:
-            scores.balancing[(mid, scope)] = balancing_set(
-                scope, mid, scores, catalog,
-                topic_overlap_required=params.topic_overlap_required,
-                delta_tol=params.delta_tol)
+        for mid in divisive:
+            balance(scope, mid)
     return scores

@@ -1,15 +1,17 @@
 """Scenario config validation/round-trip and the command-line surface."""
 
 import copy
+import gc
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from plural import cli
 from plural.cli import comparison_csv, main
 from plural.config import ScenarioConfig
-from plural.errors import ConfigError
+from plural.errors import ConfigError, PluralError
 
 from test_sim import TINY_SCENARIO
 
@@ -85,6 +87,7 @@ MALFORMED_SCENARIOS = {
     "huge_int_budget": (["advertisers"], [{"budget": 10 ** 400}], "advertisers[0].budget"),
     "huge_n_topics": (["content", "n_topics"], 10 ** 30, "content.n_topics"),
     "huge_n_citizens": (["population", "n_citizens"], 10 ** 30, "population.n_citizens"),
+    "seed_above_32_bits": (["seed"], 2 ** 32, "seed"),
     "ranking_string": (["ranking"], "x", "ranking"),
     "econ_string": (["econ"], "alpha", "econ"),
     "community_number": (["communities", 0], 5, "communities[0]"),
@@ -162,6 +165,21 @@ class TestCmdRun:
         assert code == 2
         assert "--rounds" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "4294967296"])
+    def test_seed_outside_32_bits_exit_2(self, tmp_path, capsys, seed):
+        # seeds are 32-bit: -1 would alias 4294967295, and 2**32 would alias 0
+        path = write_scenario(tmp_path, TINY_SCENARIO)
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(path), "--out", str(out), "--seed", seed])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_valid(self, tmp_path):
+        path = write_scenario(tmp_path, TINY_SCENARIO)
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                     "--seed", str(2 ** 32 - 1), "--rounds", "1"]) == 0
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
     def test_malformed_scenario_exit_2(self, tmp_path, capsys, case):
@@ -404,7 +422,72 @@ class TestCmdCompare:
         summary = text.splitlines()[-1]
         assert "+1/-0/=0" in summary and "+0/-1/=0" in summary and "+0/-0/=1" in summary
 
+    def test_seeds_past_32_bits_exit_2(self, tmp_path, capsys):
+        doc = copy.deepcopy(TINY_SCENARIO)
+        doc["seed"] = 2 ** 32 - 1
+        doc["sim"]["rounds"] = 0
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", str(path), "--seeds", "2",
+                     "--out", str(out)]) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["compare", "--scenario", str(path), "--seeds", "1",
+                     "--out", str(out)]) == 0
+
     def test_bad_seed_count(self, tmp_path, capsys):
         path = write_scenario(tmp_path, TINY_SCENARIO)
         assert main(["compare", "--scenario", str(path), "--seeds", "0",
                      "--out", str(tmp_path / "cmp")]) == 2
+
+
+class TestMainCollector:
+    """`main` runs the subcommand with the cyclic collector off and gives the
+    caller back the collector state it had, whatever the exit."""
+
+    @pytest.fixture
+    def gc_state(self):
+        before = gc.isenabled()
+        yield
+        if before:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def _exits(self, tmp_path, monkeypatch):
+        """Runs of `main` ending in exit 0, 1, 2 (returned) and 2 (argparse)."""
+        path = write_scenario(tmp_path, TINY_SCENARIO)
+        seen = []
+
+        def ok(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return 0
+
+        def fails(*args, **kwargs):
+            seen.append(gc.isenabled())
+            raise PluralError("boom")
+
+        monkeypatch.setattr(cli, "_write_outputs", lambda out_dir, result: None)
+        monkeypatch.setattr(cli.simulation, "run", ok)
+        yield 0, lambda: main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        monkeypatch.setattr(cli.simulation, "run", fails)
+        yield 1, lambda: main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        yield 2, lambda: main(["run", "--scenario", str(tmp_path / "missing.json"),
+                               "--out", str(tmp_path / "o")])
+
+        def argparse_exit():
+            with pytest.raises(SystemExit) as exc:
+                main(["run"])
+            return exc.value.code
+        yield 2, argparse_exit
+        assert seen == [False, False]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_restores_callers_state(self, tmp_path, monkeypatch, gc_state, enabled):
+        for expected, call in self._exits(tmp_path, monkeypatch):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            assert call() == expected
+            assert gc.isenabled() is enabled

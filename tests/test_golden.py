@@ -50,15 +50,28 @@ PENROSE_8_REFRESH_1_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("backend, rounds, refresh_interval, digests", [
-    ("mf", 2, None, MF_DEMO_DIGESTS),
-    ("mf", 2, 1, MF_REFRESH_1_DIGESTS),
-    ("gac_penrose", 8, 1, PENROSE_8_REFRESH_1_DIGESTS),
-], ids=["demo", "refresh_1", "penrose_8_refresh_1"])
+# The same 8 rounds in the popularity baseline (`popularity_only`, psi =
+# iota): locks the psi = iota path of every scope.
+POPULARITY_8_REFRESH_1_DIGESTS = {
+    "metrics.csv": "755c16a5697fbef3f755df9f61c155b2f1ee119eb919d35c873bb835a8510291",
+    "feeds.jsonl": "955f9dff68c7f9ba1c55ca42156bf81e558a6d4aaf79275654361a0a5c073d9a",
+    "ledger.csv": "f42a6ccf82302fe05cff975becf8e9fcbc52fa91ca9e7d27ca9b824588f81f07",
+    "fabric.json": "85a1a615bcc8fc838ac5c577713e905b14b6e745f5a7c847278bb21bb1c6228b",
+    "scorecards.csv": "97059c8ffb0cd82df22a979590a9e57736783731cd4015e61504a46badbc56bf",
+}
+
+
+@pytest.mark.parametrize("backend, rounds, refresh_interval, popularity_only, digests", [
+    ("mf", 2, None, False, MF_DEMO_DIGESTS),
+    ("mf", 2, 1, False, MF_REFRESH_1_DIGESTS),
+    ("gac_penrose", 8, 1, False, PENROSE_8_REFRESH_1_DIGESTS),
+    ("gac_penrose", 8, 1, True, POPULARITY_8_REFRESH_1_DIGESTS),
+], ids=["demo", "refresh_1", "penrose_8_refresh_1", "popularity_8_refresh_1"])
 def test_mf_demo_artifacts_match_digests(tmp_path, backend, rounds, refresh_interval,
-                                         digests):
+                                         popularity_only, digests):
     doc = json.loads(DEMO.read_text(encoding="utf-8"))
     doc["scoring"]["backend"] = backend
+    doc["scoring"]["popularity_only"] = popularity_only
     doc["sim"]["rounds"] = rounds
     if refresh_interval is not None:
         doc["sim"]["refresh_interval"] = refresh_interval

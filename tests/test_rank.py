@@ -8,8 +8,8 @@ from plural.errors import InsufficientStanding
 from plural.fabric import SocialFabric
 from plural.rank import (EffectivePsi, PsiOverrides, RankingParams, build_feed,
                          exposure_weights, feed_to_records, seed_content)
-from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, ContentItem, ScoreCard,
-                          ScoreSet)
+from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, ContentItem, ReactionMatrix,
+                          ScoreCard, ScoreSet, ScoringParams, score_round)
 
 
 def exposure_oracle(fabric, psi_table, citizen, pool):
@@ -29,8 +29,13 @@ def exposure_oracle(fabric, psi_table, citizen, pool):
 
 
 class _TablePsi:
+    """A psi view over a {(content, scope): psi} table."""
+
     def __init__(self, table):
         self.table = table
+
+    def column(self, scope):
+        return {m: v for (m, s), v in self.table.items() if s == scope}
 
     def psi(self, content, scope):
         return self.table.get((content, scope), 0.0)
@@ -349,3 +354,73 @@ class TestSeedContent:
         assert view.psi(0, ("community", c)) == 0.9
         view_late = EffectivePsi(scores, ov, current_round=2)
         assert view_late.psi(0, ("community", c)) == 0.2
+
+
+class TestEffectivePsiColumn:
+    """`column(scope)` agrees with `psi()` content by content, and both
+    follow the overrides live in the view's round."""
+
+    def _view(self, current_round):
+        scores = ScoreSet()
+        for m, psi in ((0, 0.2), (1, 0.0), (2, 0.7)):
+            scores.add(ScoreCard(content=m, scope=("community", 0), iota=1.0,
+                                 beta=psi, delta=0.0, psi=psi))
+        scores.add(ScoreCard(content=2, scope=("community", 1), iota=1.0,
+                             beta=0.4, delta=0.0, psi=0.4))
+        for m, psi in ((0, 0.3), (3, 0.5)):
+            scores.add(ScoreCard(content=m, scope=("citizen", 5), iota=1.0,
+                                 beta=psi, delta=0.0, psi=psi))
+        ov = PsiOverrides()
+        ov.set(0, 0, 0.9, expires_round=2)      # live in rounds 0 and 1
+        ov.set(2, 0, 0.8, expires_round=1)      # live in round 0 only
+        ov.set(7, 0, 0.6, expires_round=3)      # content without a card
+        ov.set(3, 5, 0.1, expires_round=3)      # community 5 has no cards
+        return EffectivePsi(scores, ov, current_round)
+
+    @pytest.mark.parametrize("scope", [("community", 0), ("community", 1),
+                                       ("community", 5), ("citizen", 5),
+                                       ("citizen", 0)])
+    @pytest.mark.parametrize("current_round", [0, 1, 3])
+    def test_column_matches_psi(self, scope, current_round):
+        view = self._view(current_round)
+        col = view.column(scope)
+        for m in range(9):
+            assert col.get(m, 0.0) == view.psi(m, scope)
+
+    def test_live_and_expired_overrides(self):
+        assert dict(self._view(0).column(("community", 0))) == \
+            {0: 0.9, 1: 0.0, 2: 0.8, 7: 0.6}
+        assert dict(self._view(1).column(("community", 0))) == \
+            {0: 0.9, 1: 0.0, 2: 0.7, 7: 0.6}
+        assert dict(self._view(3).column(("community", 0))) == {0: 0.2, 1: 0.0, 2: 0.7}
+        assert dict(self._view(0).column(("community", 5))) == {3: 0.1}
+
+    def test_citizen_scope_ignores_overrides(self):
+        # overrides are keyed by community id; citizen 5 shares the id only
+        assert dict(self._view(0).column(("citizen", 5))) == {0: 0.3, 3: 0.5}
+
+    def test_citizen_rows_from_score_round(self):
+        f = SocialFabric()
+        p = f.add_citizen(lambda_=1.0)
+        q = f.add_citizen(lambda_=1.0)
+        c = f.add_community(lambda_=1.0)
+        f.add_membership(p, c, 1.0, 1.0)
+        f.add_membership(q, c, 1.0, 1.0)
+        catalog = {m: ContentItem(id=m, creator=q, target_communities={c}) for m in range(3)}
+        rm = ReactionMatrix()
+        rm.record_reaction(p, 0, 1, 0)
+        rm.record_exposure(p, 1, 1)
+        rm.record_reaction(q, 2, -1, 1)
+        scores = score_round(f, catalog, rm, ScoringParams(), current_round=2)
+        ov = PsiOverrides()
+        ov.set(1, c, 0.9, expires_round=3)
+        view = EffectivePsi(scores, ov, current_round=2)
+        for scope in (("citizen", p), ("citizen", q), ("community", c)):
+            col = view.column(scope)
+            for m in range(4):
+                card = scores.get(m, scope)
+                organic = card.psi if card is not None else 0.0
+                assert scores.column(scope).get(m, 0.0) == scores.psi(m, scope) == organic
+                expected = 0.9 if (m, scope) == (1, ("community", c)) else organic
+                assert col.get(m, 0.0) == view.psi(m, scope) == expected
+        assert scores.psi(0, ("citizen", p)) > 0.0 and scores.psi(2, ("citizen", p)) == 0.0

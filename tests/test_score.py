@@ -1,6 +1,8 @@
 """Scoring: interest decay, consensus products, divisiveness, balancing,
 the combined score, and the factorization backend against a batch oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -715,6 +717,10 @@ def assert_matches_oracle(f, catalog, rm, params, current_round):
             assert _card_fields(citizen_score(item, pid, f, rm, params, current_round)) \
                 == _card_fields(ref)
             checked.append(ref)
+    # the card set itself, as the benchmark tracer counts it
+    keys = sorted((ref.content, ref.scope) for ref in checked)
+    assert len(scores.cards) == len(keys)
+    assert sorted(scores.cards) == keys
     return checked
 
 
@@ -759,6 +765,67 @@ def test_score_round_oracle_alpha_zero(backend):
     cards = assert_matches_oracle(f, catalog, rm, ScoringParams(alpha=0.0, backend=backend),
                                   current_round=5)
     assert any(c.beta == 0.0 for c in cards) and any(c.label == LABEL_DIVISIVE for c in cards)
+
+
+@pytest.mark.parametrize("backend", ["gac_penrose", "gac_uniform"])
+def test_score_round_oracle_popularity_only(backend):
+    # psi = iota in every scope, citizen columns included
+    f, a, b = two_community_fabric()
+    f.communities[a].principal_subcommunities = [{0, 1}, {2, 3}]
+    catalog, rm = _random_votes(f, lambda mid: {a} if mid % 2 else {a, b}, 7, seed=13)
+    params = ScoringParams(popularity_only=True, backend=backend)
+    cards = assert_matches_oracle(f, catalog, rm, params, current_round=4)
+    assert all(c.psi == c.iota for c in cards)
+    assert any(c.scope[0] == "citizen" and c.psi > 0 for c in cards)
+    assert any(c.psi != c.iota * max(c.beta, c.delta) for c in cards)
+
+
+def _citizen_rows_instance(seed):
+    f, a, b = two_community_fabric()
+    f.communities[a].principal_subcommunities = [{0, 1}, {2, 3}]
+    catalog, rm = _random_votes(f, lambda mid: {a} if mid % 3 == 0 else {a, b}, 12, seed=seed)
+    return f, catalog, rm
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_citizen_columns_match_a_set_of_cards(seed):
+    """The columns score_round keeps for citizen scopes give every view a
+    ScoreSet holding the same cards as ScoreCards gives."""
+    f, catalog, rm = _citizen_rows_instance(seed)
+    scores = score_round(f, catalog, rm, ScoringParams(alpha=0.0), current_round=5)
+    cards = ScoreSet()
+    for key in sorted(scores.cards):
+        cards.add(scores.cards[key])
+    assert len(cards.cards) == len(scores.cards)
+    assert scores.to_csv() == cards.to_csv()
+    scopes = {scope for _, scope in scores.cards} | {("citizen", 7), ("community", 9)}
+    for scope in sorted(scopes):
+        assert dict(scores.scope_cards(scope)) == dict(cards.scope_cards(scope))
+        for m in sorted(catalog) + [99]:
+            card = cards.get(m, scope)
+            assert scores.get(m, scope) == card
+            assert scores.label(m, scope) == (card.label if card is not None else None)
+            assert scores.column(scope).get(m, 0.0) == scores.psi(m, scope) == \
+                cards.psi(m, scope)
+            if card is not None and card.label == LABEL_DIVISIVE:
+                assert balancing_set(scope, m, scores, catalog, False, 0.3) == \
+                    balancing_set(scope, m, cards, catalog, False, 0.3)
+    assert any(scope[0] == "citizen" and card.label == LABEL_DIVISIVE
+               for (_, scope), card in scores.cards.items())
+
+
+def test_add_into_a_citizen_row_keeps_the_rest():
+    f, catalog, rm = _citizen_rows_instance(3)
+    scores = score_round(f, catalog, rm, ScoringParams(), current_round=5)
+    scope = ("citizen", 2)
+    before = dict(scores.scope_cards(scope))
+    n = len(scores.cards)
+    m = min(before)
+    replacement = dataclasses.replace(before[m], psi=0.75)
+    scores.add(replacement)
+    assert dict(scores.scope_cards(scope)) == {**before, m: replacement}
+    assert len(scores.cards) == n
+    assert scores.psi(m, scope) == scores.column(scope)[m] == 0.75
 
 
 def test_scorecard_csv_contract():
