@@ -11,8 +11,7 @@ coherence, conservation of attention and money) are measurable.
 
 from .config import ScenarioConfig
 from .detect import (AttitudeMatrix, CommunityCandidate, FuzzyPartition,
-                     detect_communities, fuzzy_c_means, graph_cluster,
-                     principal_subcommunities)
+                     detect_communities, fuzzy_c_means, principal_subcommunities)
 from .econ import (Advertiser, AdDeal, EconParams, LambdaPolicy, Ledger,
                    LedgerEntry, PolicyBook, attribute_entry, reward_standing,
                    sell_standing, settle_round)

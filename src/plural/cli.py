@@ -73,9 +73,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     Blocs stored in the fabric are used as given; detection (seed 0) runs
     only for communities that store none.
     """
-    if args.backend not in ScoringParams.BACKENDS:
-        print(f"unknown backend {args.backend!r}; valid backends: "
-              f"{', '.join(ScoringParams.BACKENDS)}", file=sys.stderr)
+    try:
+        params = ScoringParams(backend=args.backend)
+    except ConfigError as exc:
+        print(f"--backend: {exc.message}", file=sys.stderr)
         return EXIT_CONFIG
     reactions_path, fabric_path = Path(args.reactions), Path(args.fabric)
     for path in (reactions_path, fabric_path):
@@ -123,7 +124,6 @@ def cmd_score(args: argparse.Namespace) -> int:
                     principal_subcommunities(fabric, cid, matrix, seed=0)
                 except (TooSmall, DegenerateInput):
                     pass
-        params = dataclasses.replace(ScoringParams(), backend=args.backend)
         scores = score_round(fabric, catalog, reactions, params, current_round)
         Path(args.out).write_text(scores.to_csv(), encoding="utf-8")
     except PluralError as exc:
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "communities that store none")
     p_score.add_argument("--reactions", required=True, help="reactions CSV path")
     p_score.add_argument("--fabric", required=True, help="fabric JSON path")
-    p_score.add_argument("--backend", default="gac_penrose",
+    p_score.add_argument("--backend", default=ScoringParams.backend,
                          help="bridging backend (gac_uniform | gac_penrose | mf)")
     p_score.add_argument("--out", required=True, help="scorecards CSV path")
     p_score.set_defaults(func=cmd_score)

@@ -1,18 +1,14 @@
-"""Community detection from reaction data and from graph data.
+"""Community detection from reaction data.
 
-Two pathways: fuzzy c-means over signed-attitude rows (the overlap-capable
-route, used both for candidate communities and for a community's principal
-subcommunities) and single-level greedy modularity passes over a weighted
-friendship graph (partitional only). Fuzzy c-means is deterministic given a
-seed, the graph pass needs none; graph tie-breaks go to the smallest
-community id.
+Fuzzy c-means over signed-attitude rows is the overlap-capable route, used
+both for candidate communities and for a community's principal
+subcommunities. It is deterministic given a seed.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -232,94 +228,3 @@ def principal_subcommunities(fabric, community: int, reactions: AttitudeMatrix,
     blocs.sort(key=lambda g: min(g))
     comm.principal_subcommunities = blocs
     return blocs
-
-
-# -- graph clustering ---------------------------------------------------------
-
-def modularity(edges: Sequence[tuple[int, int, float]],
-               partition: Sequence[set[int]], resolution: float = 1.0) -> float:
-    """Newman modularity with a resolution parameter, for weighted graphs."""
-    two_m = sum(2.0 * w for _, _, w in edges)
-    if two_m == 0:
-        return 0.0
-    comm_of: dict[int, int] = {}
-    for ci, group in enumerate(partition):
-        for node in group:
-            comm_of[node] = ci
-    intra = defaultdict(float)
-    degree = defaultdict(float)
-    for u, v, w in edges:
-        degree[u] += w
-        degree[v] += w
-        if comm_of[u] == comm_of[v]:
-            intra[comm_of[u]] += w
-    q = 0.0
-    for ci, group in enumerate(partition):
-        deg_c = sum(degree[n] for n in group)
-        q += 2.0 * intra[ci] / two_m - resolution * (deg_c / two_m) ** 2
-    return q
-
-
-def graph_cluster(edges: Sequence[tuple[int, int, float]],
-                  resolution: float = 1.0) -> list[set[int]]:
-    """Greedy single-level modularity maximization over a weighted graph.
-
-    Nodes start in singleton communities; repeated passes in sorted node
-    order move each node to the neighboring community with the best positive
-    modularity gain (ties to the smallest community id) until stable.
-    Deterministic given the edge list.
-    """
-    if not edges:
-        return []
-    nodes = sorted({n for u, v, _ in edges for n in (u, v)})
-    weights: dict[tuple[int, int], float] = defaultdict(float)
-    degree: dict[int, float] = defaultdict(float)
-    neighbors: dict[int, set[int]] = defaultdict(set)
-    two_m = 0.0
-    for u, v, w in edges:
-        if w <= 0:
-            raise ValueError("edge weights must be positive")
-        weights[(u, v)] += w
-        weights[(v, u)] += w
-        degree[u] += w
-        degree[v] += w
-        if u != v:
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        two_m += 2.0 * w
-
-    comm_of = {n: n for n in nodes}
-    comm_degree = {n: degree[n] for n in nodes}
-
-    def links_to(node: int) -> dict[int, float]:
-        out: dict[int, float] = defaultdict(float)
-        for nb in neighbors[node]:
-            out[comm_of[nb]] += weights[(node, nb)]
-        return out
-
-    moved = True
-    guard = 0
-    while moved and guard < 200:
-        moved = False
-        guard += 1
-        for node in nodes:
-            current = comm_of[node]
-            comm_degree[current] -= degree[node]
-            lt = links_to(node)
-            # Gain of joining community c: l_{n,c}/m - resolution * deg_n * deg_c / (2 m^2)
-            best_comm, best_gain = current, lt.get(current, 0.0) / (two_m / 2.0) \
-                - resolution * degree[node] * comm_degree[current] / (two_m / 2.0) ** 2 / 2.0
-            for cand in sorted(lt):
-                gain = lt[cand] / (two_m / 2.0) \
-                    - resolution * degree[node] * comm_degree[cand] / (two_m / 2.0) ** 2 / 2.0
-                if gain > best_gain + 1e-12 or (abs(gain - best_gain) <= 1e-12 and cand < best_comm):
-                    best_comm, best_gain = cand, gain
-            comm_of[node] = best_comm
-            comm_degree[best_comm] = comm_degree.get(best_comm, 0.0) + degree[node]
-            if best_comm != current:
-                moved = True
-
-    groups: dict[int, set[int]] = defaultdict(set)
-    for n in nodes:
-        groups[comm_of[n]].add(n)
-    return [groups[c] for c in sorted(groups, key=lambda c: min(groups[c]))]

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
+from .config import EconParams
 from .errors import InsufficientFunds, NoAcceptedDeal, NotFound, Unregistered
 from .rank import attention_terms
 
@@ -145,24 +146,6 @@ class LambdaPolicy:
     lambda_: float = 0.0
     funding: str = "SelfPaid"              # SelfPaid | AdFunded
     price_per_lambda_impression: Optional[float] = None
-
-
-@dataclass
-class EconParams:
-    platform_fee: float = 0.3
-    creator_share: float = 0.7
-    default_price_per_lambda_impression: float = 0.01
-    standing_reward_rate: float = 0.05
-
-    def __post_init__(self) -> None:
-        for name in ("platform_fee", "creator_share"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.platform_fee + self.creator_share > 1.0 + 1e-12:
-            raise ValueError("platform_fee + creator_share must not exceed 1")
-        if self.default_price_per_lambda_impression < 0 or self.standing_reward_rate < 0:
-            raise ValueError("prices and rates must be >= 0")
 
 
 class PolicyBook:

@@ -53,13 +53,15 @@ class EmptyCommunity(PluralError):
     """Aggregation over an empty member set."""
 
 
-class ConfigError(PluralError):
-    """Scenario document failed validation.
+class ConfigError(PluralError, ValueError):
+    """Scenario document or parameter failed validation.
 
-    `path` locates the offending field, e.g. "communities[0].lambda".
+    `path` locates the offending field, e.g. "communities[0].lambda". It is
+    also a ValueError, as a bad parameter built in Python is a precondition
+    violation.
     """
 
     def __init__(self, path: str, message: str):
         self.path = path
         self.message = message
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)

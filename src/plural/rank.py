@@ -18,24 +18,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ._rng import derive_rng
+from .config import RankingParams
 from .errors import InsufficientStanding
 from .score import LABEL_BRIDGING, LABEL_DIVISIVE, ScoreSet, Scope
-
-
-@dataclass
-class RankingParams:
-    feed_size: int = 10
-    epsilon: float = 0.0               # exploration share of attention
-    stake_scale: float = 10.0          # linear stake -> initial-psi conversion
-    seed_rounds: int = 2               # rounds a seeding override stays live
-
-    def __post_init__(self) -> None:
-        if self.feed_size < 1:
-            raise ValueError("feed_size must be >= 1")
-        if not (0.0 <= self.epsilon < 1.0):
-            raise ValueError("epsilon must be in [0, 1)")
-        if self.seed_rounds < 0 or self.stake_scale < 0:
-            raise ValueError("seed_rounds and stake_scale must be >= 0")
 
 
 @dataclass(slots=True)

@@ -24,6 +24,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, 
 import numpy as np
 
 from ._rng import derive_rng, derive_seed
+from .config import ScoringParams
 from .errors import FewerThanTwoBlocs, InsufficientData
 
 Scope = tuple[str, int]
@@ -194,32 +195,6 @@ class ScoreCard:
     characteristic_blocs: frozenset[int] = frozenset()
     label: str = LABEL_NEITHER
     low_confidence: bool = False
-
-
-@dataclass
-class ScoringParams:
-    """Knobs for a scoring pass; defaults follow the artifact conventions."""
-
-    backend: str = "gac_penrose"           # gac_uniform | gac_penrose | mf
-    alpha: float = 1.0                      # Laplace smoothing on bloc approval rates
-    label_floor: float = 0.1                # below it, neither label applies
-    half_life: float = 5.0                  # rounds; interest decay
-    delta_tol: float = 0.2                  # balancing-set divisiveness tolerance
-    topic_overlap_required: bool = False
-    popularity_only: bool = False           # baseline toggle: psi = iota
-    mf_reg: float = 0.05
-    mf_epochs: int = 400
-    mf_lr: float = 0.05
-
-    BACKENDS = ("gac_uniform", "gac_penrose", "mf")
-
-    def __post_init__(self) -> None:
-        if self.backend not in self.BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; valid: {', '.join(self.BACKENDS)}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.half_life <= 0:
-            raise ValueError("half_life must be > 0")
 
 
 # -- the scoring primitives ---------------------------------------------------

@@ -291,7 +291,7 @@ class _Simulation:
             ledger.open_account(("advertiser", aid), adv_cfg.budget)
             if adv_cfg.standing_purchase is not None:
                 sp = adv_cfg.standing_purchase
-                sell_standing(adv, sp["community"], sp["amount"], sp["price"],
+                sell_standing(adv, sp.community, sp.amount, sp.price,
                               ledger, self.fabric, round_=0)
 
     # -- phases ----------------------------------------------------------------

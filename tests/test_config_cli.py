@@ -1,17 +1,23 @@
 """Scenario config validation/round-trip and the command-line surface."""
 
 import copy
+import dataclasses
 import gc
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plural import cli
 from plural.cli import comparison_csv, main
 from plural.config import ScenarioConfig
+from plural.econ import EconParams
 from plural.errors import ConfigError, PluralError
+from plural.rank import RankingParams
+from plural.score import ScoringParams
 
 from test_sim import TINY_SCENARIO
 
@@ -20,6 +26,76 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+# Every declared field written out, every optional one set.
+FULL_SCENARIO = {
+    "schema_version": 1,
+    "seed": 11,
+    "population": {
+        "n_citizens": 30,
+        "ideology_dim": 2,
+        "blocs": [{"fraction": 0.5, "center": [-0.5, 0.1], "sigma": 0.1},
+                  {"fraction": 0.5, "center": [0.5, -0.1], "sigma": 0.2}],
+        "citizen_lambda": 0.5,
+        "subscriber_fraction": 0.4,
+        "citizen_balance": 0.05,
+        "accepts_personal_ads_fraction": 0.3,
+    },
+    "communities": [
+        {"blocs": [0, 1], "lambda": 1.0, "balance": 40.0, "admin_registered": True},
+        {"blocs": [1], "lambda": 0.5, "balance": 2.0, "admin_registered": False,
+         "price_per_lambda_impression": 0.02},
+    ],
+    "content": {"creators_per_round": 4, "stake_mean": 0.05, "content_noise": 0.4,
+                "n_topics": 3},
+    "advertisers": [{
+        "budget": 8.0,
+        "deals": [{"community": 0, "price_per_impression": 0.02, "accepted": True},
+                  {"community": 1, "price_per_impression": 0.03, "accepted": False}],
+        "personal_targeting": True,
+        "personal_price": 0.01,
+        "items_per_round": 1,
+        "position": [-0.4, 0.2],
+        "standing_purchase": {"community": 0, "amount": 1.0, "price": 0.5},
+        "seed_stake": 0.1,
+    }],
+    "scoring": {"backend": "mf", "alpha": 0.5, "label_floor": 0.2, "half_life": 4.0,
+                "delta_tol": 0.3, "topic_overlap_required": True, "popularity_only": False,
+                "mf_reg": 0.1, "mf_epochs": 50, "mf_lr": 0.02},
+    "ranking": {"feed_size": 5, "epsilon": 0.1, "stake_scale": 8.0, "seed_rounds": 3},
+    "econ": {"platform_fee": 0.2, "creator_share": 0.6,
+             "default_price_per_lambda_impression": 0.02, "standing_reward_rate": 0.04},
+    "sim": {"rounds": 3, "refresh_interval": 2, "attitude_feedback_gamma": 0.2,
+            "attitude_temperature": 1.5, "engagement_scale": 2.0, "devotion_adapt_rate": 0.1},
+}
+
+
+def _leaves(value, meta, keys, path):
+    """(keys down to it, JSON path, kind, declared checks) of each scalar in a
+    built scenario, found by walking its dataclass fields."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            key = f.metadata.get("key", f.name)
+            yield from _leaves(getattr(value, f.name), f.metadata, keys + (key,),
+                               f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, meta, keys + (i,), f"{path}[{i}]")
+    else:
+        yield keys, path, type(value), meta
+
+
+FULL_LEAVES = list(_leaves(ScenarioConfig.from_dict(copy.deepcopy(FULL_SCENARIO)), {}, (), ""))
+
+
+def _hostile(kind, meta):
+    """A wrong kind, NaN, an int past 64 bits, and a value past each declared bound."""
+    values = [1 if kind is str else "x", math.nan, 2 ** 70]
+    values += [meta[b] - 1 for b in ("lo", "gt") if b in meta]
+    values += [meta[b] + 1 for b in ("hi", "lt") if b in meta]
+    values += ["?"] if "choices" in meta else []
+    return values
 
 
 class TestScenarioConfig:
@@ -71,6 +147,39 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(doc)
         assert "communities[0].blocs[1]" in str(exc.value)
 
+    def test_roundtrip_every_optional_field(self):
+        cfg = ScenarioConfig.from_dict(copy.deepcopy(FULL_SCENARIO))
+        assert cfg.advertisers[0].standing_purchase.price == 0.5
+        assert cfg.to_dict() == FULL_SCENARIO
+        assert ScenarioConfig.loads(cfg.to_json()) == cfg
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(FULL_LEAVES), st.data())
+    def test_hostile_leaf_accepted_or_named(self, leaf, data):
+        keys, json_path, kind, meta = leaf
+        doc = copy.deepcopy(FULL_SCENARIO)
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = data.draw(st.sampled_from(_hostile(kind, meta)))
+        try:
+            ScenarioConfig.from_dict(doc)
+        except ConfigError as exc:
+            assert exc.path == json_path
+
+
+class TestParamsBuiltInPython:
+    @pytest.mark.parametrize("cls, kwargs", [
+        (ScoringParams, {"half_life": 0}),
+        (RankingParams, {"epsilon": 1.0}),
+        (EconParams, {"platform_fee": 0.5, "creator_share": 0.7}),
+        (ScoringParams, {"label_floor": 2.0}),
+        (ScoringParams, {"alpha": math.nan}),
+    ], ids=["zero_half_life", "epsilon_one", "fee_plus_share", "label_floor_two", "nan_alpha"])
+    def test_bad_params_raise_value_error(self, cls, kwargs):
+        with pytest.raises(ValueError):
+            cls(**kwargs)
+
 
 OUTPUTS = ("metrics.csv", "feeds.jsonl", "ledger.csv", "fabric.json", "scorecards.csv")
 
@@ -105,6 +214,13 @@ MALFORMED_SCENARIOS = {
     "purchase_community": (["advertisers"], [{"budget": 1.0, "standing_purchase": {
         "community": 9, "amount": 1.0, "price": 0.5}}],
         "advertisers[0].standing_purchase.community"),
+    "unknown_scoring_key": (["scoring", "alpah"], 2, "scoring.alpah"),
+    "unknown_top_level_key": (["ranknig"], {"feed_size": 4}, "ranknig"),
+    "unknown_deal_key": (["advertisers"], [{"budget": 1.0, "deals": [
+        {"community": 0, "price_per_impression": 0.1, "price": 0.1}]}],
+        "advertisers[0].deals[0].price"),
+    "epsilon_one": (["ranking", "epsilon"], 1.0, "ranking.epsilon"),
+    "zero_half_life": (["scoring", "half_life"], 0, "scoring.half_life"),
 }
 
 

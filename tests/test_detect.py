@@ -1,13 +1,11 @@
-"""Detection: FCM against a reference implementation, planted-cluster
-recovery, and graph clustering against brute-force modularity."""
-
-import itertools
+"""Detection: FCM against a reference implementation and planted-cluster
+recovery."""
 
 import numpy as np
 import pytest
 
 from plural.detect import (AttitudeMatrix, CommunityCandidate, detect_communities,
-                           fuzzy_c_means, graph_cluster, principal_subcommunities)
+                           fuzzy_c_means, principal_subcommunities)
 from plural.errors import DegenerateInput, TooSmall
 from plural.fabric import SocialFabric
 
@@ -32,29 +30,6 @@ def reference_fcm(x, centroids, m=2.0, iters=500):
             break
         centroids = new_centroids
     return u, centroids
-
-
-def reference_modularity(edges, partition, resolution=1.0):
-    """Q = sum_ij (A_ij - g k_i k_j / 2m) delta(c_i, c_j) / 2m, from scratch."""
-    nodes = sorted({n for u, v, _ in edges for n in (u, v)})
-    idx = {n: i for i, n in enumerate(nodes)}
-    n = len(nodes)
-    adj = np.zeros((n, n))
-    for u, v, w in edges:
-        adj[idx[u], idx[v]] += w
-        adj[idx[v], idx[u]] += w
-    degree = adj.sum(1)
-    two_m = degree.sum()
-    comm = np.zeros(n, dtype=int)
-    for ci, group in enumerate(partition):
-        for node in group:
-            comm[idx[node]] = ci
-    q = 0.0
-    for i in range(n):
-        for j in range(n):
-            if comm[i] == comm[j]:
-                q += adj[i, j] - resolution * degree[i] * degree[j] / two_m
-    return q / two_m
 
 
 def jaccard(a, b):
@@ -228,51 +203,3 @@ class TestPrincipalSubcommunities:
         for i, a in enumerate(blocs):
             for b in blocs[i + 1:]:
                 assert not (a & b)
-
-
-# -- graph clustering ---------------------------------------------------------------
-
-def clique(nodes, w=1.0):
-    return [(a, b, w) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
-
-
-class TestGraphCluster:
-    def test_two_cliques_bruteforce_oracle(self):
-        edges = clique(list(range(5))) + clique(list(range(5, 10))) + [(0, 5, 1.0)]
-        result = graph_cluster(edges, resolution=1.0)
-        expected = [{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}]
-        assert result == expected
-
-        # brute force over all 2-partitions of the 10 nodes (node 0 fixed)
-        best_q, best_part = -np.inf, None
-        nodes = list(range(10))
-        for bits in itertools.product([0, 1], repeat=9):
-            part = [{0}, set()]
-            for node, b in zip(nodes[1:], bits):
-                part[b].add(node)
-            if not part[1]:
-                continue
-            q = reference_modularity(edges, part)
-            if q > best_q:
-                best_q, best_part = q, part
-        assert {frozenset(s) for s in best_part} == {frozenset(s) for s in expected}
-        assert reference_modularity(edges, result) == pytest.approx(best_q)
-
-    def test_single_edge_merges(self):
-        # Q(merged) = 0 beats Q(split) = -0.5 at resolution 1
-        assert reference_modularity([(0, 1, 1.0)], [{0, 1}]) == pytest.approx(0.0)
-        assert reference_modularity([(0, 1, 1.0)], [{0}, {1}]) == pytest.approx(-0.5)
-        assert graph_cluster([(0, 1, 1.0)], resolution=1.0) == [{0, 1}]
-
-    def test_empty(self):
-        assert graph_cluster([]) == []
-
-    def test_partition_is_exact_cover(self):
-        rng = np.random.default_rng(2)
-        nodes = list(range(12))
-        edges = [(int(a), int(b), 1.0) for a, b in rng.integers(0, 12, (30, 2)) if a != b]
-        if not edges:
-            return
-        part = graph_cluster(edges)
-        seen = sorted(n for group in part for n in group)
-        assert seen == sorted({n for u, v, _ in edges for n in (u, v)})
