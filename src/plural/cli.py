@@ -1,8 +1,9 @@
 """Command-line front end: scenario runs, offline scoring, paired comparisons.
 
 Exit codes: 0 success, 2 validation problems (bad scenario, fabric or
-reactions file, unknown backend, missing files, out-of-range flags) with a
-diagnostic naming the offending path, 1 runtime failure.
+reactions file, unknown backend, missing or unreadable files, an --out that
+cannot be created or written, out-of-range flags) with a diagnostic naming
+the offending path, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from ._rng import SEED_MAX
-from .config import ScenarioConfig
+from .config import ScenarioConfig, read_text
 from .detect import principal_subcommunities
 from .errors import ConfigError, DegenerateInput, PluralError, TooSmall
 from .fabric import SocialFabric
@@ -28,9 +29,19 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
+def _make_out_dir(out: str) -> bool:
+    """Create the --out directory; False, after saying why, if it cannot be."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {out}: cannot create the directory: {exc.strerror}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def _write_outputs(out_dir: Path, result) -> None:
     """Write the five artifacts, streaming the three large ones line by line."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     community_ids = sorted(result.fabric.communities)
     (out_dir / "metrics.csv").write_text(
         simulation.metrics_csv(result.metrics, community_ids), encoding="utf-8")
@@ -58,6 +69,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None and not 0 <= args.seed <= SEED_MAX:
         print(f"--seed must be in [0, {SEED_MAX}], got {args.seed}", file=sys.stderr)
         return EXIT_CONFIG
+    if not _make_out_dir(args.out):
+        return EXIT_CONFIG
     try:
         result = simulation.run(config, seed=args.seed, rounds=args.rounds)
         _write_outputs(Path(args.out), result)
@@ -84,8 +97,8 @@ def cmd_score(args: argparse.Namespace) -> int:
             print(f"file not found: {path}", file=sys.stderr)
             return EXIT_CONFIG
     try:
-        # ValueError covers undecodable text and invalid JSON too.
-        fabric = SocialFabric.from_json(fabric_path.read_text(encoding="utf-8"))
+        # ValueError covers unreadable files, undecodable text and invalid JSON.
+        fabric = SocialFabric.from_json(read_text(fabric_path))
     except ValueError as exc:
         print(f"fabric error: {fabric_path}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -96,7 +109,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             print(f"fabric error: {fabric_path}: {problem}", file=sys.stderr)
             return EXIT_CONFIG
     try:
-        text = reactions_path.read_text(encoding="utf-8")
+        text = read_text(reactions_path)
         reactions = ReactionMatrix.from_csv(text) if text.strip() else ReactionMatrix()
     except ValueError as exc:
         print(f"reactions error: {reactions_path}: {exc}", file=sys.stderr)
@@ -125,10 +138,15 @@ def cmd_score(args: argparse.Namespace) -> int:
                 except (TooSmall, DegenerateInput):
                     pass
         scores = score_round(fabric, catalog, reactions, params, current_round)
-        Path(args.out).write_text(scores.to_csv(), encoding="utf-8")
     except PluralError as exc:
         print(f"scoring failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    try:
+        Path(args.out).write_text(scores.to_csv(), encoding="utf-8")
+    except OSError as exc:
+        print(f"output error: {args.out}: cannot write the file: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -200,11 +218,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"--seeds {args.seeds} from scenario seed {config.seed} runs past seed "
               f"{SEED_MAX}", file=sys.stderr)
         return EXIT_CONFIG
+    if not _make_out_dir(args.out):
+        return EXIT_CONFIG
     try:
         rows = compare_runs(config, args.seeds)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "comparison.csv").write_text(comparison_csv(rows), encoding="utf-8")
+        (Path(args.out) / "comparison.csv").write_text(comparison_csv(rows), encoding="utf-8")
     except PluralError as exc:
         print(f"comparison failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -347,15 +347,34 @@ class ScenarioConfig(_Section):
 
     @classmethod
     def loads(cls, text: str) -> "ScenarioConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("", f"invalid JSON: {exc}") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(_parse_json(text, ""))
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioConfig":
         p = Path(path)
         if not p.exists():
             raise ConfigError(str(path), "scenario file not found")
-        return cls.loads(p.read_text(encoding="utf-8"))
+        try:
+            text = read_text(p)
+        except ValueError as exc:
+            raise ConfigError(str(path), str(exc)) from None
+        return cls.from_dict(_parse_json(text, str(path)))
+
+
+def read_text(path: Path) -> str:
+    """The file's UTF-8 text; ValueError if it cannot be read (a directory,
+    say) or decoded."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read the file: {exc.strerror}") from None
+
+
+def _parse_json(text: str, source: str) -> Any:
+    """The JSON document in `text`; `source` names it in a ConfigError. The
+    ValueError caught covers malformed JSON and an integer literal longer
+    than Python's integer-string limit."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(source, f"invalid JSON: {exc}") from None

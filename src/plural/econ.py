@@ -354,16 +354,15 @@ def reward_standing(scores, fabric, reward_rate: float, catalog) -> None:
     # standings come out bit for bit the same.
     for cid in sorted(fabric.communities):
         members = fabric.communities[cid].members
-        table = scores.scope_cards(("community", cid))
-        for content_id in sorted(table):
-            card = table[content_id]
-            if card.psi <= 0:
+        psi = scores.column(("community", cid))
+        for content_id in sorted(psi):
+            if psi[content_id] <= 0:
                 continue
             content = catalog.get(content_id)
             if content is None or content.creator_kind != "citizen" \
                     or content.creator not in members:
                 continue
-            fabric.update_standing(content.creator, cid, reward_rate * card.psi)
+            fabric.update_standing(content.creator, cid, reward_rate * psi[content_id])
 
 
 def sell_standing(advertiser: Advertiser, community: int, amount: float,

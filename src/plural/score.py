@@ -328,12 +328,6 @@ def _spread(rates: np.ndarray) -> tuple[float, frozenset[int]]:
             frozenset(int(g) for g in np.nonzero(rates >= 0.5)[0]))
 
 
-def _psi(iota: float, beta: float, delta: float, popularity_only: bool) -> float:
-    """psi = iota * max(beta, delta), or iota alone in the popularity baseline;
-    unchecked, for callers whose inputs are in range by construction."""
-    return iota if popularity_only else iota * max(beta, delta)
-
-
 def community_score(iota: float, beta: float, delta: float,
                     popularity_only: bool = False) -> float:
     """Combined score: interest times the stronger of bridging/balancing
@@ -342,7 +336,7 @@ def community_score(iota: float, beta: float, delta: float,
         raise ValueError("scores must be finite")
     if iota < 0 or not (0 <= beta <= 1) or not (0 <= delta <= 1):
         raise ValueError("iota >= 0 and beta, delta in [0, 1] required")
-    return _psi(iota, beta, delta, popularity_only)
+    return iota if popularity_only else iota * max(beta, delta)
 
 
 def assign_label(beta: float, delta: float, characteristic: frozenset[int],
@@ -437,8 +431,8 @@ def bridging_mf(reactions: ReactionMatrix, raters: Iterable[int],
 
 @dataclass(slots=True)
 class _Profile:
-    """All of a citizen-scope card but iota and psi. Citizens in the same
-    communities share it, so it is kept once per membership signature."""
+    """All of a card but iota and psi. Citizens in the same communities share
+    it, so for citizen scopes it is kept once per membership signature."""
 
     beta: float
     delta: float
@@ -449,32 +443,44 @@ class _Profile:
 
 
 @dataclass(slots=True)
-class _CitizenRow:
-    """One citizen scope as columns over the contents of `profiles`.
+class _Column:
+    """One scope as columns over the contents of `profiles`.
 
-    `iota` and `psi` hold the exposed contents as the reactions stood at
-    scoring time (the react phase later changes the cells in place); every
-    other content of the scope has iota = psi = 0.0.
+    A content missing from `iota` and `psi` has iota = psi = 0.0. The
+    citizen columns `score_round` fills hold only the exposed contents there,
+    as the reactions stood at scoring time (the react phase later changes
+    the cells in place). `shared` marks maps other columns also hold: the
+    membership signature's profiles, and `iota`, which is `psi` in the
+    popularity baseline.
     """
 
-    profiles: Mapping[int, _Profile]        # shared with the membership signature
-    iota: dict[int, float]
-    psi: dict[int, float]
+    profiles: dict[int, _Profile] = field(default_factory=dict)
+    iota: dict[int, float] = field(default_factory=dict)
+    psi: dict[int, float] = field(default_factory=dict)
+    shared: bool = False
 
-    def card(self, content: int, citizen: int) -> Optional[ScoreCard]:
+    def put(self, content: int, profile: _Profile, iota: float, psi: float) -> None:
+        self.profiles[content] = profile
+        self.iota[content] = iota
+        self.psi[content] = psi
+
+    def card(self, content: int, scope: Scope) -> Optional[ScoreCard]:
+        """The content's card in `scope`, built here and only here; None if
+        the column has no such content."""
         p = self.profiles.get(content)
         if p is None:
             return None
-        return ScoreCard(content=content, scope=("citizen", citizen),
-                         iota=self.iota.get(content, 0.0), beta=p.beta, delta=p.delta,
-                         psi=self.psi.get(content, 0.0),
+        return ScoreCard(content=content, scope=scope, iota=self.iota.get(content, 0.0),
+                         beta=p.beta, delta=p.delta, psi=self.psi.get(content, 0.0),
                          characteristic_blocs=p.characteristic_blocs, label=p.label,
                          low_confidence=p.low_confidence)
 
 
+_NO_SCOPE = _Column()        # read-only stand-in for a scope with no cards
+
+
 class _Cards(collections.abc.Mapping):
-    """Every card of a ScoreSet by (content, scope); citizen cards are built
-    when read."""
+    """Every card of a ScoreSet by (content, scope), each built when read."""
 
     __slots__ = ("_scores",)
 
@@ -488,30 +494,23 @@ class _Cards(collections.abc.Mapping):
         return card
 
     def __iter__(self) -> Iterator[tuple[int, Scope]]:
-        for scope, table in self._scores._by_scope.items():
-            for content in table:
-                yield content, scope
-        for citizen, row in self._scores._rows.items():
-            scope = ("citizen", citizen)
-            for content in row.profiles:
+        for scope, col in self._scores._columns.items():
+            for content in col.profiles:
                 yield content, scope
 
     def __len__(self) -> int:
-        return sum(map(len, self._scores._by_scope.values())) + \
-            sum(len(row.profiles) for row in self._scores._rows.values())
+        return sum(len(col.profiles) for col in self._scores._columns.values())
 
 
 class ScoreSet:
     """All cards for one scoring pass, with balancing sets per scope.
 
-    Community-scope cards, and any card given to `add`, are kept as
-    ScoreCards indexed by scope as {content: card}. The citizen scopes that
-    `score_round` fills are kept as columns (`_CitizenRow`): the profiles of
-    the citizen's membership signature, shared, and the citizen's own iota
-    and psi. A citizen ScoreCard is built only when `get`, `scope_cards`,
-    `cards` or `csv_lines` asks for one. Ranking and settlement read
-    `column(scope)`, the scope's {content: psi}, where a missing content
-    scores 0.
+    Every scope, community or citizen, is kept as one `_Column`: profiles
+    (all of a card but iota and psi), iota and psi, each by content id. A
+    ScoreCard is built only when `get`, `scope_cards`, `community_cards`,
+    `cards` or `csv_lines` asks for one. Ranking, settlement and rewards
+    read `column(scope)`, the scope's {content: psi}, where a missing
+    content scores 0.
     """
 
     def __init__(self) -> None:
@@ -519,79 +518,49 @@ class ScoreSet:
         # Views derived from these scores, kept for the pass (rank keeps its
         # community provenance tags here).
         self.memo: dict = {}
-        self._by_scope: dict[Scope, dict[int, ScoreCard]] = {}
-        self._rows: dict[int, _CitizenRow] = {}
-        self._columns: dict[Scope, dict[int, float]] = {}
+        self._columns: dict[Scope, _Column] = {}
 
     @property
     def cards(self) -> Mapping[tuple[int, Scope], ScoreCard]:
         """Read-only view of every card by (content, scope)."""
         return _Cards(self)
 
+    def _writable(self, scope: Scope) -> _Column:
+        """The scope's column, new if missing and copied if its maps are shared."""
+        col = self._columns.get(scope)
+        if col is None:
+            col = self._columns[scope] = _Column()
+        elif col.shared:
+            col = self._columns[scope] = _Column(dict(col.profiles), dict(col.iota),
+                                                 dict(col.psi))
+        return col
+
     def add(self, card: ScoreCard) -> None:
-        self._file(self._scope_table(card.scope), card)
+        """File the card under (content, scope), replacing any card there."""
+        profile = _Profile(card.beta, card.delta, card.label, card.characteristic_blocs,
+                           card.low_confidence, max(card.beta, card.delta))
+        self._writable(card.scope).put(card.content, profile, card.iota, card.psi)
 
-    def _scope_table(self, scope: Scope) -> dict[int, ScoreCard]:
-        """The scope's card table; a citizen row becomes cards first."""
-        table = self._by_scope.get(scope)
-        if table is None:
-            table = self._by_scope[scope] = {}
-            row = self._row(scope)
-            if row is not None:
-                del self._rows[scope[1]]
-                for m in row.profiles:
-                    table[m] = row.card(m, scope[1])
-        return table
-
-    def _file(self, table: dict[int, ScoreCard], card: ScoreCard) -> None:
-        """The one write path; `table` must be `_scope_table(card.scope)`."""
-        table[card.content] = card
-        self._columns.pop(card.scope, None)
-
-    def _row(self, scope: Scope) -> Optional[_CitizenRow]:
-        return self._rows.get(scope[1]) if scope[0] == "citizen" else None
-
-    def _profiles(self, scope: Scope) -> Mapping[int, ScoreCard | _Profile]:
-        """The scope's cards, or its citizen row's profiles: both carry the
-        label, delta and characteristic blocs."""
-        table = self._by_scope.get(scope)
-        if table is not None:
-            return table
-        row = self._row(scope)
-        return row.profiles if row is not None else {}
+    def _scope(self, scope: Scope) -> _Column:
+        return self._columns.get(scope, _NO_SCOPE)
 
     def scope_cards(self, scope: Scope) -> Mapping[int, ScoreCard]:
-        """One scope's cards by content id; do not mutate. A citizen row's
-        cards are built on each call."""
-        table = self._by_scope.get(scope)
-        if table is not None:
-            return table
-        row = self._row(scope)
-        return {} if row is None else {m: row.card(m, scope[1]) for m in row.profiles}
+        """One scope's cards by content id, built on each call."""
+        col = self._scope(scope)
+        return {m: col.card(m, scope) for m in col.profiles}
 
     def get(self, content: int, scope: Scope) -> Optional[ScoreCard]:
-        table = self._by_scope.get(scope)
-        if table is not None:
-            return table.get(content)
-        row = self._row(scope)
-        return row.card(content, scope[1]) if row is not None else None
+        return self._scope(scope).card(content, scope)
 
     def label(self, content: int, scope: Scope) -> Optional[str]:
-        """The card's label, without building a citizen card; None if no card."""
-        record = self._profiles(scope).get(content)
-        return record.label if record is not None else None
+        """The card's label, without building the card; None if no card."""
+        p = self._scope(scope).profiles.get(content)
+        return p.label if p is not None else None
 
     def column(self, scope: Scope) -> Mapping[int, float]:
         """The scope's psi by content id; a missing content scores 0. Do not
         mutate."""
-        row = self._row(scope)
-        if row is not None:
-            return row.psi
-        col = self._columns.get(scope)
-        if col is None:
-            table = self._by_scope.get(scope, {})
-            col = self._columns[scope] = {m: card.psi for m, card in table.items()}
-        return col
+        return self._scope(scope).psi
 
     def psi(self, content: int, scope: Scope) -> float:
         return self.column(scope).get(content, 0.0)
@@ -638,23 +607,12 @@ def _profile(rates: np.ndarray, sizes: Sequence[int], params: ScoringParams,
     return _Profile(beta, delta, label, characteristic, low_confidence, max(beta, delta))
 
 
-def _card_from_rates(content: int, scope: Scope, iota: float, rates: np.ndarray,
-                     sizes: Sequence[int], params: ScoringParams,
-                     beta_override: float | None = None) -> ScoreCard:
-    """Assemble a card from per-bloc approval rates."""
-    p = _profile(rates, sizes, params, beta_override)
-    psi = community_score(iota, p.beta, p.delta, params.popularity_only)
-    return ScoreCard(content=content, scope=scope, iota=iota, beta=p.beta, delta=p.delta,
-                     psi=psi, characteristic_blocs=p.characteristic_blocs, label=p.label,
-                     low_confidence=p.low_confidence)
-
-
-def _community_card(mid: int, comm, records: Sequence[tuple[int, Interaction]],
-                    params: ScoringParams, decay: _Decay,
-                    whole_rate: Callable[[], float],
-                    beta_override: float | None = None) -> ScoreCard:
-    """Card for one content in one community; `whole_rate()` gives the
-    smoothed rate over all members, the degenerate fallback's single bloc."""
+def _score_community(col: _Column, mid: int, comm, records: Sequence[tuple[int, Interaction]],
+                     params: ScoringParams, decay: _Decay, whole_rate: Callable[[], float],
+                     beta_override: float | None = None) -> None:
+    """Score one content in one community into the community's column;
+    `whole_rate()` gives the smoothed rate over all members, the degenerate
+    fallback's single bloc."""
     iota = _interest(records, comm.members, decay)
     blocs = comm.principal_subcommunities
     if len(blocs) >= 2:
@@ -664,8 +622,8 @@ def _community_card(mid: int, comm, records: Sequence[tuple[int, Interaction]],
         rates, sizes = [whole_rate()], [len(comm.members)]
     else:
         rates, sizes = [], []
-    return _card_from_rates(mid, ("community", comm.id), iota, np.array(rates, dtype=float),
-                            sizes, params, beta_override)
+    p = _profile(np.array(rates, dtype=float), sizes, params, beta_override)
+    col.put(mid, p, iota, community_score(iota, p.beta, p.delta, params.popularity_only))
 
 
 def score_for_community(content: ContentItem, community, reactions: ReactionMatrix,
@@ -678,9 +636,11 @@ def score_for_community(content: ContentItem, community, reactions: ReactionMatr
     low-confidence.
     """
     records = list(reactions.by_content(content.id))
-    return _community_card(
-        content.id, community, records, params, _Decay(current_round, params.half_life),
+    col = _Column()
+    _score_community(
+        col, content.id, community, records, params, _Decay(current_round, params.half_life),
         lambda: _smoothed_rate(records, community.members, params.alpha), beta_override)
+    return col.card(content.id, ("community", community.id))
 
 
 def citizen_score(content: ContentItem, citizen: int, fabric, reactions: ReactionMatrix,
@@ -697,8 +657,10 @@ def citizen_score(content: ContentItem, citizen: int, fabric, reactions: Reactio
     iota = _interest(records, {citizen}, _Decay(current_round, params.half_life))
     blocs = [fabric.communities[c].members for c in fabric.member_communities(citizen)]
     rates = np.array([_smoothed_rate(records, b, params.alpha) for b in blocs], dtype=float)
-    return _card_from_rates(content.id, ("citizen", citizen), iota, rates,
-                            [len(b) for b in blocs], params)
+    p = _profile(rates, [len(b) for b in blocs], params)
+    col = _Column()
+    col.put(content.id, p, iota, community_score(iota, p.beta, p.delta, params.popularity_only))
+    return col.card(content.id, ("citizen", citizen))
 
 
 def balancing_set(scope: Scope, content: int, scores: ScoreSet,
@@ -711,23 +673,22 @@ def balancing_set(scope: Scope, content: int, scores: ScoreSet,
     (counterparts exist only where the scope's content allows). Sorted by
     psi descending, then content id.
     """
-    table = scores._profiles(scope)
-    base = table.get(content)
+    col = scores._scope(scope)
+    base = col.profiles.get(content)
     if base is None or base.label != LABEL_DIVISIVE:
         raise ValueError(f"content {content} is not Divisive in scope {scope}")
-    psi = scores.column(scope)
     out: list[tuple[float, int]] = []
-    for m, card in table.items():
-        if m == content or card.label != LABEL_DIVISIVE:
+    for m, p in col.profiles.items():
+        if m == content or p.label != LABEL_DIVISIVE:
             continue
-        if abs(card.delta - base.delta) > delta_tol:
+        if abs(p.delta - base.delta) > delta_tol:
             continue
-        if card.characteristic_blocs & base.characteristic_blocs:
+        if p.characteristic_blocs & base.characteristic_blocs:
             continue
         if topic_overlap_required:
             if not (catalog[m].topics & catalog[content].topics):
                 continue
-        out.append((-psi.get(m, 0.0), m))
+        out.append((-col.psi.get(m, 0.0), m))
     out.sort()
     return [m for _, m in out]
 
@@ -735,15 +696,15 @@ def balancing_set(scope: Scope, content: int, scores: ScoreSet,
 def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatrix,
                 params: ScoringParams, current_round: int,
                 mf_seed: int = 0) -> ScoreSet:
-    """Full scoring pass: community cards for every (content, target community),
-    citizen cards for every content a citizen could be served, and balancing
-    sets for everything labeled Divisive.
+    """Full scoring pass: community columns for every (content, target
+    community), citizen columns for every content a citizen could be served,
+    and balancing sets for everything labeled Divisive.
 
     The mf backend fits one factorization per community and falls back to the
     penrose consensus product where its data preconditions fail. Results are
     identical to calling score_for_community / citizen_score pairwise; this
-    pass just shares the per-(content, community) vote counting, and keeps
-    citizen scopes as columns (see ScoreSet).
+    pass just shares the per-(content, community) vote counting, and fills
+    each scope's column directly (see ScoreSet).
     """
     scores = ScoreSet()
     mf_fits: dict[int, MfFit | None] = {}
@@ -777,8 +738,8 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
                 continue
             fit = mf_fits.get(cid)
             override = fit.beta_raw.get(mid) if fit is not None else None
-            scores.add(_community_card(mid, comm, records[mid], params, decay,
-                                       lambda: whole_rate(mid, cid), override))
+            _score_community(scores._writable(("community", cid)), mid, comm, records[mid],
+                             params, decay, lambda: whole_rate(mid, cid), override)
 
     def balance(scope: Scope, mid: int) -> None:
         scores.balancing[(mid, scope)] = balancing_set(
@@ -787,9 +748,9 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
             delta_tol=params.delta_tol)
 
     # Balancing sets are read by key only, so the sweep needs no order.
-    for scope, table in scores._by_scope.items():
-        for mid, card in table.items():
-            if card.label == LABEL_DIVISIVE:
+    for scope, col in scores._columns.items():
+        for mid, p in col.profiles.items():
+            if p.label == LABEL_DIVISIVE:
                 balance(scope, mid)
 
     by_community: dict[int, list[int]] = {}
@@ -821,8 +782,8 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
                 iota[mid] = decay.weight(cell)
         psi = iota if params.popularity_only else \
             {mid: v * profiles[mid].strength for mid, v in iota.items()}
-        scores._rows[pid] = _CitizenRow(profiles, iota, psi)
         scope: Scope = ("citizen", pid)
+        scores._columns[scope] = _Column(profiles, iota, psi, shared=True)
         for mid in divisive:
             balance(scope, mid)
     return scores

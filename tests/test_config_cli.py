@@ -223,6 +223,36 @@ MALFORMED_SCENARIOS = {
     "zero_half_life": (["scoring", "half_life"], 0, "scoring.half_life"),
 }
 
+# Input files that cannot be read as a JSON document: each function puts
+# one at the path it is given.
+UNREADABLE_FILES = {
+    "non_utf8": lambda path: path.write_bytes(b"\xff\xfe{}"),
+    # past Python's integer-string limit, which json.loads enforces
+    "integer_of_5001_digits": lambda path: path.write_text(
+        '{"seed": 1' + "0" * 5000 + "}", encoding="utf-8"),
+    "directory": lambda path: path.mkdir(),
+}
+
+# Output paths that cannot be made a directory: each function returns one
+# under the directory it is given.
+UNUSABLE_OUT_DIRS = {
+    "existing_file": lambda tmp: _touch(tmp / "taken"),
+    "parent_is_a_file": lambda tmp: _touch(tmp / "taken") / "out",
+}
+
+
+def _touch(path):
+    path.write_text("", encoding="utf-8")
+    return path
+
+
+def assert_clean_exit_2(code, err, prefix):
+    """Exit 2 with a message starting with `prefix` (which names the path), and
+    no traceback."""
+    assert code == 2
+    assert err.startswith(prefix), err
+    assert "Traceback" not in err
+
 
 class TestCmdRun:
     def test_missing_scenario_exit_2(self, tmp_path, capsys):
@@ -318,6 +348,22 @@ class TestCmdRun:
         assert main(["run", "--scenario", str(path), "--out", str(out),
                      "--rounds", "0"]) == 0
         assert len((out / "metrics.csv").read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+    def test_unreadable_scenario_exit_2(self, tmp_path, capsys, case):
+        path = tmp_path / "scenario.json"
+        UNREADABLE_FILES[case](path)
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        assert_clean_exit_2(code, capsys.readouterr().err, f"scenario error: {path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(UNUSABLE_OUT_DIRS))
+    def test_unusable_out_exit_2(self, tmp_path, capsys, case):
+        path = write_scenario(tmp_path, TINY_SCENARIO)
+        out = UNUSABLE_OUT_DIRS[case](tmp_path)
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        assert_clean_exit_2(code, capsys.readouterr().err, f"output error: {out}: ")
 
 
 class TestCmdScore:
@@ -452,6 +498,26 @@ class TestCmdScore:
         err = capsys.readouterr().err
         assert err.startswith(f"reactions error: {reactions}: {expected}")
 
+    @pytest.mark.parametrize("flag", ["reactions", "fabric"])
+    @pytest.mark.parametrize("case", ["directory", "non_utf8"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, flag, case):
+        paths = {"fabric": self._fabric_json(tmp_path), "reactions": tmp_path / "reactions.csv"}
+        paths["reactions"].write_text("", encoding="utf-8")
+        bad = paths[flag] = tmp_path / f"bad-{flag}"
+        UNREADABLE_FILES[case](bad)
+        code = self._score(tmp_path, paths["fabric"], paths["reactions"])
+        assert_clean_exit_2(code, capsys.readouterr().err, f"{flag} error: {bad}: ")
+
+    @pytest.mark.parametrize("case", ["missing_parent", "directory"])
+    def test_unusable_out_exit_2(self, tmp_path, capsys, case):
+        fabric = self._fabric_json(tmp_path)
+        reactions = tmp_path / "reactions.csv"
+        reactions.write_text("", encoding="utf-8")
+        out = tmp_path / "missing" / "cards.csv" if case == "missing_parent" else tmp_path
+        code = main(["score", "--reactions", str(reactions), "--fabric", str(fabric),
+                     "--backend", "gac_penrose", "--out", str(out)])
+        assert_clean_exit_2(code, capsys.readouterr().err, f"output error: {out}: ")
+
     def test_reactions_missing_column_exit_2(self, tmp_path, capsys):
         fabric = self._fabric_json(tmp_path)
         reactions = tmp_path / "reactions.csv"
@@ -555,6 +621,24 @@ class TestCmdCompare:
         path = write_scenario(tmp_path, TINY_SCENARIO)
         assert main(["compare", "--scenario", str(path), "--seeds", "0",
                      "--out", str(tmp_path / "cmp")]) == 2
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+    def test_unreadable_scenario_exit_2(self, tmp_path, capsys, case):
+        path = tmp_path / "scenario.json"
+        UNREADABLE_FILES[case](path)
+        out = tmp_path / "cmp"
+        code = main(["compare", "--scenario", str(path), "--seeds", "1", "--out", str(out)])
+        assert_clean_exit_2(code, capsys.readouterr().err, f"scenario error: {path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(UNUSABLE_OUT_DIRS))
+    def test_unusable_out_exit_2(self, tmp_path, capsys, case):
+        doc = copy.deepcopy(TINY_SCENARIO)
+        doc["sim"]["rounds"] = 0
+        path = write_scenario(tmp_path, doc)
+        out = UNUSABLE_OUT_DIRS[case](tmp_path)
+        code = main(["compare", "--scenario", str(path), "--seeds", "1", "--out", str(out)])
+        assert_clean_exit_2(code, capsys.readouterr().err, f"output error: {out}: ")
 
 
 class TestMainCollector:

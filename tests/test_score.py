@@ -818,14 +818,21 @@ def test_add_into_a_citizen_row_keeps_the_rest():
     f, catalog, rm = _citizen_rows_instance(3)
     scores = score_round(f, catalog, rm, ScoringParams(), current_round=5)
     scope = ("citizen", 2)
+    # citizen 3 has citizen 2's membership signature, so the two scopes
+    # share their profiles
+    other = ("citizen", 3)
+    assert f.member_communities(3) == f.member_communities(2)
     before = dict(scores.scope_cards(scope))
+    other_before = dict(scores.scope_cards(other))
     n = len(scores.cards)
     m = min(before)
-    replacement = dataclasses.replace(before[m], psi=0.75)
+    replacement = dataclasses.replace(before[m], psi=0.75, iota=2.0,
+                                      characteristic_blocs=frozenset({99}))
     scores.add(replacement)
     assert dict(scores.scope_cards(scope)) == {**before, m: replacement}
     assert len(scores.cards) == n
     assert scores.psi(m, scope) == scores.column(scope)[m] == 0.75
+    assert dict(scores.scope_cards(other)) == other_before
 
 
 def test_scorecard_csv_contract():
