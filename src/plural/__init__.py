@@ -12,9 +12,9 @@ coherence, conservation of attention and money) are measurable.
 from .config import ScenarioConfig
 from .detect import (AttitudeMatrix, CommunityCandidate, FuzzyPartition,
                      detect_communities, fuzzy_c_means, principal_subcommunities)
-from .econ import (Advertiser, AdDeal, EconParams, LambdaPolicy, Ledger,
-                   LedgerEntry, PolicyBook, attribute_entry, reward_standing,
-                   sell_standing, settle_round)
+from .econ import (Advertiser, AdDeal, EconParams, Ledger, LedgerEntry,
+                   PolicyBook, attribute_entry, reward_standing, sell_standing,
+                   settle_round)
 from .fabric import Citizen, Community, MembershipEdge, SocialFabric
 from .rank import (EffectivePsi, FeedEntry, ProvenanceTag, PsiOverrides,
                    RankingParams, build_feed, exposure_weights, seed_content)

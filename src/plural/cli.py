@@ -13,6 +13,7 @@ import dataclasses
 import gc
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from ._rng import SEED_MAX
 from .config import ScenarioConfig, read_text
@@ -29,31 +30,40 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _make_out_dir(out: str) -> bool:
-    """Create the --out directory; False, after saying why, if it cannot be."""
+class _OutputError(Exception):
+    """An output directory or file could not be made or written; the
+    message starts with its path."""
+
+
+def _make_out_dir(out: str) -> None:
+    """Create the --out directory."""
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"output error: {out}: cannot create the directory: {exc.strerror}",
-              file=sys.stderr)
-        return False
-    return True
+        raise _OutputError(f"{out}: cannot create the directory: {exc.strerror}") from None
+
+
+def _write_file(path: Path, chunks: Iterable[str]) -> None:
+    """Write `chunks` to `path` as UTF-8 with "\\n" line ends."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise _OutputError(f"{path}: cannot write the file: {exc.strerror}") from None
 
 
 def _write_outputs(out_dir: Path, result) -> None:
     """Write the five artifacts, streaming the three large ones line by line."""
     community_ids = sorted(result.fabric.communities)
-    (out_dir / "metrics.csv").write_text(
-        simulation.metrics_csv(result.metrics, community_ids), encoding="utf-8")
-    with open(out_dir / "feeds.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for round_, citizen, feed in result.feeds:
-            fh.writelines(feed_lines(round_, citizen, feed))
-    with open(out_dir / "ledger.csv", "w", encoding="utf-8") as fh:
-        fh.writelines(result.ledger.csv_lines())
-    (out_dir / "fabric.json").write_text(result.fabric.to_json(indent=2), encoding="utf-8")
+    _write_file(out_dir / "metrics.csv",
+                [simulation.metrics_csv(result.metrics, community_ids)])
+    _write_file(out_dir / "feeds.jsonl",
+                (line for round_, citizen, feed in result.feeds
+                 for line in feed_lines(round_, citizen, feed)))
+    _write_file(out_dir / "ledger.csv", result.ledger.csv_lines())
+    _write_file(out_dir / "fabric.json", [result.fabric.to_json(indent=2)])
     scores = result.scores if result.scores is not None else ScoreSet()
-    with open(out_dir / "scorecards.csv", "w", encoding="utf-8") as fh:
-        fh.writelines(scores.csv_lines())
+    _write_file(out_dir / "scorecards.csv", scores.csv_lines())
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -69,14 +79,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None and not 0 <= args.seed <= SEED_MAX:
         print(f"--seed must be in [0, {SEED_MAX}], got {args.seed}", file=sys.stderr)
         return EXIT_CONFIG
-    if not _make_out_dir(args.out):
-        return EXIT_CONFIG
+    _make_out_dir(args.out)
     try:
         result = simulation.run(config, seed=args.seed, rounds=args.rounds)
-        _write_outputs(Path(args.out), result)
     except PluralError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    _write_outputs(Path(args.out), result)
     return EXIT_OK
 
 
@@ -141,12 +150,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     except PluralError as exc:
         print(f"scoring failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    try:
-        Path(args.out).write_text(scores.to_csv(), encoding="utf-8")
-    except OSError as exc:
-        print(f"output error: {args.out}: cannot write the file: {exc.strerror}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+    _write_file(Path(args.out), scores.csv_lines())
     return EXIT_OK
 
 
@@ -218,14 +222,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"--seeds {args.seeds} from scenario seed {config.seed} runs past seed "
               f"{SEED_MAX}", file=sys.stderr)
         return EXIT_CONFIG
-    if not _make_out_dir(args.out):
-        return EXIT_CONFIG
+    _make_out_dir(args.out)
     try:
         rows = compare_runs(config, args.seeds)
-        (Path(args.out) / "comparison.csv").write_text(comparison_csv(rows), encoding="utf-8")
     except PluralError as exc:
         print(f"comparison failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    _write_file(Path(args.out) / "comparison.csv", [comparison_csv(rows)])
     return EXIT_OK
 
 
@@ -267,13 +270,17 @@ def main(argv: list[str] | None = None) -> int:
 
     A run's state is acyclic and freed by reference counting, so the
     collector's passes over it free nothing; the caller's collector state
-    is restored on the way out, also when argparse exits.
+    is restored on the way out, also when argparse exits. An output that
+    cannot be made or written ends the subcommand with exit 2.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     finally:
         if enabled:
             gc.enable()

@@ -15,6 +15,12 @@ import numpy as np
 from ._rng import derive_rng
 from .errors import DegenerateInput, NotFound, TooSmall
 
+# Fuzzy c-means settings: the fuzzifier m (> 1), the iteration cap, and the
+# centroid shift below which a run has converged.
+FUZZIFIER = 2.0
+MAX_ITERS = 300
+TOL = 1e-6
+
 
 @dataclass
 class AttitudeMatrix:
@@ -53,7 +59,6 @@ class FuzzyPartition:
 
     memberships: np.ndarray          # n x K, rows sum to 1
     centroids: np.ndarray            # K x features
-    fuzzifier: float
     K: int
     converged: bool = True
     n_iters: int = 0
@@ -64,10 +69,10 @@ class FuzzyPartition:
         return float(np.mean(np.sum(self.memberships ** 2, axis=1)))
 
 
-def _memberships_from_distances(d2: np.ndarray, fuzzifier: float) -> np.ndarray:
+def _memberships_from_distances(d2: np.ndarray) -> np.ndarray:
     # u_ik proportional to d_ik^(-1/(m-1)); rows touching a centroid exactly
     # split their mass over the zero-distance centroids.
-    power = -1.0 / (fuzzifier - 1.0)
+    power = -1.0 / (FUZZIFIER - 1.0)
     zero = d2 <= 1e-300
     with np.errstate(divide="ignore"):
         g = np.where(zero, 0.0, d2) ** power
@@ -106,18 +111,15 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
-def fuzzy_c_means(data: AttitudeMatrix, K: int, fuzzifier: float = 2.0,
-                  seed: int = 0, max_iters: int = 300, tol: float = 1e-6) -> FuzzyPartition:
-    """Alternating membership/centroid updates until centroids move < tol.
+def fuzzy_c_means(data: AttitudeMatrix, K: int, seed: int = 0) -> FuzzyPartition:
+    """Alternating membership/centroid updates until centroids move < TOL.
 
     Seeding is k-means++ from the given seed; non-convergence within
-    `max_iters` is reported through the `converged` flag, never an error.
+    MAX_ITERS is reported through the `converged` flag, never an error.
     The recorded objective is non-increasing iteration over iteration.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
-    if fuzzifier <= 1:
-        raise ValueError("fuzzifier must be > 1")
     x = data.values
     n_distinct = np.unique(x, axis=0).shape[0] if x.size else 0
     if n_distinct < K:
@@ -125,29 +127,27 @@ def fuzzy_c_means(data: AttitudeMatrix, K: int, fuzzifier: float = 2.0,
 
     rng = derive_rng(seed, "fcm", K)
     centroids = _kmeanspp_init(x, K, rng)
-    u = _memberships_from_distances(_sq_distances(x, centroids), fuzzifier)
+    u = _memberships_from_distances(_sq_distances(x, centroids))
     history: list[float] = []
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
-        um = u ** fuzzifier
+    for it in range(1, MAX_ITERS + 1):
+        um = u ** FUZZIFIER
         new_centroids = (um.T @ x) / um.sum(axis=0)[:, None]
         d2 = _sq_distances(x, new_centroids)
-        u = _memberships_from_distances(d2, fuzzifier)
-        history.append(float(np.sum((u ** fuzzifier) * d2)))
+        u = _memberships_from_distances(d2)
+        history.append(float(np.sum((u ** FUZZIFIER) * d2)))
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
-        if shift < tol:
+        if shift < TOL:
             converged = True
             break
-    return FuzzyPartition(memberships=u, centroids=centroids, fuzzifier=fuzzifier,
-                          K=K, converged=converged, n_iters=it,
-                          objective_history=history)
+    return FuzzyPartition(memberships=u, centroids=centroids, K=K, converged=converged,
+                          n_iters=it, objective_history=history)
 
 
 def select_partition(data: AttitudeMatrix, k_range: tuple[int, int],
-                     seed: int = 0, fuzzifier: float = 2.0,
-                     max_iters: int = 300, tol: float = 1e-6) -> FuzzyPartition:
+                     seed: int = 0) -> FuzzyPartition:
     """Sweep K over `k_range` and keep the run maximizing the partition coefficient.
 
     The top of the range is clamped to the number of distinct rows; if even
@@ -160,8 +160,7 @@ def select_partition(data: AttitudeMatrix, k_range: tuple[int, int],
     k_hi = min(k_hi, max(n_distinct, k_lo))
     best: FuzzyPartition | None = None
     for k in range(k_lo, k_hi + 1):
-        part = fuzzy_c_means(data, k, fuzzifier=fuzzifier, seed=seed,
-                             max_iters=max_iters, tol=tol)
+        part = fuzzy_c_means(data, k, seed=seed)
         if best is None or part.partition_coefficient() > best.partition_coefficient():
             best = part
     assert best is not None
@@ -177,8 +176,7 @@ class CommunityCandidate:
 
 
 def detect_communities(reactions: AttitudeMatrix, min_size: int, threshold: float,
-                       k_range: tuple[int, int], seed: int = 0,
-                       fuzzifier: float = 2.0) -> list[CommunityCandidate]:
+                       k_range: tuple[int, int], seed: int = 0) -> list[CommunityCandidate]:
     """Candidate overlapping communities from signed reaction rows.
 
     A citizen joins candidate k when its membership degree reaches
@@ -187,7 +185,7 @@ def detect_communities(reactions: AttitudeMatrix, min_size: int, threshold: floa
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must be in (0, 1)")
-    part = select_partition(reactions, k_range, seed=seed, fuzzifier=fuzzifier)
+    part = select_partition(reactions, k_range, seed=seed)
     out: list[CommunityCandidate] = []
     for k in range(part.K):
         deg = part.memberships[:, k]
@@ -201,7 +199,7 @@ def detect_communities(reactions: AttitudeMatrix, min_size: int, threshold: floa
 
 
 def principal_subcommunities(fabric, community: int, reactions: AttitudeMatrix,
-                             seed: int = 0, fuzzifier: float = 2.0) -> list[set[int]]:
+                             seed: int = 0) -> list[set[int]]:
     """Detect a community's 2-7 dominant internal blocs and store them.
 
     Members are hard-assigned to their argmax cluster so downstream scoring
@@ -216,7 +214,7 @@ def principal_subcommunities(fabric, community: int, reactions: AttitudeMatrix,
     if len(observed) < 4:
         raise TooSmall(f"community {community}: {len(observed)} observed members, need >= 4")
     sub = sub.restrict_rows(observed)
-    part = select_partition(sub, (2, 7), seed=seed, fuzzifier=fuzzifier)
+    part = select_partition(sub, (2, 7), seed=seed)
     assign = np.argmax(part.memberships, axis=1)
     blocs: list[set[int]] = []
     for k in range(part.K):

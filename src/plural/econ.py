@@ -17,13 +17,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .config import EconParams
+from .config import AdDealConfig, EconParams
 from .errors import InsufficientFunds, NoAcceptedDeal, NotFound, Unregistered
 from .rank import attention_terms
 
 OwnerRef = tuple[str, int]
 
 PLATFORM: OwnerRef = ("platform", 0)
+
+# One attention numerator term: its owner, weight and psi column.
+SponsorTerm = tuple[OwnerRef, float, Mapping[int, float]]
 
 REASONS = ("ImpressionSponsorship", "Subscription", "AdImpression",
            "CreatorReward", "PlatformFee", "StandingPurchase")
@@ -117,17 +120,15 @@ class Ledger:
         return "".join(self.csv_lines())
 
 
-@dataclass
-class AdDeal:
-    community: int
-    price_per_impression: float
-    accepted: bool = False
+# A consented advertiser deal: the scenario's own record, under its econ name.
+AdDeal = AdDealConfig
 
 
 @dataclass
 class Advertiser:
+    """An advertiser's terms; its budget is its ledger account."""
+
     id: int
-    budget: float
     deals: list[AdDeal] = field(default_factory=list)
     personal_targeting: bool = False
     personal_price: float = 0.0
@@ -140,27 +141,17 @@ class Advertiser:
         return None
 
 
-@dataclass
-class LambdaPolicy:
-    owner: OwnerRef
-    lambda_: float = 0.0
-    funding: str = "SelfPaid"              # SelfPaid | AdFunded
-    price_per_lambda_impression: Optional[float] = None
-
-
 class PolicyBook:
-    """Lambda policies plus the pending changes that apply at round boundaries."""
+    """Per-owner prices per lambda-weighted impression, and the queued lambda
+    changes that apply at round boundaries. The fabric holds the live lambdas."""
 
     def __init__(self, default_price: float = 0.01) -> None:
-        self.policies: dict[OwnerRef, LambdaPolicy] = {}
-        self.pending: dict[OwnerRef, LambdaPolicy] = {}
+        self.prices: dict[OwnerRef, float] = {}
+        self.pending: dict[OwnerRef, float] = {}
         self.default_price = default_price
 
     def price_for(self, owner: OwnerRef) -> float:
-        pol = self.policies.get(owner)
-        if pol is not None and pol.price_per_lambda_impression is not None:
-            return pol.price_per_lambda_impression
-        return self.default_price
+        return self.prices.get(owner, self.default_price)
 
     def set_lambda(self, owner: OwnerRef, new_lambda: float, funding: str,
                    advertisers: Mapping[int, Advertiser], fabric) -> None:
@@ -186,31 +177,39 @@ class PolicyBook:
                     raise NoAcceptedDeal(f"citizen {oid} has no active personal-ad arrangement")
             else:
                 raise ValueError(f"{kind} cannot hold a lambda policy")
-        old = self.policies.get(owner)
-        price = old.price_per_lambda_impression if old else None
-        self.pending[owner] = LambdaPolicy(owner, new_lambda, funding, price)
+        self.pending[owner] = new_lambda
 
     def apply_pending(self, fabric) -> None:
-        """Round boundary: copy queued weights into the live policy and fabric."""
+        """Round boundary: copy queued weights into the fabric."""
         for owner in sorted(self.pending):
-            self._set(owner, self.pending[owner], fabric)
+            _write_lambda(fabric, owner, self.pending[owner])
         self.pending.clear()
 
-    def clamp(self, owner: OwnerRef, fabric) -> None:
-        """Zero out a sponsor that failed to pay, effective immediately for
-        future rounds."""
-        pol = self.policies.get(owner) or LambdaPolicy(owner)
-        pol.lambda_ = 0.0
-        self._set(owner, pol, fabric)
 
-    def _set(self, owner: OwnerRef, pol: LambdaPolicy, fabric) -> None:
-        """Make `pol` the live policy and copy its weight into the fabric."""
-        self.policies[owner] = pol
-        kind, oid = owner
-        if kind == "citizen" and oid in fabric.citizens:
-            fabric.citizens[oid].lambda_ = pol.lambda_
-        elif kind == "community" and oid in fabric.communities:
-            fabric.communities[oid].lambda_ = pol.lambda_
+def _write_lambda(fabric, owner: OwnerRef, value: float) -> None:
+    """Set the owner's live lambda in the fabric; owners it does not hold
+    are ignored."""
+    kind, oid = owner
+    holder = {"citizen": fabric.citizens, "community": fabric.communities}.get(kind, {}).get(oid)
+    if holder is not None:
+        holder.lambda_ = value
+
+
+def _sponsor_terms(citizen: int, fabric, psi_view) -> list[SponsorTerm]:
+    """The citizen's attention numerator terms with a positive weight, each
+    with its owner's psi column."""
+    return [(owner, w, psi_view.column(owner))
+            for owner, w in attention_terms(citizen, fabric) if w > 0]
+
+
+def _shares(terms: Sequence[SponsorTerm], content: int) -> list[tuple[OwnerRef, float]]:
+    """Each owner's fraction of the content's attention numerator, over the
+    owners whose term is positive; empty when the numerator is not."""
+    values = [(owner, w * col.get(content, 0.0)) for owner, w, col in terms]
+    total = sum(v for _, v in values)
+    if total <= 0:
+        return []
+    return [(owner, v / total) for owner, v in values if v > 0]
 
 
 def attribute_entry(citizen: int, content: int, fabric, psi_view) -> list[tuple[OwnerRef, float]]:
@@ -220,13 +219,7 @@ def attribute_entry(citizen: int, content: int, fabric, psi_view) -> list[tuple[
     its term contributed. Fractions sum to 1; an all-zero numerator (uniform
     fallback or exploration slot) has no sponsors.
     """
-    terms = [(owner, w * psi_view.psi(content, owner))
-             for owner, w in attention_terms(citizen, fabric)]
-    terms = [(owner, v) for owner, v in terms if v > 0]
-    total = sum(v for _, v in terms)
-    if total <= 0:
-        return []
-    return [(owner, v / total) for owner, v in terms]
+    return _shares(_sponsor_terms(citizen, fabric, psi_view), content)
 
 
 def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
@@ -248,13 +241,6 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
     events: list[dict] = []
     clamped: set[OwnerRef] = set()
 
-    def clamp(owner: OwnerRef) -> None:
-        if owner in clamped:
-            return
-        policies.clamp(owner, fabric)
-        clamped.add(owner)
-        events.append({"round": round_, "kind": "lambda_clamped", "owner": owner})
-
     def pay_ad(adv: Advertiser, to_owner: OwnerRef, amount: float) -> None:
         if ledger.balance(("advertiser", adv.id)) + 1e-12 < amount:
             events.append({"round": round_, "kind": "ad_skipped",
@@ -262,19 +248,12 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
         else:
             ledger.post(round_, ("advertiser", adv.id), to_owner, amount, "AdImpression")
 
-    # A citizen's numerator coefficients are read at their first sponsored
-    # entry and kept for the round, with each term's psi column. A clamp
-    # zeroes the owner's lambda in the fabric at once, so citizens reached
-    # after it no longer include it.
-    term_cache: dict[int, list[tuple[OwnerRef, float, Mapping[int, float]]]] = {}
-
-    def static_terms(citizen: int) -> list[tuple[OwnerRef, float, Mapping[int, float]]]:
-        if citizen not in term_cache:
-            term_cache[citizen] = [(owner, w, psi_view.column(owner))
-                                   for owner, w in attention_terms(citizen, fabric) if w > 0]
-        return term_cache[citizen]
-
     for citizen in sorted(feeds):
+        # The citizen's terms are read once, before its entries settle. A
+        # clamp zeroes the owner's lambda in the fabric at once, so citizens
+        # settled after it no longer include it; entries before a citizen's
+        # first sponsored one change no lambda or devotion.
+        terms = _sponsor_terms(citizen, fabric, psi_view)
         for entry in sorted(feeds[citizen], key=lambda e: e.rank_position):
             content = catalog[entry.content]
             share = entry.exposure_share
@@ -299,15 +278,7 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
                     pay_ad(adv, ("citizen", citizen), adv.personal_price * share)
                 continue
 
-            contributions = [(owner, w * col.get(entry.content, 0.0))
-                             for owner, w, col in static_terms(citizen)]
-            total = sum(v for _, v in contributions)
-            if total <= 0:
-                continue
-            for owner, value in contributions:
-                frac = value / total
-                if frac <= 0:
-                    continue
+            for owner, frac in _shares(terms, entry.content):
                 kind, oid = owner
                 if owner in clamped:
                     continue
@@ -317,7 +288,9 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
                 if charge <= 0:
                     continue
                 if ledger.balance(owner) + 1e-12 < charge:
-                    clamp(owner)
+                    _write_lambda(fabric, owner, 0.0)
+                    clamped.add(owner)
+                    events.append({"round": round_, "kind": "lambda_clamped", "owner": owner})
                     continue
                 fee = params.platform_fee * charge
                 reward = params.creator_share * charge

@@ -227,25 +227,27 @@ def feed_to_records(round_: int, citizen: int, feed: Sequence[FeedEntry]) -> lis
 
 
 def seed_content(overrides: PsiOverrides, fabric, content, community: int,
-                 creator: int, stake: float, params: RankingParams,
-                 current_round: int, advertiser_allowances: dict[int, dict[int, float]] | None = None) -> float:
-    """Spend standing (or purchased advertiser allowance) for initial prominence.
+                 stake: float, params: RankingParams, current_round: int,
+                 allowance: dict[int, float] | None = None) -> float:
+    """Spend the content creator's standing (or purchased advertiser
+    allowance) for initial prominence.
 
     Returns the psi override value (stake * stake_scale); a zero stake is a
-    no-op. Citizens spend raw standing in the community; advertisers draw on
-    the seeding allowance bought via the standing market.
+    no-op. Citizen creators spend raw standing in the community; advertiser
+    content draws on `allowance`, the advertiser's own seeding allowance by
+    community (bought via the standing market), which is debited in place.
     """
     if stake < 0:
         raise ValueError("stake must be >= 0")
     if stake == 0.0:
         return 0.0
+    creator = content.creator
     if content.creator_kind == "advertiser":
-        allowances = advertiser_allowances if advertiser_allowances is not None else {}
-        have = allowances.get(creator, {}).get(community, 0.0)
+        have = allowance.get(community, 0.0) if allowance is not None else 0.0
         if have < stake:
             raise InsufficientStanding(
                 f"advertiser {creator} allowance {have:.6g} in community {community} < stake {stake:.6g}")
-        allowances[creator][community] = have - stake
+        allowance[community] = have - stake
     else:
         citizen = fabric.citizens.get(creator)
         if citizen is None or community not in citizen.memberships:

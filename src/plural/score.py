@@ -61,77 +61,80 @@ class ContentItem:
             raise ValueError(f"bad creator kind {self.creator_kind!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Interaction:
-    exposed: bool
+    """One citizen's record of one content: a record exists only once the
+    citizen was exposed to the content."""
+
     reaction: int      # -1, 0, +1
     round: int
 
 
 class ReactionMatrix:
-    """Sparse (citizen, content) -> exposure/reaction record.
+    """Sparse (citizen, content) -> reaction record.
 
-    A nonzero reaction implies exposure. Re-recording refreshes the round
-    (latest interaction wins).
+    Each `Interaction` is held once and reached from two indexes, by citizen
+    and by content. A nonzero reaction implies exposure. Re-recording
+    refreshes the round (latest interaction wins).
     """
 
     def __init__(self) -> None:
-        self._cells: dict[tuple[int, int], Interaction] = {}
-        self._by_content: dict[int, set[int]] = {}
         self._by_citizen: dict[int, dict[int, Interaction]] = {}
+        self._by_content: dict[int, dict[int, Interaction]] = {}
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return sum(len(row) for row in self._by_citizen.values())
 
     def record_exposure(self, citizen: int, content: int, round_: int) -> None:
-        cell = self._cells.get((citizen, content))
+        row = self._by_citizen.setdefault(citizen, {})
+        cell = row.get(content)
         if cell is None:
-            cell = Interaction(True, 0, round_)
-            self._cells[(citizen, content)] = cell
-            self._by_content.setdefault(content, set()).add(citizen)
-            self._by_citizen.setdefault(citizen, {})[content] = cell
+            cell = row[content] = Interaction(0, round_)
+            self._by_content.setdefault(content, {})[citizen] = cell
         else:
-            cell.exposed = True
             cell.round = max(cell.round, round_)
 
     def record_reaction(self, citizen: int, content: int, reaction: int, round_: int) -> None:
         if reaction not in (-1, 0, 1):
             raise ValueError("reaction must be -1, 0 or +1")
         self.record_exposure(citizen, content, round_)
-        cell = self._cells[(citizen, content)]
+        cell = self._by_citizen[citizen][content]
         if reaction != 0:
             cell.reaction = reaction
             cell.round = max(cell.round, round_)
 
     def get(self, citizen: int, content: int) -> Optional[Interaction]:
-        return self._cells.get((citizen, content))
+        return self._by_citizen.get(citizen, {}).get(content)
 
-    def citizens_for(self, content: int) -> set[int]:
-        return self._by_content.get(content, set())
+    def citizens_for(self, content: int) -> collections.abc.Set[int]:
+        """The citizens exposed to the content, as a live read-only set view."""
+        return self._by_content.get(content, {}).keys()
 
     def for_citizen(self, citizen: int) -> dict[int, Interaction]:
         """Live view of the citizen's row; do not mutate."""
         return self._by_citizen.get(citizen, {})
 
     def by_content(self, content: int) -> Iterator[tuple[int, Interaction]]:
-        for citizen in sorted(self._by_content.get(content, ())):
-            yield citizen, self._cells[(citizen, content)]
+        """The content's records in citizen id order."""
+        yield from sorted(self._by_content.get(content, {}).items())
 
     def contents(self) -> list[int]:
         return sorted(self._by_content)
 
     def items(self) -> Iterator[tuple[tuple[int, int], Interaction]]:
-        yield from self._cells.items()
+        for citizen, row in self._by_citizen.items():
+            for content, cell in row.items():
+                yield (citizen, content), cell
 
-    # CSV interchange: citizen_id, content_id, round, exposed(0/1), reaction
+    # CSV interchange: citizen_id, content_id, round, exposed(0/1), reaction.
+    # Every held record is an exposure, so `to_csv` writes exposed as 1.
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(REACTIONS_CSV_HEADER)
-        for (citizen, content) in sorted(self._cells):
-            cell = self._cells[(citizen, content)]
-            w.writerow([citizen, content, cell.round, int(cell.exposed), cell.reaction])
+        for (citizen, content), cell in sorted(self.items()):
+            w.writerow([citizen, content, cell.round, 1, cell.reaction])
         return buf.getvalue()
 
     @classmethod
@@ -171,12 +174,12 @@ class ReactionMatrix:
                      col_ids: Sequence[int] | None = None):
         """Dense signed-reaction matrix for the detection pathway."""
         from .detect import AttitudeMatrix
-        rows = sorted({p for p, _ in self._cells}) if row_ids is None else list(row_ids)
+        rows = sorted(self._by_citizen) if row_ids is None else list(row_ids)
         cols = self.contents() if col_ids is None else list(col_ids)
         values = np.zeros((len(rows), len(cols)))
         ri = {r: i for i, r in enumerate(rows)}
         ci = {c: j for j, c in enumerate(cols)}
-        for (p, m), cell in self._cells.items():
+        for (p, m), cell in self.items():
             if p in ri and m in ci:
                 values[ri[p], ci[m]] = float(cell.reaction)
         return AttitudeMatrix(rows, cols, values)
@@ -227,7 +230,7 @@ def _interest(records: Sequence[tuple[int, Interaction]], members: Collection[in
         return 0.0
     total = 0.0
     for p, cell in records:
-        if cell.exposed and p in members:
+        if p in members:
             total += decay.weight(cell)
     return total / len(members)
 
@@ -643,6 +646,17 @@ def score_for_community(content: ContentItem, community, reactions: ReactionMatr
     return col.card(content.id, ("community", community.id))
 
 
+def _citizen_column(profiles: dict[int, _Profile], row: Mapping[int, Interaction],
+                    decay: _Decay, popularity_only: bool) -> _Column:
+    """A citizen scope's column over the contents of `profiles`: iota is the
+    decay weight of the citizen's own reaction record (the singleton scope's
+    interest), psi = iota * strength, or iota alone under `popularity_only`."""
+    iota = {mid: decay.weight(cell) for mid, cell in row.items() if mid in profiles}
+    psi = iota if popularity_only else \
+        {mid: v * profiles[mid].strength for mid, v in iota.items()}
+    return _Column(profiles, iota, psi, shared=True)
+
+
 def citizen_score(content: ContentItem, citizen: int, fabric, reactions: ReactionMatrix,
                   params: ScoringParams, current_round: int) -> ScoreCard:
     """Card for one content scoped to a citizen.
@@ -654,12 +668,11 @@ def citizen_score(content: ContentItem, citizen: int, fabric, reactions: Reactio
     degenerate community.
     """
     records = list(reactions.by_content(content.id))
-    iota = _interest(records, {citizen}, _Decay(current_round, params.half_life))
     blocs = [fabric.communities[c].members for c in fabric.member_communities(citizen)]
     rates = np.array([_smoothed_rate(records, b, params.alpha) for b in blocs], dtype=float)
-    p = _profile(rates, [len(b) for b in blocs], params)
-    col = _Column()
-    col.put(content.id, p, iota, community_score(iota, p.beta, p.delta, params.popularity_only))
+    profiles = {content.id: _profile(rates, [len(b) for b in blocs], params)}
+    col = _citizen_column(profiles, reactions.for_citizen(citizen),
+                          _Decay(current_round, params.half_life), params.popularity_only)
     return col.card(content.id, ("citizen", citizen))
 
 
@@ -776,14 +789,9 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
             shared = signatures[comms] = (
                 profiles, [m for m, p in profiles.items() if p.label == LABEL_DIVISIVE])
         profiles, divisive = shared
-        iota: dict[int, float] = {}
-        for mid, cell in reactions.for_citizen(pid).items():
-            if cell.exposed and mid in profiles:
-                iota[mid] = decay.weight(cell)
-        psi = iota if params.popularity_only else \
-            {mid: v * profiles[mid].strength for mid, v in iota.items()}
         scope: Scope = ("citizen", pid)
-        scores._columns[scope] = _Column(profiles, iota, psi, shared=True)
+        scores._columns[scope] = _citizen_column(profiles, reactions.for_citizen(pid),
+                                                 decay, params.popularity_only)
         for mid in divisive:
             balance(scope, mid)
     return scores

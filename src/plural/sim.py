@@ -20,8 +20,8 @@ import numpy as np
 from ._rng import derive_rng, derive_seed
 from .config import ScenarioConfig
 from .detect import principal_subcommunities
-from .econ import (PLATFORM, Advertiser, AdDeal, LambdaPolicy, Ledger,
-                   PolicyBook, reward_standing, sell_standing, settle_round)
+from .econ import (PLATFORM, Advertiser, Ledger, PolicyBook, reward_standing,
+                   sell_standing, settle_round)
 from .errors import DegenerateInput, EmptyCommunity, TooSmall
 from .fabric import SocialFabric
 from .rank import (EffectivePsi, FeedEntry, PsiOverrides, build_feed,
@@ -275,16 +275,12 @@ class _Simulation:
         for cid, template in enumerate(self.config.communities):
             ledger.open_account(("community", cid), template.balance)
             if template.price_per_lambda_impression is not None:
-                self.policies.policies[("community", cid)] = LambdaPolicy(
-                    ("community", cid), template.lambda_, "SelfPaid",
-                    template.price_per_lambda_impression)
+                self.policies.prices[("community", cid)] = template.price_per_lambda_impression
         for p in range(self.n):
             if self.fabric.citizens[p].subscriber:
                 ledger.open_account(("citizen", p), config.population.citizen_balance)
         for aid, adv_cfg in enumerate(config.advertisers):
-            adv = Advertiser(id=aid, budget=adv_cfg.budget,
-                             deals=[AdDeal(d.community, d.price_per_impression, d.accepted)
-                                    for d in adv_cfg.deals],
+            adv = Advertiser(id=aid, deals=adv_cfg.deals,
                              personal_targeting=adv_cfg.personal_targeting,
                              personal_price=adv_cfg.personal_price)
             self.advertisers[aid] = adv
@@ -328,9 +324,8 @@ class _Simulation:
                 available = self.fabric.raw_standing(creator, cid) - 2e-6
                 stake = min(stake_drawn, max(available, 0.0))
                 if stake > 0:
-                    seed_content(self.overrides, self.fabric, item, cid, creator,
-                                 stake, cfg.ranking, round_)
-        allowances = {aid: adv.seeding_allowance for aid, adv in self.advertisers.items()}
+                    seed_content(self.overrides, self.fabric, item, cid, stake,
+                                 cfg.ranking, round_)
         for aid in sorted(self.advertisers):
             adv_cfg = cfg.advertisers[aid]
             adv = self.advertisers[aid]
@@ -345,9 +340,8 @@ class _Simulation:
                 for cid in sorted(targets):
                     stake = min(adv_cfg.seed_stake, adv.seeding_allowance.get(cid, 0.0))
                     if stake > 0:
-                        seed_content(self.overrides, self.fabric, item, cid, aid,
-                                     stake, cfg.ranking, round_,
-                                     advertiser_allowances=allowances)
+                        seed_content(self.overrides, self.fabric, item, cid, stake,
+                                     cfg.ranking, round_, allowance=adv.seeding_allowance)
 
     def _refresh_structure(self, round_: int) -> None:
         if len(self.reactions) == 0:

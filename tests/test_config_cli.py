@@ -358,12 +358,17 @@ class TestCmdRun:
         assert_clean_exit_2(code, capsys.readouterr().err, f"scenario error: {path}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", sorted(UNUSABLE_OUT_DIRS))
+    @pytest.mark.parametrize("case", sorted(UNUSABLE_OUT_DIRS) + ["artifact_is_a_directory"])
     def test_unusable_out_exit_2(self, tmp_path, capsys, case):
         path = write_scenario(tmp_path, TINY_SCENARIO)
-        out = UNUSABLE_OUT_DIRS[case](tmp_path)
+        if case == "artifact_is_a_directory":
+            out = tmp_path / "out"
+            unusable = out / "metrics.csv"
+            unusable.mkdir(parents=True)
+        else:
+            out = unusable = UNUSABLE_OUT_DIRS[case](tmp_path)
         code = main(["run", "--scenario", str(path), "--out", str(out)])
-        assert_clean_exit_2(code, capsys.readouterr().err, f"output error: {out}: ")
+        assert_clean_exit_2(code, capsys.readouterr().err, f"output error: {unusable}: ")
 
 
 class TestCmdScore:
@@ -631,14 +636,19 @@ class TestCmdCompare:
         assert_clean_exit_2(code, capsys.readouterr().err, f"scenario error: {path}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", sorted(UNUSABLE_OUT_DIRS))
+    @pytest.mark.parametrize("case", sorted(UNUSABLE_OUT_DIRS) + ["artifact_is_a_directory"])
     def test_unusable_out_exit_2(self, tmp_path, capsys, case):
         doc = copy.deepcopy(TINY_SCENARIO)
         doc["sim"]["rounds"] = 0
         path = write_scenario(tmp_path, doc)
-        out = UNUSABLE_OUT_DIRS[case](tmp_path)
+        if case == "artifact_is_a_directory":
+            out = tmp_path / "cmp"
+            unusable = out / "comparison.csv"
+            unusable.mkdir(parents=True)
+        else:
+            out = unusable = UNUSABLE_OUT_DIRS[case](tmp_path)
         code = main(["compare", "--scenario", str(path), "--seeds", "1", "--out", str(out)])
-        assert_clean_exit_2(code, capsys.readouterr().err, f"output error: {out}: ")
+        assert_clean_exit_2(code, capsys.readouterr().err, f"output error: {unusable}: ")
 
 
 class TestMainCollector:

@@ -232,13 +232,111 @@ class TestSettleRound:
         assert revenue(0.9) >= revenue(0.5) >= revenue(0.2)
 
 
+    def test_charges_follow_attribution(self):
+        """Unclamped, each owner's charge for an entry (platform fee, creator
+        reward and pool remainder together) is price * share * the owner's
+        attribute_entry fraction, and only attributed owners are charged."""
+        f = SocialFabric()
+        p = f.add_citizen(lambda_=0.6, subscriber=True)
+        creator = f.add_citizen()
+        c1 = f.add_community(lambda_=1.2)
+        c2 = f.add_community(lambda_=0.7)
+        for c, devotion in ((c1, 1.3), (c2, 0.7)):
+            f.add_membership(p, c, 1.0, devotion)
+            f.add_membership(creator, c, 1.0, 1.0)
+        owners = [("citizen", p), ("community", c1), ("community", c2)]
+        ledger = Ledger()
+        for owner in owners:
+            ledger.open_account(owner, 100.0)
+        catalog = {m: ContentItem(id=m, creator=creator, target_communities={c1, c2})
+                   for m in range(3)}
+        psis = {0: (0.3, 0.8, 0.5), 1: (0.9, 0.1, 0.6), 2: (0.4, 0.7, 0.0)}
+        scores = ScoreSet()
+        for m, row in psis.items():
+            for owner, psi in zip(owners, row):
+                scores.add(ScoreCard(content=m, scope=owner, iota=1.0, beta=psi,
+                                     delta=0.0, psi=psi))
+        policies = PolicyBook(default_price=0.8)
+        policies.prices[("community", c2)] = 1.5
+        params = EconParams(platform_fee=0.25, creator_share=0.6)
+        for m, share in ((0, 0.5), (1, 0.3), (2, 0.2)):
+            fractions = dict(attribute_entry(p, m, f, scores))
+            start = len(ledger.entries)
+            entry = FeedEntry(content=m, exposure_share=share, rank_position=0)
+            events = settle_round(0, {p: [entry]}, f, catalog, scores, policies, {},
+                                  params, ledger)
+            assert events == []
+            charged: dict = {}
+            for e in ledger.entries[start:]:
+                charged[e.from_owner] = charged.get(e.from_owner, 0.0) + e.amount
+            assert set(charged) == set(fractions)
+            for owner, frac in fractions.items():
+                expected = policies.price_for(owner) * share * frac
+                assert charged[owner] == pytest.approx(expected, rel=1e-12)
+        assert ("community", c2) not in dict(attribute_entry(p, 2, f, scores))
+        ledger.audit()
+
+    def test_clamp_mid_feed(self):
+        """A sponsor that cannot pay is clamped at once: the citizen being
+        settled keeps the terms read at the start of its feed (the clamped
+        owner is skipped, the others keep their fractions), and citizens
+        settled later no longer include it."""
+        f = SocialFabric()
+        p1 = f.add_citizen(lambda_=1.0, subscriber=True)
+        p2 = f.add_citizen(lambda_=1.0, subscriber=True)
+        creator = f.add_citizen()
+        poor = f.add_community(lambda_=1.0)
+        rich = f.add_community(lambda_=1.0)
+        for p in (p1, p2, creator):
+            for c in (poor, rich):
+                f.add_membership(p, c, 1.0, 1.0)
+        ledger = Ledger()
+        for p in (p1, p2):
+            ledger.open_account(("citizen", p), 100.0)
+        ledger.open_account(("community", rich), 100.0)
+        # Enough for p1's second entry (0.16) but not its first (0.24).
+        ledger.open_account(("community", poor), 0.2)
+        catalog = {m: ContentItem(id=m, creator=creator, target_communities={poor, rich})
+                   for m in (0, 1)}
+        scores = ScoreSet()
+        for m in (0, 1):
+            for scope, psi in ((("citizen", p1), 0.5), (("citizen", p2), 0.5),
+                               (("community", poor), 1.0), (("community", rich), 0.5)):
+                scores.add(ScoreCard(content=m, scope=scope, iota=1.0, beta=psi,
+                                     delta=0.0, psi=psi))
+        feeds = {p: [FeedEntry(content=0, exposure_share=0.6, rank_position=0),
+                     FeedEntry(content=1, exposure_share=0.4, rank_position=1)]
+                 for p in (p1, p2)}
+        # numerator terms 0.5 (citizen), 0.5 (poor), 0.25 (rich) per content
+        assert dict(attribute_entry(p1, 0, f, scores)) == pytest.approx(
+            {("citizen", p1): 0.4, ("community", poor): 0.4, ("community", rich): 0.2})
+
+        events = settle_round(0, feeds, f, catalog, scores, PolicyBook(default_price=1.0),
+                              {}, EconParams(platform_fee=0.25, creator_share=0.6), ledger)
+        assert events == [{"round": 0, "kind": "lambda_clamped",
+                           "owner": ("community", poor)}]
+        assert f.communities[poor].lambda_ == 0.0
+        assert ledger.balance(("community", poor)) == 0.2     # skipped on the 2nd entry
+        assert dict(attribute_entry(p2, 0, f, scores)) == pytest.approx(
+            {("citizen", p2): 2 / 3, ("community", rich): 1 / 3})
+        charged: dict = {}
+        for e in ledger.entries:
+            charged[e.from_owner] = charged.get(e.from_owner, 0.0) + e.amount
+        assert charged == pytest.approx({
+            ("citizen", p1): 0.6 * 0.4 + 0.4 * 0.4,
+            ("citizen", p2): 0.6 * 2 / 3 + 0.4 * 2 / 3,
+            ("community", rich): 0.6 * 0.2 + 0.4 * 0.2 + 0.6 / 3 + 0.4 / 3,
+        }, rel=1e-12)
+        ledger.audit()
+
+
 class TestAdvertising:
     def _world(self):
         f = SocialFabric()
         p = f.add_citizen(accepts_personal_ads=True)
         c = f.add_community(lambda_=1.0, admin_registered=True)
         f.add_membership(p, c, 1.0, 1.0)
-        adv = Advertiser(id=0, budget=10.0,
+        adv = Advertiser(id=0,
                          deals=[AdDeal(community=c, price_per_impression=2.0,
                                        accepted=True)],
                          personal_targeting=True, personal_price=0.5)
@@ -309,7 +407,7 @@ class TestPolicies:
         book = PolicyBook()
         with pytest.raises(NoAcceptedDeal):
             book.set_lambda(("community", c), 1.0, "AdFunded", {}, f)
-        adv = Advertiser(id=0, budget=1.0,
+        adv = Advertiser(id=0,
                          deals=[AdDeal(community=c, price_per_impression=1.0,
                                        accepted=True)])
         book.set_lambda(("community", c), 1.0, "AdFunded", {0: adv}, f)
@@ -319,7 +417,7 @@ class TestPolicies:
     def test_ad_funded_citizen_needs_opt_in(self):
         f = SocialFabric()
         p = f.add_citizen(accepts_personal_ads=False)
-        adv = Advertiser(id=0, budget=1.0, personal_targeting=True)
+        adv = Advertiser(id=0, personal_targeting=True)
         book = PolicyBook()
         with pytest.raises(NoAcceptedDeal):
             book.set_lambda(("citizen", p), 1.0, "AdFunded", {0: adv}, f)

@@ -286,7 +286,7 @@ class TestSeedContent:
         f, a, b, c = self._fabric()
         ov = PsiOverrides()
         item = ContentItem(id=0, creator=a, target_communities={c})
-        psi = seed_content(ov, f, item, c, a, 0.0, RankingParams(), 0)
+        psi = seed_content(ov, f, item, c, 0.0, RankingParams(), 0)
         assert psi == 0.0
         assert ov.get(0, c, 0) is None
         assert f.raw_standing(a, c) == 1.0
@@ -297,8 +297,8 @@ class TestSeedContent:
         params = RankingParams(stake_scale=10.0)
         item_a = ContentItem(id=0, creator=a, target_communities={c})
         item_b = ContentItem(id=1, creator=b, target_communities={c})
-        seed_content(ov, f, item_a, c, a, 0.04, params, 0)
-        seed_content(ov, f, item_b, c, b, 0.08, params, 0)
+        seed_content(ov, f, item_a, c, 0.04, params, 0)
+        seed_content(ov, f, item_b, c, 0.08, params, 0)
         pa, pb = ov.get(0, c, 0), ov.get(1, c, 0)
         assert pb == pytest.approx(2 * pa)
         # identical lambda weighting means exposure follows the 1:2 ratio
@@ -312,20 +312,20 @@ class TestSeedContent:
         ov = PsiOverrides()
         item = ContentItem(id=0, creator=outsider, target_communities={c})
         with pytest.raises(InsufficientStanding):
-            seed_content(ov, f, item, c, outsider, 0.1, RankingParams(), 0)
+            seed_content(ov, f, item, c, 0.1, RankingParams(), 0)
 
     def test_overspend_rejected(self):
         f, a, b, c = self._fabric()
         ov = PsiOverrides()
         item = ContentItem(id=0, creator=a, target_communities={c})
         with pytest.raises(InsufficientStanding):
-            seed_content(ov, f, item, c, a, 2.0, RankingParams(), 0)
+            seed_content(ov, f, item, c, 2.0, RankingParams(), 0)
 
     def test_override_expires(self):
         f, a, b, c = self._fabric()
         ov = PsiOverrides()
         item = ContentItem(id=0, creator=a, target_communities={c})
-        seed_content(ov, f, item, c, a, 0.05, RankingParams(seed_rounds=2), 3)
+        seed_content(ov, f, item, c, 0.05, RankingParams(seed_rounds=2), 3)
         assert ov.get(0, c, 3) == pytest.approx(0.5)
         assert ov.get(0, c, 4) == pytest.approx(0.5)
         assert ov.get(0, c, 5) is None
@@ -335,13 +335,11 @@ class TestSeedContent:
         ov = PsiOverrides()
         item = ContentItem(id=0, creator=0, target_communities={c},
                            creator_kind="advertiser")
-        allowances = {0: {c: 0.1}}
-        seed_content(ov, f, item, c, 0, 0.06, RankingParams(), 0,
-                     advertiser_allowances=allowances)
-        assert allowances[0][c] == pytest.approx(0.04)
+        allowance = {c: 0.1}
+        seed_content(ov, f, item, c, 0.06, RankingParams(), 0, allowance=allowance)
+        assert allowance[c] == pytest.approx(0.04)
         with pytest.raises(InsufficientStanding):
-            seed_content(ov, f, item, c, 0, 0.06, RankingParams(), 0,
-                         advertiser_allowances=allowances)
+            seed_content(ov, f, item, c, 0.06, RankingParams(), 0, allowance=allowance)
 
     def test_effective_psi_prefers_live_override(self):
         f, a, b, c = self._fabric()

@@ -588,7 +588,7 @@ class TestReactionMatrix:
     def test_reaction_implies_exposure(self):
         rm = ReactionMatrix()
         rm.record_reaction(0, 0, 1, 0)
-        assert rm.get(0, 0).exposed
+        assert rm.get(0, 0) is not None
         bad = "citizen_id,content_id,round,exposed,reaction\n0,0,0,0,1\n"
         with pytest.raises(ValueError):
             ReactionMatrix.from_csv(bad)
@@ -597,6 +597,36 @@ class TestReactionMatrix:
         rm = ReactionMatrix()
         with pytest.raises(ValueError):
             rm.record_reaction(0, 0, 2, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                  st.sampled_from([None, -1, 0, 1]), st.integers(0, 9)),
+                        max_size=40))
+    def test_csv_roundtrip_random(self, ops):
+        """Random exposure (None) and reaction sequences survive to_csv ->
+        from_csv through every read path, and items() yields each cell once."""
+        rm = ReactionMatrix()
+        for citizen, content, reaction, round_ in ops:
+            if reaction is None:
+                rm.record_exposure(citizen, content, round_)
+            else:
+                rm.record_reaction(citizen, content, reaction, round_)
+        keys = [key for key, _ in rm.items()]
+        assert len(keys) == len(set(keys)) == len(rm)
+        assert set(keys) == {(citizen, content) for citizen, content, _, _ in ops}
+
+        text = rm.to_csv()
+        back = ReactionMatrix.from_csv(text)
+        assert len(back) == len(rm)
+        assert back.to_csv() == text
+        for i in range(6):
+            assert list(back.by_content(i)) == list(rm.by_content(i))
+            assert back.for_citizen(i) == rm.for_citizen(i)
+            for j in range(6):
+                assert back.get(i, j) == rm.get(i, j)
+        a, b = rm.to_attitudes(), back.to_attitudes()
+        assert (a.row_ids, a.col_ids) == (b.row_ids, b.col_ids)
+        assert np.array_equal(a.values, b.values)
 
 
 # -- brute-force oracle for score_round and the per-card functions ---------------
@@ -610,7 +640,7 @@ def _ref_interest(rm, content, members, current_round, half_life):
     total = 0.0
     for p in members:
         cell = rm.get(p, content)
-        if cell is None or not cell.exposed:
+        if cell is None:
             continue
         age = max(0, current_round - cell.round)
         total += 2.0 ** (-age / half_life) * (1.0 + 0.5 * abs(cell.reaction))
