@@ -24,17 +24,22 @@ def _entropy(part) -> int:
     return zlib.crc32(str(part).encode("utf-8"))
 
 
+def _seed_sequence(seed: int, stream: tuple) -> np.random.SeedSequence:
+    # One uint32 word per part: the same entropy as the list of ints, taken
+    # without SeedSequence's per-item coercion.
+    words = np.array([_entropy(seed)] + [_entropy(p) for p in stream], dtype=np.uint32)
+    return np.random.SeedSequence(words)
+
+
 def derive_rng(seed: int, *stream: object) -> np.random.Generator:
     """Generator for the stream identified by (seed, *stream).
 
     Stream parts may be ints or strings; the mapping is stable across
     platforms and process restarts.
     """
-    return np.random.default_rng(np.random.SeedSequence([_entropy(seed)] + [_entropy(p) for p in stream]))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, stream)))
 
 
 def derive_seed(seed: int, *stream: object) -> int:
     """A 32-bit integer seed for APIs that take a seed rather than a Generator."""
-    ss = np.random.SeedSequence([_entropy(seed)] + [_entropy(p) for p in stream])
-    return int(ss.generate_state(1, dtype=np.uint32)[0])
-
+    return int(_seed_sequence(seed, stream).generate_state(1, dtype=np.uint32)[0])

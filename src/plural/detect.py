@@ -47,7 +47,8 @@ class AttitudeMatrix:
         return {r: i for i, r in enumerate(self.row_ids)}
 
     def restrict_rows(self, keep: Iterable[int]) -> "AttitudeMatrix":
-        keep = [r for r in self.row_ids if r in set(keep)]
+        wanted = set(keep)
+        keep = [r for r in self.row_ids if r in wanted]
         idx = self.row_index()
         sel = [idx[r] for r in keep]
         return AttitudeMatrix(keep, list(self.col_ids), self.values[sel, :])
@@ -74,6 +75,9 @@ def _memberships_from_distances(d2: np.ndarray) -> np.ndarray:
     # split their mass over the zero-distance centroids.
     power = -1.0 / (FUZZIFIER - 1.0)
     zero = d2 <= 1e-300
+    if not zero.any():
+        g = d2 ** power
+        return g / g.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore"):
         g = np.where(zero, 0.0, d2) ** power
         g[zero] = 0.0
@@ -128,15 +132,16 @@ def fuzzy_c_means(data: AttitudeMatrix, K: int, seed: int = 0) -> FuzzyPartition
     rng = derive_rng(seed, "fcm", K)
     centroids = _kmeanspp_init(x, K, rng)
     u = _memberships_from_distances(_sq_distances(x, centroids))
+    um = u ** FUZZIFIER
     history: list[float] = []
     converged = False
     it = 0
     for it in range(1, MAX_ITERS + 1):
-        um = u ** FUZZIFIER
         new_centroids = (um.T @ x) / um.sum(axis=0)[:, None]
         d2 = _sq_distances(x, new_centroids)
         u = _memberships_from_distances(d2)
-        history.append(float(np.sum((u ** FUZZIFIER) * d2)))
+        um = u ** FUZZIFIER          # the objective's weights, and the next update's
+        history.append(float(np.sum(um * d2)))
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
         if shift < TOL:

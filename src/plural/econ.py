@@ -14,6 +14,7 @@ Account owners are ("citizen", id), ("community", id), ("advertiser", id),
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -47,13 +48,41 @@ class LedgerEntry:
     reason: str
 
 
+class _OwnerFields(dict):
+    """Each owner's "kind,id" CSV fields, formatted once."""
+
+    def __missing__(self, owner: OwnerRef) -> str:
+        value = self[owner] = f"{owner[0]},{owner[1]}"
+        return value
+
+
 class Ledger:
-    """Append-only account book. Amounts are positive; entries are two-sided."""
+    """Append-only account book. Amounts are positive; entries are two-sided.
+
+    Postings are held as parallel columns: round, from, to, amount and
+    reason. `entries` is a view of them as LedgerEntry rows, built when read;
+    assigning it replaces the columns.
+    """
 
     def __init__(self) -> None:
-        self.entries: list[LedgerEntry] = []
+        self._rounds: list[int] = []
+        self._from: list[OwnerRef] = []
+        self._to: list[OwnerRef] = []
+        self._amounts: list[float] = []
+        self._reasons: list[str] = []
         self._balances: dict[OwnerRef, float] = {}
         self._initial: dict[OwnerRef, float] = {}
+
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        return list(map(LedgerEntry, self._rounds, self._from, self._to, self._amounts,
+                        self._reasons))
+
+    @entries.setter
+    def entries(self, entries) -> None:
+        rows = [(e.round, e.from_owner, e.to_owner, e.amount, e.reason) for e in entries]
+        self._rounds, self._from, self._to, self._amounts, self._reasons = \
+            (list(col) for col in zip(*rows)) if rows else ([], [], [], [], [])
 
     def open_account(self, owner: OwnerRef, balance: float = 0.0) -> None:
         if owner in self._balances:
@@ -79,14 +108,21 @@ class Ledger:
             raise ValueError("self-transfers are not allowed")
         if reason not in REASONS:
             raise ValueError(f"unknown reason {reason!r}")
-        self._ensure(from_owner)
-        self._ensure(to_owner)
-        if self._balances[from_owner] + 1e-12 < amount:
-            raise InsufficientFunds(
-                f"{from_owner} balance {self._balances[from_owner]:.6g} < {amount:.6g}")
-        self._balances[from_owner] -= amount
-        self._balances[to_owner] += amount
-        self.entries.append(LedgerEntry(round_, from_owner, to_owner, amount, reason))
+        balances = self._balances
+        if from_owner not in balances:
+            self._ensure(from_owner)
+        if to_owner not in balances:
+            self._ensure(to_owner)
+        have = balances[from_owner]
+        if have + 1e-12 < amount:
+            raise InsufficientFunds(f"{from_owner} balance {have:.6g} < {amount:.6g}")
+        balances[from_owner] = have - amount
+        balances[to_owner] += amount
+        self._rounds.append(round_)
+        self._from.append(from_owner)
+        self._to.append(to_owner)
+        self._amounts.append(amount)
+        self._reasons.append(reason)
 
     def audit(self, tol: float = 1e-9) -> None:
         """Check conservation, then recompute balances from entries and check
@@ -99,9 +135,9 @@ class Ledger:
         assert abs(math.fsum(self._balances.values()) - opening) <= tol * max(1.0, opening), \
             "money not conserved: balances do not sum to the opening balances"
         recomputed = dict(self._initial)
-        for e in self.entries:
-            recomputed[e.from_owner] = recomputed.get(e.from_owner, 0.0) - e.amount
-            recomputed[e.to_owner] = recomputed.get(e.to_owner, 0.0) + e.amount
+        for from_owner, to_owner, amount in zip(self._from, self._to, self._amounts):
+            recomputed[from_owner] = recomputed.get(from_owner, 0.0) - amount
+            recomputed[to_owner] = recomputed.get(to_owner, 0.0) + amount
         for owner, bal in self._balances.items():
             assert abs(bal - recomputed.get(owner, 0.0)) <= tol, \
                 f"balance drift on {owner}"
@@ -111,10 +147,10 @@ class Ledger:
         """ledger.csv lines, header first. No field needs CSV quoting: ids and
         rounds are ints, amounts float reprs, kinds and reasons plain words."""
         yield ",".join(LEDGER_CSV_HEADER) + "\n"
-        for e in self.entries:
-            (from_kind, from_id), (to_kind, to_id) = e.from_owner, e.to_owner
-            yield (f"{e.round},{from_kind},{from_id},{to_kind},{to_id},"
-                   f"{e.amount!r},{e.reason}\n")
+        owner = _OwnerFields()
+        for round_, from_owner, to_owner, amount, reason in zip(
+                self._rounds, self._from, self._to, self._amounts, self._reasons):
+            yield f"{round_},{owner[from_owner]},{owner[to_owner]},{amount!r},{reason}\n"
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())
@@ -157,7 +193,9 @@ class PolicyBook:
                    advertisers: Mapping[int, Advertiser], fabric) -> None:
         """Queue a weight change; it takes effect at the next round boundary.
 
-        AdFunded owners must have at least one live advertiser arrangement:
+        The owner must be a citizen or community the fabric holds: NotFound
+        for an unknown id, ValueError for any other kind of owner. AdFunded
+        owners must have at least one live advertiser arrangement:
         an accepted community deal, or for citizens an advertiser doing
         personal targeting while the citizen opts in.
         """
@@ -165,18 +203,17 @@ class PolicyBook:
             raise ValueError("lambda must be >= 0")
         if funding not in ("SelfPaid", "AdFunded"):
             raise ValueError(f"unknown funding {funding!r}")
+        kind, oid = owner
+        holder = _lambda_holder(fabric, owner)
+        if holder is None:
+            raise NotFound(f"unknown {kind} {oid}")
         if funding == "AdFunded":
-            kind, oid = owner
             if kind == "community":
                 if not any(a.accepted_deal_with(oid) for a in advertisers.values()):
                     raise NoAcceptedDeal(f"community {oid} has no accepted advertiser deal")
-            elif kind == "citizen":
-                citizen = fabric.citizens.get(oid)
-                opted = citizen is not None and citizen.accepts_personal_ads
-                if not (opted and any(a.personal_targeting for a in advertisers.values())):
-                    raise NoAcceptedDeal(f"citizen {oid} has no active personal-ad arrangement")
-            else:
-                raise ValueError(f"{kind} cannot hold a lambda policy")
+            elif not (holder.accepts_personal_ads
+                      and any(a.personal_targeting for a in advertisers.values())):
+                raise NoAcceptedDeal(f"citizen {oid} has no active personal-ad arrangement")
         self.pending[owner] = new_lambda
 
     def apply_pending(self, fabric) -> None:
@@ -186,11 +223,24 @@ class PolicyBook:
         self.pending.clear()
 
 
-def _write_lambda(fabric, owner: OwnerRef, value: float) -> None:
-    """Set the owner's live lambda in the fabric; owners it does not hold
-    are ignored."""
+def _lambda_holder(fabric, owner: OwnerRef):
+    """The fabric's citizen or community that holds the owner's lambda.
+
+    Raises ValueError for owner kinds that hold none; None for an id the
+    fabric does not hold.
+    """
     kind, oid = owner
-    holder = {"citizen": fabric.citizens, "community": fabric.communities}.get(kind, {}).get(oid)
+    if kind == "citizen":
+        return fabric.citizens.get(oid)
+    if kind == "community":
+        return fabric.communities.get(oid)
+    raise ValueError(f"{kind} cannot hold a lambda policy")
+
+
+def _write_lambda(fabric, owner: OwnerRef, value: float) -> None:
+    """Set the owner's live lambda in the fabric; ids it does not hold are
+    ignored."""
+    holder = _lambda_holder(fabric, owner)
     if holder is not None:
         holder.lambda_ = value
 
@@ -205,11 +255,11 @@ def _sponsor_terms(citizen: int, fabric, psi_view) -> list[SponsorTerm]:
 def _shares(terms: Sequence[SponsorTerm], content: int) -> list[tuple[OwnerRef, float]]:
     """Each owner's fraction of the content's attention numerator, over the
     owners whose term is positive; empty when the numerator is not."""
-    values = [(owner, w * col.get(content, 0.0)) for owner, w, col in terms]
-    total = sum(v for _, v in values)
+    values = [w * col.get(content, 0.0) for _, w, col in terms]
+    total = sum(values)
     if total <= 0:
         return []
-    return [(owner, v / total) for owner, v in values if v > 0]
+    return [(term[0], v / total) for term, v in zip(terms, values) if v > 0]
 
 
 def attribute_entry(citizen: int, content: int, fabric, psi_view) -> list[tuple[OwnerRef, float]]:
@@ -220,6 +270,9 @@ def attribute_entry(citizen: int, content: int, fabric, psi_view) -> list[tuple[
     fallback or exploration slot) has no sponsors.
     """
     return _shares(_sponsor_terms(citizen, fabric, psi_view), content)
+
+
+_RANK_POSITION = operator.attrgetter("rank_position")
 
 
 def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
@@ -240,13 +293,18 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
     """
     events: list[dict] = []
     clamped: set[OwnerRef] = set()
+    post, balance = ledger.post, ledger.balance
+
+    # Each sponsor's price per lambda-weighted impression, read once; None
+    # for the ad-funded-only citizens, who are never charged.
+    prices: dict[OwnerRef, Optional[float]] = {}
 
     def pay_ad(adv: Advertiser, to_owner: OwnerRef, amount: float) -> None:
-        if ledger.balance(("advertiser", adv.id)) + 1e-12 < amount:
+        if balance(("advertiser", adv.id)) + 1e-12 < amount:
             events.append({"round": round_, "kind": "ad_skipped",
                            "owner": ("advertiser", adv.id)})
         else:
-            ledger.post(round_, ("advertiser", adv.id), to_owner, amount, "AdImpression")
+            post(round_, ("advertiser", adv.id), to_owner, amount, "AdImpression")
 
     for citizen in sorted(feeds):
         # The citizen's terms are read once, before its entries settle. A
@@ -254,7 +312,7 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
         # settled after it no longer include it; entries before a citizen's
         # first sponsored one change no lambda or devotion.
         terms = _sponsor_terms(citizen, fabric, psi_view)
-        for entry in sorted(feeds[citizen], key=lambda e: e.rank_position):
+        for entry in sorted(feeds[citizen], key=_RANK_POSITION):
             content = catalog[entry.content]
             share = entry.exposure_share
             if share <= 0:
@@ -279,15 +337,19 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
                 continue
 
             for owner, frac in _shares(terms, entry.content):
-                kind, oid = owner
                 if owner in clamped:
                     continue
-                if kind == "citizen" and not fabric.citizens[oid].subscriber:
-                    continue  # ad-funded-only citizens are never charged
-                charge = policies.price_for(owner) * share * frac
+                kind, oid = owner
+                if owner not in prices:
+                    prices[owner] = policies.price_for(owner) \
+                        if kind != "citizen" or fabric.citizens[oid].subscriber else None
+                price = prices[owner]
+                if price is None:
+                    continue
+                charge = price * share * frac
                 if charge <= 0:
                     continue
-                if ledger.balance(owner) + 1e-12 < charge:
+                if balance(owner) + 1e-12 < charge:
                     _write_lambda(fabric, owner, 0.0)
                     clamped.add(owner)
                     events.append({"round": round_, "kind": "lambda_clamped", "owner": owner})
@@ -295,18 +357,17 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
                 fee = params.platform_fee * charge
                 reward = params.creator_share * charge
                 remainder = charge - fee - reward
-                pool_community = oid if kind == "community" \
-                    else min(content.target_communities)
                 if fee > 1e-15:
-                    ledger.post(round_, owner, PLATFORM, fee,
-                                "Subscription" if kind == "citizen" else "PlatformFee")
+                    post(round_, owner, PLATFORM, fee,
+                         "Subscription" if kind == "citizen" else "PlatformFee")
                 # creators sponsoring their own impressions keep the share
                 if reward > 1e-15 and owner != ("citizen", content.creator):
-                    ledger.post(round_, owner, ("citizen", content.creator), reward,
-                                "CreatorReward")
+                    post(round_, owner, ("citizen", content.creator), reward, "CreatorReward")
                 if remainder > 1e-15:
-                    ledger.post(round_, owner, creator_pool(pool_community), remainder,
-                                "ImpressionSponsorship")
+                    pool_community = oid if kind == "community" \
+                        else min(content.target_communities)
+                    post(round_, owner, creator_pool(pool_community), remainder,
+                         "ImpressionSponsorship")
     return events
 
 

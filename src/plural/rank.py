@@ -45,10 +45,21 @@ class PsiOverrides:
 
     While live, the override replaces the organic community-scope psi; it
     expires after `seed_rounds` rounds and organic scores take over.
+    `expire` drops the expired ones, so only overrides that can still be
+    live are held.
     """
 
     def __init__(self) -> None:
         self._live: dict[int, dict[int, tuple[float, int]]] = {}   # community -> content
+
+    def expire(self, current_round: int) -> None:
+        """Drop every override that is not live in `current_round` or later."""
+        for community, held in list(self._live.items()):
+            kept = {m: v for m, v in held.items() if current_round < v[1]}
+            if kept:
+                self._live[community] = kept
+            else:
+                del self._live[community]
 
     def set(self, content: int, community: int, psi: float, expires_round: int) -> None:
         self._live.setdefault(community, {})[content] = (psi, expires_round)

@@ -14,12 +14,14 @@ community scope.
 
 from __future__ import annotations
 
+import bisect
 import collections.abc
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -157,6 +159,9 @@ class ReactionMatrix:
                 except ValueError:
                     raise ValueError(f"line {line}: {col} is not an integer: "
                                      f"{row[col]!r}") from None
+                if not -2 ** 63 <= fields[-1] < 2 ** 63:    # scoring holds them as int64
+                    raise ValueError(f"line {line}: {col} is out of range (int64): "
+                                     f"{row[col]!r}")
             citizen, content, round_, exposed, reaction = fields
             if exposed not in (0, 1):
                 raise ValueError(f"line {line}: exposed must be 0 or 1, got {exposed}")
@@ -201,51 +206,89 @@ class ScoreCard:
 
 
 # -- the scoring primitives ---------------------------------------------------
-# Each formula is written once, over one content's reaction records as
-# `ReactionMatrix.by_content` yields them (sorted by citizen id, which fixes
-# the order of every floating-point sum). `score_round` and the per-card
-# functions below are callers of these three.
+# Each formula is written once, as a pass over many contents at a time:
+# `score_round` makes one pass per scope, and the per-card functions below
+# are one-row calls into the same passes.
 
-class _Decay(dict):
-    """One round's interest decay: 2^(-age/half_life) by integer age, each
-    entry computed once with that expression."""
-
-    def __init__(self, current_round: int, half_life: float) -> None:
-        super().__init__()
-        self.current_round = current_round
-        self.half_life = half_life
-
-    def __missing__(self, age: int) -> float:
-        value = self[age] = 2.0 ** (-age / self.half_life)
-        return value
-
-    def weight(self, cell: Interaction) -> float:
-        """One exposure's interest weight: 2^(-age/half_life) * (1 + 0.5*|reaction|)."""
-        return self[max(0, self.current_round - cell.round)] * (1.0 + 0.5 * abs(cell.reaction))
+def _decay(rounds: np.ndarray, current_round: int, half_life: float) -> np.ndarray:
+    """Interest decay 2^(-age/half_life) of records made in `rounds`, with
+    age = max(0, current_round - round). Each distinct round's value is
+    computed once with that Python expression, not with np.power, whose
+    SIMD path may round differently, and gathered."""
+    distinct, where = np.unique(rounds, return_inverse=True)
+    table = np.array([2.0 ** (-max(0, current_round - r) / half_life)
+                      for r in distinct.tolist()])
+    return table[where.reshape(rounds.shape)]
 
 
-def _interest(records: Sequence[tuple[int, Interaction]], members: Collection[int],
-              decay: _Decay) -> float:
-    if not members:
-        return 0.0
-    total = 0.0
-    for p, cell in records:
-        if p in members:
-            total += decay.weight(cell)
-    return total / len(members)
+class _Tally:
+    """Reaction records over a list of contents as dense (citizens x contents)
+    arrays: exposure, interest weight, approvals and disapprovals. Rows are
+    the citizens with a record on any of the contents, in ascending id, so a
+    column accumulated row by row adds in the order the records are sorted;
+    a missing record is a zero.
+
+    An exposure's interest weight is 2^(-age/half_life) * (1 + 0.5*|reaction|),
+    age counted back from `current_round`; it is computed only when a
+    `half_life` is given.
+    """
+
+    def __init__(self, reactions: ReactionMatrix, contents: Sequence[int],
+                 current_round: int = 0, half_life: Optional[float] = None) -> None:
+        records = [reactions._by_content.get(mid, {}) for mid in contents]
+        self.contents = np.array(contents, dtype=np.int64)
+        self.citizens = sorted(set().union(*records))
+        ids = np.array(self.citizens, dtype=np.int64)
+        shape = (len(ids), len(contents))
+        self.exposed = np.zeros(shape, dtype=bool)
+        votes = np.zeros(shape)
+        rounds = np.zeros(shape, dtype=np.int64)
+        for j, cells in enumerate(records):
+            if cells:
+                rows = np.searchsorted(ids, np.fromiter(cells, np.int64, len(cells)))
+                self.exposed[rows, j] = True
+                votes[rows, j] = np.fromiter((c.reaction for c in cells.values()),
+                                             float, len(cells))
+                rounds[rows, j] = np.fromiter((c.round for c in cells.values()),
+                                              np.int64, len(cells))
+        if half_life is not None:
+            self.weight = np.zeros(shape)
+            self.weight[self.exposed] = _decay(rounds[self.exposed], current_round, half_life) \
+                * (1.0 + 0.5 * np.abs(votes[self.exposed]))
+        self._approve = (votes > 0).astype(float)
+        self._reject = (votes < 0).astype(float)
+
+    def row(self, citizen: int) -> Optional[int]:
+        """The citizen's row; None if it has no record on these contents."""
+        i = bisect.bisect_left(self.citizens, citizen)
+        return i if i < len(self.citizens) and self.citizens[i] == citizen else None
+
+    def _member(self, group: Collection[int]) -> list[bool]:
+        """Which rows are the group's citizens."""
+        return [p in group for p in self.citizens]
+
+    def interest(self, members: Collection[int]) -> np.ndarray:
+        """Per content: the members' weights added in ascending citizen id,
+        divided by the member count; 0.0 for a scope with no members."""
+        rows = np.flatnonzero(self._member(members))
+        if not rows.size:
+            return np.zeros(len(self.contents))
+        # accumulate is sequential, row after row: the sum of the records in order
+        return np.cumsum(self.weight[rows], axis=0)[-1] / len(members)
+
+    def counts(self, groups: Sequence[Collection[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """Approvals and disapprovals per (group, content) among each group's
+        citizens. Sums of 0/1 values, so exact in any order."""
+        member = np.array([self._member(g) for g in groups], dtype=float)
+        member = member.reshape(len(groups), len(self.citizens))
+        return member @ self._approve, member @ self._reject
 
 
-def _smoothed_rate(records: Sequence[tuple[int, Interaction]], members: Collection[int],
-                   alpha: float) -> float:
-    pos = neg = 0
-    for p, cell in records:
-        if p in members:
-            if cell.reaction > 0:
-                pos += 1
-            elif cell.reaction < 0:
-                neg += 1
+def _smoothed_rates(pos: np.ndarray, neg: np.ndarray, alpha: float) -> np.ndarray:
+    """(pos + a) / (pos + neg + 2a) elementwise; 0.5 where the denominator is
+    0 (no votes and no smoothing)."""
     denom = pos + neg + 2.0 * alpha
-    return (pos + alpha) / denom if denom > 0 else 0.5
+    return np.divide(pos + alpha, denom, out=np.full_like(denom, 0.5), where=denom > 0)
 
 
 def interest(reactions: ReactionMatrix, content: int, members: Iterable[int],
@@ -258,8 +301,8 @@ def interest(reactions: ReactionMatrix, content: int, members: Iterable[int],
     """
     if half_life <= 0:
         raise ValueError("half_life must be > 0")
-    return _interest(list(reactions.by_content(content)), set(members),
-                     _Decay(current_round, half_life))
+    tally = _Tally(reactions, [content], current_round, half_life)
+    return float(tally.interest(set(members))[0])
 
 
 def bloc_rates(reactions: ReactionMatrix, content: int,
@@ -268,8 +311,8 @@ def bloc_rates(reactions: ReactionMatrix, content: int,
 
     Blocs with no votes sit at the 0.5 prior, also in the alpha=0 mode.
     """
-    records = list(reactions.by_content(content))
-    return np.array([_smoothed_rate(records, set(b), alpha) for b in blocs], dtype=float)
+    pos, neg = _Tally(reactions, [content]).counts([set(b) for b in blocs])
+    return _smoothed_rates(pos, neg, alpha)[:, 0]
 
 
 def _bloc_weights(sizes: Sequence[int], weighting: str) -> np.ndarray:
@@ -282,17 +325,26 @@ def _bloc_weights(sizes: Sequence[int], weighting: str) -> np.ndarray:
     return w / w.sum()
 
 
-def consensus_product(rates: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted geometric mean of bloc rates; exact under consensus.
+def consensus_products(rates: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row by row: the weighted geometric mean of a row of bloc rates, exact
+    under consensus (a row of equal rates gives that rate).
 
-    Entries with zero weight are ignored: the product is 0 only when a
-    positively weighted rate is <= 0.
+    Entries with zero weight are ignored: a row's product is 0 only when a
+    positively weighted rate is <= 0. Rows are reduced C-contiguous, where
+    numpy sums each row as it sums a 1-D array.
     """
-    if np.all(rates == rates[0]):
-        return float(rates[0])
-    if np.any(rates[weights > 0] <= 0.0):
-        return 0.0
-    return float(np.exp(np.sum(weights * np.log(np.where(rates > 0, rates, 1.0)))))
+    rates = np.ascontiguousarray(rates, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    out = np.exp(np.sum(weights * np.log(np.where(rates > 0, rates, 1.0)), axis=1))
+    out[(rates[:, weights > 0] <= 0.0).any(axis=1)] = 0.0
+    same = (rates == rates[:, :1]).all(axis=1)
+    out[same] = rates[same, 0]
+    return out
+
+
+def consensus_product(rates: np.ndarray, weights: np.ndarray) -> float:
+    """Weighted geometric mean of one content's bloc rates (`consensus_products`)."""
+    return float(consensus_products(np.asarray(rates, dtype=float)[None, :], weights)[0])
 
 
 def bridging_gac(reactions: ReactionMatrix, content: int,
@@ -325,10 +377,18 @@ def divisiveness(reactions: ReactionMatrix, content: int,
     return _spread(bloc_rates(reactions, content, blocs, alpha=alpha))
 
 
+def _spreads(rates: np.ndarray) -> tuple[np.ndarray, list[frozenset[int]]]:
+    """Row by row: approval spread across blocs, and the blocs at or above 0.5."""
+    rates = np.ascontiguousarray(rates, dtype=float)
+    blocs = range(rates.shape[1])
+    return (rates.max(axis=1) - rates.min(axis=1),
+            [frozenset(itertools.compress(blocs, row)) for row in (rates >= 0.5).tolist()])
+
+
 def _spread(rates: np.ndarray) -> tuple[float, frozenset[int]]:
-    """Approval spread across blocs, and the blocs at or above 0.5."""
-    return (float(rates.max() - rates.min()),
-            frozenset(int(g) for g in np.nonzero(rates >= 0.5)[0]))
+    """One content's spread and characteristic blocs (`_spreads`)."""
+    delta, characteristic = _spreads(np.asarray(rates, dtype=float)[None, :])
+    return float(delta[0]), characteristic[0]
 
 
 def community_score(iota: float, beta: float, delta: float,
@@ -579,54 +639,78 @@ class ScoreSet:
     def csv_lines(self) -> Iterator[str]:
         """scorecards.csv lines, header first, cards in (content, scope) order.
         No field needs CSV quoting: ids are ints, scores float reprs, kinds and
-        labels plain words, characteristic blocs `;`-joined ids."""
+        labels plain words, characteristic blocs `;`-joined ids. Lines are
+        read off the columns; a profile's fields are formatted once for all
+        the scopes that share it."""
         yield ",".join(SCORECARD_CSV_HEADER) + "\n"
-        for content, scope in sorted(self.cards):
-            c = self.get(content, scope)
-            kind, sid = scope
-            blocs = ";".join(map(str, sorted(c.characteristic_blocs)))
-            yield (f"{content},{kind},{sid},{c.iota!r},{c.beta!r},{c.delta!r},"
-                   f"{c.psi!r},{c.label},{blocs}\n")
+        columns = {scope: (col, f"{scope[0]},{scope[1]}") for scope, col in self._columns.items()}
+        fields: dict[int, tuple[str, str]] = {}     # id(profile) -> text either side of psi
+        for content, scope in sorted((m, scope) for scope, (col, _) in columns.items()
+                                     for m in col.profiles):
+            col, where = columns[scope]
+            p = col.profiles[content]
+            text = fields.get(id(p))
+            if text is None:
+                blocs = ";".join(map(str, sorted(p.characteristic_blocs)))
+                text = fields[id(p)] = (f"{p.beta!r},{p.delta!r}", f"{p.label},{blocs}\n")
+            yield (f"{content},{where},{col.iota.get(content, 0.0)!r},{text[0]},"
+                   f"{col.psi.get(content, 0.0)!r},{text[1]}")
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())
 
 
-def _profile(rates: np.ndarray, sizes: Sequence[int], params: ScoringParams,
-             beta_override: float | None = None) -> _Profile:
-    """Beta, delta and label from per-bloc approval rates (the one labeling path)."""
-    weighting = "uniform" if params.backend == "gac_uniform" else "penrose"
+def _profiles(rates: np.ndarray, sizes: Sequence[int], params: ScoringParams,
+              beta_override: Sequence[float | None] | None = None) -> list[_Profile]:
+    """Beta, delta and label for each row of per-bloc approval rates, one
+    row per content (the one labeling path). A row's `beta_override`, when
+    not None, replaces its consensus product."""
+    rates = np.ascontiguousarray(rates, dtype=float)
+    n_rows = rates.shape[0]
     if len(sizes) >= 2:
-        beta = consensus_product(rates, _bloc_weights(sizes, weighting)) \
-            if beta_override is None else beta_override
-        delta, characteristic = _spread(rates)
+        weighting = "uniform" if params.backend == "gac_uniform" else "penrose"
+        beta = consensus_products(rates, _bloc_weights(sizes, weighting))
+        if beta_override is not None:
+            beta = np.array([b if o is None else o
+                             for b, o in zip(beta.tolist(), beta_override)], dtype=float)
+        delta, characteristic = _spreads(rates)
         low_confidence = False
     else:
         # Degenerate structure: raw smoothed approval over the single bloc.
-        beta = float(rates[0]) if len(sizes) else 0.5
-        delta, characteristic = 0.0, frozenset()
+        beta = rates[:, 0] if len(sizes) else np.full(n_rows, 0.5)
+        delta, characteristic = np.zeros(n_rows), [frozenset()] * n_rows
         low_confidence = True
-    label = assign_label(beta, delta, characteristic, max(len(sizes), 1), params.label_floor)
-    return _Profile(beta, delta, label, characteristic, low_confidence, max(beta, delta))
+    n_blocs = max(len(sizes), 1)
+    return [_Profile(b, d, assign_label(b, d, c, n_blocs, params.label_floor), c,
+                     low_confidence, max(b, d))
+            for b, d, c in zip(beta.tolist(), delta.tolist(), characteristic)]
 
 
-def _score_community(col: _Column, mid: int, comm, records: Sequence[tuple[int, Interaction]],
-                     params: ScoringParams, decay: _Decay, whole_rate: Callable[[], float],
-                     beta_override: float | None = None) -> None:
-    """Score one content in one community into the community's column;
-    `whole_rate()` gives the smoothed rate over all members, the degenerate
-    fallback's single bloc."""
-    iota = _interest(records, comm.members, decay)
+def _score_community(col: _Column, comm, cols: Sequence[int], tally: _Tally,
+                     params: ScoringParams,
+                     beta_raw: Mapping[int, float] | None = None) -> np.ndarray:
+    """Score the tally's contents at positions `cols` into the community's
+    column, in one pass. Blocs are the principal subcommunities; below two,
+    the whole member set is the single bloc. `beta_raw` holds fitted betas
+    that replace the consensus product. Returns the smoothed rate over all
+    members for every content of the tally."""
     blocs = comm.principal_subcommunities
+    groups = [comm.members] + (list(blocs) if len(blocs) >= 2 else [])
+    rates = _smoothed_rates(*tally.counts(groups), params.alpha)
+    if not cols:
+        return rates[0]
     if len(blocs) >= 2:
-        rates = [_smoothed_rate(records, b, params.alpha) for b in blocs]
-        sizes = [len(b) for b in blocs]
+        block, sizes = rates[1:, cols].T, [len(b) for b in blocs]
     elif comm.members:
-        rates, sizes = [whole_rate()], [len(comm.members)]
+        block, sizes = rates[:1, cols].T, [len(comm.members)]
     else:
-        rates, sizes = [], []
-    p = _profile(np.array(rates, dtype=float), sizes, params, beta_override)
-    col.put(mid, p, iota, community_score(iota, p.beta, p.delta, params.popularity_only))
+        block, sizes = np.zeros((len(cols), 0)), []
+    contents = tally.contents[cols].tolist()
+    override = None if beta_raw is None else [beta_raw.get(m) for m in contents]
+    iota = tally.interest(comm.members)[cols].tolist()
+    for m, p, v in zip(contents, _profiles(block, sizes, params, override), iota):
+        col.put(m, p, v, community_score(v, p.beta, p.delta, params.popularity_only))
+    return rates[0]
 
 
 def score_for_community(content: ContentItem, community, reactions: ReactionMatrix,
@@ -638,23 +722,55 @@ def score_for_community(content: ContentItem, community, reactions: ReactionMatr
     of them the card falls back to the raw approval rate and is flagged
     low-confidence.
     """
-    records = list(reactions.by_content(content.id))
+    tally = _Tally(reactions, [content.id], current_round, params.half_life)
     col = _Column()
-    _score_community(
-        col, content.id, community, records, params, _Decay(current_round, params.half_life),
-        lambda: _smoothed_rate(records, community.members, params.alpha), beta_override)
+    _score_community(col, community, [0], tally, params,
+                     None if beta_override is None else {content.id: beta_override})
     return col.card(content.id, ("community", community.id))
 
 
-def _citizen_column(profiles: dict[int, _Profile], row: Mapping[int, Interaction],
-                    decay: _Decay, popularity_only: bool) -> _Column:
-    """A citizen scope's column over the contents of `profiles`: iota is the
-    decay weight of the citizen's own reaction record (the singleton scope's
-    interest), psi = iota * strength, or iota alone under `popularity_only`."""
-    iota = {mid: decay.weight(cell) for mid, cell in row.items() if mid in profiles}
+@dataclass(slots=True)
+class _Signature:
+    """What citizens in the same communities share: the profiles of the
+    contents they could be served, at tally positions `cols`, with each
+    profile's strength, and which of the contents are Divisive."""
+
+    profiles: dict[int, _Profile]
+    cols: np.ndarray
+    strength: np.ndarray
+    divisive: list[int]
+
+
+def _signature(rates: Mapping[int, np.ndarray], comms: Sequence[int], cols: Sequence[int],
+               tally: _Tally, fabric, params: ScoringParams) -> _Signature:
+    """Profiles of the tally's contents at positions `cols` for citizens in
+    exactly the communities `comms`, whose whole-member rates (per tally
+    content) are `rates`: the communities stand in for blocs."""
+    cols = np.asarray(cols, dtype=np.intp)
+    block = np.stack([rates[c][cols] for c in comms], axis=1) if comms \
+        else np.zeros((len(cols), 0))
+    sizes = [len(fabric.communities[c].members) for c in comms]
+    profiles = dict(zip(tally.contents[cols].tolist(), _profiles(block, sizes, params)))
+    return _Signature(profiles, cols, np.array([p.strength for p in profiles.values()]),
+                      [m for m, p in profiles.items() if p.label == LABEL_DIVISIVE])
+
+
+def _citizen_column(sig: _Signature, tally: _Tally, citizen: int,
+                    popularity_only: bool) -> _Column:
+    """A citizen scope's column over the signature's contents: iota is the
+    interest weight of the citizen's own record (the singleton scope's
+    interest), kept for the contents it was exposed to; psi = iota *
+    strength, or iota alone under `popularity_only`."""
+    i = tally.row(citizen)
+    if i is None:
+        return _Column(sig.profiles, {}, {}, shared=True)
+    seen = tally.exposed[i, sig.cols]
+    hit = sig.cols[seen]
+    contents, weight = tally.contents[hit].tolist(), tally.weight[i, hit]
+    iota = dict(zip(contents, weight.tolist()))
     psi = iota if popularity_only else \
-        {mid: v * profiles[mid].strength for mid, v in iota.items()}
-    return _Column(profiles, iota, psi, shared=True)
+        dict(zip(contents, (weight * sig.strength[seen]).tolist()))
+    return _Column(sig.profiles, iota, psi, shared=True)
 
 
 def citizen_score(content: ContentItem, citizen: int, fabric, reactions: ReactionMatrix,
@@ -667,12 +783,12 @@ def citizen_score(content: ContentItem, citizen: int, fabric, reactions: Reactio
     scope. With fewer than two memberships the card falls back like a
     degenerate community.
     """
-    records = list(reactions.by_content(content.id))
-    blocs = [fabric.communities[c].members for c in fabric.member_communities(citizen)]
-    rates = np.array([_smoothed_rate(records, b, params.alpha) for b in blocs], dtype=float)
-    profiles = {content.id: _profile(rates, [len(b) for b in blocs], params)}
-    col = _citizen_column(profiles, reactions.for_citizen(citizen),
-                          _Decay(current_round, params.half_life), params.popularity_only)
+    comms = fabric.member_communities(citizen)
+    tally = _Tally(reactions, [content.id], current_round, params.half_life)
+    pos, neg = tally.counts([fabric.communities[c].members for c in comms])
+    rates = dict(zip(comms, _smoothed_rates(pos, neg, params.alpha)))
+    sig = _signature(rates, comms, [0], tally, fabric, params)
+    col = _citizen_column(sig, tally, citizen, params.popularity_only)
     return col.card(content.id, ("citizen", citizen))
 
 
@@ -715,9 +831,11 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
 
     The mf backend fits one factorization per community and falls back to the
     penrose consensus product where its data preconditions fail. Results are
-    identical to calling score_for_community / citizen_score pairwise; this
-    pass just shares the per-(content, community) vote counting, and fills
-    each scope's column directly (see ScoreSet).
+    identical to calling score_for_community / citizen_score pairwise: those
+    are one-content runs of the same passes. Here the records are tallied
+    once, each community's contents are profiled in one pass, and so are
+    each membership signature's; every scope's column is filled directly
+    (see ScoreSet).
     """
     scores = ScoreSet()
     mf_fits: dict[int, MfFit | None] = {}
@@ -732,27 +850,21 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
             except InsufficientData:
                 mf_fits[cid] = None
 
-    decay = _Decay(current_round, params.half_life)
-    records: dict[int, list[tuple[int, Interaction]]] = {
-        mid: list(reactions.by_content(mid)) for mid in catalog}
-    whole_rate_cache: dict[tuple[int, int], float] = {}
+    contents = sorted(catalog)
+    tally = _Tally(reactions, contents, current_round, params.half_life)
+    targeting: dict[int, list[int]] = {}        # community -> positions in `contents`
+    for j, mid in enumerate(contents):
+        for cid in catalog[mid].target_communities:
+            targeting.setdefault(cid, []).append(j)
 
-    def whole_rate(mid: int, cid: int) -> float:
-        key = (mid, cid)
-        if key not in whole_rate_cache:
-            whole_rate_cache[key] = _smoothed_rate(
-                records[mid], fabric.communities[cid].members, params.alpha)
-        return whole_rate_cache[key]
-
-    for mid in sorted(catalog):
-        for cid in sorted(catalog[mid].target_communities):
-            comm = fabric.communities.get(cid)
-            if comm is None:
-                continue
-            fit = mf_fits.get(cid)
-            override = fit.beta_raw.get(mid) if fit is not None else None
-            _score_community(scores._writable(("community", cid)), mid, comm, records[mid],
-                             params, decay, lambda: whole_rate(mid, cid), override)
+    whole: dict[int, np.ndarray] = {}           # community -> rate over all members
+    for cid in sorted(fabric.communities):
+        cols = targeting.get(cid, [])
+        fit = mf_fits.get(cid)
+        whole[cid] = _score_community(
+            scores._writable(("community", cid)) if cols else _Column(),
+            fabric.communities[cid], cols, tally, params,
+            fit.beta_raw if fit is not None else None)
 
     def balance(scope: Scope, mid: int) -> None:
         scores.balancing[(mid, scope)] = balancing_set(
@@ -766,32 +878,18 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
             if p.label == LABEL_DIVISIVE:
                 balance(scope, mid)
 
-    by_community: dict[int, list[int]] = {}
-    for mid in sorted(catalog):
-        for cid in catalog[mid].target_communities:
-            by_community.setdefault(cid, []).append(mid)
-
     # Citizens with identical membership signatures share everything but
     # interest, so their profiles, and which of them are Divisive, are
     # computed once per signature.
-    signatures: dict[tuple[int, ...], tuple[dict[int, _Profile], list[int]]] = {}
+    signatures: dict[tuple[int, ...], _Signature] = {}
     for pid in sorted(fabric.citizens):
         comms = tuple(fabric.member_communities(pid))
-        shared = signatures.get(comms)
-        if shared is None:
-            seen: set[int] = set()
-            for cid in comms:
-                seen.update(by_community.get(cid, ()))
-            sizes = [len(fabric.communities[c].members) for c in comms]
-            profiles = {mid: _profile(np.array([whole_rate(mid, c) for c in comms]),
-                                      sizes, params)
-                        for mid in sorted(seen)}
-            shared = signatures[comms] = (
-                profiles, [m for m, p in profiles.items() if p.label == LABEL_DIVISIVE])
-        profiles, divisive = shared
+        sig = signatures.get(comms)
+        if sig is None:
+            cols = sorted(set().union(*(targeting.get(c, ()) for c in comms)))
+            sig = signatures[comms] = _signature(whole, comms, cols, tally, fabric, params)
         scope: Scope = ("citizen", pid)
-        scores._columns[scope] = _citizen_column(profiles, reactions.for_citizen(pid),
-                                                 decay, params.popularity_only)
-        for mid in divisive:
+        scores._columns[scope] = _citizen_column(sig, tally, pid, params.popularity_only)
+        for mid in sig.divisive:
             balance(scope, mid)
     return scores

@@ -27,7 +27,7 @@ from .fabric import SocialFabric
 from .rank import (EffectivePsi, FeedEntry, PsiOverrides, build_feed,
                    exposure_weights, feed_to_records, seed_content)
 from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights,
-                    consensus_product, divisiveness, score_round)
+                    consensus_products, divisiveness, score_round)
 
 
 @dataclass
@@ -139,35 +139,56 @@ def react(attitude_value: float, exposure_share: float, rng: np.random.Generator
     return 1 if rng.random() < attitude_value else -1
 
 
-def bloc_aggregate(means: Sequence[float], sizes: Sequence[int] | None = None) -> float:
-    """Across-subcommunity aggregation: sqrt-size-weighted geometric mean.
+def _bloc_aggregates(means: np.ndarray, sizes: Sequence[int] | None = None) -> np.ndarray:
+    """Row by row, across-subcommunity aggregation: the sqrt-size-weighted
+    geometric mean of a row of bloc means (unweighted without `sizes`).
 
     Exact under consensus; zero whenever the mean of any subcommunity with
     members is zero (weakest link).
     """
-    means = np.asarray(means, dtype=float)
-    if means.size == 0:
+    if means.shape[1] == 0:
         raise EmptyCommunity("no subcommunity means")
-    weights = _bloc_weights(means, "uniform") if sizes is None \
+    weights = _bloc_weights(range(means.shape[1]), "uniform") if sizes is None \
         else _bloc_weights(sizes, "penrose")
-    return consensus_product(means, weights)
+    return consensus_products(means, weights)
 
 
-def _aggregate_values(values: np.ndarray, weights: np.ndarray,
-                      bloc_idx: Sequence[np.ndarray] | None) -> float:
-    """Vectorized aggregation core shared by the dict API and the round loop."""
-    if np.all(values == values[0]):
-        return float(values[0])
+def bloc_aggregate(means: Sequence[float], sizes: Sequence[int] | None = None) -> float:
+    """One row of `_bloc_aggregates`."""
+    means = np.asarray(means, dtype=float)
+    return float(_bloc_aggregates(means.reshape(1, means.size), sizes)[0])
+
+
+def _aggregate_rows(values: np.ndarray, weights: np.ndarray,
+                    bloc_idx: Sequence[np.ndarray] | None) -> np.ndarray:
+    """Common beliefs of one scope, one per row of `values` (a content's
+    member beliefs, aligned with the member `weights`).
+
+    A row in consensus gives its common value. Otherwise, with two or more
+    blocs (member positions in `bloc_idx`), each bloc's weighted mean goes
+    into `_bloc_aggregates`; else the weighted geometric mean of the row.
+    Every row reduction runs over a C-contiguous block, where numpy sums
+    each row as it sums a 1-D array.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    out = values[:, 0].copy()
+    rest = ~(values == values[:, :1]).all(axis=1)
+    if not rest.any():
+        return out
+    block = values[rest]
     if bloc_idx is not None and len(bloc_idx) >= 2:
         means, sizes = [], []
         for idx in bloc_idx:
             if idx.size == 0:
                 continue
             w = weights[idx]
-            means.append(float(np.sum(w * values[idx]) / np.sum(w)))
+            means.append(np.sum(w * np.ascontiguousarray(block[:, idx]), axis=1) / np.sum(w))
             sizes.append(int(idx.size))
-        return bloc_aggregate(means, sizes)
-    return consensus_product(values, weights / weights.sum())
+        stacked = np.stack(means, axis=1) if means else np.zeros((len(block), 0))
+        out[rest] = _bloc_aggregates(stacked, sizes)
+    else:
+        out[rest] = consensus_products(block, weights / weights.sum())
+    return out
 
 
 def aggregate_belief(beliefs: Mapping[int, float], standings: Mapping[int, float],
@@ -187,7 +208,8 @@ def aggregate_belief(beliefs: Mapping[int, float], standings: Mapping[int, float
         raise ValueError("beliefs must lie in [0, 1]")
     values = np.clip(values, 0.0, 1.0)
     weights = np.array([standings[p] for p in members], dtype=float)
-    return _aggregate_values(values, weights, _bloc_positions(members, structure))
+    return float(_aggregate_rows(values[None, :], weights,
+                                 _bloc_positions(members, structure))[0])
 
 
 def _bloc_positions(members: Sequence[int],
@@ -415,10 +437,13 @@ class _Simulation:
         w = np.array([standings[p] for p in members])
         return idx, w, _bloc_positions(members, comm.principal_subcommunities)
 
-    def _common_belief(self, mid: int, idx: np.ndarray, w: np.ndarray, bloc_idx) -> float:
-        """A community's common belief about one content (its member arrays)."""
-        values = self.attitude_arr[mid][idx] * self.cum_exposure[mid][idx]
-        return _aggregate_values(values, w, bloc_idx)
+    def _common_beliefs(self, mids: Sequence[int], idx: np.ndarray, w: np.ndarray,
+                        bloc_idx) -> np.ndarray:
+        """A community's common belief about each of `mids` (its member
+        arrays), from one (contents x members) block of beliefs."""
+        beliefs = np.stack([self.attitude_arr[m] for m in mids]) * \
+            np.stack([self.cum_exposure[m] for m in mids])
+        return _aggregate_rows(beliefs[:, idx], w, bloc_idx)
 
     def _belief_phase(self, round_: int, feeds: Mapping[int, list]) -> None:
         for citizen in sorted(feeds):
@@ -440,22 +465,22 @@ class _Simulation:
                 has_membership[p] = True
                 for c, d in dev.items():
                     devotion_matrix[p, col[c]] = d
-        for mid in sorted(self.catalog):
-            b_vec = np.array([community_beliefs.get((mid, c), 0.0) for c in comm_ids])
+        for mid, b_vec in zip(sorted(self.catalog), community_beliefs):
             ambient = devotion_matrix @ b_vec
             # feedback only reshapes attitudes to encountered content
             mask = (self.cum_exposure[mid] > 0) & has_membership
             att = self.attitude_arr[mid]
             att[mask] = (1.0 - gamma) * att[mask] + gamma * ambient[mask]
 
-    def _community_beliefs(self) -> dict[tuple[int, int], float]:
-        out: dict[tuple[int, int], float] = {}
-        for cid in sorted(self.fabric.communities):
-            if not self.fabric.communities[cid].members:
-                continue
-            idx, w, bloc_idx = self._community_arrays(cid)
-            for mid in sorted(self.catalog):
-                out[(mid, cid)] = self._common_belief(mid, idx, w, bloc_idx)
+    def _community_beliefs(self) -> np.ndarray:
+        """Every (content, community) common belief, contents and communities
+        in id order; 0.0 in a community without members."""
+        mids = sorted(self.catalog)
+        comm_ids = sorted(self.fabric.communities)
+        out = np.zeros((len(mids), len(comm_ids)))
+        for j, cid in enumerate(comm_ids):
+            if self.fabric.communities[cid].members:
+                out[:, j] = self._common_beliefs(mids, *self._community_arrays(cid))
         return out
 
     def _adapt_devotion(self, feeds: Mapping[int, list]) -> None:
@@ -492,8 +517,7 @@ class _Simulation:
             top = sorted(exposure, key=lambda m: (-exposure[m], m))[:10]
 
             if top:
-                vals = [self._common_belief(mid, idx, w, bloc_idx) for mid in top]
-                commons.append(float(np.mean(vals)))
+                commons.append(float(np.mean(self._common_beliefs(top, idx, w, bloc_idx))))
                 if bloc_idx is not None:
                     per_content = [divisiveness(self.reactions, mid, comm.principal_subcommunities,
                                                 alpha=scoring.alpha)[0] for mid in top]
@@ -502,9 +526,9 @@ class _Simulation:
             if self.scores is not None:
                 cards = self.scores.community_cards(cid)
                 cards.sort(key=lambda c: (-c.psi, c.content))
-                vals = [self._common_belief(card.content, idx, w, bloc_idx)
-                        for card in cards[:5]]
-                coherence[cid] = float(np.mean(vals)) if vals else 0.0
+                top_psi = [card.content for card in cards[:5]]
+                coherence[cid] = float(np.mean(self._common_beliefs(top_psi, idx, w, bloc_idx))) \
+                    if top_psi else 0.0
 
         return RoundMetrics(
             round=round_,
@@ -521,6 +545,7 @@ class _Simulation:
         cfg = self.config
         community_exposure: dict[int, dict[int, float]] = {}
         for round_ in range(self.rounds):
+            self.overrides.expire(round_)
             self.policies.apply_pending(self.fabric)
             self._create_phase(round_)
             if cfg.sim.refresh_interval > 0 and round_ % cfg.sim.refresh_interval == 0:

@@ -493,7 +493,10 @@ class TestCmdScore:
         ("1,0,0,0,1", "line 3: reaction without exposure"),
         ("1,0,0,1", "line 3: missing field reaction"),
         ("1,0,0,7,1", "line 3: exposed must be 0 or 1"),
-    ], ids=["non_integer", "reaction_without_exposure", "short_row", "exposed_not_0_1"])
+        ("1,0,9223372036854775808,1,1", "line 3: round is out of range (int64)"),
+        ("-9223372036854775809,0,0,1,1", "line 3: citizen_id is out of range (int64)"),
+    ], ids=["non_integer", "reaction_without_exposure", "short_row", "exposed_not_0_1",
+            "round_past_int64", "citizen_past_int64"])
     def test_malformed_reactions_exit_2(self, tmp_path, capsys, row, expected):
         fabric = self._fabric_json(tmp_path)
         reactions = tmp_path / "reactions.csv"

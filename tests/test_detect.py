@@ -4,7 +4,8 @@ recovery."""
 import numpy as np
 import pytest
 
-from plural.detect import (AttitudeMatrix, CommunityCandidate, detect_communities,
+from plural.detect import (FUZZIFIER, AttitudeMatrix, CommunityCandidate,
+                           _memberships_from_distances, _sq_distances, detect_communities,
                            fuzzy_c_means, principal_subcommunities)
 from plural.errors import DegenerateInput, TooSmall
 from plural.fabric import SocialFabric
@@ -30,6 +31,24 @@ def reference_fcm(x, centroids, m=2.0, iters=500):
             break
         centroids = new_centroids
     return u, centroids
+
+
+def old_memberships_from_distances(d2):
+    """The membership update before its no-zero-distance short path."""
+    power = -1.0 / (FUZZIFIER - 1.0)
+    zero = d2 <= 1e-300
+    with np.errstate(divide="ignore"):
+        g = np.where(zero, 0.0, d2) ** power
+        g[zero] = 0.0
+    u = np.zeros_like(d2)
+    hit = zero.any(axis=1)
+    if hit.any():
+        z = zero[hit]
+        u[hit] = z / z.sum(axis=1, keepdims=True)
+    rest = ~hit
+    if rest.any():
+        u[rest] = g[rest] / g[rest].sum(axis=1, keepdims=True)
+    return u
 
 
 def jaccard(a, b):
@@ -66,6 +85,20 @@ class TestFuzzyCMeans:
         # align reference clusters to ours by centroid proximity
         order = [int(np.argmin(((ref_c - c) ** 2).sum(1))) for c in part.centroids]
         assert np.allclose(part.memberships, ref_u[:, order], atol=1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_membership_update_equals_the_general_form(self, seed):
+        # The short path (no row touches a centroid) and the general one give
+        # the same bits, on random distances and with zero distances planted.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, size=(60, 5))
+        d2 = _sq_distances(x, x[rng.choice(60, size=4, replace=False)] + 1e-3)
+        assert not (d2 <= 1e-300).any()
+        assert np.array_equal(_memberships_from_distances(d2), old_memberships_from_distances(d2))
+        touching = _sq_distances(x, x[[3, 17, 17, 40]])
+        assert (touching <= 1e-300).any()
+        assert np.array_equal(_memberships_from_distances(touching),
+                              old_memberships_from_distances(touching))
 
     def test_k_one_rejected(self):
         data = AttitudeMatrix([0, 1], [0], np.array([[0.0], [1.0]]))

@@ -424,6 +424,31 @@ class TestPolicies:
         f.citizens[p].accepts_personal_ads = True
         book.set_lambda(("citizen", p), 1.0, "AdFunded", {0: adv}, f)
 
+    @pytest.mark.parametrize("funding", ["SelfPaid", "AdFunded"])
+    def test_unknown_citizen_or_community_rejected(self, funding):
+        # A change for an id the fabric does not hold would be dropped at
+        # the round boundary; it is refused when queued instead.
+        f = SocialFabric()
+        f.add_citizen(accepts_personal_ads=True)
+        f.add_community()
+        adv = Advertiser(id=0, personal_targeting=True)
+        book = PolicyBook()
+        for owner in (("citizen", 7), ("community", 3)):
+            with pytest.raises(NotFound):
+                book.set_lambda(owner, 1.0, funding, {0: adv}, f)
+        assert book.pending == {}
+
+    @pytest.mark.parametrize("funding", ["SelfPaid", "AdFunded"])
+    @pytest.mark.parametrize("owner", [("advertiser", 0), PLATFORM, ("creator_pool", 0)])
+    def test_owner_without_lambda_rejected(self, owner, funding):
+        f = SocialFabric()
+        f.add_citizen()
+        f.add_community()
+        book = PolicyBook()
+        with pytest.raises(ValueError, match="cannot hold a lambda policy"):
+            book.set_lambda(owner, 1.0, funding, {}, f)
+        assert book.pending == {}
+
     def test_set_to_zero_drops_out(self):
         f = SocialFabric()
         c = f.add_community(lambda_=1.0)

@@ -1,8 +1,9 @@
-"""Golden lock: short runs of the demo scenario, on the `mf` backend and on
-the default `gac_penrose` backend, and a short run of the benchmark's
-`market` scenario, must reproduce their artifacts byte for byte, and so must
-`plural score` on that `market` run's fabric and reactions. A change that
-alters outputs on purpose updates these digests and says why."""
+"""Golden lock: short runs of the demo scenario, on the `mf` backend, on the
+default `gac_penrose` backend and on `gac_uniform`, and short runs of the
+benchmark's `market` scenario, some with devotion adapting, must reproduce
+their artifacts byte for byte, and so must `plural score` on that `market`
+run's fabric and reactions. A change that alters outputs on purpose updates
+these digests and says why."""
 
 import hashlib
 import importlib.util
@@ -61,20 +62,47 @@ POPULARITY_8_REFRESH_1_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("backend, rounds, refresh_interval, popularity_only, digests", [
-    ("mf", 2, None, False, MF_DEMO_DIGESTS),
-    ("mf", 2, 1, False, MF_REFRESH_1_DIGESTS),
-    ("gac_penrose", 8, 1, False, PENROSE_8_REFRESH_1_DIGESTS),
-    ("gac_penrose", 8, 1, True, POPULARITY_8_REFRESH_1_DIGESTS),
-], ids=["demo", "refresh_1", "penrose_8_refresh_1", "popularity_8_refresh_1"])
+# The same 8 rounds with uniform bloc weighting (`gac_uniform`): locks the
+# consensus product under equal weights.
+UNIFORM_8_REFRESH_1_DIGESTS = {
+    "metrics.csv": "06e702aef2efb42902189856f1f118174b2dd69db1b7a2116ff7937428c327de",
+    "feeds.jsonl": "d30842af78075568951574ed799a9aae1cf3a6dfa71f1c21687339066f9bd869",
+    "ledger.csv": "c9a158f311bc3cd3749753d81d61237109d0c7bbbaf1cd2b2cdeeb12687d8016",
+    "fabric.json": "f4ee9f90148add40c3bddd2a28afb2fe44542bec037a0385f538b5fb2b992f7a",
+    "scorecards.csv": "465c5632bb1dc4dcdfead840a563cf96c2c7ef83688828f4c4e491ecb61a8ba3",
+}
+
+# The penrose 8 rounds with devotion adapting at rate 0.1. Each demo citizen
+# sits in one community, so normalized devotion stays 1 and only the raw
+# devotions in fabric.json differ from PENROSE_8_REFRESH_1_DIGESTS; the
+# `market` devotion case below carries the adaptation into the feeds.
+DEVOTION_8_REFRESH_1_DIGESTS = {
+    "metrics.csv": "ca25abfa1905cc728f0198fa71a1680111b821a96c4cf9a8b44a383858bae7f3",
+    "feeds.jsonl": "efd9b3578c0a40436d1d15db97db1bcbe8f33addb455cbf8f3f424585c99a753",
+    "ledger.csv": "28fa6cfb802c148cc8a554509c7b95b65da6726bdd16cbe46759099300f9f515",
+    "fabric.json": "4b028dec655a0bcfbe85a829baf7662ee5d78088bd23d68ddc637d88ec75ee95",
+    "scorecards.csv": "ba26e8d4f64f1cf14c35b4f43f1b9e7e6ff870abcf980c19cdfc09df42a2809f",
+}
+
+
+@pytest.mark.parametrize("backend, rounds, refresh_interval, popularity_only, sim, digests", [
+    ("mf", 2, None, False, {}, MF_DEMO_DIGESTS),
+    ("mf", 2, 1, False, {}, MF_REFRESH_1_DIGESTS),
+    ("gac_penrose", 8, 1, False, {}, PENROSE_8_REFRESH_1_DIGESTS),
+    ("gac_penrose", 8, 1, True, {}, POPULARITY_8_REFRESH_1_DIGESTS),
+    ("gac_uniform", 8, 1, False, {}, UNIFORM_8_REFRESH_1_DIGESTS),
+    ("gac_penrose", 8, 1, False, {"devotion_adapt_rate": 0.1}, DEVOTION_8_REFRESH_1_DIGESTS),
+], ids=["demo", "refresh_1", "penrose_8_refresh_1", "popularity_8_refresh_1",
+        "uniform_8_refresh_1", "devotion_8_refresh_1"])
 def test_mf_demo_artifacts_match_digests(tmp_path, backend, rounds, refresh_interval,
-                                         popularity_only, digests):
+                                         popularity_only, sim, digests):
     doc = json.loads(DEMO.read_text(encoding="utf-8"))
     doc["scoring"]["backend"] = backend
     doc["scoring"]["popularity_only"] = popularity_only
     doc["sim"]["rounds"] = rounds
     if refresh_interval is not None:
         doc["sim"]["refresh_interval"] = refresh_interval
+    doc["sim"].update(sim)
     scenario = tmp_path / "demo_mf.json"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
@@ -107,17 +135,37 @@ def _load_workloads():
     return module
 
 
-def test_market_artifacts_match_digests(tmp_path):
+# The same `market` run with devotion adapting at rate 0.1: its citizens sit
+# in two communities each, so the adapted devotions reweight the attention
+# numerator and reach every artifact.
+MARKET_6_DEVOTION_DIGESTS = {
+    "metrics.csv": "0048979d7bd4704a3f5ecfa723b370cc8e359cd460ddf3ed48bfe2e820215847",
+    "feeds.jsonl": "cf6dec682e06598f86bdae7499d85049a61ce72b93b0875e5946cb2d63d215f5",
+    "ledger.csv": "4943efb0735b2e5d12ca0045d5a9d3e5b041d400f73b65480bd7709141c3262b",
+    "fabric.json": "3242ea861d245f06f19ccb97de7a389a13924468dce344a0ab49b45620286376",
+    "scorecards.csv": "c5c89dbedfa1eb4a037a77765bb20ca3fa48310e1da044660d5f8612360816d4",
+}
+
+
+def _market_digests(tmp_path, **sim) -> dict[str, str]:
     base = json.loads(DEMO.read_text(encoding="utf-8"))
     doc = _load_workloads().scenario(base, "market", 0, rounds=6)
     doc["sim"]["refresh_interval"] = 2
+    doc["sim"].update(sim)
     scenario = tmp_path / "market.json"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in MARKET_6_REFRESH_2_DIGESTS}
-    assert got == MARKET_6_REFRESH_2_DIGESTS
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in MARKET_6_REFRESH_2_DIGESTS}
+
+
+def test_market_artifacts_match_digests(tmp_path):
+    assert _market_digests(tmp_path) == MARKET_6_REFRESH_2_DIGESTS
+
+
+def test_market_devotion_artifacts_match_digests(tmp_path):
+    assert _market_digests(tmp_path, devotion_adapt_rate=0.1) == MARKET_6_DEVOTION_DIGESTS
 
 
 # `plural score` on the fabric and reactions of the 6-round `market` run

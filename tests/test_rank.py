@@ -330,6 +330,26 @@ class TestSeedContent:
         assert ov.get(0, c, 4) == pytest.approx(0.5)
         assert ov.get(0, c, 5) is None
 
+    def test_expire_keeps_every_live_override(self):
+        # Dropping expired overrides each round changes no live() result,
+        # in that round or any later one, and leaves only live ones held.
+        rng = np.random.default_rng(3)
+        kept, pruned = PsiOverrides(), PsiOverrides()
+        for round_ in range(12):
+            pruned.expire(round_)
+            for _ in range(int(rng.integers(0, 6))):
+                m, c = int(rng.integers(0, 20)), int(rng.integers(0, 3))
+                psi, expires = float(rng.random()), round_ + int(rng.integers(0, 4))
+                kept.set(m, c, psi, expires)
+                pruned.set(m, c, psi, expires)
+            for later in range(round_, round_ + 5):
+                for c in range(4):
+                    assert pruned.live(c, later) == kept.live(c, later)
+        pruned.expire(12)
+        held = sum(len(by_content) for by_content in pruned._live.values())
+        assert held == sum(len(pruned.live(c, 12)) for c in range(3))
+        assert held < sum(len(by_content) for by_content in kept._live.values())
+
     def test_advertiser_allowance_path(self):
         f, a, b, c = self._fabric()
         ov = PsiOverrides()
