@@ -92,9 +92,24 @@ def _memberships_from_distances(d2: np.ndarray) -> np.ndarray:
     return u
 
 
-def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkf,nkf->nk", diff, diff)
+class _SqDistances:
+    """Squared distances from each row of `x` to each of K centroids.
+
+    The rows are repeated K times once, as a C-contiguous (n, K, F) array,
+    so each call's subtraction runs over whole (K, F) blocks into a buffer
+    kept between calls. For C-ordered `x` and centroids (a fit's centroids
+    always are), the differences have the values and the layout of the
+    broadcast `x[:, None, :] - centroids[None, :, :]`, so the einsum gives
+    its bits; the buffer is C-ordered whatever the layout of `x`.
+    """
+
+    def __init__(self, x: np.ndarray, K: int) -> None:
+        self._rows = np.repeat(x[:, None, :], K, axis=1)
+        self._diff = np.empty_like(self._rows)
+
+    def __call__(self, centroids: np.ndarray) -> np.ndarray:
+        np.subtract(self._rows, centroids[None, :, :], out=self._diff)
+        return np.einsum("nkf,nkf->nk", self._diff, self._diff)
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,14 +146,15 @@ def fuzzy_c_means(data: AttitudeMatrix, K: int, seed: int = 0) -> FuzzyPartition
 
     rng = derive_rng(seed, "fcm", K)
     centroids = _kmeanspp_init(x, K, rng)
-    u = _memberships_from_distances(_sq_distances(x, centroids))
+    sq_distances = _SqDistances(x, K)
+    u = _memberships_from_distances(sq_distances(centroids))
     um = u ** FUZZIFIER
     history: list[float] = []
     converged = False
     it = 0
     for it in range(1, MAX_ITERS + 1):
         new_centroids = (um.T @ x) / um.sum(axis=0)[:, None]
-        d2 = _sq_distances(x, new_centroids)
+        d2 = sq_distances(new_centroids)
         u = _memberships_from_distances(d2)
         um = u ** FUZZIFIER          # the objective's weights, and the next update's
         history.append(float(np.sum(um * d2)))

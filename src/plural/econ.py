@@ -18,6 +18,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
+from ._sum import left_sum
 from .config import AdDealConfig, EconParams
 from .errors import InsufficientFunds, NoAcceptedDeal, NotFound, Unregistered
 from .rank import attention_terms
@@ -256,7 +257,7 @@ def _shares(terms: Sequence[SponsorTerm], content: int) -> list[tuple[OwnerRef, 
     """Each owner's fraction of the content's attention numerator, over the
     owners whose term is positive; empty when the numerator is not."""
     values = [w * col.get(content, 0.0) for _, w, col in terms]
-    total = sum(values)
+    total = left_sum(values)
     if total <= 0:
         return []
     return [(term[0], v / total) for term, v in zip(terms, values) if v > 0]

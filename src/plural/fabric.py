@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ._sum import left_sum
 from .errors import AlreadyMember, InsufficientStanding, NotFound
 
 # Raw standing may never drop below this, keeping every normalized standing
@@ -27,6 +28,13 @@ STANDING_FLOOR = 1e-6
 # Devotion sits at the floor so existing feed weighting is not perturbed.
 _DERIVED_RAW_STANDING = 1.0
 _DERIVED_RAW_DEVOTION = 1e-6
+
+
+def _id(value, what: str) -> int:
+    """`value` when it is an integer id (a bool is not); ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -218,7 +226,7 @@ class SocialFabric:
     def devotions(self, citizen: int) -> dict[int, float]:
         """Normalized devotion over the citizen's memberships (sums to 1)."""
         p = self._citizen(citizen)
-        total = sum(e.raw_devotion for e in p.memberships.values())
+        total = left_sum(e.raw_devotion for e in p.memberships.values())
         return {c: e.raw_devotion / total for c, e in p.memberships.items()}
 
     def devotion(self, citizen: int, community: int) -> float:
@@ -231,7 +239,7 @@ class SocialFabric:
         """Normalized standing over the community's members (sums to 1)."""
         c = self._community(community)
         raws = {p: self.citizens[p].memberships[community].raw_standing for p in c.members}
-        total = sum(raws.values())
+        total = left_sum(raws.values())
         return {p: r / total for p, r in raws.items()}
 
     def standing(self, citizen: int, community: int) -> float:
@@ -312,7 +320,8 @@ class SocialFabric:
         """Rebuild a fabric from `to_dict` output.
 
         A document of another shape raises ValueError naming the offending
-        record, e.g. "communities[2]: missing key 'id'".
+        record, e.g. "communities[2]: missing key 'id'"; every id must be an
+        integer.
         """
         if not isinstance(doc, dict):
             raise ValueError("the document must be a JSON object")
@@ -327,25 +336,27 @@ class SocialFabric:
                 fab.add_citizen(lambda_=rec.get("lambda", 0.0),
                                 subscriber=rec.get("subscriber", False),
                                 accepts_personal_ads=rec.get("accepts_personal_ads", False),
-                                citizen_id=rec["id"])
+                                citizen_id=_id(rec["id"], "id"))
             for k, rec in enumerate(doc["communities"]):
                 where = f"communities[{k}]"
-                derived = tuple(rec["derived_from"]) if rec.get("derived_from") else None
+                derived = tuple(_id(c, "derived_from entry") for c in rec["derived_from"]) \
+                    if rec.get("derived_from") else None
                 cid = fab.add_community(lambda_=rec.get("lambda", 0.0),
                                         admin_registered=rec.get("admin_registered", False),
                                         derived_from=derived,
-                                        community_id=rec["id"])
+                                        community_id=_id(rec["id"], "id"))
                 fab.communities[cid].principal_subcommunities = [
-                    set(g) for g in rec.get("principal_subcommunities", [])]
+                    {_id(p, "principal_subcommunities member") for p in g}
+                    for g in rec.get("principal_subcommunities", [])]
                 if derived is not None:
                     fab.intersection_cache[derived] = cid
             for k, rec in enumerate(doc["memberships"]):
                 where = f"memberships[{k}]"
-                p = fab._citizen(rec["citizen"])
-                c = fab._community(rec["community"])
-                p.memberships[rec["community"]] = MembershipEdge(
+                p = fab._citizen(_id(rec["citizen"], "citizen"))
+                c = fab._community(_id(rec["community"], "community"))
+                p.memberships[c.id] = MembershipEdge(
                     rec["raw_standing"], rec["raw_devotion"], rec.get("opted_in", True))
-                c.members.add(rec["citizen"])
+                c.members.add(p.id)
         except KeyError as exc:
             raise ValueError(f"{where}: missing key {exc}") from None
         except (AttributeError, TypeError, ValueError, NotFound) as exc:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ._rng import derive_rng
+from ._sum import left_sum
 from .config import RankingParams
 from .errors import InsufficientStanding
 from .score import LABEL_BRIDGING, LABEL_DIVISIVE, ScoreSet, Scope
@@ -63,9 +64,6 @@ class PsiOverrides:
 
     def set(self, content: int, community: int, psi: float, expires_round: int) -> None:
         self._live.setdefault(community, {})[content] = (psi, expires_round)
-
-    def get(self, content: int, community: int, current_round: int) -> Optional[float]:
-        return self.live(community, current_round).get(content)
 
     def live(self, community: int, current_round: int) -> dict[int, float]:
         """The community's overrides live in `current_round`, by content."""
@@ -125,7 +123,7 @@ def exposure_weights(citizen: int, fabric, psi_view, pool: Sequence[int]) -> dic
     (ScoreSet or EffectivePsi); missing scores count as zero. The numerators
     are built one term at a time over the whole pool: each is
     0 + term_1 + term_2 + ..., added left to right in `attention_terms`
-    order (citizen first, then communities by id), as `sum` adds them.
+    order (citizen first, then communities by id), as `left_sum` adds them.
     When every numerator is zero the budget is spread uniformly so a cold
     system still serves content.
     """
@@ -138,7 +136,7 @@ def exposure_weights(citizen: int, fabric, psi_view, pool: Sequence[int]) -> dic
         psi = psi_view.column(scope)
         acc = [a + w * psi.get(m, 0.0) for a, m in zip(acc, pool)]
     numerators = dict(zip(pool, acc))
-    total = sum(numerators.values())
+    total = left_sum(numerators.values())
     if total <= 0.0:
         share = 1.0 / len(pool)
         return {m: share for m in pool}
@@ -186,7 +184,7 @@ def build_feed(citizen: int, fabric, weights: Mapping[int, float], scores: Score
     ranked = sorted(weights, key=lambda m: (-weights[m], m))
     top = ranked[:params.feed_size]
     rest = ranked[params.feed_size:]
-    top_total = sum(weights[m] for m in top)
+    top_total = left_sum(weights[m] for m in top)
 
     shares: dict[int, float] = {}
     epsilon = params.epsilon if rest else 0.0

@@ -829,8 +829,10 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
     community), citizen columns for every content a citizen could be served,
     and balancing sets for everything labeled Divisive.
 
-    The mf backend fits one factorization per community and falls back to the
-    penrose consensus product where its data preconditions fail. Results are
+    The mf backend fits on read: only a community with at least two principal
+    subcommunities and a targeted content reads a factorization, so only such
+    a community is fitted, from its own seed; where the fit's data
+    preconditions fail, the penrose consensus product stands. Results are
     identical to calling score_for_community / citizen_score pairwise: those
     are one-content runs of the same passes. Here the records are tallied
     once, each community's contents are profiled in one pass, and so are
@@ -838,18 +840,6 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
     (see ScoreSet).
     """
     scores = ScoreSet()
-    mf_fits: dict[int, MfFit | None] = {}
-    if params.backend == "mf":
-        for cid in sorted(fabric.communities):
-            comm = fabric.communities[cid]
-            try:
-                mf_fits[cid] = bridging_mf(reactions, comm.members,
-                                           reg=params.mf_reg, epochs=params.mf_epochs,
-                                           lr=params.mf_lr,
-                                           seed=derive_seed(mf_seed, "mf-community", cid))
-            except InsufficientData:
-                mf_fits[cid] = None
-
     contents = sorted(catalog)
     tally = _Tally(reactions, contents, current_round, params.half_life)
     targeting: dict[int, list[int]] = {}        # community -> positions in `contents`
@@ -859,12 +849,19 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
 
     whole: dict[int, np.ndarray] = {}           # community -> rate over all members
     for cid in sorted(fabric.communities):
+        comm = fabric.communities[cid]
         cols = targeting.get(cid, [])
-        fit = mf_fits.get(cid)
+        beta_raw = None
+        if params.backend == "mf" and cols and len(comm.principal_subcommunities) >= 2:
+            try:
+                beta_raw = bridging_mf(reactions, comm.members, reg=params.mf_reg,
+                                       epochs=params.mf_epochs, lr=params.mf_lr,
+                                       seed=derive_seed(mf_seed, "mf-community", cid)).beta_raw
+            except InsufficientData:
+                pass
         whole[cid] = _score_community(
             scores._writable(("community", cid)) if cols else _Column(),
-            fabric.communities[cid], cols, tally, params,
-            fit.beta_raw if fit is not None else None)
+            comm, cols, tally, params, beta_raw)
 
     def balance(scope: Scope, mid: int) -> None:
         scores.balancing[(mid, scope)] = balancing_set(

@@ -488,6 +488,29 @@ class TestCmdScore:
         err = capsys.readouterr().err
         assert err.startswith(f"fabric error: {fabric}: memberships[5]: raw weights must be > 0")
 
+    @pytest.mark.parametrize("value", ["x", True, 1.5, "3"], ids=["str", "bool", "float", "digits"])
+    @pytest.mark.parametrize("path, expected", [
+        (("citizens", 0, "id"), "citizens[0]: id"),
+        (("communities", 1, "id"), "communities[1]: id"),
+        (("memberships", 5, "citizen"), "memberships[5]: citizen"),
+        (("memberships", 6, "community"), "memberships[6]: community"),
+        (("communities", 0, "principal_subcommunities", 1, 0),
+         "communities[0]: principal_subcommunities member"),
+    ], ids=["citizen", "community", "membership_citizen", "membership_community", "bloc_member"])
+    def test_non_integer_id_exit_2(self, tmp_path, capsys, value, path, expected):
+        fabric = self._fabric_json(tmp_path)
+        doc = json.loads(fabric.read_text(encoding="utf-8"))
+        record = doc
+        for key in path[:-1]:
+            record = record[key]
+        record[path[-1]] = value
+        fabric.write_text(json.dumps(doc), encoding="utf-8")
+        reactions = tmp_path / "reactions.csv"
+        reactions.write_text("", encoding="utf-8")
+        assert self._score(tmp_path, fabric, reactions) == 2
+        assert capsys.readouterr().err == \
+            f"fabric error: {fabric}: {expected} must be an integer, got {value!r}\n"
+
     @pytest.mark.parametrize("row, expected", [
         ("0,x,0,1,1", "line 3: content_id is not an integer: 'x'"),
         ("1,0,0,0,1", "line 3: reaction without exposure"),

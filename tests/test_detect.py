@@ -4,8 +4,9 @@ recovery."""
 import numpy as np
 import pytest
 
-from plural.detect import (FUZZIFIER, AttitudeMatrix, CommunityCandidate,
-                           _memberships_from_distances, _sq_distances, detect_communities,
+from plural import detect
+from plural.detect import (FUZZIFIER, AttitudeMatrix, CommunityCandidate, _SqDistances,
+                           _memberships_from_distances, detect_communities,
                            fuzzy_c_means, principal_subcommunities)
 from plural.errors import DegenerateInput, TooSmall
 from plural.fabric import SocialFabric
@@ -31,6 +32,13 @@ def reference_fcm(x, centroids, m=2.0, iters=500):
             break
         centroids = new_centroids
     return u, centroids
+
+
+def broadcast_sq_distances(x, centroids):
+    """Squared row-to-centroid distances as one broadcast: the formula the
+    buffered kernel must reproduce bit for bit."""
+    diff = x[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkf,nkf->nk", diff, diff)
 
 
 def old_memberships_from_distances(d2):
@@ -92,13 +100,54 @@ class TestFuzzyCMeans:
         # the same bits, on random distances and with zero distances planted.
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, size=(60, 5))
-        d2 = _sq_distances(x, x[rng.choice(60, size=4, replace=False)] + 1e-3)
+        d2 = broadcast_sq_distances(x, x[rng.choice(60, size=4, replace=False)] + 1e-3)
         assert not (d2 <= 1e-300).any()
         assert np.array_equal(_memberships_from_distances(d2), old_memberships_from_distances(d2))
-        touching = _sq_distances(x, x[[3, 17, 17, 40]])
+        touching = broadcast_sq_distances(x, x[[3, 17, 17, 40]])
         assert (touching <= 1e-300).any()
         assert np.array_equal(_memberships_from_distances(touching),
                               old_memberships_from_distances(touching))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distance_kernel_equals_the_broadcast(self, seed):
+        # One kernel, called again and again on its buffer, as a fit calls it,
+        # on C-ordered rows and centroids (a fit's centroids always are):
+        # random centroids, and centroids on rows.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, size=(50, 7))
+        kernel = _SqDistances(x, 4)
+        for centroids in (rng.uniform(-1, 1, size=(4, 7)), x[[3, 17, 17, 40]],
+                          rng.normal(size=(4, 7))):
+            assert np.array_equal(kernel(centroids), broadcast_sq_distances(x, centroids))
+        assert (kernel(x[[3, 17, 17, 40]]) == 0.0).any()
+        # The repeated rows are C-ordered whatever the layout of x, so a
+        # Fortran-ordered x gives the bits of its C-ordered copy.
+        centroids = rng.normal(size=(4, 7))
+        assert np.array_equal(_SqDistances(np.asfortranarray(x), 4)(centroids),
+                              kernel(centroids))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_fit_equals_the_broadcast_fit(self, seed, monkeypatch):
+        """A whole fit with the buffered kernel is the fit with the broadcast."""
+        rng = np.random.default_rng(seed)
+        sizes, centers = [12, 10, 8], [[0.8, 0.8, -0.5], [-0.8, 0.2, 0.6], [0.1, -0.9, -0.2]]
+        data, _ = planted_attitudes(rng, sizes, centers, 0.3, 3)
+
+        class Broadcast:
+            def __init__(self, x, K):
+                self.x = x
+
+            def __call__(self, centroids):
+                return broadcast_sq_distances(self.x, centroids)
+
+        fits = [fuzzy_c_means(data, K, seed=seed) for K in (2, 3, 4)]
+        monkeypatch.setattr(detect, "_SqDistances", Broadcast)
+        for K, fit in zip((2, 3, 4), fits):
+            ref = fuzzy_c_means(data, K, seed=seed)
+            assert np.array_equal(fit.memberships, ref.memberships)
+            assert np.array_equal(fit.centroids, ref.centroids)
+            assert (fit.n_iters, fit.converged) == (ref.n_iters, ref.converged)
+            assert fit.objective_history == ref.objective_history
 
     def test_k_one_rejected(self):
         data = AttitudeMatrix([0, 1], [0], np.array([[0.0], [1.0]]))

@@ -226,6 +226,20 @@ class TestAuditAndSerialization:
         assert edge["raw_standing"] == 1.25
         assert edge["raw_devotion"] == 0.75
 
+    @pytest.mark.parametrize("value", ["x", True, 1.5, "3"], ids=["str", "bool", "float", "digits"])
+    def test_non_integer_derived_from_rejected(self, value):
+        f = small_fabric()
+        for p in range(3):
+            f.add_membership(p, 0, 1.0, 1.0)
+        for p in range(1, 4):
+            f.add_membership(p, 1, 1.0, 1.0)
+        derived = f.intersect_communities(0, 1)
+        doc = f.to_dict()
+        doc["communities"][derived]["derived_from"][1] = value
+        with pytest.raises(ValueError, match=rf"^communities\[{derived}\]: derived_from entry "
+                                             rf"must be an integer"):
+            SocialFabric.from_dict(doc)
+
 
 def test_randomized_mutation_invariants():
     # criterion-8-style soak at unit scale; the acceptance suite runs 10^4

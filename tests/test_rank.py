@@ -288,7 +288,7 @@ class TestSeedContent:
         item = ContentItem(id=0, creator=a, target_communities={c})
         psi = seed_content(ov, f, item, c, 0.0, RankingParams(), 0)
         assert psi == 0.0
-        assert ov.get(0, c, 0) is None
+        assert ov.live(c, 0).get(0) is None
         assert f.raw_standing(a, c) == 1.0
 
     def test_linear_stake_ratio(self):
@@ -299,7 +299,7 @@ class TestSeedContent:
         item_b = ContentItem(id=1, creator=b, target_communities={c})
         seed_content(ov, f, item_a, c, 0.04, params, 0)
         seed_content(ov, f, item_b, c, 0.08, params, 0)
-        pa, pb = ov.get(0, c, 0), ov.get(1, c, 0)
+        pa, pb = ov.live(c, 0).get(0), ov.live(c, 0).get(1)
         assert pb == pytest.approx(2 * pa)
         # identical lambda weighting means exposure follows the 1:2 ratio
         view = EffectivePsi(ScoreSet(), ov, 0)
@@ -326,9 +326,9 @@ class TestSeedContent:
         ov = PsiOverrides()
         item = ContentItem(id=0, creator=a, target_communities={c})
         seed_content(ov, f, item, c, 0.05, RankingParams(seed_rounds=2), 3)
-        assert ov.get(0, c, 3) == pytest.approx(0.5)
-        assert ov.get(0, c, 4) == pytest.approx(0.5)
-        assert ov.get(0, c, 5) is None
+        assert ov.live(c, 3).get(0) == pytest.approx(0.5)
+        assert ov.live(c, 4).get(0) == pytest.approx(0.5)
+        assert ov.live(c, 5).get(0) is None
 
     def test_expire_keeps_every_live_override(self):
         # Dropping expired overrides each round changes no live() result,

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plural._rng import derive_rng
+from plural import score
+from plural._rng import derive_rng, derive_seed
 from plural.errors import FewerThanTwoBlocs, InsufficientData
 from plural.fabric import SocialFabric
 from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, LABEL_NEITHER,
@@ -875,3 +876,53 @@ def test_scorecard_csv_contract():
     assert lines[0] == "content_id,scope_kind,scope_id,iota,beta,delta,psi,label,characteristic_blocs"
     assert lines[1] == "3,community,1,0.5,0.25,0.7,0.35,Divisive,0;2"
     assert ScoreSet().to_csv().splitlines() == [lines[0]]
+
+
+# -- the mf backend fits only where a community card reads the fit ---------------
+
+def test_mf_fits_only_communities_whose_cards_read_it(monkeypatch):
+    """A fit is read only by a community with two or more blocs and a
+    targeted content: only that community is fitted, from its own seed, and
+    every other column is the gac_penrose fallback."""
+    f = SocialFabric()
+    for _ in range(9):
+        f.add_citizen()
+    a, b, c = (f.add_community(lambda_=1.0) for _ in range(3))
+    for cid, members in ((a, (0, 1, 2, 3)), (b, (2, 3, 4, 5)), (c, (5, 6, 7, 8))):
+        for p in members:
+            f.add_membership(p, cid, 1.0, 1.0)
+    f.communities[a].principal_subcommunities = [{0, 1}, {2, 3}]    # blocs, targeted
+    f.communities[c].principal_subcommunities = [{5, 6}, {7, 8}]    # blocs, never targeted
+    catalog, rm = _random_votes(f, lambda mid: {a} if mid % 2 else {a, b}, 8, seed=4)
+    for p in (5, 6, 7, 8):         # votes that would fit c, were c read
+        rm.record_reaction(p, 0, 1 if p % 2 else -1, 1)
+        rm.record_reaction(p, 1, -1 if p % 2 else 1, 1)
+
+    calls = []
+
+    def counted(reactions, raters, **kwargs):
+        calls.append(sorted(raters))
+        return bridging_mf(reactions, raters, **kwargs)
+
+    monkeypatch.setattr(score, "bridging_mf", counted)
+    params = ScoringParams(backend="mf", mf_epochs=60)
+    scores = score_round(f, catalog, rm, params, current_round=3, mf_seed=7)
+    assert calls == [[0, 1, 2, 3]]
+
+    fit = bridging_mf(rm, f.communities[a].members, reg=params.mf_reg,
+                      epochs=params.mf_epochs, lr=params.mf_lr,
+                      seed=derive_seed(7, "mf-community", a))
+    penrose = score_round(f, catalog, rm, dataclasses.replace(params, backend="gac_penrose"),
+                          current_round=3)
+    fitted = scores.scope_cards(("community", a))
+    assert sorted(fitted) == sorted(catalog)
+    for mid, card in fitted.items():
+        assert card == score_for_community(catalog[mid], f.communities[a], rm, params, 3,
+                                           beta_override=fit.beta_raw.get(mid))
+    assert any(card != penrose.get(mid, ("community", a)) for mid, card in fitted.items())
+    assert not scores.scope_cards(("community", c))
+    others = [key for key in sorted(scores.cards) if key[1] != ("community", a)]
+    assert others == [key for key in sorted(penrose.cards) if key[1] != ("community", a)]
+    assert any(scope == ("community", b) for _, scope in others)
+    for key in others:
+        assert scores.cards[key] == penrose.cards[key]
