@@ -130,32 +130,49 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
-def fuzzy_c_means(data: AttitudeMatrix, K: int, seed: int = 0) -> FuzzyPartition:
+def _distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct rows of `values`, each row's index among them); no rows
+    when `values` holds no cells."""
+    if not values.size:
+        return values[:0], np.zeros(len(values), dtype=np.intp)
+    rows, inverse = np.unique(values, axis=0, return_inverse=True)
+    return rows, inverse.reshape(-1)    # numpy 2.0.0 returns another shape
+
+
+def fuzzy_c_means(data: AttitudeMatrix, K: int, seed: int = 0, *,
+                  distinct: tuple[np.ndarray, np.ndarray] | None = None) -> FuzzyPartition:
     """Alternating membership/centroid updates until centroids move < TOL.
 
     Seeding is k-means++ from the given seed; non-convergence within
     MAX_ITERS is reported through the `converged` flag, never an error.
     The recorded objective is non-increasing iteration over iteration.
+
+    `distinct` is `_distinct_rows(data.values)`, computed here when not
+    given. Distances and memberships are row-wise, so they run on the
+    distinct rows only and are gathered back to every row with the same
+    bits; seeding, centroid updates, the objective and the shift run over
+    all rows, whose order fixes their sums.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
     x = data.values
-    n_distinct = np.unique(x, axis=0).shape[0] if x.size else 0
-    if n_distinct < K:
-        raise DegenerateInput(f"need at least K={K} distinct rows, found {n_distinct}")
+    rows, inverse = _distinct_rows(x) if distinct is None else distinct
+    if len(rows) < K:
+        raise DegenerateInput(f"need at least K={K} distinct rows, found {len(rows)}")
 
     rng = derive_rng(seed, "fcm", K)
     centroids = _kmeanspp_init(x, K, rng)
-    sq_distances = _SqDistances(x, K)
-    u = _memberships_from_distances(sq_distances(centroids))
+    sq_distances = _SqDistances(rows, K)
+    u = _memberships_from_distances(sq_distances(centroids))[inverse]
     um = u ** FUZZIFIER
     history: list[float] = []
     converged = False
     it = 0
     for it in range(1, MAX_ITERS + 1):
         new_centroids = (um.T @ x) / um.sum(axis=0)[:, None]
-        d2 = sq_distances(new_centroids)
-        u = _memberships_from_distances(d2)
+        d2_rows = sq_distances(new_centroids)
+        d2 = d2_rows[inverse]
+        u = _memberships_from_distances(d2_rows)[inverse]
         um = u ** FUZZIFIER          # the objective's weights, and the next update's
         history.append(float(np.sum(um * d2)))
         shift = float(np.max(np.abs(new_centroids - centroids)))
@@ -177,11 +194,11 @@ def select_partition(data: AttitudeMatrix, k_range: tuple[int, int],
     k_lo, k_hi = k_range
     if k_lo < 2 or k_hi < k_lo:
         raise ValueError("K range must satisfy 2 <= lo <= hi")
-    n_distinct = np.unique(data.values, axis=0).shape[0] if data.values.size else 0
-    k_hi = min(k_hi, max(n_distinct, k_lo))
+    distinct = _distinct_rows(data.values)
+    k_hi = min(k_hi, max(len(distinct[0]), k_lo))
     best: FuzzyPartition | None = None
     for k in range(k_lo, k_hi + 1):
-        part = fuzzy_c_means(data, k, seed=seed)
+        part = fuzzy_c_means(data, k, seed=seed, distinct=distinct)
         if best is None or part.partition_coefficient() > best.partition_coefficient():
             best = part
     assert best is not None

@@ -14,6 +14,7 @@ materialized lazily and kept consistent as memberships grow.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,6 +38,26 @@ def _id(value, what: str) -> int:
     return value
 
 
+def _flag(value, what: str) -> bool:
+    """`value` when it is a JSON boolean; ValueError otherwise."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _number(value, what: str):
+    """`value` when it is a number a float can hold (a bool is not);
+    ValueError otherwise. Ranges, finiteness included, are checked where
+    the value is stored."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is past the float range") from None
+    return value
+
+
 @dataclass
 class MembershipEdge:
     """One citizen-community incidence, stored as raw weights."""
@@ -46,9 +67,9 @@ class MembershipEdge:
     opted_in: bool = True
 
     def __post_init__(self) -> None:
-        # `not w > 0` also rejects NaN
-        if not (self.raw_standing > 0 and self.raw_devotion > 0):
-            raise ValueError(f"raw weights must be > 0, got raw_standing "
+        # the comparisons also reject NaN
+        if not (0 < self.raw_standing < math.inf and 0 < self.raw_devotion < math.inf):
+            raise ValueError(f"raw weights must be > 0 and finite, got raw_standing "
                              f"{self.raw_standing!r}, raw_devotion {self.raw_devotion!r}")
 
 
@@ -106,8 +127,8 @@ class SocialFabric:
 
     def add_citizen(self, lambda_: float = 0.0, subscriber: bool = False,
                     accepts_personal_ads: bool = False, citizen_id: int | None = None) -> int:
-        if lambda_ < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0 <= lambda_ < math.inf:     # also rejects NaN
+            raise ValueError(f"lambda must be >= 0 and finite, got {lambda_!r}")
         cid = len(self.citizens) if citizen_id is None else citizen_id
         if cid in self.citizens:
             raise ValueError(f"citizen id {cid} already exists")
@@ -118,8 +139,8 @@ class SocialFabric:
     def add_community(self, lambda_: float = 0.0, admin_registered: bool = False,
                       derived_from: Optional[tuple[int, int]] = None,
                       community_id: int | None = None) -> int:
-        if lambda_ < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0 <= lambda_ < math.inf:     # also rejects NaN
+            raise ValueError(f"lambda must be >= 0 and finite, got {lambda_!r}")
         cid = len(self.communities) if community_id is None else community_id
         if cid in self.communities:
             raise ValueError(f"community id {cid} already exists")
@@ -333,16 +354,18 @@ class SocialFabric:
         try:
             for k, rec in enumerate(doc["citizens"]):
                 where = f"citizens[{k}]"
-                fab.add_citizen(lambda_=rec.get("lambda", 0.0),
-                                subscriber=rec.get("subscriber", False),
-                                accepts_personal_ads=rec.get("accepts_personal_ads", False),
+                fab.add_citizen(lambda_=_number(rec.get("lambda", 0.0), "lambda"),
+                                subscriber=_flag(rec.get("subscriber", False), "subscriber"),
+                                accepts_personal_ads=_flag(rec.get("accepts_personal_ads", False),
+                                                           "accepts_personal_ads"),
                                 citizen_id=_id(rec["id"], "id"))
             for k, rec in enumerate(doc["communities"]):
                 where = f"communities[{k}]"
                 derived = tuple(_id(c, "derived_from entry") for c in rec["derived_from"]) \
                     if rec.get("derived_from") else None
-                cid = fab.add_community(lambda_=rec.get("lambda", 0.0),
-                                        admin_registered=rec.get("admin_registered", False),
+                cid = fab.add_community(lambda_=_number(rec.get("lambda", 0.0), "lambda"),
+                                        admin_registered=_flag(rec.get("admin_registered", False),
+                                                               "admin_registered"),
                                         derived_from=derived,
                                         community_id=_id(rec["id"], "id"))
                 fab.communities[cid].principal_subcommunities = [
@@ -355,7 +378,9 @@ class SocialFabric:
                 p = fab._citizen(_id(rec["citizen"], "citizen"))
                 c = fab._community(_id(rec["community"], "community"))
                 p.memberships[c.id] = MembershipEdge(
-                    rec["raw_standing"], rec["raw_devotion"], rec.get("opted_in", True))
+                    _number(rec["raw_standing"], "raw_standing"),
+                    _number(rec["raw_devotion"], "raw_devotion"),
+                    _flag(rec.get("opted_in", True), "opted_in"))
                 c.members.add(p.id)
         except KeyError as exc:
             raise ValueError(f"{where}: missing key {exc}") from None

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._rng import derive_rng, derive_seed
+from ._rng import derive_rng, derive_rngs, derive_seed
 from .config import ScenarioConfig
 from .detect import principal_subcommunities
 from .econ import (PLATFORM, Advertiser, Ledger, PolicyBook, reward_standing,
@@ -419,8 +419,8 @@ class _Simulation:
 
     def _react_phase(self, round_: int, feeds: Mapping[int, list]) -> None:
         scale = self.config.sim.engagement_scale
-        for citizen in sorted(feeds):
-            rng = derive_rng(self.seed, "react", round_, citizen)
+        citizens = sorted(feeds)
+        for citizen, rng in zip(citizens, derive_rngs(self.seed, citizens, "react", round_)):
             for entry in feeds[citizen]:
                 self.reactions.record_exposure(citizen, entry.content, round_)
                 a = float(self.attitude_arr[entry.content][citizen])
@@ -557,8 +557,9 @@ class _Simulation:
             feeds = self._rank_phase(round_, psi_view)
             for citizen in sorted(feeds):
                 self.feeds.append((round_, citizen, feeds[citizen]))
+                comms = self.fabric.member_communities(citizen)
                 for entry in feeds[citizen]:
-                    for cid in self.fabric.member_communities(citizen):
+                    for cid in comms:
                         community_exposure.setdefault(cid, {})
                         community_exposure[cid][entry.content] = \
                             community_exposure[cid].get(entry.content, 0.0) + entry.exposure_share

@@ -511,6 +511,39 @@ class TestCmdScore:
         assert capsys.readouterr().err == \
             f"fabric error: {fabric}: {expected} must be an integer, got {value!r}\n"
 
+    INF_STANDING = "raw weights must be > 0 and finite, got raw_standing inf, raw_devotion 1.0"
+
+    @pytest.mark.parametrize("path, literal, expected", [
+        (("citizens", 0, "subscriber"), '"no"', "citizens[0]: subscriber must be true or false, got 'no'"),
+        (("citizens", 1, "accepts_personal_ads"), "1",
+         "citizens[1]: accepts_personal_ads must be true or false, got 1"),
+        (("communities", 0, "admin_registered"), '"false"',
+         "communities[0]: admin_registered must be true or false, got 'false'"),
+        (("memberships", 0, "opted_in"), '"no"', "memberships[0]: opted_in must be true or false, got 'no'"),
+        (("citizens", 0, "lambda"), "true", "citizens[0]: lambda must be a number, got True"),
+        (("communities", 1, "lambda"), '"1"', "communities[1]: lambda must be a number, got '1'"),
+        (("communities", 1, "lambda"), "Infinity", "communities[1]: lambda must be >= 0 and finite, got inf"),
+        (("citizens", 0, "lambda"), "NaN", "citizens[0]: lambda must be >= 0 and finite, got nan"),
+        (("memberships", 0, "raw_standing"), "Infinity", f"memberships[0]: {INF_STANDING}"),
+        (("memberships", 0, "raw_standing"), "1e309", f"memberships[0]: {INF_STANDING}"),
+        (("memberships", 0, "raw_standing"), "1" + "0" * 400, "memberships[0]: raw_standing is past the float range"),
+        (("memberships", 0, "raw_devotion"), "false", "memberships[0]: raw_devotion must be a number, got False"),
+    ], ids=["subscriber_str", "ads_int", "admin_str", "opted_in_str", "lambda_bool", "lambda_str",
+            "lambda_inf", "lambda_nan", "standing_infinity", "standing_1e309", "standing_huge_int",
+            "devotion_bool"])
+    def test_mistyped_field_exit_2(self, tmp_path, capsys, path, literal, expected):
+        fabric = self._fabric_json(tmp_path)
+        doc = json.loads(fabric.read_text(encoding="utf-8"))
+        record = doc
+        for key in path[:-1]:
+            record = record[key]
+        record[path[-1]] = "HOSTILE"
+        fabric.write_text(json.dumps(doc).replace('"HOSTILE"', literal), encoding="utf-8")
+        reactions = tmp_path / "reactions.csv"
+        reactions.write_text("", encoding="utf-8")
+        assert self._score(tmp_path, fabric, reactions) == 2
+        assert capsys.readouterr().err == f"fabric error: {fabric}: {expected}\n"
+
     @pytest.mark.parametrize("row, expected", [
         ("0,x,0,1,1", "line 3: content_id is not an integer: 'x'"),
         ("1,0,0,0,1", "line 3: reaction without exposure"),

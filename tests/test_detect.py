@@ -149,6 +149,40 @@ class TestFuzzyCMeans:
             assert (fit.n_iters, fit.converged) == (ref.n_iters, ref.converged)
             assert fit.objective_history == ref.objective_history
 
+    @pytest.mark.parametrize("case", ["signs", "k_distinct", "planted"])
+    def test_fit_on_distinct_rows_equals_the_all_rows_fit(self, case, monkeypatch):
+        """Distances and memberships on the distinct rows, gathered back,
+        give the fit over every row, with rows duplicated many times and
+        rows on a centroid (k-means++ seeds on rows; with K distinct rows
+        every row sits on a centroid at every iteration)."""
+        rng = np.random.default_rng(11)
+        if case == "signs":
+            patterns = rng.integers(-1, 2, size=(6, 5)).astype(float)
+            x = np.vstack([patterns[rng.integers(6, size=50)], rng.uniform(-1, 1, size=(3, 5))])
+        elif case == "k_distinct":
+            x = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, 0.0]])[rng.integers(3, size=30)]
+        else:
+            planted, _ = planted_attitudes(rng, [12, 10, 8], [[0.8, 0.8, -0.5], [-0.8, 0.2, 0.6],
+                                                              [0.1, -0.9, -0.2]], 0.3, 3)
+            x = np.vstack([planted.values, planted.values[[0, 0, 3, 5, 5, 5, 29, 29]]])
+            x = x[rng.permutation(len(x))]
+        data = AttitudeMatrix(list(range(len(x))), list(range(x.shape[1])), x)
+        n_distinct = len(np.unique(x, axis=0))
+        assert n_distinct < len(x)
+        ks = range(2, min(n_distinct, 5) + 1)
+        fits = [fuzzy_c_means(data, K, seed=3) for K in ks]
+        best = detect.select_partition(data, (2, 7), seed=3)
+        monkeypatch.setattr(detect, "_distinct_rows", lambda v: (v, np.arange(len(v))))
+        refs = [fuzzy_c_means(data, K, seed=3) for K in ks]
+        refs.append(detect.select_partition(data, (2, min(7, n_distinct)), seed=3))
+        for fit, ref in zip(fits + [best], refs):
+            assert np.array_equal(fit.memberships, ref.memberships)
+            assert np.array_equal(fit.centroids, ref.centroids)
+            assert (fit.K, fit.n_iters, fit.converged) == (ref.K, ref.n_iters, ref.converged)
+            assert fit.objective_history == ref.objective_history
+        if case == "k_distinct":
+            assert set(np.unique(fits[-1].memberships)) == {0.0, 1.0}
+
     def test_k_one_rejected(self):
         data = AttitudeMatrix([0, 1], [0], np.array([[0.0], [1.0]]))
         with pytest.raises(ValueError):

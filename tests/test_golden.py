@@ -84,6 +84,18 @@ DEVOTION_8_REFRESH_1_DIGESTS = {
     "scorecards.csv": "ba26e8d4f64f1cf14c35b4f43f1b9e7e6ff870abcf980c19cdfc09df42a2809f",
 }
 
+# The demo at 400 citizens for 4 rounds with blocs refreshed every 2 rounds,
+# the shape of the benchmark's `crowd` workload: the round-2 refresh clusters
+# attitude rows that are mostly duplicates (few contents, sparse reactions),
+# and each round draws hundreds of citizens' react streams.
+CROWD_400_4_REFRESH_2_DIGESTS = {
+    "metrics.csv": "85f92f4c66b6281cf7c413bfb8154a8d67b2c67c84c9e708f4d19f50e4effc8a",
+    "feeds.jsonl": "d7c7908745795414b6982d433da617a38315414201de7190c7772ef8c59ed8d7",
+    "ledger.csv": "ac9c6a27d73a6d6fe91ce101d4678f5ef3fc4251eb174a85f1b37a69fb27f55a",
+    "fabric.json": "2ea219c3e561922ceb0e00b0a90aac75ee9f0919932ac05e57fcea28e665c4de",
+    "scorecards.csv": "c4861559005635388e01263b10acd45eb392c450ba6fe53ea82d9403643153c3",
+}
+
 
 @pytest.mark.parametrize("backend, rounds, refresh_interval, popularity_only, sim, digests", [
     ("mf", 2, None, False, {}, MF_DEMO_DIGESTS),
@@ -110,6 +122,20 @@ def test_mf_demo_artifacts_match_digests(tmp_path, backend, rounds, refresh_inte
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in digests}
     assert got == digests
+
+
+def test_crowd_shaped_artifacts_match_digests(tmp_path):
+    doc = json.loads(DEMO.read_text(encoding="utf-8"))
+    doc["population"]["n_citizens"] = 400
+    doc["sim"]["rounds"] = 4
+    doc["sim"]["refresh_interval"] = 2
+    scenario = tmp_path / "crowd.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in CROWD_400_4_REFRESH_2_DIGESTS}
+    assert got == CROWD_400_4_REFRESH_2_DIGESTS
 
 
 # The benchmark's `market` scenario (instance 0) for 6 rounds with blocs
