@@ -1,7 +1,7 @@
 """plural: a communitarian feed mechanism in a deterministic simulation harness.
 
 The package models a social fabric as a hypergraph of citizens and
-intersecting communities, detects internal opinion blocs from reaction data,
+overlapping communities, detects internal opinion blocs from reaction data,
 scores content for bridging and balancing per community and per citizen,
 allocates each citizen's attention through weighted coherence scores, and
 settles a pay-per-impression sponsorship economy over the resulting feeds —
@@ -10,8 +10,8 @@ coherence, conservation of attention and money) are measurable.
 """
 
 from .config import ScenarioConfig
-from .detect import (AttitudeMatrix, CommunityCandidate, FuzzyPartition,
-                     detect_communities, fuzzy_c_means, principal_subcommunities)
+from .detect import (AttitudeMatrix, FuzzyPartition, fuzzy_c_means,
+                     principal_subcommunities)
 from .econ import (Advertiser, AdDeal, EconParams, Ledger, LedgerEntry,
                    PolicyBook, attribute_entry, reward_standing, sell_standing,
                    settle_round)

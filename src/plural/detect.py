@@ -1,8 +1,8 @@
 """Community detection from reaction data.
 
-Fuzzy c-means over signed-attitude rows is the overlap-capable route, used
-both for candidate communities and for a community's principal
-subcommunities. It is deterministic given a seed.
+Fuzzy c-means over signed-attitude rows finds a community's principal
+subcommunities, its 2-7 internal blocs of shared attitude. It is
+deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -203,37 +203,6 @@ def select_partition(data: AttitudeMatrix, k_range: tuple[int, int],
             best = part
     assert best is not None
     return best
-
-
-@dataclass
-class CommunityCandidate:
-    """Thresholded member set with the fuzzy degrees that produced it."""
-
-    members: set[int]
-    degrees: dict[int, float]
-
-
-def detect_communities(reactions: AttitudeMatrix, min_size: int, threshold: float,
-                       k_range: tuple[int, int], seed: int = 0) -> list[CommunityCandidate]:
-    """Candidate overlapping communities from signed reaction rows.
-
-    A citizen joins candidate k when its membership degree reaches
-    `threshold`; candidates below `min_size` are dropped. Candidates are
-    ordered by descending size, ties by smallest member id.
-    """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must be in (0, 1)")
-    part = select_partition(reactions, k_range, seed=seed)
-    out: list[CommunityCandidate] = []
-    for k in range(part.K):
-        deg = part.memberships[:, k]
-        members = {reactions.row_ids[i] for i in np.nonzero(deg >= threshold)[0]}
-        if len(members) >= min_size:
-            out.append(CommunityCandidate(
-                members=members,
-                degrees={reactions.row_ids[i]: float(deg[i]) for i in range(len(reactions.row_ids))}))
-    out.sort(key=lambda c: (-len(c.members), min(c.members)))
-    return out
 
 
 def principal_subcommunities(fabric, community: int, reactions: AttitudeMatrix,

@@ -200,8 +200,8 @@ class PolicyBook:
         an accepted community deal, or for citizens an advertiser doing
         personal targeting while the citizen opts in.
         """
-        if new_lambda < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0 <= new_lambda < math.inf:     # also rejects NaN
+            raise ValueError(f"lambda must be >= 0 and finite, got {new_lambda!r}")
         if funding not in ("SelfPaid", "AdFunded"):
             raise ValueError(f"unknown funding {funding!r}")
         kind, oid = owner

@@ -1,4 +1,4 @@
-"""The social fabric: a hypergraph of citizens and intersecting communities.
+"""The social fabric: a hypergraph of citizens and overlapping communities.
 
 Citizens are nodes, communities are hyperedges, and each membership edge
 carries two raw positive weights: *standing* (the member's reputation inside
@@ -7,8 +7,8 @@ the community, normalized across the community's members) and *devotion*
 citizen's memberships). Raw weights are stored and normalization happens on
 read, so any sequence of mutations keeps both simplexes exact.
 
-The community set is closed under intersection; intersections are
-materialized lazily and kept consistent as memberships grow.
+A citizen may belong to several communities; shared attitudes inside a
+community are carried by its principal subcommunities.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ from .errors import AlreadyMember, InsufficientStanding, NotFound
 # Raw standing may never drop below this, keeping every normalized standing
 # strictly inside (0, 1).
 STANDING_FLOOR = 1e-6
-
-# Edge weights for members of a lazily materialized intersection community.
-# Devotion sits at the floor so existing feed weighting is not perturbed.
-_DERIVED_RAW_STANDING = 1.0
-_DERIVED_RAW_DEVOTION = 1e-6
 
 
 def _id(value, what: str) -> int:
@@ -89,7 +84,6 @@ class Community:
     lambda_: float = 0.0
     principal_subcommunities: list[set[int]] = field(default_factory=list)
     admin_registered: bool = False
-    derived_from: Optional[tuple[int, int]] = None
 
     def bloc_problem(self) -> Optional[str]:
         """Say how the stored blocs break their invariant, or None if they hold.
@@ -121,7 +115,6 @@ class SocialFabric:
     def __init__(self) -> None:
         self.citizens: dict[int, Citizen] = {}
         self.communities: dict[int, Community] = {}
-        self.intersection_cache: dict[tuple[int, int], int] = {}
 
     # -- construction plumbing ------------------------------------------------
 
@@ -137,7 +130,6 @@ class SocialFabric:
         return cid
 
     def add_community(self, lambda_: float = 0.0, admin_registered: bool = False,
-                      derived_from: Optional[tuple[int, int]] = None,
                       community_id: int | None = None) -> int:
         if not 0 <= lambda_ < math.inf:     # also rejects NaN
             raise ValueError(f"lambda must be >= 0 and finite, got {lambda_!r}")
@@ -145,8 +137,7 @@ class SocialFabric:
         if cid in self.communities:
             raise ValueError(f"community id {cid} already exists")
         self.communities[cid] = Community(id=cid, lambda_=lambda_,
-                                          admin_registered=admin_registered,
-                                          derived_from=derived_from)
+                                          admin_registered=admin_registered)
         return cid
 
     def _citizen(self, citizen: int) -> Citizen:
@@ -166,12 +157,7 @@ class SocialFabric:
     def add_membership(self, citizen: int, community: int,
                        raw_standing: float, raw_devotion: float,
                        opted_in: bool = True) -> None:
-        """Create the edge; both simplexes renormalize implicitly on read.
-
-        New members joining communities that participate in materialized
-        intersections cascade into those intersections when they belong to
-        both parents.
-        """
+        """Create the edge; both simplexes renormalize implicitly on read."""
         edge = MembershipEdge(raw_standing, raw_devotion, opted_in)
         p = self._citizen(citizen)
         c = self._community(community)
@@ -179,46 +165,6 @@ class SocialFabric:
             raise AlreadyMember(f"citizen {citizen} already in community {community}")
         p.memberships[community] = edge
         c.members.add(citizen)
-        self._cascade_intersections(citizen, community)
-
-    def _cascade_intersections(self, citizen: int, community: int) -> None:
-        # Keep derived member sets equal to the intersection of their parents.
-        for (a, b), derived in sorted(self.intersection_cache.items()):
-            if community not in (a, b) or derived not in self.communities:
-                continue
-            other = b if community == a else a
-            if citizen in self.communities[other].members and citizen not in self.communities[derived].members:
-                self.add_membership(citizen, derived, _DERIVED_RAW_STANDING,
-                                    _DERIVED_RAW_DEVOTION, opted_in=False)
-
-    def intersect_communities(self, a: int, b: int) -> Optional[int]:
-        """Community whose members are exactly `a ∩ b`, or None when empty.
-
-        Materialized lazily and cached; an existing parent with the same
-        member set is reused, so the operation is idempotent. Derived
-        communities start economically inert (lambda 0, no admin).
-        """
-        ca, cb = self._community(a), self._community(b)
-        if a == b:
-            return a
-        key = (min(a, b), max(a, b))
-        if key in self.intersection_cache:
-            return self.intersection_cache[key]
-        common = ca.members & cb.members
-        if not common:
-            return None
-        if common == ca.members:
-            self.intersection_cache[key] = a
-            return a
-        if common == cb.members:
-            self.intersection_cache[key] = b
-            return b
-        derived = self.add_community(lambda_=0.0, admin_registered=False, derived_from=key)
-        self.intersection_cache[key] = derived
-        for p in sorted(common):
-            self.add_membership(p, derived, _DERIVED_RAW_STANDING,
-                                _DERIVED_RAW_DEVOTION, opted_in=False)
-        return derived
 
     def update_devotion(self, citizen: int, community: int, new_raw: float) -> None:
         """Set the raw devotion on an existing edge; siblings keep their order."""
@@ -304,10 +250,6 @@ class SocialFabric:
                 assert abs(total - 1.0) <= tol, f"standing simplex broken for community {c.id}"
             problem = c.bloc_problem()
             assert problem is None, problem
-            if c.derived_from is not None:
-                a, b = c.derived_from
-                assert c.members == self.communities[a].members & self.communities[b].members, \
-                    f"intersection community {c.id} out of sync with parents {a},{b}"
 
     # -- serialization --------------------------------------------------------
 
@@ -319,8 +261,11 @@ class SocialFabric:
                 for p in sorted(self.citizens.values(), key=lambda x: x.id)
             ],
             "communities": [
+                # "derived_from" is always null; it is still written so that
+                # fabric.json stays byte-identical and the golden digests
+                # (tests/test_golden.py, perfbench/golden.json) still match.
                 {"id": c.id, "lambda": c.lambda_, "admin_registered": c.admin_registered,
-                 "derived_from": list(c.derived_from) if c.derived_from else None,
+                 "derived_from": None,
                  "principal_subcommunities": [sorted(g) for g in c.principal_subcommunities]}
                 for c in sorted(self.communities.values(), key=lambda x: x.id)
             ],
@@ -342,7 +287,8 @@ class SocialFabric:
 
         A document of another shape raises ValueError naming the offending
         record, e.g. "communities[2]: missing key 'id'"; every id must be an
-        integer.
+        integer, a membership may appear once, and a community's
+        "derived_from", when present, must be null.
         """
         if not isinstance(doc, dict):
             raise ValueError("the document must be a JSON object")
@@ -361,30 +307,25 @@ class SocialFabric:
                                 citizen_id=_id(rec["id"], "id"))
             for k, rec in enumerate(doc["communities"]):
                 where = f"communities[{k}]"
-                derived = tuple(_id(c, "derived_from entry") for c in rec["derived_from"]) \
-                    if rec.get("derived_from") else None
+                if rec.get("derived_from") is not None:
+                    raise ValueError(f"derived_from must be null, got {rec['derived_from']!r}")
                 cid = fab.add_community(lambda_=_number(rec.get("lambda", 0.0), "lambda"),
                                         admin_registered=_flag(rec.get("admin_registered", False),
                                                                "admin_registered"),
-                                        derived_from=derived,
                                         community_id=_id(rec["id"], "id"))
                 fab.communities[cid].principal_subcommunities = [
                     {_id(p, "principal_subcommunities member") for p in g}
                     for g in rec.get("principal_subcommunities", [])]
-                if derived is not None:
-                    fab.intersection_cache[derived] = cid
             for k, rec in enumerate(doc["memberships"]):
                 where = f"memberships[{k}]"
-                p = fab._citizen(_id(rec["citizen"], "citizen"))
-                c = fab._community(_id(rec["community"], "community"))
-                p.memberships[c.id] = MembershipEdge(
-                    _number(rec["raw_standing"], "raw_standing"),
-                    _number(rec["raw_devotion"], "raw_devotion"),
-                    _flag(rec.get("opted_in", True), "opted_in"))
-                c.members.add(p.id)
+                fab.add_membership(_id(rec["citizen"], "citizen"),
+                                   _id(rec["community"], "community"),
+                                   _number(rec["raw_standing"], "raw_standing"),
+                                   _number(rec["raw_devotion"], "raw_devotion"),
+                                   _flag(rec.get("opted_in", True), "opted_in"))
         except KeyError as exc:
             raise ValueError(f"{where}: missing key {exc}") from None
-        except (AttributeError, TypeError, ValueError, NotFound) as exc:
+        except (AttributeError, TypeError, ValueError, NotFound, AlreadyMember) as exc:
             raise ValueError(f"{where}: {exc}") from None
         return fab
 

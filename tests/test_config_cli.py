@@ -463,7 +463,14 @@ class TestCmdScore:
         ('{"citizens": [{"id": 0}], "communities": [{"lambda": 1.0}], '
          '"memberships": []}', "communities[0]: missing key 'id'"),
         ('{"citizens": [', "Expecting"),
-    ], ids=["missing_communities", "record_without_id", "invalid_json"])
+        ('{"citizens": [{"id": 0}], "communities": [{"id": 0}], "memberships": ['
+         '{"citizen": 0, "community": 0, "raw_standing": 1.0, "raw_devotion": 1.0}, '
+         '{"citizen": 0, "community": 0, "raw_standing": 2.0, "raw_devotion": 1.0}]}',
+         "memberships[1]: citizen 0 already in community 0"),
+        ('{"citizens": [], "communities": [{"id": 0}, {"id": 1, "derived_from": [0, 2]}], '
+         '"memberships": []}', "communities[1]: derived_from must be null, got [0, 2]"),
+    ], ids=["missing_communities", "record_without_id", "invalid_json", "duplicate_membership",
+            "derived_from_not_null"])
     def test_malformed_fabric_exit_2(self, tmp_path, capsys, text, expected):
         fabric = tmp_path / "fabric.json"
         fabric.write_text(text, encoding="utf-8")

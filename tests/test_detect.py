@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from plural import detect
-from plural.detect import (FUZZIFIER, AttitudeMatrix, CommunityCandidate, _SqDistances,
-                           _memberships_from_distances, detect_communities,
-                           fuzzy_c_means, principal_subcommunities)
+from plural.detect import (FUZZIFIER, AttitudeMatrix, _SqDistances,
+                           _memberships_from_distances, fuzzy_c_means,
+                           principal_subcommunities)
 from plural.errors import DegenerateInput, TooSmall
 from plural.fabric import SocialFabric
 
@@ -213,61 +213,6 @@ class TestFuzzyCMeans:
         b = fuzzy_c_means(data, K=2, seed=123)
         assert np.array_equal(a.memberships, b.memberships)
         assert np.array_equal(a.centroids, b.centroids)
-
-
-# -- candidate detection ---------------------------------------------------------
-
-class TestDetectCommunities:
-    def test_planted_three_clusters_recovered(self):
-        rng = np.random.default_rng(7)
-        sigma = 0.04
-        data, labels = planted_attitudes(rng, [12, 12, 12],
-                                         [-0.8, 0.0, 0.8], sigma, 8)
-        cands = detect_communities(data, min_size=4, threshold=0.5,
-                                   k_range=(2, 5), seed=2)
-        assert len(cands) == 3
-        planted = [set(np.nonzero(labels == k)[0].tolist()) for k in range(3)]
-        for truth in planted:
-            best = max(jaccard(truth, c.members) for c in cands)
-            assert best >= 0.9
-
-    def test_equidistant_citizen_in_no_candidate(self):
-        # three tight clusters at equilateral corners plus one central citizen
-        corners = [np.array([10.0, 0.0]),
-                   np.array([-5.0, 5.0 * np.sqrt(3)]),
-                   np.array([-5.0, -5.0 * np.sqrt(3)])]
-        rows = []
-        for c in corners:
-            rows.extend([c] * 10)
-        rows.append(np.zeros(2))
-        x = np.vstack(rows) / 10.0
-        data = AttitudeMatrix(list(range(31)), [0, 1], x)
-        cands = detect_communities(data, min_size=2, threshold=0.34,
-                                   k_range=(3, 3), seed=0)
-        assert len(cands) == 3
-        for c in cands:
-            assert 30 not in c.members
-
-    def test_min_size_filters_everything(self):
-        rng = np.random.default_rng(1)
-        data, _ = planted_attitudes(rng, [6, 6], [-0.7, 0.7], 0.05, 4)
-        assert detect_communities(data, min_size=100, threshold=0.5,
-                                  k_range=(2, 3), seed=0) == []
-
-    def test_row_permutation_invariance(self):
-        rng = np.random.default_rng(5)
-        data, _ = planted_attitudes(rng, [10, 10, 10], [-0.8, 0.0, 0.8], 0.04, 6)
-        perm = rng.permutation(30)
-        permuted = AttitudeMatrix([data.row_ids[i] for i in perm],
-                                  data.col_ids, data.values[perm])
-        a = detect_communities(data, 3, 0.5, (2, 4), seed=8)
-        b = detect_communities(permuted, 3, 0.5, (2, 4), seed=8)
-        assert {frozenset(c.members) for c in a} == {frozenset(c.members) for c in b}
-
-    def test_bad_threshold(self):
-        data = AttitudeMatrix([0, 1], [0], np.array([[0.0], [1.0]]))
-        with pytest.raises(ValueError):
-            detect_communities(data, 1, 1.5, (2, 2))
 
 
 # -- principal subcommunities ------------------------------------------------------

@@ -449,6 +449,18 @@ class TestPolicies:
             book.set_lambda(owner, 1.0, funding, {}, f)
         assert book.pending == {}
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["citizen", "community"])
+    def test_non_finite_lambda_rejected(self, kind, value):
+        f = SocialFabric()
+        f.add_citizen()
+        f.add_community()
+        book = PolicyBook()
+        with pytest.raises(ValueError, match=r"^lambda must be >= 0 and finite, got "):
+            book.set_lambda((kind, 0), value, "SelfPaid", {}, f)
+        assert book.pending == {}
+
     def test_set_to_zero_drops_out(self):
         f = SocialFabric()
         c = f.add_community(lambda_=1.0)
