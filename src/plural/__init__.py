@@ -22,7 +22,7 @@ from .score import (ContentItem, ReactionMatrix, ScoreCard, ScoreSet,
                     ScoringParams, balancing_set, bridging_gac, bridging_mf,
                     citizen_score, community_score, divisiveness, interest,
                     score_round)
-from .sim import (AgentState, RoundMetrics, RunResult, aggregate_belief,
-                  attitude, bloc_aggregate, gen_population, react, run)
+from .sim import (RoundMetrics, RunResult, aggregate_belief, attitude,
+                  bloc_aggregate, gen_population, react, run)
 
 __version__ = "0.1.0"

@@ -42,18 +42,13 @@ SCORECARD_CSV_HEADER = ["content_id", "scope_kind", "scope_id", "iota", "beta",
 
 @dataclass
 class ContentItem:
-    """A post, targeted at one or more communities.
-
-    `latent_position` is simulation ground truth used only by the generative
-    model; scoring and ranking never read it.
-    """
+    """A post, targeted at one or more communities."""
 
     id: int
     creator: int
     topics: set[int] = field(default_factory=set)
     created_round: int = 0
     target_communities: set[int] = field(default_factory=set)
-    latent_position: Optional[np.ndarray] = None
     creator_kind: str = "citizen"          # "citizen" | "advertiser"
 
     def __post_init__(self) -> None:

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._rng import derive_rng, derive_rngs, derive_seed
+from ._rng import SEED_MAX, derive_rng, derive_rngs, derive_seed
 from .config import ScenarioConfig
 from .detect import principal_subcommunities
 from .econ import (PLATFORM, Advertiser, Ledger, PolicyBook, reward_standing,
@@ -28,15 +28,6 @@ from .rank import (EffectivePsi, FeedEntry, PsiOverrides, build_feed,
                    exposure_weights, feed_to_records, seed_content)
 from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights,
                     consensus_products, divisiveness, score_round)
-
-
-@dataclass
-class AgentState:
-    """Latent state of one citizen; attitudes and beliefs live in the run's
-    per-content arrays (see `RunResult.exposed`)."""
-
-    citizen: int
-    ideology: np.ndarray
 
 
 @dataclass
@@ -61,8 +52,9 @@ class RoundMetrics:
 
 # -- generative model ----------------------------------------------------------
 
-def gen_population(config: ScenarioConfig, seed: int) -> tuple[SocialFabric, dict[int, AgentState]]:
-    """Synthetic fabric plus agent states from the scenario's bloc templates.
+def gen_population(config: ScenarioConfig, seed: int) -> tuple[SocialFabric, np.ndarray]:
+    """Synthetic fabric plus the (citizens x ideology_dim) ideology matrix,
+    one row per citizen id, from the scenario's bloc templates.
 
     Bloc sizes follow the configured fractions (largest remainder rounding);
     ideologies are per-bloc Gaussian. Every membership starts with equal raw
@@ -79,7 +71,7 @@ def gen_population(config: ScenarioConfig, seed: int) -> tuple[SocialFabric, dic
         counts[remainders[i % len(counts)]] += 1
 
     fabric = SocialFabric()
-    states: dict[int, AgentState] = {}
+    ideologies = np.zeros((n, pop.ideology_dim))
     bloc_of: list[int] = []
     for b, count in enumerate(counts):
         bloc_of.extend([b] * count)
@@ -91,11 +83,10 @@ def gen_population(config: ScenarioConfig, seed: int) -> tuple[SocialFabric, dic
 
     for p in range(n):
         bloc = pop.blocs[bloc_of[p]]
-        ideology = np.asarray(bloc.center) + rng.normal(0.0, bloc.sigma, size=pop.ideology_dim)
+        ideologies[p] = np.asarray(bloc.center) + rng.normal(0.0, bloc.sigma, size=pop.ideology_dim)
         fabric.add_citizen(lambda_=pop.citizen_lambda,
                            subscriber=p in subscriber_ids,
                            accepts_personal_ads=p in ads_ok_ids)
-        states[p] = AgentState(citizen=p, ideology=ideology)
 
     for template in config.communities:
         cid = fabric.add_community(lambda_=template.lambda_,
@@ -104,7 +95,7 @@ def gen_population(config: ScenarioConfig, seed: int) -> tuple[SocialFabric, dic
         for p in range(n):
             if bloc_of[p] in wanted:
                 fabric.add_membership(p, cid, raw_standing=1.0, raw_devotion=1.0)
-    return fabric, states
+    return fabric, ideologies
 
 
 def attitudes(ideologies: np.ndarray, latent_position: np.ndarray,
@@ -238,15 +229,15 @@ class RunResult:
     config: ScenarioConfig
     metrics: list[RoundMetrics]
     fabric: SocialFabric
-    agents: dict[int, AgentState]
     catalog: dict[int, ContentItem]
     reactions: ReactionMatrix
     ledger: Ledger
     scores: Optional[ScoreSet]
     feeds: list[tuple[int, int, list[FeedEntry]]]   # (round, citizen, feed)
     events: list[dict]
-    attitude_arr: dict[int, np.ndarray]             # content -> attitude per citizen
-    cum_exposure: dict[int, np.ndarray]             # content -> exposure per citizen
+    ideologies: np.ndarray   # (citizens x ideology_dim)
+    attitude: np.ndarray     # (contents x citizens)
+    exposure: np.ndarray     # (contents x citizens), cumulative attention share
 
     @property
     def feed_records(self) -> list[dict]:
@@ -258,22 +249,25 @@ class RunResult:
         """{content: (attitude, belief)} over the contents the citizen has
         been exposed to; belief is attitude times cumulative exposure."""
         out = {}
-        for mid in sorted(self.catalog):
-            cum = float(self.cum_exposure[mid][citizen])
-            if cum > 0:
-                a = float(self.attitude_arr[mid][citizen])
-                out[mid] = (a, a * cum)
+        for mid in np.flatnonzero(self.exposure[:, citizen] > 0).tolist():
+            a = float(self.attitude[mid, citizen])
+            out[mid] = (a, a * float(self.exposure[mid, citizen]))
         return out
 
 
 class _Simulation:
-    """One run's mutable state; `run()` drives the phase sequence."""
+    """One run's mutable state; `run()` drives the phase sequence.
+
+    The latent state is three arrays indexed by citizen id and content id:
+    `ideologies` (citizens x dim), and `attitude` and `exposure` (contents x
+    citizens), which gain a row per created content.
+    """
 
     def __init__(self, config: ScenarioConfig, seed: int, rounds: int):
         self.config = config
         self.seed = seed
         self.rounds = rounds
-        self.fabric, self.agents = gen_population(config, seed)
+        self.fabric, self.ideologies = gen_population(config, seed)
         self.catalog: dict[int, ContentItem] = {}
         self.reactions = ReactionMatrix()
         self.ledger = Ledger()
@@ -285,12 +279,11 @@ class _Simulation:
         self.metrics: list[RoundMetrics] = []
         self.scores: Optional[ScoreSet] = None
 
-        # dense per-content state, indexed by citizen id
         self.n = config.population.n_citizens
-        self._ideologies = np.vstack([self.agents[p].ideology for p in range(self.n)]) \
-            if self.n else np.zeros((0, config.population.ideology_dim))
-        self.attitude_arr: dict[int, np.ndarray] = {}
-        self.cum_exposure: dict[int, np.ndarray] = {}
+        self.attitude = np.zeros((0, self.n))
+        self.exposure = np.zeros((0, self.n))
+        # community -> {content: attention share summed over members' feeds}
+        self.community_exposure: dict[int, dict[int, float]] = {}
 
         ledger = self.ledger
         ledger.open_account(PLATFORM, 0.0)
@@ -319,24 +312,22 @@ class _Simulation:
         mid = len(self.catalog)
         item = ContentItem(id=mid, creator=creator, topics={topic},
                            created_round=round_, target_communities=set(targets),
-                           latent_position=position, creator_kind=creator_kind)
+                           creator_kind=creator_kind)
         self.catalog[mid] = item
-        self.attitude_arr[mid] = attitudes(self._ideologies, position,
-                                           self.config.sim.attitude_temperature)
-        self.cum_exposure[mid] = np.zeros(self.n)
+        row = attitudes(self.ideologies, position, self.config.sim.attitude_temperature)
+        self.attitude = np.vstack([self.attitude, row])
+        self.exposure = np.vstack([self.exposure, np.zeros(self.n)])
         return item
 
     def _create_phase(self, round_: int) -> None:
         cfg = self.config
         rng = derive_rng(self.seed, "create", round_)
-        for _ in range(cfg.content.creators_per_round):
-            creator = int(rng.integers(self.n)) if self.n else 0
-            if self.n == 0:
-                break
+        for _ in range(cfg.content.creators_per_round if self.n else 0):
+            creator = int(rng.integers(self.n))
             targets = set(self.fabric.member_communities(creator))
             if not targets:
                 continue
-            position = self.agents[creator].ideology + \
+            position = self.ideologies[creator] + \
                 rng.normal(0.0, cfg.content.content_noise, size=cfg.population.ideology_dim)
             topic = int(rng.integers(cfg.content.n_topics))
             item = self._new_content(round_, creator, "citizen", position, targets, topic)
@@ -376,38 +367,22 @@ class _Simulation:
             except (TooSmall, DegenerateInput):
                 pass  # keep the previous structure, if any
 
-    def _base_pools(self) -> dict[tuple, list[int]]:
-        """Candidate contents per (membership signature, personal-ads flag)."""
-        pools: dict[tuple, list[int]] = {}
-        for citizen in sorted(self.fabric.citizens):
-            p = self.fabric.citizens[citizen]
-            key = (tuple(self.fabric.member_communities(citizen)), p.accepts_personal_ads)
-            if key in pools:
-                continue
-            comms = set(key[0])
-            pool = []
-            for mid in sorted(self.catalog):
-                item = self.catalog[mid]
-                if item.target_communities & comms:
-                    pool.append(mid)
-                elif item.creator_kind == "advertiser" and p.accepts_personal_ads \
-                        and self.advertisers[item.creator].personal_targeting:
-                    pool.append(mid)
-            pools[key] = pool
-        return pools
-
-    def _candidate_pool(self, citizen: int, base_pools: dict) -> list[int]:
-        p = self.fabric.citizens[citizen]
-        key = (tuple(self.fabric.member_communities(citizen)), p.accepts_personal_ads)
-        row = self.reactions.for_citizen(citizen)
-        return [mid for mid in base_pools[key]
-                if mid not in row or row[mid].reaction == 0]
-
     def _rank_phase(self, round_: int, psi_view: EffectivePsi) -> dict[int, list]:
-        base_pools = self._base_pools()
+        """Each citizen's feed, ranked over the contents targeted at its
+        communities (plus personal ads it accepts) that it has not reacted to."""
+        pools: dict[tuple, list[int]] = {}   # by (membership signature, ads flag)
         feeds: dict[int, list] = {}
         for citizen in sorted(self.fabric.citizens):
-            pool = self._candidate_pool(citizen, base_pools)
+            ads = self.fabric.citizens[citizen].accepts_personal_ads
+            key = (tuple(self.fabric.member_communities(citizen)), ads)
+            if key not in pools:
+                comms = set(key[0])
+                pools[key] = [mid for mid, item in self.catalog.items()
+                              if item.target_communities & comms
+                              or (ads and item.creator_kind == "advertiser"
+                                  and self.advertisers[item.creator].personal_targeting)]
+            row = self.reactions.for_citizen(citizen)
+            pool = [mid for mid in pools[key] if mid not in row or row[mid].reaction == 0]
             if not pool:
                 continue
             weights = exposure_weights(citizen, self.fabric, psi_view, pool)
@@ -423,7 +398,7 @@ class _Simulation:
         for citizen, rng in zip(citizens, derive_rngs(self.seed, citizens, "react", round_)):
             for entry in feeds[citizen]:
                 self.reactions.record_exposure(citizen, entry.content, round_)
-                a = float(self.attitude_arr[entry.content][citizen])
+                a = float(self.attitude[entry.content, citizen])
                 r = react(a, entry.exposure_share, rng, scale)
                 if r != 0:
                     self.reactions.record_reaction(citizen, entry.content, r, round_)
@@ -437,19 +412,23 @@ class _Simulation:
         w = np.array([standings[p] for p in members])
         return idx, w, _bloc_positions(members, comm.principal_subcommunities)
 
-    def _common_beliefs(self, mids: Sequence[int], idx: np.ndarray, w: np.ndarray,
+    @staticmethod
+    def _common_beliefs(beliefs: np.ndarray, rows, idx: np.ndarray, w: np.ndarray,
                         bloc_idx) -> np.ndarray:
-        """A community's common belief about each of `mids` (its member
-        arrays), from one (contents x members) block of beliefs."""
-        beliefs = np.stack([self.attitude_arr[m] for m in mids]) * \
-            np.stack([self.cum_exposure[m] for m in mids])
-        return _aggregate_rows(beliefs[:, idx], w, bloc_idx)
+        """A community's common belief about each content in `rows` of the
+        (contents x citizens) `beliefs`, given its member arrays."""
+        return _aggregate_rows(beliefs[rows][:, idx], w, bloc_idx)
 
     def _belief_phase(self, round_: int, feeds: Mapping[int, list]) -> None:
+        exposure = self.exposure
         for citizen in sorted(feeds):
+            comms = self.fabric.member_communities(citizen)
             for entry in feeds[citizen]:
-                arr = self.cum_exposure[entry.content]
-                arr[citizen] = min(1.0, arr[citizen] + entry.exposure_share)
+                mid, share = entry.content, entry.exposure_share
+                exposure[mid, citizen] = min(1.0, exposure[mid, citizen] + share)
+                for cid in comms:
+                    totals = self.community_exposure.setdefault(cid, {})
+                    totals[mid] = totals.get(mid, 0.0) + share
 
         gamma = self.config.sim.attitude_feedback_gamma
         if gamma <= 0 or not self.catalog:
@@ -465,22 +444,23 @@ class _Simulation:
                 has_membership[p] = True
                 for c, d in dev.items():
                     devotion_matrix[p, col[c]] = d
-        for mid, b_vec in zip(sorted(self.catalog), community_beliefs):
-            ambient = devotion_matrix @ b_vec
-            # feedback only reshapes attitudes to encountered content
-            mask = (self.cum_exposure[mid] > 0) & has_membership
-            att = self.attitude_arr[mid]
-            att[mask] = (1.0 - gamma) * att[mask] + gamma * ambient[mask]
+        ambient = np.empty_like(self.attitude)
+        for row, b_vec in zip(ambient, community_beliefs):
+            row[:] = devotion_matrix @ b_vec
+        # feedback only reshapes attitudes to encountered content
+        mask = (exposure > 0) & has_membership
+        self.attitude[mask] = (1.0 - gamma) * self.attitude[mask] + gamma * ambient[mask]
 
     def _community_beliefs(self) -> np.ndarray:
         """Every (content, community) common belief, contents and communities
         in id order; 0.0 in a community without members."""
-        mids = sorted(self.catalog)
+        beliefs = self.attitude * self.exposure
         comm_ids = sorted(self.fabric.communities)
-        out = np.zeros((len(mids), len(comm_ids)))
+        out = np.zeros((len(beliefs), len(comm_ids)))
         for j, cid in enumerate(comm_ids):
             if self.fabric.communities[cid].members:
-                out[:, j] = self._common_beliefs(mids, *self._community_arrays(cid))
+                out[:, j] = self._common_beliefs(beliefs, slice(None),
+                                                 *self._community_arrays(cid))
         return out
 
     def _adapt_devotion(self, feeds: Mapping[int, list]) -> None:
@@ -497,13 +477,11 @@ class _Simulation:
                 edge = self.fabric.citizens[citizen].memberships[cid]
                 self.fabric.update_devotion(citizen, cid, edge.raw_devotion + rate * share)
 
-    def _metrics_phase(self, round_: int, community_exposure: Mapping[int, dict[int, float]],
-                       platform_before: float) -> RoundMetrics:
+    def _metrics_phase(self, round_: int, platform_before: float) -> RoundMetrics:
         scoring = self.config.scoring
         revenue = self.ledger.balance(PLATFORM) - platform_before
-
-        totals = [float(np.sum(self.cum_exposure[m])) for m in sorted(self.catalog)]
-        gini = attention_gini(totals) if totals else 0.0
+        gini = attention_gini(self.exposure.sum(axis=1))
+        beliefs = self.attitude * self.exposure
 
         spreads: list[float] = []
         commons: list[float] = []
@@ -513,22 +491,21 @@ class _Simulation:
             if not comm.members:
                 continue
             idx, w, bloc_idx = self._community_arrays(cid)
-            exposure = community_exposure.get(cid, {})
+            exposure = self.community_exposure.get(cid, {})
             top = sorted(exposure, key=lambda m: (-exposure[m], m))[:10]
 
             if top:
-                commons.append(float(np.mean(self._common_beliefs(top, idx, w, bloc_idx))))
+                commons.append(float(np.mean(self._common_beliefs(beliefs, top, idx, w, bloc_idx))))
                 if bloc_idx is not None:
                     per_content = [divisiveness(self.reactions, mid, comm.principal_subcommunities,
                                                 alpha=scoring.alpha)[0] for mid in top]
                     spreads.append(float(np.mean(per_content)))
 
-            if self.scores is not None:
-                cards = self.scores.community_cards(cid)
-                cards.sort(key=lambda c: (-c.psi, c.content))
-                top_psi = [card.content for card in cards[:5]]
-                coherence[cid] = float(np.mean(self._common_beliefs(top_psi, idx, w, bloc_idx))) \
-                    if top_psi else 0.0
+            cards = self.scores.community_cards(cid)
+            cards.sort(key=lambda c: (-c.psi, c.content))
+            top_psi = [card.content for card in cards[:5]]
+            coherence[cid] = float(np.mean(self._common_beliefs(beliefs, top_psi, idx, w, bloc_idx))) \
+                if top_psi else 0.0
 
         return RoundMetrics(
             round=round_,
@@ -543,26 +520,18 @@ class _Simulation:
 
     def run(self) -> RunResult:
         cfg = self.config
-        community_exposure: dict[int, dict[int, float]] = {}
         for round_ in range(self.rounds):
             self.overrides.expire(round_)
             self.policies.apply_pending(self.fabric)
             self._create_phase(round_)
-            if cfg.sim.refresh_interval > 0 and round_ % cfg.sim.refresh_interval == 0:
+            if round_ % cfg.sim.refresh_interval == 0:
                 self._refresh_structure(round_)
             self.scores = score_round(self.fabric, self.catalog, self.reactions,
                                       cfg.scoring, round_,
                                       mf_seed=derive_seed(self.seed, "mf", round_))
             psi_view = EffectivePsi(self.scores, self.overrides, round_)
             feeds = self._rank_phase(round_, psi_view)
-            for citizen in sorted(feeds):
-                self.feeds.append((round_, citizen, feeds[citizen]))
-                comms = self.fabric.member_communities(citizen)
-                for entry in feeds[citizen]:
-                    for cid in comms:
-                        community_exposure.setdefault(cid, {})
-                        community_exposure[cid][entry.content] = \
-                            community_exposure[cid].get(entry.content, 0.0) + entry.exposure_share
+            self.feeds.extend((round_, citizen, feeds[citizen]) for citizen in sorted(feeds))
             self._react_phase(round_, feeds)
             self._belief_phase(round_, feeds)
             platform_before = self.ledger.balance(PLATFORM)
@@ -572,21 +541,28 @@ class _Simulation:
             reward_standing(self.scores, self.fabric, cfg.econ.standing_reward_rate,
                             self.catalog)
             self._adapt_devotion(feeds)
-            self.metrics.append(self._metrics_phase(round_, community_exposure,
-                                                    platform_before))
+            self.metrics.append(self._metrics_phase(round_, platform_before))
 
         return RunResult(config=cfg, metrics=self.metrics, fabric=self.fabric,
-                         agents=self.agents, catalog=self.catalog,
-                         reactions=self.reactions, ledger=self.ledger,
-                         scores=self.scores, feeds=self.feeds, events=self.events,
-                         attitude_arr=self.attitude_arr, cum_exposure=self.cum_exposure)
+                         catalog=self.catalog, reactions=self.reactions,
+                         ledger=self.ledger, scores=self.scores, feeds=self.feeds,
+                         events=self.events, ideologies=self.ideologies,
+                         attitude=self.attitude, exposure=self.exposure)
 
 
 def run(config: ScenarioConfig, seed: int | None = None,
         rounds: int | None = None) -> RunResult:
-    """Execute a scenario; overrides replace the configured seed/round count."""
+    """Execute a scenario; overrides replace the configured seed/round count.
+
+    Raises ValueError for a seed outside [0, SEED_MAX], which would alias a
+    seed inside it, or a negative round count.
+    """
     effective_seed = config.seed if seed is None else seed
     effective_rounds = config.sim.rounds if rounds is None else rounds
+    if not 0 <= effective_seed <= SEED_MAX:
+        raise ValueError(f"seed must be in [0, {SEED_MAX}], got {effective_seed}")
+    if effective_rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {effective_rounds}")
     return _Simulation(config, effective_seed, effective_rounds).run()
 
 

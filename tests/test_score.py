@@ -2,6 +2,7 @@
 the combined score, and the factorization backend against a batch oracle."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -809,6 +810,50 @@ def test_score_round_oracle_popularity_only(backend):
     assert all(c.psi == c.iota for c in cards)
     assert any(c.scope[0] == "citizen" and c.psi > 0 for c in cards)
     assert any(c.psi != c.iota * max(c.beta, c.delta) for c in cards)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), backend=st.sampled_from(["gac_penrose", "gac_uniform"]),
+       alpha=st.sampled_from([0.0, 1.0]), popularity_only=st.booleans())
+def test_score_round_columns_in_range(data, backend, alpha, popularity_only):
+    """Over random memberships, blocs and reactions, every card score_round
+    files has beta, delta in [0, 1], iota >= 0 and psi = iota * max(beta,
+    delta), or iota alone under popularity_only."""
+    n = data.draw(st.integers(2, 5), label="citizens")
+    f = SocialFabric()
+    for _ in range(n):
+        f.add_citizen()
+    comms = [f.add_community(lambda_=1.0) for _ in range(data.draw(st.integers(1, 3)))]
+    for p in range(n):
+        for c in sorted(data.draw(st.sets(st.sampled_from(comms), min_size=1),
+                                  label=f"memberships {p}")):
+            f.add_membership(p, c, 1.0, 1.0)
+    for c in comms:
+        members = sorted(f.communities[c].members)
+        groups = data.draw(st.lists(st.integers(0, 2), min_size=len(members),
+                                    max_size=len(members)), label=f"blocs {c}")
+        blocs = [{p for p, g in zip(members, groups) if g == k} for k in range(3)]
+        blocs = [b for b in blocs if b]
+        if len(blocs) >= 2:
+            f.communities[c].principal_subcommunities = blocs
+    n_contents = data.draw(st.integers(1, 6), label="contents")
+    catalog = {m: ContentItem(id=m, creator=0, created_round=0, target_communities=set(
+        data.draw(st.sets(st.sampled_from(comms), min_size=1), label=f"targets {m}")))
+        for m in range(n_contents)}
+    rm = ReactionMatrix()
+    cells = data.draw(st.lists(st.one_of(st.none(), st.tuples(st.sampled_from([-1, 0, 1]),
+                                                              st.integers(0, 5))),
+                               min_size=n * n_contents, max_size=n * n_contents), label="votes")
+    for (p, m), cell in zip(itertools.product(range(n), range(n_contents)), cells):
+        if cell is not None:
+            rm.record_reaction(p, m, *cell)    # reaction 0: exposed, no vote
+    params = ScoringParams(backend=backend, alpha=alpha, popularity_only=popularity_only)
+    scores = score_round(f, catalog, rm, params, current_round=5)
+    assert len(scores.cards) >= n_contents
+    for card in scores.cards.values():
+        assert 0.0 <= card.beta <= 1.0 and 0.0 <= card.delta <= 1.0 and card.iota >= 0.0
+        assert card.psi == (card.iota if popularity_only
+                            else card.iota * max(card.beta, card.delta))
 
 
 def _citizen_rows_instance(seed):

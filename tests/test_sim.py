@@ -1,17 +1,21 @@
 """Simulation: generative model, belief aggregation, metrics, and the loop."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plural.config import ScenarioConfig
 from plural.detect import principal_subcommunities
 from plural.errors import EmptyCommunity
 from plural.score import ReactionMatrix
-from plural.sim import (aggregate_belief, attention_gini, attitude, attitudes,
+from plural.sim import (_Simulation, aggregate_belief, attention_gini, attitude, attitudes,
                         bloc_aggregate, gen_population, metrics_csv, react, run)
-from plural._rng import derive_rng
+from plural._rng import SEED_MAX, derive_rng
+from test_golden import DEMO, _load_workloads
 
 TINY_SCENARIO = {
     "schema_version": 1,
@@ -53,8 +57,8 @@ def tiny_config(**overrides):
 class TestGenPopulation:
     def test_empty_population(self):
         cfg = tiny_config(population={"n_citizens": 0})
-        fabric, agents = gen_population(cfg, seed=1)
-        assert fabric.citizens == {} and agents == {}
+        fabric, ideologies = gen_population(cfg, seed=1)
+        assert fabric.citizens == {} and ideologies.shape == (0, 1)
         assert len(fabric.communities) == 2
 
     def test_deterministic(self):
@@ -62,12 +66,11 @@ class TestGenPopulation:
         f1, a1 = gen_population(cfg, seed=9)
         f2, a2 = gen_population(cfg, seed=9)
         assert f1.to_dict() == f2.to_dict()
-        for p in a1:
-            assert np.array_equal(a1[p].ideology, a2[p].ideology)
+        assert a1.shape == (40, 1) and np.array_equal(a1, a2)
 
     def test_bloc_fractions_respected(self):
         cfg = tiny_config()
-        fabric, agents = gen_population(cfg, seed=0)
+        fabric, _ = gen_population(cfg, seed=0)
         assert len(fabric.citizens) == 40
         assert len(fabric.communities[0].members) == 20
         assert len(fabric.communities[1].members) == 20
@@ -82,13 +85,13 @@ class TestGenPopulation:
         ]
         doc["communities"] = [{"blocs": [0, 1], "lambda": 1.0, "balance": 0.0}]
         cfg = ScenarioConfig.from_dict(doc)
-        fabric, agents = gen_population(cfg, seed=4)
+        fabric, ideologies = gen_population(cfg, seed=4)
         rng = derive_rng(4, "test-reactions")
         rm = ReactionMatrix()
         positions = [np.array([-0.9 if m % 2 else 0.9]) for m in range(12)]
         for mid, pos in enumerate(positions):
             for p in fabric.citizens:
-                a = attitude(agents[p].ideology, pos, temperature=1.0)
+                a = attitude(ideologies[p], pos, temperature=1.0)
                 rm.record_reaction(p, mid, 1 if rng.random() < a else -1, 0)
         blocs = principal_subcommunities(fabric, 0, rm.to_attitudes(), seed=2)
         planted = [set(range(12)), set(range(12, 24))]
@@ -267,7 +270,7 @@ class TestRun:
             assert 0.0 <= m.attention_gini <= 1.0
             assert 0.0 <= m.mean_common_belief_top_bridging <= 1.0
         # belief = attitude * cumulative exposure, so belief <= attitude
-        exposed = [res.exposed(p) for p in res.agents]
+        exposed = [res.exposed(p) for p in res.fabric.citizens]
         assert any(exposed)
         for pairs in exposed:
             for a, b in pairs.values():
@@ -289,3 +292,85 @@ class TestRun:
                     if e.from_owner[0] == "community")
         assert spent > 0
         assert res.ledger.balance(("platform", 0)) > 0
+
+    @pytest.mark.parametrize("seed", [-1, SEED_MAX + 1])
+    def test_seed_outside_range_rejected(self, seed):
+        # -1 would otherwise run as SEED_MAX
+        with pytest.raises(ValueError, match="seed must be in"):
+            run(tiny_config(), seed=seed)
+        run(tiny_config(), seed=SEED_MAX, rounds=1)
+
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(ValueError, match="rounds must be >= 0"):
+            run(tiny_config(), rounds=-3)
+
+
+def market_doc(seed: int = 0, rounds: int = 4) -> dict:
+    """The benchmark's `market` scenario: overlapping communities, with each
+    citizen in two, subscribers and advertisers."""
+    base = json.loads(DEMO.read_text(encoding="utf-8"))
+    return _load_workloads().scenario(base, "market", seed, rounds=rounds)
+
+
+def brute_community_exposure(res) -> dict[int, dict[int, float]]:
+    """Each community's served attention share per content, summed over every
+    feed of each of its members, feed by feed and entry by entry."""
+    totals: dict[int, dict[int, float]] = {}
+    for _, citizen, feed in res.feeds:
+        for entry in feed:
+            for cid in res.fabric.member_communities(citizen):
+                per = totals.setdefault(cid, {})
+                per[entry.content] = per.get(entry.content, 0.0) + entry.exposure_share
+    return totals
+
+
+@pytest.mark.parametrize("config", [tiny_config, lambda: ScenarioConfig.from_dict(market_doc())],
+                         ids=["tiny", "market"])
+def test_run_state_invariants(config):
+    cfg = config()
+    simulation = _Simulation(cfg, cfg.seed, cfg.sim.rounds)
+    res = simulation.run()
+    n = len(res.fabric.citizens)
+    assert res.ideologies.shape == (n, cfg.population.ideology_dim)
+    assert res.attitude.shape == res.exposure.shape == (len(res.catalog), n)
+    for arr in (res.attitude, res.exposure):
+        assert ((arr >= 0.0) & (arr <= 1.0)).all()
+    served = np.zeros(res.exposure.shape, dtype=bool)
+    for _, citizen, feed in res.feeds:
+        for entry in feed:
+            served[entry.content, citizen] |= entry.exposure_share > 0
+    assert served.any()
+    assert np.array_equal(res.exposure > 0, served)
+    assert simulation.community_exposure == brute_community_exposure(res)
+
+
+def test_market_runs_stay_sound_on_small_budgets():
+    """Small budgets make settlement clamp lambdas and skip ad payments;
+    across the examples both happen, and every run keeps both audits and
+    whole feeds."""
+    kinds: set[str] = set()
+    small = st.sampled_from([0.0, 0.01, 0.05, 0.2])
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 31), rounds=st.integers(1, 4),
+           balances=st.lists(small, min_size=4, max_size=4),
+           budgets=st.lists(small, min_size=2, max_size=2),
+           citizen_balance=st.sampled_from([0.0, 0.001, 0.01]))
+    def check(seed, rounds, balances, budgets, citizen_balance):
+        doc = market_doc(seed, rounds)
+        for community, balance in zip(doc["communities"], balances):
+            community["balance"] = balance
+        for adv, budget in zip(doc["advertisers"], budgets):
+            # on top of the 0.5 its standing purchase costs at set-up
+            adv["budget"] = 0.5 + budget
+        doc["population"]["citizen_balance"] = citizen_balance
+        res = run(ScenarioConfig.from_dict(doc))
+        res.fabric.audit()
+        res.ledger.audit()
+        assert res.feeds
+        for _, _, feed in res.feeds:
+            assert sum(e.exposure_share for e in feed) == pytest.approx(1.0, abs=1e-9)
+        kinds.update(event["kind"] for event in res.events)
+
+    check()
+    assert {"lambda_clamped", "ad_skipped"} <= kinds
