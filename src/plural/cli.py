@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -18,6 +19,7 @@ from typing import Iterable
 from ._rng import SEED_MAX
 from .config import ScenarioConfig, read_text
 from .detect import principal_subcommunities
+from .econ import LEDGER_CSV_HEAD, Ledger, csv_rows
 from .errors import ConfigError, DegenerateInput, PluralError, TooSmall
 from .fabric import SocialFabric
 from .rank import feed_lines
@@ -43,31 +45,92 @@ def _make_out_dir(out: str) -> None:
         raise _OutputError(f"{out}: cannot create the directory: {exc.strerror}") from None
 
 
+def _write_error(path: Path, exc: OSError) -> _OutputError:
+    return _OutputError(f"{path}: cannot write the file: {exc.strerror}")
+
+
 def _write_file(path: Path, chunks: Iterable[str]) -> None:
     """Write `chunks` to `path` as UTF-8 with "\\n" line ends."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        raise _OutputError(f"{path}: cannot write the file: {exc.strerror}") from None
+        raise _write_error(path, exc) from None
+
+
+class _RoundStreams:
+    """A run's sink: appends each round's feeds.jsonl lines and drained
+    ledger.csv rows to `*.partial` files, which `commit` renames to their
+    real names. Leaving the `with` block deletes what was not committed, so
+    a run that fails leaves no feeds.jsonl or ledger.csv that looks
+    complete."""
+
+    def __init__(self, out_dir: Path) -> None:
+        self.paths = [out_dir / "feeds.jsonl", out_dir / "ledger.csv"]
+        self.partials = [path.with_name(path.name + ".partial") for path in self.paths]
+        self.files = []
+        for partial in self.partials:
+            try:
+                self.files.append(open(partial, "w", encoding="utf-8", newline="\n"))
+            except OSError as exc:
+                self.close()
+                raise _write_error(partial, exc) from None
+        self._write(1, [LEDGER_CSV_HEAD])
+
+    def __enter__(self) -> "_RoundStreams":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __call__(self, feeds, ledger: Ledger) -> None:
+        self._write(0, (line for round_, citizen, feed in feeds
+                        for line in feed_lines(round_, citizen, feed)))
+        self._write(1, csv_rows(ledger.drain()))
+
+    def _write(self, i: int, chunks: Iterable[str]) -> None:
+        try:
+            self.files[i].writelines(chunks)
+        except OSError as exc:
+            raise _write_error(self.partials[i], exc) from None
+
+    def commit(self) -> None:
+        """Close the files and give them their real names."""
+        for fh, partial in zip(self.files, self.partials):
+            try:
+                fh.close()
+            except OSError as exc:
+                raise _write_error(partial, exc) from None
+        for partial, path in zip(self.partials, self.paths):
+            try:
+                os.replace(partial, path)
+            except OSError as exc:
+                raise _write_error(path, exc) from None
+
+    def close(self) -> None:
+        """Close the files and delete whatever was not committed."""
+        for fh in self.files:
+            try:
+                fh.close()
+            except OSError:
+                pass   # a failed run is being reported already
+        for partial in self.partials:
+            partial.unlink(missing_ok=True)
 
 
 def _write_outputs(out_dir: Path, result) -> None:
-    """Write the five artifacts, streaming the three large ones line by line."""
+    """Write the three artifacts that hold the run's end state."""
     community_ids = sorted(result.fabric.communities)
     _write_file(out_dir / "metrics.csv",
                 [simulation.metrics_csv(result.metrics, community_ids)])
-    _write_file(out_dir / "feeds.jsonl",
-                (line for round_, citizen, feed in result.feeds
-                 for line in feed_lines(round_, citizen, feed)))
-    _write_file(out_dir / "ledger.csv", result.ledger.csv_lines())
     _write_file(out_dir / "fabric.json", [result.fabric.to_json(indent=2)])
     scores = result.scores if result.scores is not None else ScoreSet()
     _write_file(out_dir / "scorecards.csv", scores.csv_lines())
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Execute one scenario and write every artifact under --out."""
+    """Execute one scenario and write every artifact under --out: feeds and
+    ledger rows as each round ends, the rest when the run is over."""
     try:
         config = ScenarioConfig.load(args.scenario)
     except ConfigError as exc:
@@ -80,12 +143,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"--seed must be in [0, {SEED_MAX}], got {args.seed}", file=sys.stderr)
         return EXIT_CONFIG
     _make_out_dir(args.out)
-    try:
-        result = simulation.run(config, seed=args.seed, rounds=args.rounds)
-    except PluralError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    _write_outputs(Path(args.out), result)
+    out_dir = Path(args.out)
+    with _RoundStreams(out_dir) as streams:
+        try:
+            result = simulation.run(config, seed=args.seed, rounds=args.rounds,
+                                    sink=streams)
+        except PluralError as exc:
+            print(f"run failed: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        _write_outputs(out_dir, result)
+        streams.commit()
     return EXIT_OK
 
 
@@ -158,11 +225,17 @@ _COMPARE_METRICS = ("mean_common_belief_top_bridging", "polarization_index",
                     "attention_gini", "platform_revenue")
 
 
+def _discard(feeds, ledger: Ledger) -> None:
+    """A sink that keeps no feeds or ledger rows."""
+    ledger.drain()
+
+
 def compare_runs(config: ScenarioConfig, n_seeds: int) -> list[dict]:
     """Paired bridging-vs-baseline runs over n_seeds consecutive seeds.
 
     The baseline flips scoring to popularity_only (psi = iota); everything
-    else, including the seed, matches its bridging partner.
+    else, including the seed, matches its bridging partner. Only the last
+    round's metrics are read, so the runs keep no feeds or ledger rows.
     """
     rows = []
     for i in range(n_seeds):
@@ -173,8 +246,8 @@ def compare_runs(config: ScenarioConfig, n_seeds: int) -> list[dict]:
         baseline_cfg = dataclasses.replace(
             config, seed=seed,
             scoring=dataclasses.replace(config.scoring, popularity_only=True))
-        bridging = simulation.run(bridging_cfg)
-        baseline = simulation.run(baseline_cfg)
+        bridging = simulation.run(bridging_cfg, sink=_discard)
+        baseline = simulation.run(baseline_cfg, sink=_discard)
         row = {"seed": seed}
         for name in _COMPARE_METRICS:
             b = getattr(bridging.metrics[-1], name) if bridging.metrics else 0.0

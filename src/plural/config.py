@@ -241,8 +241,8 @@ class StandingPurchase(_Section):
     """Standing an advertiser buys from a community before round 0."""
 
     community: int = _field(lo=0)
-    amount: float = _field(lo=0.0)
-    price: float = _field(lo=0.0)
+    amount: float = _field(gt=0.0)
+    price: float = _field(gt=0.0)
 
 
 @dataclass
@@ -330,9 +330,18 @@ class ScenarioConfig(_Section):
             for j, deal in enumerate(adv.deals):
                 _check_index(deal.community, n_communities, "community",
                              f"{p}.deals[{j}].community")
-            if adv.standing_purchase is not None:
-                _check_index(adv.standing_purchase.community, n_communities, "community",
+            purchase = adv.standing_purchase
+            if purchase is not None:
+                _check_index(purchase.community, n_communities, "community",
                              f"{p}.standing_purchase.community")
+                if not self.communities[purchase.community].admin_registered:
+                    raise ConfigError(f"{p}.standing_purchase.community",
+                                      f"community {purchase.community} has no registered "
+                                      "administrator to sell standing")
+                # the tolerance `econ.sell_standing` allows
+                if adv.budget + 1e-12 < purchase.price:
+                    raise ConfigError(f"{p}.standing_purchase.price",
+                                      f"{purchase.price} exceeds the budget {adv.budget}")
             _check_coordinates(adv.position, self.population.ideology_dim, f"{p}.position")
 
     @classmethod

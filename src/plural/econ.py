@@ -34,6 +34,7 @@ REASONS = ("ImpressionSponsorship", "Subscription", "AdImpression",
            "CreatorReward", "PlatformFee", "StandingPurchase")
 
 LEDGER_CSV_HEADER = ["round", "from_kind", "from_id", "to_kind", "to_id", "amount", "reason"]
+LEDGER_CSV_HEAD = ",".join(LEDGER_CSV_HEADER) + "\n"
 
 
 def creator_pool(community: int) -> OwnerRef:
@@ -49,6 +50,19 @@ class LedgerEntry:
     reason: str
 
 
+# A ledger's rows as parallel columns: round, from, to, amount and reason.
+LedgerRows = tuple[list[int], list[OwnerRef], list[OwnerRef], list[float], list[str]]
+
+
+def _net_into(totals: dict[OwnerRef, float], from_owners: Sequence[OwnerRef],
+              to_owners: Sequence[OwnerRef], amounts: Sequence[float]) -> None:
+    """Add each row's amount to its payee's total and take it from its payer's,
+    in row order."""
+    for from_owner, to_owner, amount in zip(from_owners, to_owners, amounts):
+        totals[from_owner] = totals.get(from_owner, 0.0) - amount
+        totals[to_owner] = totals.get(to_owner, 0.0) + amount
+
+
 class _OwnerFields(dict):
     """Each owner's "kind,id" CSV fields, formatted once."""
 
@@ -57,12 +71,21 @@ class _OwnerFields(dict):
         return value
 
 
+def csv_rows(rows: LedgerRows) -> Iterator[str]:
+    """ledger.csv lines of `rows`, no header. No field needs CSV quoting: ids
+    and rounds are ints, amounts float reprs, kinds and reasons plain words."""
+    owner = _OwnerFields()
+    for round_, from_owner, to_owner, amount, reason in zip(*rows):
+        yield f"{round_},{owner[from_owner]},{owner[to_owner]},{amount!r},{reason}\n"
+
+
 class Ledger:
     """Append-only account book. Amounts are positive; entries are two-sided.
 
     Postings are held as parallel columns: round, from, to, amount and
     reason. `entries` is a view of them as LedgerEntry rows, built when read;
-    assigning it replaces the columns.
+    assigning it replaces the columns. `drain` hands the held rows out and
+    keeps only their net amount per owner, which `audit` adds back.
     """
 
     def __init__(self) -> None:
@@ -73,6 +96,7 @@ class Ledger:
         self._reasons: list[str] = []
         self._balances: dict[OwnerRef, float] = {}
         self._initial: dict[OwnerRef, float] = {}
+        self._drained: dict[OwnerRef, float] = {}   # net amount of drained rows
 
     @property
     def entries(self) -> list[LedgerEntry]:
@@ -125,9 +149,19 @@ class Ledger:
         self._amounts.append(amount)
         self._reasons.append(reason)
 
+    def drain(self) -> LedgerRows:
+        """The rows posted since the last drain, as (round, from, to, amount,
+        reason) columns, and no longer held. Balances stay, and each owner's
+        net drained amount is kept for `audit`."""
+        rows = (self._rounds, self._from, self._to, self._amounts, self._reasons)
+        _net_into(self._drained, self._from, self._to, self._amounts)
+        self._rounds, self._from, self._to, self._amounts, self._reasons = [], [], [], [], []
+        return rows
+
     def audit(self, tol: float = 1e-9) -> None:
-        """Check conservation, then recompute balances from entries and check
-        them and their positivity.
+        """Check conservation, then recompute balances from the opening
+        balances and every posted amount, drained or held, and check them and
+        their positivity.
 
         Conservation: balances sum to the opening balances, to within `tol`
         relative to that total (each posting may round both balances).
@@ -136,22 +170,19 @@ class Ledger:
         assert abs(math.fsum(self._balances.values()) - opening) <= tol * max(1.0, opening), \
             "money not conserved: balances do not sum to the opening balances"
         recomputed = dict(self._initial)
-        for from_owner, to_owner, amount in zip(self._from, self._to, self._amounts):
-            recomputed[from_owner] = recomputed.get(from_owner, 0.0) - amount
-            recomputed[to_owner] = recomputed.get(to_owner, 0.0) + amount
+        for owner, net in self._drained.items():
+            recomputed[owner] = recomputed.get(owner, 0.0) + net
+        _net_into(recomputed, self._from, self._to, self._amounts)
         for owner, bal in self._balances.items():
             assert abs(bal - recomputed.get(owner, 0.0)) <= tol, \
                 f"balance drift on {owner}"
             assert bal >= -tol, f"negative balance on {owner}"
 
     def csv_lines(self) -> Iterator[str]:
-        """ledger.csv lines, header first. No field needs CSV quoting: ids and
-        rounds are ints, amounts float reprs, kinds and reasons plain words."""
-        yield ",".join(LEDGER_CSV_HEADER) + "\n"
-        owner = _OwnerFields()
-        for round_, from_owner, to_owner, amount, reason in zip(
-                self._rounds, self._from, self._to, self._amounts, self._reasons):
-            yield f"{round_},{owner[from_owner]},{owner[to_owner]},{amount!r},{reason}\n"
+        """ledger.csv lines of the held rows, header first."""
+        yield LEDGER_CSV_HEAD
+        yield from csv_rows((self._rounds, self._from, self._to, self._amounts,
+                             self._reasons))
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -224,8 +224,21 @@ def attention_gini(totals: Sequence[float]) -> float:
 
 # -- the round loop -------------------------------------------------------------
 
+# (round, citizen, feed) rows, in round then citizen order.
+FeedRows = list[tuple[int, int, list[FeedEntry]]]
+
+# Takes a run's feeds and ledger rows as they are made: called with no feeds
+# once the rows posted before round 0 are in the ledger, then with each
+# round's feeds as the round ends.
+Sink = Callable[[FeedRows, Ledger], None]
+
+
 @dataclass
 class RunResult:
+    """What a run leaves. With a sink (see `run`), the sink took the feeds
+    and ledger rows: `feeds` is empty and the ledger holds no rows, though
+    its balances and `audit()` still cover every posting."""
+
     config: ScenarioConfig
     metrics: list[RoundMetrics]
     fabric: SocialFabric
@@ -233,7 +246,7 @@ class RunResult:
     reactions: ReactionMatrix
     ledger: Ledger
     scores: Optional[ScoreSet]
-    feeds: list[tuple[int, int, list[FeedEntry]]]   # (round, citizen, feed)
+    feeds: FeedRows
     events: list[dict]
     ideologies: np.ndarray   # (citizens x ideology_dim)
     attitude: np.ndarray     # (contents x citizens)
@@ -263,7 +276,8 @@ class _Simulation:
     citizens), which gain a row per created content.
     """
 
-    def __init__(self, config: ScenarioConfig, seed: int, rounds: int):
+    def __init__(self, config: ScenarioConfig, seed: int, rounds: int,
+                 sink: Optional[Sink] = None):
         self.config = config
         self.seed = seed
         self.rounds = rounds
@@ -275,7 +289,9 @@ class _Simulation:
         self.policies = PolicyBook(default_price=config.econ.default_price_per_lambda_impression)
         self.advertisers: dict[int, Advertiser] = {}
         self.events: list[dict] = []
-        self.feeds: list[tuple[int, int, list[FeedEntry]]] = []
+        self.feeds: FeedRows = []
+        kept = self.feeds   # not self: a cycle would outlive the run while gc is off
+        self.sink: Sink = sink if sink is not None else (lambda feeds, ledger: kept.extend(feeds))
         self.metrics: list[RoundMetrics] = []
         self.scores: Optional[ScoreSet] = None
 
@@ -520,6 +536,7 @@ class _Simulation:
 
     def run(self) -> RunResult:
         cfg = self.config
+        self.sink([], self.ledger)
         for round_ in range(self.rounds):
             self.overrides.expire(round_)
             self.policies.apply_pending(self.fabric)
@@ -531,7 +548,6 @@ class _Simulation:
                                       mf_seed=derive_seed(self.seed, "mf", round_))
             psi_view = EffectivePsi(self.scores, self.overrides, round_)
             feeds = self._rank_phase(round_, psi_view)
-            self.feeds.extend((round_, citizen, feeds[citizen]) for citizen in sorted(feeds))
             self._react_phase(round_, feeds)
             self._belief_phase(round_, feeds)
             platform_before = self.ledger.balance(PLATFORM)
@@ -542,6 +558,8 @@ class _Simulation:
                             self.catalog)
             self._adapt_devotion(feeds)
             self.metrics.append(self._metrics_phase(round_, platform_before))
+            self.sink([(round_, citizen, feeds[citizen]) for citizen in sorted(feeds)],
+                      self.ledger)
 
         return RunResult(config=cfg, metrics=self.metrics, fabric=self.fabric,
                          catalog=self.catalog, reactions=self.reactions,
@@ -551,8 +569,13 @@ class _Simulation:
 
 
 def run(config: ScenarioConfig, seed: int | None = None,
-        rounds: int | None = None) -> RunResult:
+        rounds: int | None = None, sink: Optional[Sink] = None) -> RunResult:
     """Execute a scenario; overrides replace the configured seed/round count.
+
+    Without a sink, `RunResult.feeds` and the ledger keep every feed and row
+    of the run. A sink is handed them instead as they are made (see `Sink`),
+    and may write them out and `drain` the ledger, so they need not all be
+    held at once.
 
     Raises ValueError for a seed outside [0, SEED_MAX], which would alias a
     seed inside it, or a negative round count.
@@ -563,7 +586,7 @@ def run(config: ScenarioConfig, seed: int | None = None,
         raise ValueError(f"seed must be in [0, {SEED_MAX}], got {effective_seed}")
     if effective_rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {effective_rounds}")
-    return _Simulation(config, effective_seed, effective_rounds).run()
+    return _Simulation(config, effective_seed, effective_rounds, sink).run()
 
 
 def metrics_csv(metrics: Sequence[RoundMetrics], community_ids: Sequence[int]) -> str:

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -19,7 +20,8 @@ from plural.errors import ConfigError, PluralError
 from plural.rank import RankingParams
 from plural.score import ScoringParams
 
-from test_sim import TINY_SCENARIO
+from test_golden import DEMO
+from test_sim import TINY_SCENARIO, market_doc
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -214,6 +216,15 @@ MALFORMED_SCENARIOS = {
     "purchase_community": (["advertisers"], [{"budget": 1.0, "standing_purchase": {
         "community": 9, "amount": 1.0, "price": 0.5}}],
         "advertisers[0].standing_purchase.community"),
+    "purchase_above_budget": (["advertisers"], [{"budget": 0.2, "standing_purchase": {
+        "community": 0, "amount": 1.0, "price": 0.5}}],
+        "advertisers[0].standing_purchase.price"),
+    "purchase_zero_price": (["advertisers"], [{"budget": 1.0, "standing_purchase": {
+        "community": 0, "amount": 1.0, "price": 0.0}}],
+        "advertisers[0].standing_purchase.price"),
+    "purchase_zero_amount": (["advertisers"], [{"budget": 1.0, "standing_purchase": {
+        "community": 0, "amount": 0.0, "price": 0.5}}],
+        "advertisers[0].standing_purchase.amount"),
     "unknown_scoring_key": (["scoring", "alpah"], 2, "scoring.alpah"),
     "unknown_top_level_key": (["ranknig"], {"feed_size": 4}, "ranknig"),
     "unknown_deal_key": (["advertisers"], [{"budget": 1.0, "deals": [
@@ -239,6 +250,12 @@ UNUSABLE_OUT_DIRS = {
     "existing_file": lambda tmp: _touch(tmp / "taken"),
     "parent_is_a_file": lambda tmp: _touch(tmp / "taken") / "out",
 }
+
+
+# Artifacts made directories under --out, by test case id.
+ARTIFACT_DIRS = {"artifact_is_a_directory": "metrics.csv",
+                 "feeds_is_a_directory": "feeds.jsonl",
+                 "ledger_is_a_directory": "ledger.csv"}
 
 
 def _touch(path):
@@ -358,17 +375,58 @@ class TestCmdRun:
         assert_clean_exit_2(code, capsys.readouterr().err, f"scenario error: {path}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", sorted(UNUSABLE_OUT_DIRS) + ["artifact_is_a_directory"])
+    @pytest.mark.parametrize("case", sorted(UNUSABLE_OUT_DIRS) + sorted(ARTIFACT_DIRS))
     def test_unusable_out_exit_2(self, tmp_path, capsys, case):
         path = write_scenario(tmp_path, TINY_SCENARIO)
-        if case == "artifact_is_a_directory":
+        if case in ARTIFACT_DIRS:
             out = tmp_path / "out"
-            unusable = out / "metrics.csv"
+            unusable = out / ARTIFACT_DIRS[case]
             unusable.mkdir(parents=True)
         else:
             out = unusable = UNUSABLE_OUT_DIRS[case](tmp_path)
         code = main(["run", "--scenario", str(path), "--out", str(out)])
         assert_clean_exit_2(code, capsys.readouterr().err, f"output error: {unusable}: ")
+        if out.is_dir():
+            assert not list(out.glob("*.partial"))
+
+    def test_failed_round_leaves_no_streamed_files(self, tmp_path, capsys, monkeypatch):
+        # round 0's feeds and ledger rows are written before round 1 fails
+        score_round = cli.simulation.score_round
+
+        def fails_in_round_1(*args, **kwargs):
+            if args[4] == 1:
+                raise PluralError("boom in round 1")
+            return score_round(*args, **kwargs)
+
+        monkeypatch.setattr(cli.simulation, "score_round", fails_in_round_1)
+        path = write_scenario(tmp_path, TINY_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "run failed: boom in round 1\n"
+        assert list(out.iterdir()) == []
+
+    def test_successful_run_leaves_no_partial_files(self, tmp_path):
+        path = write_scenario(tmp_path, TINY_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUTS)
+
+    def test_market_purchase_of_whole_budget_runs(self, tmp_path):
+        # sell_standing accepts a price equal to the balance, so validation does too
+        doc = market_doc(rounds=1)
+        doc["advertisers"][0]["budget"] = doc["advertisers"][0]["standing_purchase"]["price"]
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_purchase_from_unregistered_community_exit_2(self, tmp_path, capsys):
+        doc = market_doc(rounds=1)
+        doc["communities"][0]["admin_registered"] = False
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        assert_clean_exit_2(code, capsys.readouterr().err,
+                            "scenario error: advertisers[0].standing_purchase.community: ")
+        assert not out.exists()
 
 
 class TestCmdScore:
@@ -643,6 +701,17 @@ class TestCmdCompare:
         assert len(lines) == 3  # header, one seed row, summary
         assert lines[1].startswith(str(doc["seed"]))
         assert lines[2].startswith("summary")
+
+    def test_demo_comparison_bytes(self, tmp_path):
+        # recorded when each run still kept every feed and ledger row
+        doc = json.loads(DEMO.read_text(encoding="utf-8"))
+        doc["sim"]["rounds"] = 3
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", str(path), "--seeds", "2",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "comparison.csv").read_bytes()).hexdigest() == \
+            "cc88bd2a8ef217d2be2158d11baddd7266342131515e230ed71df87890c5dda2"
 
     def test_zero_rounds_all_deltas_zero(self, tmp_path):
         doc = copy.deepcopy(TINY_SCENARIO)

@@ -1,0 +1,65 @@
+"""Streamed runs: `plural run` writes feeds.jsonl and ledger.csv as each round
+ends and keeps neither in memory. The files must equal, byte for byte, what
+the in-memory run of the same scenario writes, and the drained ledger must
+keep its balances and its audit."""
+
+import copy
+import json
+
+import pytest
+
+from plural import sim as simulation
+from plural.cli import main
+from plural.config import ScenarioConfig
+from plural.rank import feed_lines
+
+from test_sim import TINY_SCENARIO, market_doc
+
+SCENARIOS = {"tiny": lambda: copy.deepcopy(TINY_SCENARIO), "market": market_doc}
+ROUNDS = [0, 1, 3]
+
+
+def in_memory(doc: dict, rounds: int):
+    return simulation.run(ScenarioConfig.from_dict(doc), rounds=rounds)
+
+
+@pytest.mark.parametrize("rounds", ROUNDS)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_cli_files_equal_in_memory_run(tmp_path, name, rounds):
+    doc = SCENARIOS[name]()
+    kept = in_memory(doc, rounds)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out),
+                 "--rounds", str(rounds)]) == 0
+    feeds = "".join(line for round_, citizen, feed in kept.feeds
+                    for line in feed_lines(round_, citizen, feed))
+    assert (out / "feeds.jsonl").read_text(encoding="utf-8") == feeds
+    assert (out / "ledger.csv").read_text(encoding="utf-8") == "".join(kept.ledger.csv_lines())
+    assert not list(out.glob("*.partial"))
+
+
+@pytest.mark.parametrize("rounds", ROUNDS)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_streamed_run_keeps_no_rows_and_audits(name, rounds):
+    doc = SCENARIOS[name]()
+    kept = in_memory(doc, rounds)
+    feeds, rows = [], []
+
+    def sink(round_feeds, ledger):
+        feeds.extend(round_feeds)
+        rows.extend(zip(*ledger.drain()))
+
+    streamed = simulation.run(ScenarioConfig.from_dict(doc), rounds=rounds, sink=sink)
+    assert streamed.feeds == []
+    assert streamed.ledger.entries == []
+    assert feeds == kept.feeds
+    assert rows == [(e.round, e.from_owner, e.to_owner, e.amount, e.reason)
+                    for e in kept.ledger.entries]
+    # the standing purchases, posted before round 0, come first
+    purchases = sum(adv.get("standing_purchase") is not None for adv in doc["advertisers"])
+    assert [row[4] for row in rows[:purchases]] == ["StandingPurchase"] * purchases
+    streamed.ledger.audit()
+    assert streamed.ledger._balances == kept.ledger._balances
+    assert streamed.metrics == kept.metrics
