@@ -61,11 +61,16 @@ def _write_file(path: Path, chunks: Iterable[str]) -> None:
 class _RoundStreams:
     """A run's sink: appends each round's feeds.jsonl lines and drained
     ledger.csv rows to `*.partial` files, which `commit` renames to their
-    real names. Leaving the `with` block deletes what was not committed, so
-    a run that fails leaves no feeds.jsonl or ledger.csv that looks
-    complete."""
+    real names. It first deletes an earlier run's artifacts, and leaving the
+    `with` block deletes what was not committed, so a run that fails leaves
+    no artifact that looks like its own."""
 
     def __init__(self, out_dir: Path) -> None:
+        for name in ("metrics.csv", "feeds.jsonl", "ledger.csv", "fabric.json", "scorecards.csv"):
+            try:
+                (out_dir / name).unlink(missing_ok=True)
+            except OSError as exc:
+                raise _write_error(out_dir / name, exc) from None
         self.paths = [out_dir / "feeds.jsonl", out_dir / "ledger.csv"]
         self.partials = [path.with_name(path.name + ".partial") for path in self.paths]
         self.files = []
@@ -193,16 +198,16 @@ def cmd_score(args: argparse.Namespace) -> int:
     try:
         catalog: dict[int, ContentItem] = {}
         current_round = 0
-        for mid in reactions.contents():
-            participants = reactions.citizens_for(mid)
+        for j, mid in enumerate(reactions.content_ids.tolist()):
+            participants = set(reactions.citizen_ids[reactions.seen[j]].tolist())
             targets = {cid for cid, comm in fabric.communities.items()
                        if comm.members & participants}
             if not targets:
                 continue
-            rounds = [cell.round for _, cell in reactions.by_content(mid)]
-            current_round = max([current_round] + rounds)
+            rounds = reactions.round[j, reactions.seen[j]]
+            current_round = max(current_round, int(rounds.max()))
             catalog[mid] = ContentItem(id=mid, creator=min(participants),
-                                       created_round=min(rounds),
+                                       created_round=int(rounds.min()),
                                        target_communities=targets)
         if catalog:
             matrix = reactions.to_attitudes(row_ids=sorted(fabric.citizens))

@@ -21,7 +21,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,70 +58,74 @@ class ContentItem:
             raise ValueError(f"bad creator kind {self.creator_kind!r}")
 
 
-@dataclass(slots=True)
-class Interaction:
-    """One citizen's record of one content: a record exists only once the
-    citizen was exposed to the content."""
+# One citizen's record of one content, as `ReactionMatrix.get` reads it.
+Record = NamedTuple("Record", [("reaction", int), ("round", int)])
+_NEVER = np.iinfo(np.int64).min      # the round held where there is no record
 
-    reaction: int      # -1, 0, +1
-    round: int
+
+def _positions(ids: np.ndarray, wanted) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of `wanted` sits in the ascending `ids`, and whether it is there."""
+    wanted = np.asarray(wanted, dtype=np.int64)
+    pos = np.searchsorted(ids, wanted).clip(max=max(len(ids) - 1, 0))
+    return pos, ids[pos] == wanted if len(ids) else np.zeros(wanted.shape, dtype=bool)
 
 
 class ReactionMatrix:
-    """Sparse (citizen, content) -> reaction record.
-
-    Each `Interaction` is held once and reached from two indexes, by citizen
-    and by content. A nonzero reaction implies exposure. Re-recording
-    refreshes the round (latest interaction wins).
+    """(citizen, content) -> reaction record, as three (contents x citizens)
+    arrays over ascending `content_ids` and `citizen_ids`: `seen` (a record
+    exists: the citizen was exposed), `sign` (-1, 0 or +1) and `round` (the
+    latest round recorded; the int64 minimum where there is no record).
+    Ids get a row or column when reserved or recorded.
     """
 
-    def __init__(self) -> None:
-        self._by_citizen: dict[int, dict[int, Interaction]] = {}
-        self._by_content: dict[int, dict[int, Interaction]] = {}
+    def __init__(self, citizens: Iterable[int] = ()) -> None:
+        self.citizen_ids = self.content_ids = np.zeros(0, dtype=np.int64)
+        self.seen, self.sign, self.round = (np.zeros((0, 0), t) for t in (bool, np.int8, np.int64))
+        self.reserve(citizens)
 
     def __len__(self) -> int:
-        return sum(len(row) for row in self._by_citizen.values())
+        return int(np.count_nonzero(self.seen))
+
+    def reserve(self, citizens: Iterable[int] = (), contents: Iterable[int] = ()) -> None:
+        """Give each new id an empty column (citizens) or row (contents)."""
+        for axis, name, wanted in ((0, "content_ids", contents), (1, "citizen_ids", citizens)):
+            ids, wanted = getattr(self, name), np.fromiter(wanted, np.int64)
+            new = np.array(sorted(set(wanted[~_positions(ids, wanted)[1]].tolist())), np.int64)
+            if new.size:
+                at = np.searchsorted(ids, new)
+                setattr(self, name, np.insert(ids, at, new))
+                for key, empty in (("seen", False), ("sign", 0), ("round", _NEVER)):
+                    setattr(self, key, np.insert(getattr(self, key), at, empty, axis=axis))
+
+    def record(self, citizens: Sequence[int], contents: Sequence[int],
+               reactions: Sequence[int], round_: int | Sequence[int]) -> None:
+        """Record each citizen's exposure to its content in `round_` (one
+        round, or one per entry), with its reaction (0: no vote). A record
+        keeps its latest round and its last nonzero reaction in entry order."""
+        reactions = np.asarray(reactions, dtype=np.int64)
+        if ((reactions < -1) | (reactions > 1)).any():
+            raise ValueError("reaction must be -1, 0 or +1")
+        self.reserve(citizens, contents)
+        at = (np.searchsorted(self.content_ids, contents),
+              np.searchsorted(self.citizen_ids, citizens))
+        self.seen[at] = True
+        np.maximum.at(self.round, at, round_)
+        vote = np.flatnonzero(reactions != 0)[::-1]        # the last entry first
+        _, last = np.unique(at[0][vote] * self.seen.shape[1] + at[1][vote], return_index=True)
+        self.sign[at[0][vote[last]], at[1][vote[last]]] = reactions[vote[last]]
 
     def record_exposure(self, citizen: int, content: int, round_: int) -> None:
-        row = self._by_citizen.setdefault(citizen, {})
-        cell = row.get(content)
-        if cell is None:
-            cell = row[content] = Interaction(0, round_)
-            self._by_content.setdefault(content, {})[citizen] = cell
-        else:
-            cell.round = max(cell.round, round_)
+        self.record([citizen], [content], [0], round_)
 
     def record_reaction(self, citizen: int, content: int, reaction: int, round_: int) -> None:
-        if reaction not in (-1, 0, 1):
-            raise ValueError("reaction must be -1, 0 or +1")
-        self.record_exposure(citizen, content, round_)
-        cell = self._by_citizen[citizen][content]
-        if reaction != 0:
-            cell.reaction = reaction
-            cell.round = max(cell.round, round_)
+        self.record([citizen], [content], [reaction], round_)
 
-    def get(self, citizen: int, content: int) -> Optional[Interaction]:
-        return self._by_citizen.get(citizen, {}).get(content)
-
-    def citizens_for(self, content: int) -> collections.abc.Set[int]:
-        """The citizens exposed to the content, as a live read-only set view."""
-        return self._by_content.get(content, {}).keys()
-
-    def for_citizen(self, citizen: int) -> dict[int, Interaction]:
-        """Live view of the citizen's row; do not mutate."""
-        return self._by_citizen.get(citizen, {})
-
-    def by_content(self, content: int) -> Iterator[tuple[int, Interaction]]:
-        """The content's records in citizen id order."""
-        yield from sorted(self._by_content.get(content, {}).items())
-
-    def contents(self) -> list[int]:
-        return sorted(self._by_content)
-
-    def items(self) -> Iterator[tuple[tuple[int, int], Interaction]]:
-        for citizen, row in self._by_citizen.items():
-            for content, cell in row.items():
-                yield (citizen, content), cell
+    def get(self, citizen: int, content: int) -> Optional[Record]:
+        (i,), (has_i,) = _positions(self.content_ids, [content])
+        (j,), (has_j,) = _positions(self.citizen_ids, [citizen])
+        if has_i and has_j and self.seen[i, j]:
+            return Record(int(self.sign[i, j]), int(self.round[i, j]))
+        return None
 
     # CSV interchange: citizen_id, content_id, round, exposed(0/1), reaction.
     # Every held record is an exposure, so `to_csv` writes exposed as 1.
@@ -130,19 +134,20 @@ class ReactionMatrix:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(REACTIONS_CSV_HEADER)
-        for (citizen, content), cell in sorted(self.items()):
-            w.writerow([citizen, content, cell.round, 1, cell.reaction])
+        p, m = np.nonzero(self.seen.T)      # citizen, then content order
+        w.writerows(zip(self.citizen_ids[p].tolist(), self.content_ids[m].tolist(),
+                        self.round[m, p].tolist(), itertools.repeat(1), self.sign[m, p].tolist()))
         return buf.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "ReactionMatrix":
         """Parse `to_csv` output; a malformed row raises ValueError naming its line."""
-        rm = cls()
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames is not None:    # None: empty text, no rows
             missing = [c for c in REACTIONS_CSV_HEADER if c not in reader.fieldnames]
             if missing:
                 raise ValueError(f"line 1: missing column(s) {', '.join(missing)}")
+        rows = []
         for row in reader:
             line = reader.line_num
             fields = []
@@ -163,25 +168,25 @@ class ReactionMatrix:
             if reaction != 0 and not exposed:
                 raise ValueError(f"line {line}: reaction without exposure at citizen "
                                  f"{citizen}, content {content}")
+            if reaction not in (-1, 0, 1):
+                raise ValueError(f"line {line}: reaction must be -1, 0 or +1")
             if exposed:
-                try:
-                    rm.record_reaction(citizen, content, reaction, round_)
-                except ValueError as exc:
-                    raise ValueError(f"line {line}: {exc}") from None
+                rows.append((citizen, content, reaction, round_))
+        rm = cls()
+        rm.record(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)    # rows in file order
         return rm
 
     def to_attitudes(self, row_ids: Sequence[int] | None = None,
                      col_ids: Sequence[int] | None = None):
         """Dense signed-reaction matrix for the detection pathway."""
         from .detect import AttitudeMatrix
-        rows = sorted(self._by_citizen) if row_ids is None else list(row_ids)
-        cols = self.contents() if col_ids is None else list(col_ids)
+        rows = self.citizen_ids[self.seen.any(axis=0)] if row_ids is None else row_ids
+        cols = self.content_ids[self.seen.any(axis=1)] if col_ids is None else col_ids
+        rows, cols = list(map(int, rows)), list(map(int, cols))
+        p, p_held = _positions(self.citizen_ids, rows)
+        m, m_held = _positions(self.content_ids, cols)
         values = np.zeros((len(rows), len(cols)))
-        ri = {r: i for i, r in enumerate(rows)}
-        ci = {c: j for j, c in enumerate(cols)}
-        for (p, m), cell in self.items():
-            if p in ri and m in ci:
-                values[ri[p], ci[m]] = float(cell.reaction)
+        values[np.ix_(p_held, m_held)] = self.sign[np.ix_(m[m_held], p[p_held])].T
         return AttitudeMatrix(rows, cols, values)
 
 
@@ -230,22 +235,17 @@ class _Tally:
 
     def __init__(self, reactions: ReactionMatrix, contents: Sequence[int],
                  current_round: int = 0, half_life: Optional[float] = None) -> None:
-        records = [reactions._by_content.get(mid, {}) for mid in contents]
         self.contents = np.array(contents, dtype=np.int64)
-        self.citizens = sorted(set().union(*records))
-        ids = np.array(self.citizens, dtype=np.int64)
-        shape = (len(ids), len(contents))
+        rows, held = _positions(reactions.content_ids, self.contents)
+        cols = np.flatnonzero(reactions.seen[rows[held]].any(axis=0))
+        self.citizens = reactions.citizen_ids[cols].tolist()
+        cells, shape = np.ix_(rows[held], cols), (len(cols), len(contents))
         self.exposed = np.zeros(shape, dtype=bool)
         votes = np.zeros(shape)
         rounds = np.zeros(shape, dtype=np.int64)
-        for j, cells in enumerate(records):
-            if cells:
-                rows = np.searchsorted(ids, np.fromiter(cells, np.int64, len(cells)))
-                self.exposed[rows, j] = True
-                votes[rows, j] = np.fromiter((c.reaction for c in cells.values()),
-                                             float, len(cells))
-                rounds[rows, j] = np.fromiter((c.round for c in cells.values()),
-                                              np.int64, len(cells))
+        self.exposed[:, held] = reactions.seen[cells].T
+        votes[:, held] = reactions.sign[cells].T
+        rounds[:, held] = reactions.round[cells].T
         if half_life is not None:
             self.weight = np.zeros(shape)
             self.weight[self.exposed] = _decay(rounds[self.exposed], current_round, half_life) \
@@ -434,34 +434,29 @@ def bridging_mf(reactions: ReactionMatrix, raters: Iterable[int],
     operations in the same order as an SGD over numpy arrays of shape (n, 1),
     so its results are bit-identical to that form.
     """
-    raters = set(raters)
-    pool = None if contents is None else set(contents)
-    obs: list[tuple[int, int, float]] = []
-    items: set[int] = set()
-    voters: set[int] = set()
-    for (p, m), cell in sorted(reactions.items()):
-        if p not in raters or cell.reaction == 0:
-            continue
-        if pool is not None and m not in pool:
-            continue
-        obs.append((p, m, 1.0 if cell.reaction > 0 else 0.0))
-        items.add(m)
-        voters.add(p)
+    cols = np.flatnonzero(np.isin(reactions.citizen_ids, np.fromiter(raters, np.int64)))
+    rows = np.arange(len(reactions.content_ids)) if contents is None \
+        else np.flatnonzero(np.isin(reactions.content_ids, np.fromiter(contents, np.int64)))
+    votes = reactions.sign[np.ix_(rows, cols)].T       # (raters x contents)
+    at = np.nonzero(votes)                              # citizen, then content order
+    voters, rater_of = np.unique(at[0], return_inverse=True)
+    items, item_of = np.unique(at[1], return_inverse=True)
     if len(voters) < 2 or len(items) < 2:
         raise InsufficientData(f"mf fit needs >= 2 raters and >= 2 voted items, "
                                f"got {len(voters)} raters, {len(items)} items")
 
+    targets = (votes[at] > 0).astype(float)
+    samples = list(zip(rater_of.tolist(), item_of.tolist(), targets.tolist()))
+    voter_ids = reactions.citizen_ids[cols[voters]].tolist()
+    item_ids = reactions.content_ids[rows[items]].tolist()
     rng = derive_rng(seed, "mf")
-    r_index = {p: i for i, p in enumerate(sorted(voters))}
-    i_index = {m: j for j, m in enumerate(sorted(items))}
-    samples = [(r_index[p], i_index[m], y) for p, m, y in obs]
-    mu = float(np.mean([y for _, _, y in obs]))
-    b_u = [0.0] * len(r_index)
-    b_i = [0.0] * len(i_index)
-    f_u = rng.normal(0.0, 0.1, size=(len(r_index), 1))[:, 0].tolist()
-    f_i = rng.normal(0.0, 0.1, size=(len(i_index), 1))[:, 0].tolist()
+    mu = float(np.mean(targets))
+    b_u = [0.0] * len(voter_ids)
+    b_i = [0.0] * len(item_ids)
+    f_u = rng.normal(0.0, 0.1, size=(len(voter_ids), 1))[:, 0].tolist()
+    f_i = rng.normal(0.0, 0.1, size=(len(item_ids), 1))[:, 0].tolist()
 
-    order = np.arange(len(obs))
+    order = np.arange(len(samples))
     for _ in range(epochs):
         rng.shuffle(order)
         for k in order.tolist():
@@ -474,14 +469,13 @@ def bridging_mf(reactions: ReactionMatrix, raters: Iterable[int],
             f_u[u] = fu + lr * (err * fi - reg * fu)
             f_i[i] = fi + lr * (err * fu - reg * fi)
 
-    beta_raw = {m: float(np.clip(mu + b_i[i_index[m]], 0.0, 1.0)) for m in i_index}
     return MfFit(
-        beta_raw=beta_raw,
+        beta_raw={m: float(np.clip(mu + b_i[j], 0.0, 1.0)) for j, m in enumerate(item_ids)},
         mu=mu,
-        rater_bias={p: b_u[r_index[p]] for p in r_index},
-        item_bias={m: b_i[i_index[m]] for m in i_index},
-        rater_factor={p: np.array([f_u[r_index[p]]]) for p in r_index},
-        item_factor={m: np.array([f_i[i_index[m]]]) for m in i_index},
+        rater_bias=dict(zip(voter_ids, b_u)),
+        item_bias=dict(zip(item_ids, b_i)),
+        rater_factor={p: np.array([f]) for p, f in zip(voter_ids, f_u)},
+        item_factor={m: np.array([f]) for m, f in zip(item_ids, f_i)},
     )
 
 
@@ -506,10 +500,9 @@ class _Column:
 
     A content missing from `iota` and `psi` has iota = psi = 0.0. The
     citizen columns `score_round` fills hold only the exposed contents there,
-    as the reactions stood at scoring time (the react phase later changes
-    the cells in place). `shared` marks maps other columns also hold: the
-    membership signature's profiles, and `iota`, which is `psi` in the
-    popularity baseline.
+    as the reactions stood at scoring time. `shared` marks maps other columns
+    also hold: the membership signature's profiles, and `iota`, which is
+    `psi` in the popularity baseline.
     """
 
     profiles: dict[int, _Profile] = field(default_factory=dict)

@@ -273,7 +273,7 @@ class _Simulation:
 
     The latent state is three arrays indexed by citizen id and content id:
     `ideologies` (citizens x dim), and `attitude` and `exposure` (contents x
-    citizens), which gain a row per created content.
+    citizens), which, like the reaction arrays, gain a row per content.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int, rounds: int,
@@ -283,7 +283,7 @@ class _Simulation:
         self.rounds = rounds
         self.fabric, self.ideologies = gen_population(config, seed)
         self.catalog: dict[int, ContentItem] = {}
-        self.reactions = ReactionMatrix()
+        self.reactions = ReactionMatrix(citizens=range(config.population.n_citizens))
         self.ledger = Ledger()
         self.overrides = PsiOverrides()
         self.policies = PolicyBook(default_price=config.econ.default_price_per_lambda_impression)
@@ -333,6 +333,7 @@ class _Simulation:
         row = attitudes(self.ideologies, position, self.config.sim.attitude_temperature)
         self.attitude = np.vstack([self.attitude, row])
         self.exposure = np.vstack([self.exposure, np.zeros(self.n)])
+        self.reactions.reserve(contents=[mid])
         return item
 
     def _create_phase(self, round_: int) -> None:
@@ -386,19 +387,19 @@ class _Simulation:
     def _rank_phase(self, round_: int, psi_view: EffectivePsi) -> dict[int, list]:
         """Each citizen's feed, ranked over the contents targeted at its
         communities (plus personal ads it accepts) that it has not reacted to."""
-        pools: dict[tuple, list[int]] = {}   # by (membership signature, ads flag)
+        pools: dict[tuple, np.ndarray] = {}   # by (membership signature, ads flag)
         feeds: dict[int, list] = {}
         for citizen in sorted(self.fabric.citizens):
             ads = self.fabric.citizens[citizen].accepts_personal_ads
             key = (tuple(self.fabric.member_communities(citizen)), ads)
             if key not in pools:
                 comms = set(key[0])
-                pools[key] = [mid for mid, item in self.catalog.items()
-                              if item.target_communities & comms
-                              or (ads and item.creator_kind == "advertiser"
-                                  and self.advertisers[item.creator].personal_targeting)]
-            row = self.reactions.for_citizen(citizen)
-            pool = [mid for mid in pools[key] if mid not in row or row[mid].reaction == 0]
+                pools[key] = np.flatnonzero([   # content ids are catalog positions
+                    bool(item.target_communities & comms)
+                    or (ads and item.creator_kind == "advertiser"
+                        and self.advertisers[item.creator].personal_targeting)
+                    for item in self.catalog.values()])
+            pool = pools[key][self.reactions.sign[pools[key], citizen] == 0].tolist()
             if not pool:
                 continue
             weights = exposure_weights(citizen, self.fabric, psi_view, pool)
@@ -409,15 +410,15 @@ class _Simulation:
         return feeds
 
     def _react_phase(self, round_: int, feeds: Mapping[int, list]) -> None:
+        """One reaction draw per feed entry, in feed order; one record per round."""
         scale = self.config.sim.engagement_scale
         citizens = sorted(feeds)
-        for citizen, rng in zip(citizens, derive_rngs(self.seed, citizens, "react", round_)):
-            for entry in feeds[citizen]:
-                self.reactions.record_exposure(citizen, entry.content, round_)
-                a = float(self.attitude[entry.content, citizen])
-                r = react(a, entry.exposure_share, rng, scale)
-                if r != 0:
-                    self.reactions.record_reaction(citizen, entry.content, r, round_)
+        rngs = dict(zip(citizens, derive_rngs(self.seed, citizens, "react", round_)))
+        entries = [(citizen, entry) for citizen in citizens for entry in feeds[citizen]]
+        how = [react(float(self.attitude[entry.content, citizen]), entry.exposure_share,
+                     rngs[citizen], scale) for citizen, entry in entries]
+        self.reactions.record([citizen for citizen, _ in entries],
+                              [entry.content for _, entry in entries], how, round_)
 
     def _community_arrays(self, cid: int):
         """(member index array, aligned standings, bloc position arrays or None)."""

@@ -196,30 +196,57 @@ def test_market_devotion_artifacts_match_digests(tmp_path):
 
 # `plural score` on the fabric and reactions of the 6-round `market` run
 # above, with each GAC weighting: locks the bytes of its scorecards CSV.
+# "remapped" is the same log with ids the run never makes: content ids moved
+# to sparse, negative and near-±2^63 values (not in id order), the rows
+# reversed, and one more row from a citizen outside the fabric.
 MARKET_SCORE_DIGESTS = {
-    "gac_penrose": "0de50b0c82d59f22d22b482e21b4f2f2b56a702b65fb5cb960ea5f73cb3de9d0",
-    "gac_uniform": "d3ca5ba93d7192c34b695c534456dd27212e6a00290213dbfe40a862ca1b7ca4",
+    ("gac_penrose", "as_run"): "0de50b0c82d59f22d22b482e21b4f2f2b56a702b65fb5cb960ea5f73cb3de9d0",
+    ("gac_uniform", "as_run"): "d3ca5ba93d7192c34b695c534456dd27212e6a00290213dbfe40a862ca1b7ca4",
+    ("gac_penrose", "remapped"): "e0e5db61a73095b01c2f83fb12f0fd0777eba6f0152ff66ec54c034fae77c772",
 }
+
+_EXTREME_IDS = [-2 ** 63, 2 ** 63 - 1, -2 ** 63 + 1, 2 ** 63 - 2]
+
+
+def _remapped_id(content: int) -> int:
+    if content < len(_EXTREME_IDS):
+        return _EXTREME_IDS[content]
+    return (-1) ** content * (1_000_003 * content + 17)
+
+
+def _remapped_log(text: str) -> str:
+    head, *rows = text.splitlines()
+    fields = [row.split(",") for row in rows]
+    out = [",".join([p, str(_remapped_id(int(m))), *rest]) for p, m, *rest in fields]
+    out.reverse()
+    out.append(f"{10 ** 12},{_remapped_id(5)},5,1,1")
+    return "\n".join([head] + out) + "\n"
 
 
 @pytest.fixture(scope="module")
 def market_snapshot(tmp_path_factory):
-    """(fabric.json, reactions.csv) paths from the 6-round `market` run."""
+    """fabric.json and, by log name, reactions CSV paths from the 6-round
+    `market` run."""
     base = json.loads(DEMO.read_text(encoding="utf-8"))
     doc = _load_workloads().scenario(base, "market", 0, rounds=6)
     doc["sim"]["refresh_interval"] = 2
     result = simulation.run(ScenarioConfig.from_dict(doc))
     tmp = tmp_path_factory.mktemp("market_snapshot")
-    fabric, reactions = tmp / "fabric.json", tmp / "reactions.csv"
+    fabric = tmp / "fabric.json"
     fabric.write_text(result.fabric.to_json(indent=2), encoding="utf-8")
-    reactions.write_text(result.reactions.to_csv(), encoding="utf-8")
-    return fabric, reactions
+    text = result.reactions.to_csv()
+    logs = {"as_run": text, "remapped": _remapped_log(text)}
+    for name, log in logs.items():
+        (tmp / f"{name}.csv").write_text(log, encoding="utf-8")
+    return fabric, {name: tmp / f"{name}.csv" for name in logs}
 
 
-@pytest.mark.parametrize("backend", sorted(MARKET_SCORE_DIGESTS))
-def test_market_score_output_matches_digest(tmp_path, market_snapshot, backend):
-    fabric, reactions = market_snapshot
+@pytest.mark.parametrize("backend, log", [
+    pytest.param(backend, log, id=backend if log == "as_run" else f"{backend}-{log}")
+    for backend, log in sorted(MARKET_SCORE_DIGESTS)])
+def test_market_score_output_matches_digest(tmp_path, market_snapshot, backend, log):
+    fabric, logs = market_snapshot
     out = tmp_path / "scorecards.csv"
-    assert main(["score", "--reactions", str(reactions), "--fabric", str(fabric),
+    assert main(["score", "--reactions", str(logs[log]), "--fabric", str(fabric),
                  "--backend", backend, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == MARKET_SCORE_DIGESTS[backend]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MARKET_SCORE_DIGESTS[(backend, log)]

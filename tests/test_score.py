@@ -383,10 +383,17 @@ def planted_mf_instance():
     return rm, bloc_a + bloc_b
 
 
+def records(rm):
+    """Every ((citizen, content), record) of `rm` in (citizen, content)
+    order, read one cell at a time with `get` over its sorted ids."""
+    return [((p, m), cell) for p in rm.citizen_ids.tolist() for m in rm.content_ids.tolist()
+            if (cell := rm.get(p, m)) is not None]
+
+
 def batch_mf_oracle(rm, raters, reg=0.05, iters=20000, lr=0.02, seed=0):
     """Full-batch gradient descent on the same objective, written from scratch."""
     obs = [(p, m, 1.0 if cell.reaction > 0 else 0.0)
-           for (p, m), cell in sorted(rm.items())
+           for (p, m), cell in records(rm)
            if p in set(raters) and cell.reaction != 0]
     raters_idx = {p: i for i, p in enumerate(sorted({p for p, _, _ in obs}))}
     items_idx = {m: j for j, m in enumerate(sorted({m for _, m, _ in obs}))}
@@ -427,7 +434,7 @@ def _reference_mf(reactions, raters, reg=0.05, epochs=400, lr=0.05, seed=0,
     obs = []
     items = set()
     voters = set()
-    for (p, m), cell in sorted(reactions.items()):
+    for (p, m), cell in records(reactions):
         if p not in raters or cell.reaction == 0:
             continue
         if pool is not None and m not in pool:
@@ -576,6 +583,13 @@ class TestBridgingMf:
 
 # -- reaction matrix / score set plumbing ---------------------------------------
 
+# Sparse, negative and extreme int64 ids, in no particular order.
+SOME_IDS = [2 ** 63 - 1, 0, -7, 1_000_003, -2 ** 63, 5, -1, 2 ** 40]
+ANY_ID = st.sampled_from(SOME_IDS[:-1])      # the last id is never recorded
+REACTION = st.sampled_from([-1, 0, 1])
+ROUND = st.integers(-3, 9)
+
+
 class TestReactionMatrix:
     def test_csv_roundtrip(self):
         rm = ReactionMatrix()
@@ -606,14 +620,14 @@ class TestReactionMatrix:
                         max_size=40))
     def test_csv_roundtrip_random(self, ops):
         """Random exposure (None) and reaction sequences survive to_csv ->
-        from_csv through every read path, and items() yields each cell once."""
+        from_csv through every read path, and each pair has one record."""
         rm = ReactionMatrix()
         for citizen, content, reaction, round_ in ops:
             if reaction is None:
                 rm.record_exposure(citizen, content, round_)
             else:
                 rm.record_reaction(citizen, content, reaction, round_)
-        keys = [key for key, _ in rm.items()]
+        keys = [key for key, _ in records(rm)]
         assert len(keys) == len(set(keys)) == len(rm)
         assert set(keys) == {(citizen, content) for citizen, content, _, _ in ops}
 
@@ -621,14 +635,80 @@ class TestReactionMatrix:
         back = ReactionMatrix.from_csv(text)
         assert len(back) == len(rm)
         assert back.to_csv() == text
+        assert records(back) == records(rm)
         for i in range(6):
-            assert list(back.by_content(i)) == list(rm.by_content(i))
-            assert back.for_citizen(i) == rm.for_citizen(i)
             for j in range(6):
                 assert back.get(i, j) == rm.get(i, j)
         a, b = rm.to_attitudes(), back.to_attitudes()
         assert (a.row_ids, a.col_ids) == (b.row_ids, b.col_ids)
         assert np.array_equal(a.values, b.values)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("record"), st.lists(st.tuples(ANY_ID, ANY_ID, REACTION), max_size=6),
+                  ROUND),
+        st.tuples(st.just("reaction"), ANY_ID, ANY_ID, REACTION, ROUND),
+        st.tuples(st.just("exposure"), ANY_ID, ANY_ID, ROUND)), max_size=30))
+    def test_arrays_match_dict_reference(self, ops):
+        """Any sequence of records, on sparse, negative and extreme int64 ids
+        with repeated pairs and rounds out of order, reads back as a dict of
+        (reaction, round) kept by the same rules: the latest round, and the
+        latest nonzero reaction. So does the same sequence read as a log."""
+        rm, ref, log = ReactionMatrix(), {}, ["citizen_id,content_id,round,exposed,reaction"]
+
+        def apply(p, m, r, round_):
+            held = ref.get((p, m))
+            ref[(p, m)] = (r, round_) if held is None \
+                else (r if r != 0 else held[0], max(held[1], round_))
+            log.append(f"{p},{m},{round_},1,{r}")
+
+        for op in ops:
+            if op[0] == "record":
+                entries, round_ = op[1], op[2]
+                rm.record([e[0] for e in entries], [e[1] for e in entries],
+                          [e[2] for e in entries], round_)
+                for p, m, r in entries:
+                    apply(p, m, r, round_)
+            elif op[0] == "reaction":
+                rm.record_reaction(*op[1:])
+                apply(*op[1:])
+            else:
+                rm.record_exposure(op[1], op[2], op[3])
+                apply(op[1], op[2], 0, op[3])
+
+        assert len(rm) == len(ref)
+        for p in SOME_IDS:
+            for m in SOME_IDS:
+                assert rm.get(p, m) == ref.get((p, m))
+        assert rm.to_csv() == "".join(
+            ["citizen_id,content_id,round,exposed,reaction\n"]
+            + [f"{p},{m},{ref[p, m][1]},1,{ref[p, m][0]}\n" for p, m in sorted(ref)])
+        # the same records as a log, one row per entry in order
+        assert ReactionMatrix.from_csv("\n".join(log) + "\n").to_csv() == rm.to_csv()
+
+        def grid(rows, cols, value):
+            return np.array([[value(ref.get((p, m))) for m in cols] for p in rows],
+                            dtype=float).reshape(len(rows), len(cols))
+
+        citizens = sorted({p for p, _ in ref})
+        contents = sorted({m for _, m in ref})
+        for rows, cols in ((None, None), (SOME_IDS[::-1], SOME_IDS)):
+            a = rm.to_attitudes(rows, cols)
+            rows, cols = citizens if rows is None else rows, contents if cols is None else cols
+            assert (a.row_ids, a.col_ids) == (list(rows), list(cols))
+            assert np.array_equal(a.values, grid(rows, cols, lambda c: 0 if c is None else c[0]))
+
+        tally = score._Tally(rm, SOME_IDS, current_round=4, half_life=3.0)
+        assert tally.citizens == citizens
+        assert np.array_equal(tally.exposed, grid(citizens, SOME_IDS, lambda c: c is not None))
+        assert np.array_equal(tally.weight, grid(
+            citizens, SOME_IDS, lambda c: 0.0 if c is None
+            else 2.0 ** (-max(0, 4 - c[1]) / 3.0) * (1.0 + 0.5 * abs(c[0]))))
+        pos, neg = tally.counts([citizens])
+        assert np.array_equal(pos[0], grid(citizens, SOME_IDS, lambda c: c is not None
+                                           and c[0] > 0).sum(axis=0))
+        assert np.array_equal(neg[0], grid(citizens, SOME_IDS, lambda c: c is not None
+                                           and c[0] < 0).sum(axis=0))
 
 
 # -- brute-force oracle for score_round and the per-card functions ---------------

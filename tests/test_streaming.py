@@ -8,11 +8,13 @@ import json
 
 import pytest
 
-from plural import sim as simulation
+from plural import cli, sim as simulation
 from plural.cli import main
 from plural.config import ScenarioConfig
+from plural.errors import PluralError
 from plural.rank import feed_lines
 
+from test_config_cli import OUTPUTS
 from test_sim import TINY_SCENARIO, market_doc
 
 SCENARIOS = {"tiny": lambda: copy.deepcopy(TINY_SCENARIO), "market": market_doc}
@@ -63,3 +65,31 @@ def test_streamed_run_keeps_no_rows_and_audits(name, rounds):
     streamed.ledger.audit()
     assert streamed.ledger._balances == kept.ledger._balances
     assert streamed.metrics == kept.metrics
+
+
+def test_failed_run_leaves_no_earlier_artifacts(tmp_path, capsys, monkeypatch):
+    """A run that fails in a reused --out takes an earlier run's artifacts
+    with it, so none of them looks like the failed run's output; a flag
+    error, caught before the run starts, leaves them alone."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(TINY_SCENARIO), encoding="utf-8")
+    out = tmp_path / "out"
+    run = ["run", "--scenario", str(scenario), "--out", str(out)]
+    assert main(run + ["--rounds", "2"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUTS)
+
+    assert main(run + ["--rounds", "-1"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUTS)
+
+    score_round = cli.simulation.score_round
+
+    def fails_in_round_1(*args, **kwargs):
+        if args[4] == 1:
+            raise PluralError("boom in round 1")
+        return score_round(*args, **kwargs)
+
+    monkeypatch.setattr(cli.simulation, "score_round", fails_in_round_1)
+    capsys.readouterr()
+    assert main(run + ["--rounds", "3"]) == 1
+    assert capsys.readouterr().err == "run failed: boom in round 1\n"
+    assert list(out.iterdir()) == []

@@ -13,6 +13,16 @@ from plural import cli, rank
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The traced tiny run's work counts; a change that alters one on purpose
+# updates it here and says why.
+PINNED_COUNTS = {
+    "score.cards": 378,
+    "score.balancing_calls": 5,
+    "rank.pool_entries": 264,
+    "econ.postings": 528,
+    "detect.cells": 1080,
+}
+
 
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
@@ -65,5 +75,9 @@ def test_tracer_installs_traces_a_run_and_restores(tmp_path):
     for key in ("score.cards", "rank.pool_entries", "rank.feed_entries", "econ.postings",
                 "detect.refreshes"):
         assert layers[key] > 0, key
+    # Batching refactors must keep what the tracer counts, not only its
+    # names: one react draw per feed entry, and the work counts of this run.
+    assert layers["sim.react_calls"] == layers["rank.feed_entries"]
+    assert {key: layers[key] for key in PINNED_COUNTS} == PINNED_COUNTS
     tracer.outcome.fabric.audit()
     tracer.outcome.ledger.audit()
