@@ -13,8 +13,7 @@ from .config import ScenarioConfig
 from .detect import (AttitudeMatrix, FuzzyPartition, fuzzy_c_means,
                      principal_subcommunities)
 from .econ import (Advertiser, AdDeal, EconParams, Ledger, LedgerEntry,
-                   PolicyBook, attribute_entry, reward_standing, sell_standing,
-                   settle_round)
+                   attribute_entry, reward_standing, sell_standing, settle_round)
 from .fabric import Citizen, Community, MembershipEdge, SocialFabric
 from .rank import (EffectivePsi, FeedEntry, ProvenanceTag, PsiOverrides,
                    RankingParams, build_feed, exposure_weights, seed_content)

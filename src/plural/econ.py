@@ -4,8 +4,9 @@ Money flows from sponsors (communities paying for coherence, subscriber
 citizens paying for integrity, advertisers paying for reach) to the platform
 and to content creators. Every transfer is a double-entry ledger posting, so
 per-round conservation is auditable, and no account may go negative: a
-sponsor that cannot cover a charge has its algorithmic weight clamped to
-zero for subsequent rounds instead.
+sponsor that cannot cover a charge has its algorithmic weight lambda, which
+the scenario sets and nothing else changes, clamped to zero for the rest of
+the run instead.
 
 Account owners are ("citizen", id), ("community", id), ("advertiser", id),
 ("platform", 0) or ("creator_pool", community_id).
@@ -20,7 +21,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from ._sum import left_sum
 from .config import AdDealConfig, EconParams
-from .errors import InsufficientFunds, NoAcceptedDeal, NotFound, Unregistered
+from .errors import InsufficientFunds, NotFound, Unregistered
 from .rank import attention_terms
 
 OwnerRef = tuple[str, int]
@@ -202,80 +203,6 @@ class Advertiser:
     personal_price: float = 0.0
     seeding_allowance: dict[int, float] = field(default_factory=dict)
 
-    def accepted_deal_with(self, community: int) -> Optional[AdDeal]:
-        for d in self.deals:
-            if d.community == community and d.accepted:
-                return d
-        return None
-
-
-class PolicyBook:
-    """Per-owner prices per lambda-weighted impression, and the queued lambda
-    changes that apply at round boundaries. The fabric holds the live lambdas."""
-
-    def __init__(self, default_price: float = 0.01) -> None:
-        self.prices: dict[OwnerRef, float] = {}
-        self.pending: dict[OwnerRef, float] = {}
-        self.default_price = default_price
-
-    def price_for(self, owner: OwnerRef) -> float:
-        return self.prices.get(owner, self.default_price)
-
-    def set_lambda(self, owner: OwnerRef, new_lambda: float, funding: str,
-                   advertisers: Mapping[int, Advertiser], fabric) -> None:
-        """Queue a weight change; it takes effect at the next round boundary.
-
-        The owner must be a citizen or community the fabric holds: NotFound
-        for an unknown id, ValueError for any other kind of owner. AdFunded
-        owners must have at least one live advertiser arrangement:
-        an accepted community deal, or for citizens an advertiser doing
-        personal targeting while the citizen opts in.
-        """
-        if not 0 <= new_lambda < math.inf:     # also rejects NaN
-            raise ValueError(f"lambda must be >= 0 and finite, got {new_lambda!r}")
-        if funding not in ("SelfPaid", "AdFunded"):
-            raise ValueError(f"unknown funding {funding!r}")
-        kind, oid = owner
-        holder = _lambda_holder(fabric, owner)
-        if holder is None:
-            raise NotFound(f"unknown {kind} {oid}")
-        if funding == "AdFunded":
-            if kind == "community":
-                if not any(a.accepted_deal_with(oid) for a in advertisers.values()):
-                    raise NoAcceptedDeal(f"community {oid} has no accepted advertiser deal")
-            elif not (holder.accepts_personal_ads
-                      and any(a.personal_targeting for a in advertisers.values())):
-                raise NoAcceptedDeal(f"citizen {oid} has no active personal-ad arrangement")
-        self.pending[owner] = new_lambda
-
-    def apply_pending(self, fabric) -> None:
-        """Round boundary: copy queued weights into the fabric."""
-        for owner in sorted(self.pending):
-            _write_lambda(fabric, owner, self.pending[owner])
-        self.pending.clear()
-
-
-def _lambda_holder(fabric, owner: OwnerRef):
-    """The fabric's citizen or community that holds the owner's lambda.
-
-    Raises ValueError for owner kinds that hold none; None for an id the
-    fabric does not hold.
-    """
-    kind, oid = owner
-    if kind == "citizen":
-        return fabric.citizens.get(oid)
-    if kind == "community":
-        return fabric.communities.get(oid)
-    raise ValueError(f"{kind} cannot hold a lambda policy")
-
-
-def _write_lambda(fabric, owner: OwnerRef, value: float) -> None:
-    """Set the owner's live lambda in the fabric; ids it does not hold are
-    ignored."""
-    holder = _lambda_holder(fabric, owner)
-    if holder is not None:
-        holder.lambda_ = value
-
 
 def _sponsor_terms(citizen: int, fabric, psi_view) -> list[SponsorTerm]:
     """The citizen's attention numerator terms with a positive weight, each
@@ -308,7 +235,8 @@ _RANK_POSITION = operator.attrgetter("rank_position")
 
 
 def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
-                 psi_view, policies: PolicyBook, advertisers: Mapping[int, Advertiser],
+                 psi_view, prices: Mapping[OwnerRef, float],
+                 advertisers: Mapping[int, Advertiser],
                  params: EconParams, ledger: Ledger) -> list[dict]:
     """Charge sponsors for the round's attention and pay creators.
 
@@ -319,7 +247,11 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
     Advertiser-created content settles only through deal payments
     (AdImpression): advertisers pay the targeted community, and opted-in
     citizens directly, per unit of attention. Sponsors' shares come from
-    `psi_view.column(scope)` (ScoreSet or EffectivePsi).
+    `psi_view.column(scope)` (ScoreSet or EffectivePsi). A sponsor's price
+    per lambda-weighted impression is `prices[owner]`, else
+    `params.default_price_per_lambda_impression`. Lambdas are the scenario's,
+    read from the fabric; a sponsor that cannot cover a charge has its lambda
+    set to 0.0 there at once, for the rest of the run.
 
     Returns the event log (lambda clamps, skipped ad payments).
     """
@@ -329,7 +261,7 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
 
     # Each sponsor's price per lambda-weighted impression, read once; None
     # for the ad-funded-only citizens, who are never charged.
-    prices: dict[OwnerRef, Optional[float]] = {}
+    owner_prices: dict[OwnerRef, Optional[float]] = {}
 
     def pay_ad(adv: Advertiser, to_owner: OwnerRef, amount: float) -> None:
         if balance(("advertiser", adv.id)) + 1e-12 < amount:
@@ -372,17 +304,19 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
                 if owner in clamped:
                     continue
                 kind, oid = owner
-                if owner not in prices:
-                    prices[owner] = policies.price_for(owner) \
+                if owner not in owner_prices:
+                    owner_prices[owner] = \
+                        prices.get(owner, params.default_price_per_lambda_impression) \
                         if kind != "citizen" or fabric.citizens[oid].subscriber else None
-                price = prices[owner]
+                price = owner_prices[owner]
                 if price is None:
                     continue
                 charge = price * share * frac
                 if charge <= 0:
                     continue
                 if balance(owner) + 1e-12 < charge:
-                    _write_lambda(fabric, owner, 0.0)
+                    holders = fabric.citizens if kind == "citizen" else fabric.communities
+                    holders[oid].lambda_ = 0.0
                     clamped.add(owner)
                     events.append({"round": round_, "kind": "lambda_clamped", "owner": owner})
                     continue

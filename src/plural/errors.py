@@ -37,10 +37,6 @@ class FewerThanTwoBlocs(PluralError):
     """Bridging/divisiveness need at least two blocs; caller should fall back."""
 
 
-class NoAcceptedDeal(PluralError):
-    """Ad-funded weight requires at least one accepted advertiser deal."""
-
-
 class InsufficientFunds(PluralError):
     """Account balance cannot cover the requested amount."""
 

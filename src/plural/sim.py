@@ -20,7 +20,7 @@ import numpy as np
 from ._rng import SEED_MAX, derive_rng, derive_rngs, derive_seed
 from .config import ScenarioConfig
 from .detect import principal_subcommunities
-from .econ import (PLATFORM, Advertiser, Ledger, PolicyBook, reward_standing,
+from .econ import (PLATFORM, Advertiser, Ledger, OwnerRef, reward_standing,
                    sell_standing, settle_round)
 from .errors import DegenerateInput, EmptyCommunity, TooSmall
 from .fabric import SocialFabric
@@ -286,7 +286,10 @@ class _Simulation:
         self.reactions = ReactionMatrix(citizens=range(config.population.n_citizens))
         self.ledger = Ledger()
         self.overrides = PsiOverrides()
-        self.policies = PolicyBook(default_price=config.econ.default_price_per_lambda_impression)
+        # price overrides per lambda-weighted impression; other owners pay the default
+        self.prices: dict[OwnerRef, float] = {
+            ("community", cid): t.price_per_lambda_impression
+            for cid, t in enumerate(config.communities) if t.price_per_lambda_impression is not None}
         self.advertisers: dict[int, Advertiser] = {}
         self.events: list[dict] = []
         self.feeds: FeedRows = []
@@ -305,8 +308,6 @@ class _Simulation:
         ledger.open_account(PLATFORM, 0.0)
         for cid, template in enumerate(self.config.communities):
             ledger.open_account(("community", cid), template.balance)
-            if template.price_per_lambda_impression is not None:
-                self.policies.prices[("community", cid)] = template.price_per_lambda_impression
         for p in range(self.n):
             if self.fabric.citizens[p].subscriber:
                 ledger.open_account(("citizen", p), config.population.citizen_balance)
@@ -324,21 +325,20 @@ class _Simulation:
     # -- phases ----------------------------------------------------------------
 
     def _new_content(self, round_: int, creator: int, creator_kind: str,
-                     position: np.ndarray, targets: set[int], topic: int) -> ContentItem:
+                     targets: set[int], topic: int) -> ContentItem:
         mid = len(self.catalog)
         item = ContentItem(id=mid, creator=creator, topics={topic},
                            created_round=round_, target_communities=set(targets),
                            creator_kind=creator_kind)
         self.catalog[mid] = item
-        row = attitudes(self.ideologies, position, self.config.sim.attitude_temperature)
-        self.attitude = np.vstack([self.attitude, row])
-        self.exposure = np.vstack([self.exposure, np.zeros(self.n)])
-        self.reactions.reserve(contents=[mid])
         return item
 
     def _create_phase(self, round_: int) -> None:
+        """The round's new contents and their seeding; their attitude, exposure
+        and reaction rows are added together at the end (nothing here reads them)."""
         cfg = self.config
         rng = derive_rng(self.seed, "create", round_)
+        first, positions = len(self.catalog), []
         for _ in range(cfg.content.creators_per_round if self.n else 0):
             creator = int(rng.integers(self.n))
             targets = set(self.fabric.member_communities(creator))
@@ -347,7 +347,8 @@ class _Simulation:
             position = self.ideologies[creator] + \
                 rng.normal(0.0, cfg.content.content_noise, size=cfg.population.ideology_dim)
             topic = int(rng.integers(cfg.content.n_topics))
-            item = self._new_content(round_, creator, "citizen", position, targets, topic)
+            item = self._new_content(round_, creator, "citizen", targets, topic)
+            positions.append(position)
             stake_drawn = float(rng.exponential(cfg.content.stake_mean)) \
                 if cfg.content.stake_mean > 0 else 0.0
             for cid in sorted(targets):
@@ -366,12 +367,19 @@ class _Simulation:
                 position = np.asarray(adv_cfg.position) if adv_cfg.position is not None \
                     else np.zeros(cfg.population.ideology_dim)
                 topic = int(rng.integers(cfg.content.n_topics))
-                item = self._new_content(round_, aid, "advertiser", position, targets, topic)
+                item = self._new_content(round_, aid, "advertiser", targets, topic)
+                positions.append(position)
                 for cid in sorted(targets):
                     stake = min(adv_cfg.seed_stake, adv.seeding_allowance.get(cid, 0.0))
                     if stake > 0:
                         seed_content(self.overrides, self.fabric, item, cid, stake,
                                      cfg.ranking, round_, allowance=adv.seeding_allowance)
+        if positions:
+            temperature = cfg.sim.attitude_temperature
+            self.attitude = np.vstack([self.attitude] + [
+                attitudes(self.ideologies, position, temperature) for position in positions])
+            self.exposure = np.vstack([self.exposure, np.zeros((len(positions), self.n))])
+            self.reactions.reserve(contents=range(first, len(self.catalog)))
 
     def _refresh_structure(self, round_: int) -> None:
         if len(self.reactions) == 0:
@@ -540,10 +548,11 @@ class _Simulation:
         self.sink([], self.ledger)
         for round_ in range(self.rounds):
             self.overrides.expire(round_)
-            self.policies.apply_pending(self.fabric)
             self._create_phase(round_)
             if round_ % cfg.sim.refresh_interval == 0:
                 self._refresh_structure(round_)
+            # drop the last round's scores first: two rounds' sets are never held at once
+            self.scores = psi_view = None
             self.scores = score_round(self.fabric, self.catalog, self.reactions,
                                       cfg.scoring, round_,
                                       mf_seed=derive_seed(self.seed, "mf", round_))
@@ -553,7 +562,7 @@ class _Simulation:
             self._belief_phase(round_, feeds)
             platform_before = self.ledger.balance(PLATFORM)
             self.events.extend(settle_round(round_, feeds, self.fabric, self.catalog,
-                                            psi_view, self.policies, self.advertisers,
+                                            psi_view, self.prices, self.advertisers,
                                             cfg.econ, self.ledger))
             reward_standing(self.scores, self.fabric, cfg.econ.standing_reward_rate,
                             self.catalog)

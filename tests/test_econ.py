@@ -1,5 +1,5 @@
-"""Economy: ledger discipline, settlement flows, lambda policies, standing
-rewards, and the advertiser standing market."""
+"""Economy: ledger discipline, settlement flows, standing rewards, and the
+advertiser standing market."""
 
 import copy
 
@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from plural.econ import (PLATFORM, AdDeal, Advertiser, EconParams, Ledger,
-                         PolicyBook, attribute_entry, creator_pool,
-                         reward_standing, sell_standing, settle_round)
-from plural.errors import (InsufficientFunds, NoAcceptedDeal, NotFound,
-                           Unregistered)
+                         attribute_entry, creator_pool, reward_standing,
+                         sell_standing, settle_round)
+from plural.errors import InsufficientFunds, NotFound, Unregistered
 from plural.fabric import SocialFabric
 from plural.rank import FeedEntry
 from plural.score import ContentItem, ScoreCard, ScoreSet
 
 
-def one_community_world(lambda_c=1.0, balance=100.0, price=1.0):
+def one_community_world(lambda_c=1.0, balance=100.0):
     f = SocialFabric()
     p = f.add_citizen()
     creator = f.add_citizen()
@@ -25,13 +24,12 @@ def one_community_world(lambda_c=1.0, balance=100.0, price=1.0):
     f.add_membership(creator, c, 1.0, 1.0)
     ledger = Ledger()
     ledger.open_account(("community", c), balance)
-    policies = PolicyBook(default_price=price)
     catalog = {0: ContentItem(id=0, creator=creator, target_communities={c})}
     scores = ScoreSet()
     scores.add(ScoreCard(content=0, scope=("community", c), iota=1.0, beta=1.0,
                          delta=0.0, psi=1.0))
     feeds = {p: [FeedEntry(content=0, exposure_share=1.0, rank_position=0)]}
-    return f, p, creator, c, ledger, policies, catalog, scores, feeds
+    return f, p, creator, c, ledger, catalog, scores, feeds
 
 
 class TestLedger:
@@ -80,9 +78,10 @@ class TestLedger:
 
 class TestSettleRound:
     def test_single_flow_split(self):
-        f, p, creator, c, ledger, policies, catalog, scores, feeds = one_community_world()
-        events = settle_round(0, feeds, f, catalog, scores, policies, {},
-                              EconParams(platform_fee=0.3, creator_share=0.7), ledger)
+        f, p, creator, c, ledger, catalog, scores, feeds = one_community_world()
+        events = settle_round(0, feeds, f, catalog, scores, {}, {},
+                              EconParams(platform_fee=0.3, creator_share=0.7,
+                                         default_price_per_lambda_impression=1.0), ledger)
         assert events == []
         assert ledger.balance(("community", c)) == pytest.approx(99.0)
         assert ledger.balance(PLATFORM) == pytest.approx(0.3)
@@ -92,15 +91,17 @@ class TestSettleRound:
         ledger.audit()
 
     def test_zero_lambda_no_entries(self):
-        f, p, creator, c, ledger, policies, catalog, scores, feeds = \
+        f, p, creator, c, ledger, catalog, scores, feeds = \
             one_community_world(lambda_c=0.0)
-        settle_round(0, feeds, f, catalog, scores, policies, {}, EconParams(), ledger)
+        settle_round(0, feeds, f, catalog, scores, {}, {},
+                     EconParams(default_price_per_lambda_impression=1.0), ledger)
         assert ledger.entries == []
 
     def test_remainder_goes_to_creator_pool(self):
-        f, p, creator, c, ledger, policies, catalog, scores, feeds = one_community_world()
-        params = EconParams(platform_fee=0.2, creator_share=0.5)
-        settle_round(0, feeds, f, catalog, scores, policies, {}, params, ledger)
+        f, p, creator, c, ledger, catalog, scores, feeds = one_community_world()
+        params = EconParams(platform_fee=0.2, creator_share=0.5,
+                            default_price_per_lambda_impression=1.0)
+        settle_round(0, feeds, f, catalog, scores, {}, {}, params, ledger)
         assert ledger.balance(PLATFORM) == pytest.approx(0.2)
         assert ledger.balance(("citizen", creator)) == pytest.approx(0.5)
         assert ledger.balance(creator_pool(c)) == pytest.approx(0.3)
@@ -120,8 +121,8 @@ class TestSettleRound:
         scores.add(ScoreCard(content=0, scope=("citizen", p), iota=1.0, beta=0.5,
                              delta=0.0, psi=0.5))
         feeds = {p: [FeedEntry(content=0, exposure_share=1.0, rank_position=0)]}
-        settle_round(0, feeds, f, catalog, scores, PolicyBook(default_price=1.0),
-                     {}, EconParams(), ledger)
+        settle_round(0, feeds, f, catalog, scores, {}, {},
+                     EconParams(default_price_per_lambda_impression=1.0), ledger)
         assert [e.reason for e in ledger.entries] == ["Subscription", "CreatorReward"]
         assert ledger.balance(("citizen", p)) == pytest.approx(9.0)
 
@@ -138,15 +139,15 @@ class TestSettleRound:
         scores.add(ScoreCard(content=0, scope=("citizen", p), iota=1.0, beta=0.5,
                              delta=0.0, psi=0.5))
         feeds = {p: [FeedEntry(content=0, exposure_share=1.0, rank_position=0)]}
-        settle_round(0, feeds, f, catalog, scores, PolicyBook(default_price=1.0),
-                     {}, EconParams(), ledger)
+        settle_round(0, feeds, f, catalog, scores, {}, {},
+                     EconParams(default_price_per_lambda_impression=1.0), ledger)
         assert ledger.entries == []
 
     def test_insufficient_funds_clamps_lambda(self):
-        f, p, creator, c, ledger, policies, catalog, scores, feeds = \
+        f, p, creator, c, ledger, catalog, scores, feeds = \
             one_community_world(balance=0.4)
-        events = settle_round(0, feeds, f, catalog, scores, policies, {},
-                              EconParams(), ledger)
+        events = settle_round(0, feeds, f, catalog, scores, {}, {},
+                              EconParams(default_price_per_lambda_impression=1.0), ledger)
         assert any(e["kind"] == "lambda_clamped" and e["owner"] == ("community", c)
                    for e in events)
         assert f.communities[c].lambda_ == 0.0
@@ -204,8 +205,9 @@ class TestSettleRound:
             shares = rng.dirichlet(np.ones(len(pool)))
             feeds[p] = [FeedEntry(content=m, exposure_share=float(s), rank_position=i)
                         for i, (m, s) in enumerate(zip(pool, shares))]
-        settle_round(0, feeds, f, catalog, scores, PolicyBook(default_price=0.5),
-                     {}, EconParams(platform_fee=0.25, creator_share=0.6), ledger)
+        settle_round(0, feeds, f, catalog, scores, {}, {},
+                     EconParams(platform_fee=0.25, creator_share=0.6,
+                                default_price_per_lambda_impression=0.5), ledger)
         # oracle: re-sum every entry from scratch
         debits = sum(e.amount for e in ledger.entries)
         credits = sum(e.amount for e in ledger.entries)
@@ -215,7 +217,7 @@ class TestSettleRound:
 
     def test_creator_revenue_monotone_in_psi(self):
         def revenue(psi_value):
-            f, p, creator, c, ledger, policies, catalog, scores, feeds = \
+            f, p, creator, c, ledger, catalog, scores, feeds = \
                 one_community_world()
             scores = ScoreSet()
             scores.add(ScoreCard(content=0, scope=("community", c), iota=1.0,
@@ -226,7 +228,8 @@ class TestSettleRound:
                                  beta=0.5, delta=0.0, psi=0.5))
             feeds = {p: [FeedEntry(content=0, exposure_share=0.6, rank_position=0),
                          FeedEntry(content=1, exposure_share=0.4, rank_position=1)]}
-            settle_round(0, feeds, f, catalog, scores, policies, {}, EconParams(), ledger)
+            settle_round(0, feeds, f, catalog, scores, {}, {},
+                         EconParams(default_price_per_lambda_impression=1.0), ledger)
             return ledger.balance(("citizen", creator))
 
         assert revenue(0.9) >= revenue(0.5) >= revenue(0.2)
@@ -256,14 +259,14 @@ class TestSettleRound:
             for owner, psi in zip(owners, row):
                 scores.add(ScoreCard(content=m, scope=owner, iota=1.0, beta=psi,
                                      delta=0.0, psi=psi))
-        policies = PolicyBook(default_price=0.8)
-        policies.prices[("community", c2)] = 1.5
-        params = EconParams(platform_fee=0.25, creator_share=0.6)
+        prices = {("community", c2): 1.5}
+        params = EconParams(platform_fee=0.25, creator_share=0.6,
+                            default_price_per_lambda_impression=0.8)
         for m, share in ((0, 0.5), (1, 0.3), (2, 0.2)):
             fractions = dict(attribute_entry(p, m, f, scores))
             start = len(ledger.entries)
             entry = FeedEntry(content=m, exposure_share=share, rank_position=0)
-            events = settle_round(0, {p: [entry]}, f, catalog, scores, policies, {},
+            events = settle_round(0, {p: [entry]}, f, catalog, scores, prices, {},
                                   params, ledger)
             assert events == []
             charged: dict = {}
@@ -271,7 +274,8 @@ class TestSettleRound:
                 charged[e.from_owner] = charged.get(e.from_owner, 0.0) + e.amount
             assert set(charged) == set(fractions)
             for owner, frac in fractions.items():
-                expected = policies.price_for(owner) * share * frac
+                expected = prices.get(owner, params.default_price_per_lambda_impression) \
+                    * share * frac
                 assert charged[owner] == pytest.approx(expected, rel=1e-12)
         assert ("community", c2) not in dict(attribute_entry(p, 2, f, scores))
         ledger.audit()
@@ -311,8 +315,9 @@ class TestSettleRound:
         assert dict(attribute_entry(p1, 0, f, scores)) == pytest.approx(
             {("citizen", p1): 0.4, ("community", poor): 0.4, ("community", rich): 0.2})
 
-        events = settle_round(0, feeds, f, catalog, scores, PolicyBook(default_price=1.0),
-                              {}, EconParams(platform_fee=0.25, creator_share=0.6), ledger)
+        events = settle_round(0, feeds, f, catalog, scores, {}, {},
+                              EconParams(platform_fee=0.25, creator_share=0.6,
+                                         default_price_per_lambda_impression=1.0), ledger)
         assert events == [{"round": 0, "kind": "lambda_clamped",
                            "owner": ("community", poor)}]
         assert f.communities[poor].lambda_ == 0.0
@@ -350,7 +355,7 @@ class TestAdvertising:
 
     def test_ad_impressions_pay_community_and_citizen(self):
         f, p, c, adv, ledger, catalog, feeds = self._world()
-        settle_round(0, feeds, f, catalog, ScoreSet(), PolicyBook(), {0: adv},
+        settle_round(0, feeds, f, catalog, ScoreSet(), {}, {0: adv},
                      EconParams(), ledger)
         reasons = sorted(e.reason for e in ledger.entries)
         assert reasons == ["AdImpression", "AdImpression"]
@@ -364,7 +369,7 @@ class TestAdvertising:
         drained = Ledger()
         drained.open_account(("advertiser", 0), 0.1)
         drained.open_account(("community", c), 0.0)
-        events = settle_round(0, feeds, f, catalog, ScoreSet(), PolicyBook(),
+        events = settle_round(0, feeds, f, catalog, ScoreSet(), {},
                               {0: adv}, EconParams(), drained)
         assert any(e["kind"] == "ad_skipped" for e in events)
         assert drained.balance(("advertiser", 0)) >= 0
@@ -388,86 +393,6 @@ class TestAdvertising:
             sell_standing(adv, c, 0.1, 100.0, ledger, f)
         with pytest.raises(NotFound):
             sell_standing(adv, 99, 0.1, 1.0, ledger, f)
-
-
-class TestPolicies:
-    def test_self_paid_applies_at_boundary(self):
-        f = SocialFabric()
-        p = f.add_citizen()
-        book = PolicyBook()
-        book.set_lambda(("citizen", p), 1.5, "SelfPaid", {}, f)
-        assert f.citizens[p].lambda_ == 0.0
-        book.apply_pending(f)
-        assert f.citizens[p].lambda_ == 1.5
-
-    def test_ad_funded_requires_deal(self):
-        f = SocialFabric()
-        f.add_citizen()
-        c = f.add_community()
-        book = PolicyBook()
-        with pytest.raises(NoAcceptedDeal):
-            book.set_lambda(("community", c), 1.0, "AdFunded", {}, f)
-        adv = Advertiser(id=0,
-                         deals=[AdDeal(community=c, price_per_impression=1.0,
-                                       accepted=True)])
-        book.set_lambda(("community", c), 1.0, "AdFunded", {0: adv}, f)
-        book.apply_pending(f)
-        assert f.communities[c].lambda_ == 1.0
-
-    def test_ad_funded_citizen_needs_opt_in(self):
-        f = SocialFabric()
-        p = f.add_citizen(accepts_personal_ads=False)
-        adv = Advertiser(id=0, personal_targeting=True)
-        book = PolicyBook()
-        with pytest.raises(NoAcceptedDeal):
-            book.set_lambda(("citizen", p), 1.0, "AdFunded", {0: adv}, f)
-        f.citizens[p].accepts_personal_ads = True
-        book.set_lambda(("citizen", p), 1.0, "AdFunded", {0: adv}, f)
-
-    @pytest.mark.parametrize("funding", ["SelfPaid", "AdFunded"])
-    def test_unknown_citizen_or_community_rejected(self, funding):
-        # A change for an id the fabric does not hold would be dropped at
-        # the round boundary; it is refused when queued instead.
-        f = SocialFabric()
-        f.add_citizen(accepts_personal_ads=True)
-        f.add_community()
-        adv = Advertiser(id=0, personal_targeting=True)
-        book = PolicyBook()
-        for owner in (("citizen", 7), ("community", 3)):
-            with pytest.raises(NotFound):
-                book.set_lambda(owner, 1.0, funding, {0: adv}, f)
-        assert book.pending == {}
-
-    @pytest.mark.parametrize("funding", ["SelfPaid", "AdFunded"])
-    @pytest.mark.parametrize("owner", [("advertiser", 0), PLATFORM, ("creator_pool", 0)])
-    def test_owner_without_lambda_rejected(self, owner, funding):
-        f = SocialFabric()
-        f.add_citizen()
-        f.add_community()
-        book = PolicyBook()
-        with pytest.raises(ValueError, match="cannot hold a lambda policy"):
-            book.set_lambda(owner, 1.0, funding, {}, f)
-        assert book.pending == {}
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
-                             ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("kind", ["citizen", "community"])
-    def test_non_finite_lambda_rejected(self, kind, value):
-        f = SocialFabric()
-        f.add_citizen()
-        f.add_community()
-        book = PolicyBook()
-        with pytest.raises(ValueError, match=r"^lambda must be >= 0 and finite, got "):
-            book.set_lambda((kind, 0), value, "SelfPaid", {}, f)
-        assert book.pending == {}
-
-    def test_set_to_zero_drops_out(self):
-        f = SocialFabric()
-        c = f.add_community(lambda_=1.0)
-        book = PolicyBook()
-        book.set_lambda(("community", c), 0.0, "SelfPaid", {}, f)
-        book.apply_pending(f)
-        assert f.communities[c].lambda_ == 0.0
 
 
 class TestRewardStanding:

@@ -347,7 +347,8 @@ def test_run_state_invariants(config):
 def test_market_runs_stay_sound_on_small_budgets():
     """Small budgets make settlement clamp lambdas and skip ad payments;
     across the examples both happen, and every run keeps both audits and
-    whole feeds."""
+    whole feeds. Only a clamp changes a lambda: after the run each citizen
+    and community keeps its scenario lambda, or 0.0 if it was clamped."""
     kinds: set[str] = set()
     small = st.sampled_from([0.0, 0.01, 0.05, 0.2])
 
@@ -364,13 +365,68 @@ def test_market_runs_stay_sound_on_small_budgets():
             # on top of the 0.5 its standing purchase costs at set-up
             adv["budget"] = 0.5 + budget
         doc["population"]["citizen_balance"] = citizen_balance
-        res = run(ScenarioConfig.from_dict(doc))
+        cfg = ScenarioConfig.from_dict(doc)
+        res = run(cfg)
         res.fabric.audit()
         res.ledger.audit()
         assert res.feeds
         for _, _, feed in res.feeds:
             assert sum(e.exposure_share for e in feed) == pytest.approx(1.0, abs=1e-9)
         kinds.update(event["kind"] for event in res.events)
+        clamped = {event["owner"] for event in res.events if event["kind"] == "lambda_clamped"}
+        scenario = {("citizen", p): cfg.population.citizen_lambda for p in res.fabric.citizens}
+        scenario.update({("community", cid): template.lambda_
+                         for cid, template in enumerate(cfg.communities)})
+        lambdas = {("citizen", p): c.lambda_ for p, c in res.fabric.citizens.items()}
+        lambdas.update({("community", cid): c.lambda_
+                        for cid, c in res.fabric.communities.items()})
+        assert lambdas == {owner: 0.0 if owner in clamped else value
+                           for owner, value in scenario.items()}
 
     check()
     assert {"lambda_clamped", "ad_skipped"} <= kinds
+
+
+def test_adapt_devotion_moves_only_served_edges():
+    """With devotion adapting, each round an edge (p, c) gains rate times the
+    summed shares, in entry order, of p's served entries whose content
+    targets c; every other edge keeps its raw devotion, and every member's
+    devotions still sum to 1."""
+    moved = []
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 31), rounds=st.integers(1, 4),
+           rate=st.sampled_from([0.1, 1.0]))
+    def check(seed, rounds, rate):
+        doc = market_doc(seed, rounds)
+        doc["sim"]["devotion_adapt_rate"] = rate
+        raw: list[dict] = []     # every edge's raw devotion, at each sink call
+        served: list = []        # the feed rows handed to each sink call
+
+        def sink(rows, ledger):
+            fabric = simulation.fabric
+            raw.append({(p, c): edge.raw_devotion for p, citizen in fabric.citizens.items()
+                        for c, edge in citizen.memberships.items()})
+            served.append(rows)
+            for p in fabric.citizens:
+                if fabric.citizens[p].memberships:
+                    assert sum(fabric.devotions(p).values()) == pytest.approx(1.0, abs=1e-12)
+
+        simulation = _Simulation(ScenarioConfig.from_dict(doc), seed, rounds, sink)
+        simulation.run()
+        assert len(raw) == rounds + 1
+        for before, after, rows in zip(raw, raw[1:], served[1:]):
+            expected = dict(before)
+            for _, citizen, feed in rows:
+                spent: dict[int, float] = {}
+                for entry in feed:
+                    for c in simulation.catalog[entry.content].target_communities:
+                        if (citizen, c) in before:
+                            spent[c] = spent.get(c, 0.0) + entry.exposure_share
+                for c, share in spent.items():
+                    expected[citizen, c] = before[citizen, c] + rate * share
+            assert after == expected
+            moved.append(after != before)
+
+    check()
+    assert any(moved)
