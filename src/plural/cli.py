@@ -22,7 +22,6 @@ from .detect import principal_subcommunities
 from .econ import LEDGER_CSV_HEAD, Ledger, csv_rows
 from .errors import ConfigError, DegenerateInput, PluralError, TooSmall
 from .fabric import SocialFabric
-from .rank import feed_lines
 from .score import (ContentItem, ReactionMatrix, ScoreSet, ScoringParams,
                     score_round)
 from . import sim as simulation
@@ -88,9 +87,8 @@ class _RoundStreams:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __call__(self, feeds, ledger: Ledger) -> None:
-        self._write(0, (line for round_, citizen, feed in feeds
-                        for line in feed_lines(round_, citizen, feed)))
+    def __call__(self, lines: Iterable[str], ledger: Ledger) -> None:
+        self._write(0, lines)
         self._write(1, csv_rows(ledger.drain()))
 
     def _write(self, i: int, chunks: Iterable[str]) -> None:
@@ -230,8 +228,8 @@ _COMPARE_METRICS = ("mean_common_belief_top_bridging", "polarization_index",
                     "attention_gini", "platform_revenue")
 
 
-def _discard(feeds, ledger: Ledger) -> None:
-    """A sink that keeps no feeds or ledger rows."""
+def _discard(lines: Iterable[str], ledger: Ledger) -> None:
+    """A sink that keeps no feeds or ledger rows, and so formats no feed line."""
     ledger.drain()
 
 

@@ -36,6 +36,8 @@ from .errors import ConfigError
 
 SCHEMA_VERSION = 1
 
+FUNDS_TOL = 1e-12   # how far any payment may exceed its payer's balance
+
 _INT64_MAX = 2 ** 63 - 1
 # The scalar kinds a field may have, with their names for error messages.
 _SCALARS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
@@ -338,8 +340,7 @@ class ScenarioConfig(_Section):
                     raise ConfigError(f"{p}.standing_purchase.community",
                                       f"community {purchase.community} has no registered "
                                       "administrator to sell standing")
-                # the tolerance `econ.sell_standing` allows
-                if adv.budget + 1e-12 < purchase.price:
+                if adv.budget + FUNDS_TOL < purchase.price:
                     raise ConfigError(f"{p}.standing_purchase.price",
                                       f"{purchase.price} exceeds the budget {adv.budget}")
             _check_coordinates(adv.position, self.population.ideology_dim, f"{p}.position")

@@ -15,14 +15,13 @@ Account owners are ("citizen", id), ("community", id), ("advertiser", id),
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ._sum import left_sum
-from .config import AdDealConfig, EconParams
+from .config import FUNDS_TOL, AdDealConfig, EconParams
 from .errors import InsufficientFunds, NotFound, Unregistered
-from .rank import attention_terms
+from .rank import Feeds, attention_terms
 
 OwnerRef = tuple[str, int]
 
@@ -74,10 +73,12 @@ class _OwnerFields(dict):
 
 def csv_rows(rows: LedgerRows) -> Iterator[str]:
     """ledger.csv lines of `rows`, no header. No field needs CSV quoting: ids
-    and rounds are ints, amounts float reprs, kinds and reasons plain words."""
+    and rounds are ints, amounts float reprs (`float.__repr__`, so a numpy
+    scalar prints as a plain number), kinds and reasons plain words."""
     owner = _OwnerFields()
     for round_, from_owner, to_owner, amount, reason in zip(*rows):
-        yield f"{round_},{owner[from_owner]},{owner[to_owner]},{amount!r},{reason}\n"
+        yield (f"{round_},{owner[from_owner]},{owner[to_owner]},{float.__repr__(amount)},"
+               f"{reason}\n")
 
 
 class Ledger:
@@ -140,7 +141,7 @@ class Ledger:
         if to_owner not in balances:
             self._ensure(to_owner)
         have = balances[from_owner]
-        if have + 1e-12 < amount:
+        if have + FUNDS_TOL < amount:
             raise InsufficientFunds(f"{from_owner} balance {have:.6g} < {amount:.6g}")
         balances[from_owner] = have - amount
         balances[to_owner] += amount
@@ -231,14 +232,11 @@ def attribute_entry(citizen: int, content: int, fabric, psi_view) -> list[tuple[
     return _shares(_sponsor_terms(citizen, fabric, psi_view), content)
 
 
-_RANK_POSITION = operator.attrgetter("rank_position")
-
-
-def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
+def settle_round(round_: int, feeds: Feeds, fabric, catalog,
                  psi_view, prices: Mapping[OwnerRef, float],
                  advertisers: Mapping[int, Advertiser],
                  params: EconParams, ledger: Ledger) -> list[dict]:
-    """Charge sponsors for the round's attention and pay creators.
+    """Charge sponsors for the round's feed table, in its order; pay creators.
 
     Citizen-and-community sponsored impressions split three ways straight
     from the sponsor: platform fee (PlatformFee; Subscription when the
@@ -264,76 +262,77 @@ def settle_round(round_: int, feeds: Mapping[int, Sequence], fabric, catalog,
     owner_prices: dict[OwnerRef, Optional[float]] = {}
 
     def pay_ad(adv: Advertiser, to_owner: OwnerRef, amount: float) -> None:
-        if balance(("advertiser", adv.id)) + 1e-12 < amount:
+        if balance(("advertiser", adv.id)) + FUNDS_TOL < amount:
             events.append({"round": round_, "kind": "ad_skipped",
                            "owner": ("advertiser", adv.id)})
         else:
             post(round_, ("advertiser", adv.id), to_owner, amount, "AdImpression")
 
-    for citizen in sorted(feeds):
+    last = None
+    for citizen, mid, share in zip(feeds.citizen.tolist(), feeds.content.tolist(),
+                                   feeds.share.tolist()):
         # The citizen's terms are read once, before its entries settle. A
         # clamp zeroes the owner's lambda in the fabric at once, so citizens
         # settled after it no longer include it; entries before a citizen's
         # first sponsored one change no lambda or devotion.
-        terms = _sponsor_terms(citizen, fabric, psi_view)
-        for entry in sorted(feeds[citizen], key=_RANK_POSITION):
-            content = catalog[entry.content]
-            share = entry.exposure_share
-            if share <= 0:
-                continue
+        if citizen != last:
+            last, terms = citizen, _sponsor_terms(citizen, fabric, psi_view)
+        content = catalog[mid]
+        if share <= 0:
+            continue
 
-            if content.creator_kind == "advertiser":
-                adv = advertisers.get(content.creator)
-                if adv is None:
-                    continue
-                for deal in sorted(adv.deals, key=lambda d: d.community):
-                    if not deal.accepted or deal.community not in content.target_communities:
-                        continue
-                    comm = fabric.communities.get(deal.community)
-                    if comm is None or citizen not in comm.members:
-                        continue
-                    amount = deal.price_per_impression * share
-                    if amount > 0:
-                        pay_ad(adv, ("community", deal.community), amount)
-                p = fabric.citizens[citizen]
-                if adv.personal_targeting and p.accepts_personal_ads and adv.personal_price > 0:
-                    pay_ad(adv, ("citizen", citizen), adv.personal_price * share)
+        if content.creator_kind == "advertiser":
+            adv = advertisers.get(content.creator)
+            if adv is None:
                 continue
+            for deal in sorted(adv.deals, key=lambda d: d.community):
+                if not deal.accepted or deal.community not in content.target_communities:
+                    continue
+                comm = fabric.communities.get(deal.community)
+                if comm is None or citizen not in comm.members:
+                    continue
+                amount = deal.price_per_impression * share
+                if amount > 0:
+                    pay_ad(adv, ("community", deal.community), amount)
+            p = fabric.citizens[citizen]
+            if adv.personal_targeting and p.accepts_personal_ads and adv.personal_price > 0:
+                pay_ad(adv, ("citizen", citizen), adv.personal_price * share)
+            continue
 
-            for owner, frac in _shares(terms, entry.content):
-                if owner in clamped:
-                    continue
-                kind, oid = owner
-                if owner not in owner_prices:
-                    owner_prices[owner] = \
-                        prices.get(owner, params.default_price_per_lambda_impression) \
-                        if kind != "citizen" or fabric.citizens[oid].subscriber else None
-                price = owner_prices[owner]
-                if price is None:
-                    continue
-                charge = price * share * frac
-                if charge <= 0:
-                    continue
-                if balance(owner) + 1e-12 < charge:
-                    holders = fabric.citizens if kind == "citizen" else fabric.communities
-                    holders[oid].lambda_ = 0.0
-                    clamped.add(owner)
-                    events.append({"round": round_, "kind": "lambda_clamped", "owner": owner})
-                    continue
-                fee = params.platform_fee * charge
-                reward = params.creator_share * charge
-                remainder = charge - fee - reward
-                if fee > 1e-15:
-                    post(round_, owner, PLATFORM, fee,
-                         "Subscription" if kind == "citizen" else "PlatformFee")
-                # creators sponsoring their own impressions keep the share
-                if reward > 1e-15 and owner != ("citizen", content.creator):
-                    post(round_, owner, ("citizen", content.creator), reward, "CreatorReward")
-                if remainder > 1e-15:
-                    pool_community = oid if kind == "community" \
-                        else min(content.target_communities)
-                    post(round_, owner, creator_pool(pool_community), remainder,
-                         "ImpressionSponsorship")
+        for owner, frac in _shares(terms, mid):
+            if owner in clamped:
+                continue
+            kind, oid = owner
+            if owner not in owner_prices:
+                owner_prices[owner] = \
+                    prices.get(owner, params.default_price_per_lambda_impression) \
+                    if kind != "citizen" or fabric.citizens[oid].subscriber else None
+            price = owner_prices[owner]
+            if price is None:
+                continue
+            charge = price * share * frac
+            if charge <= 0:
+                continue
+            if balance(owner) + FUNDS_TOL < charge:
+                holders = fabric.citizens if kind == "citizen" else fabric.communities
+                holders[oid].lambda_ = 0.0
+                clamped.add(owner)
+                events.append({"round": round_, "kind": "lambda_clamped", "owner": owner})
+                continue
+            fee = params.platform_fee * charge
+            reward = params.creator_share * charge
+            remainder = charge - fee - reward
+            if fee > 1e-15:
+                post(round_, owner, PLATFORM, fee,
+                     "Subscription" if kind == "citizen" else "PlatformFee")
+            # creators sponsoring their own impressions keep the share
+            if reward > 1e-15 and owner != ("citizen", content.creator):
+                post(round_, owner, ("citizen", content.creator), reward, "CreatorReward")
+            if remainder > 1e-15:
+                pool_community = oid if kind == "community" \
+                    else min(content.target_communities)
+                post(round_, owner, creator_pool(pool_community), remainder,
+                     "ImpressionSponsorship")
     return events
 
 
@@ -379,7 +378,7 @@ def sell_standing(advertiser: Advertiser, community: int, amount: float,
         raise Unregistered(f"community {community} has no registered administrator")
     if amount <= 0 or price <= 0:
         raise ValueError("amount and price must be > 0")
-    if ledger.balance(("advertiser", advertiser.id)) + 1e-12 < price:
+    if ledger.balance(("advertiser", advertiser.id)) + FUNDS_TOL < price:
         raise InsufficientFunds(
             f"advertiser {advertiser.id} balance cannot cover {price:.6g}")
     ledger.post(round_, ("advertiser", advertiser.id), ("community", community),

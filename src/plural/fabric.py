@@ -89,19 +89,23 @@ class Community:
         """Say how the stored blocs break their invariant, or None if they hold.
 
         An empty list means no blocs are stored; otherwise there are 2-7
-        blocs, each non-empty and a subset of the members.
+        disjoint, non-empty blocs, each a subset of the members.
         """
         blocs = self.principal_subcommunities
         if not blocs:
             return None
         if not 2 <= len(blocs) <= 7:
             return f"community {self.id} has {len(blocs)} principal subcommunities, need 2-7"
-        for g in blocs:
+        for i, g in enumerate(blocs):
             if not g:
                 return f"community {self.id} has an empty principal subcommunity"
             if not g <= self.members:
                 return (f"community {self.id} has a principal subcommunity naming "
                         f"non-members {sorted(g - self.members)}")
+            shared = g & set().union(*blocs[:i])
+            if shared:
+                return (f"community {self.id} has principal subcommunities sharing "
+                        f"members {sorted(shared)}")
         return None
 
 

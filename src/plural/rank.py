@@ -5,17 +5,20 @@ scores of the citizen and of the communities they belong to:
 
     numerator(m) = lambda(p) * psi(m; p) + sum_c devotion(c; p) * lambda(c) * psi(m; c)
 
-normalized over the pool. Feeds take the top-k of that distribution, keep a
-small epsilon of attention for seeded random exploration slots, and label
-every entry with its social provenance (where it bridges, where it divides,
-and what balances it).
+normalized over the pool. Feeds take the top-k of that distribution and keep
+a small epsilon of attention for seeded random exploration slots. A round's
+feeds are one table, `Feeds`. Each entry's social provenance (where it
+bridges, where it divides, and what balances it) is read off the round's
+scores only when its feeds.jsonl line is written (`feed_lines`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from ._rng import derive_rng
 from ._sum import left_sum
@@ -24,21 +27,27 @@ from .errors import InsufficientStanding
 from .score import LABEL_BRIDGING, LABEL_DIVISIVE, ScoreSet, Scope
 
 
-@dataclass(slots=True)
-class ProvenanceTag:
-    """Why this content is in the feed, per scope it is notable in."""
+class Feeds(NamedTuple):
+    """One round's feeds as parallel columns, one row per entry.
 
-    scope: Scope
-    kind: str                                   # Bridging | Divisive
-    balancing_peek: tuple[int, ...] = ()        # non-empty only for Divisive
+    Citizens ascend, and each citizen's feed is in rank order: `rank` runs
+    0, 1, ... within it. A round serves each (citizen, content) at most once.
+    """
 
+    citizen: np.ndarray   # int64
+    content: np.ndarray   # int64
+    share: np.ndarray     # float64, the entry's attention share
+    rank: np.ndarray      # int64
 
-@dataclass(slots=True)
-class FeedEntry:
-    content: int
-    exposure_share: float
-    provenance: list[ProvenanceTag] = field(default_factory=list)
-    rank_position: int = 0
+    @classmethod
+    def of(cls, feeds: Mapping[int, Sequence[tuple[int, float]]]) -> "Feeds":
+        """The table of each citizen's (content, share) feed, as `build_feed`
+        returns it."""
+        rows = [(citizen, content, share, rank) for citizen in sorted(feeds)
+                for rank, (content, share) in enumerate(feeds[citizen])]
+        citizen, content, share, rank = zip(*rows) if rows else ((),) * 4
+        return cls(np.array(citizen, dtype=np.int64), np.array(content, dtype=np.int64),
+                   np.array(share, dtype=float), np.array(rank, dtype=np.int64))
 
 
 class PsiOverrides:
@@ -143,43 +152,16 @@ def exposure_weights(citizen: int, fabric, psi_view, pool: Sequence[int]) -> dic
     return {m: v / total for m, v in numerators.items()}
 
 
-def _provenance_for(citizen: int, communities: Sequence[int], content: int,
-                    scores: ScoreSet) -> list[ProvenanceTag]:
-    """Tags for the citizen's communities in id order, then the citizen's own
-    scope. Community tags are the same for every citizen, so each
-    (content, community) tag is made once per pass and kept in `scores.memo`."""
-    tags: list[ProvenanceTag] = []
-    memo = scores.memo
-    for c in communities:
-        key = ("provenance", content, c)
-        if key not in memo:
-            memo[key] = _tag(scores, content, ("community", c))
-        tag = memo[key]
-        if tag is not None:
-            tags.append(tag)
-    tag = _tag(scores, content, ("citizen", citizen))
-    if tag is not None:
-        tags.append(tag)
-    return tags
-
-
-def _tag(scores: ScoreSet, content: int, scope: Scope) -> Optional[ProvenanceTag]:
-    label = scores.label(content, scope)
-    if label == LABEL_BRIDGING:
-        return ProvenanceTag(scope, label)
-    if label == LABEL_DIVISIVE:
-        return ProvenanceTag(scope, label, tuple(scores.balancing_for(content, scope)))
-    return None
-
-
 def build_feed(citizen: int, fabric, weights: Mapping[int, float], scores: ScoreSet,
-               params: RankingParams, seed: int = 0, round_: int = 0) -> list[FeedEntry]:
-    """Feed for one citizen: exploitation top-k plus seeded exploration slots.
+               params: RankingParams, seed: int = 0, round_: int = 0) -> list[tuple[int, float]]:
+    """Feed for one citizen: exploitation top-k plus seeded exploration slots,
+    as (content, share) pairs in rank order.
 
     The top-k carry (1 - epsilon) of attention proportionally to their
     renormalized weights; epsilon is spread uniformly over up to k contents
     sampled from the rest of the pool. Shares always sum to 1. Entries are
-    ordered by share descending, ties by content id.
+    ordered by share descending, ties by content id. `fabric` and `scores`
+    go unread; they keep `params` fifth, where perfbench's tracer reads it.
     """
     ranked = sorted(weights, key=lambda m: (-weights[m], m))
     top = ranked[:params.feed_size]
@@ -200,39 +182,54 @@ def build_feed(citizen: int, fabric, weights: Mapping[int, float], scores: Score
         picks = sorted(rng.choice(len(rest), size=n_slots, replace=False).tolist())
         for idx in picks:
             shares[rest[idx]] = epsilon / n_slots
-
-    communities = fabric.member_communities(citizen)
-    entries = [FeedEntry(content=m, exposure_share=s,
-                         provenance=_provenance_for(citizen, communities, m, scores))
-               for m, s in shares.items()]
-    entries.sort(key=lambda e: (-e.exposure_share, e.content))
-    for i, e in enumerate(entries):
-        e.rank_position = i
-    return entries
+    return sorted(shares.items(), key=lambda e: (-e[1], e[0]))
 
 
-def feed_lines(round_: int, citizen: int, feed: Sequence[FeedEntry]) -> Iterator[str]:
-    """feeds.jsonl lines: one JSON record per (round, citizen, rank_position).
+def _tag(scores: ScoreSet, content: int, scope: Scope) -> Optional[str]:
+    """The content's provenance tag in `scope` as JSON, None unless its card is
+    Bridging or Divisive; only a Divisive tag peeks at the balancing set."""
+    label = scores.label(content, scope)
+    if label == LABEL_BRIDGING:
+        peek = ""
+    elif label == LABEL_DIVISIVE:
+        peek = ", ".join(map(str, scores.balancing_for(content, scope)))
+    else:
+        return None
+    return (f'{{"balancing_peek": [{peek}], "kind": "{label}", '
+            f'"scope_id": {scope[1]}, "scope_kind": "{scope[0]}"}}')
+
+
+def feed_lines(round_: int, feeds: Feeds, scores: ScoreSet, fabric) -> Iterator[str]:
+    """feeds.jsonl lines of the round's table: one JSON record per entry.
+
+    An entry's provenance holds a tag for each of the citizen's communities
+    in id order, then for the citizen's own scope, read off `scores` (the
+    round's) where the content is Bridging or Divisive. Community tags are
+    the same for every citizen, so each is made once per call.
 
     Each line is byte-equal to `json.dumps(record, sort_keys=True) + "\n"`.
     Floats are written with `float.__repr__`, json's own float form, which
     also prints a numpy scalar as a plain number; ids and positions are ints,
     and the kind and scope-kind words need no escaping.
     """
-    head = f'{{"citizen": {citizen}, "content": '
     tail = f', "round": {round_}}}\n'
-    for e in feed:
-        tags = ", ".join(
-            f'{{"balancing_peek": [{", ".join(map(str, t.balancing_peek))}], '
-            f'"kind": "{t.kind}", "scope_id": {t.scope[1]}, "scope_kind": "{t.scope[0]}"}}'
-            for t in e.provenance)
-        yield (f'{head}{e.content}, "exposure_share": {float.__repr__(e.exposure_share)}, '
-               f'"provenance": [{tags}], "rank_position": {e.rank_position}{tail}')
+    community_tag = functools.cache(lambda content, c: _tag(scores, content, ("community", c)))
+    last = None
+    for citizen, content, share, rank in zip(*(column.tolist() for column in feeds)):
+        if citizen != last:
+            last = citizen
+            head = f'{{"citizen": {citizen}, "content": '
+            communities = fabric.member_communities(citizen)
+        tags = [community_tag(content, c) for c in communities]
+        tags.append(_tag(scores, content, ("citizen", citizen)))
+        yield (f'{head}{content}, "exposure_share": {float.__repr__(share)}, '
+               f'"provenance": [{", ".join(t for t in tags if t is not None)}], '
+               f'"rank_position": {rank}{tail}')
 
 
-def feed_to_records(round_: int, citizen: int, feed: Sequence[FeedEntry]) -> list[dict]:
+def feed_to_records(round_: int, feeds: Feeds, scores: ScoreSet, fabric) -> list[dict]:
     """The records of `feed_lines`, parsed back into dicts."""
-    return [json.loads(line) for line in feed_lines(round_, citizen, feed)]
+    return [json.loads(line) for line in feed_lines(round_, feeds, scores, fabric)]
 
 
 def seed_content(overrides: PsiOverrides, fabric, content, community: int,

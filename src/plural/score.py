@@ -566,9 +566,6 @@ class ScoreSet:
 
     def __init__(self) -> None:
         self.balancing: dict[tuple[int, Scope], list[int]] = {}
-        # Views derived from these scores, kept for the pass (rank keeps its
-        # community provenance tags here).
-        self.memo: dict = {}
         self._columns: dict[Scope, _Column] = {}
 
     @property
@@ -626,13 +623,15 @@ class ScoreSet:
 
     def csv_lines(self) -> Iterator[str]:
         """scorecards.csv lines, header first, cards in (content, scope) order.
-        No field needs CSV quoting: ids are ints, scores float reprs, kinds and
-        labels plain words, characteristic blocs `;`-joined ids. Lines are
-        read off the columns; a profile's fields are formatted once for all
-        the scopes that share it."""
+        No field needs CSV quoting: ids are ints, scores float reprs
+        (`float.__repr__`, so a numpy scalar prints as a plain number), kinds
+        and labels plain words, characteristic blocs `;`-joined ids. Lines
+        are read off the columns; a profile's fields are formatted once for
+        all the scopes that share it."""
         yield ",".join(SCORECARD_CSV_HEADER) + "\n"
         columns = {scope: (col, f"{scope[0]},{scope[1]}") for scope, col in self._columns.items()}
         fields: dict[int, tuple[str, str]] = {}     # id(profile) -> text either side of psi
+        r = float.__repr__
         for content, scope in sorted((m, scope) for scope, (col, _) in columns.items()
                                      for m in col.profiles):
             col, where = columns[scope]
@@ -640,9 +639,9 @@ class ScoreSet:
             text = fields.get(id(p))
             if text is None:
                 blocs = ";".join(map(str, sorted(p.characteristic_blocs)))
-                text = fields[id(p)] = (f"{p.beta!r},{p.delta!r}", f"{p.label},{blocs}\n")
-            yield (f"{content},{where},{col.iota.get(content, 0.0)!r},{text[0]},"
-                   f"{col.psi.get(content, 0.0)!r},{text[1]}")
+                text = fields[id(p)] = (f"{r(p.beta)},{r(p.delta)}", f"{p.label},{blocs}\n")
+            yield (f"{content},{where},{r(col.iota.get(content, 0.0))},{text[0]},"
+                   f"{r(col.psi.get(content, 0.0))},{text[1]}")
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())

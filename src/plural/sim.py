@@ -11,9 +11,10 @@ every draw, so runs are reproducible byte for byte.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .econ import (PLATFORM, Advertiser, Ledger, OwnerRef, reward_standing,
                    sell_standing, settle_round)
 from .errors import DegenerateInput, EmptyCommunity, TooSmall
 from .fabric import SocialFabric
-from .rank import (EffectivePsi, FeedEntry, PsiOverrides, build_feed,
-                   exposure_weights, feed_to_records, seed_content)
+from .rank import (EffectivePsi, Feeds, PsiOverrides, build_feed, exposure_weights,
+                   feed_lines, seed_content)
 from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights,
                     consensus_products, divisiveness, score_round)
 
@@ -224,20 +225,18 @@ def attention_gini(totals: Sequence[float]) -> float:
 
 # -- the round loop -------------------------------------------------------------
 
-# (round, citizen, feed) rows, in round then citizen order.
-FeedRows = list[tuple[int, int, list[FeedEntry]]]
-
-# Takes a run's feeds and ledger rows as they are made: called with no feeds
-# once the rows posted before round 0 are in the ledger, then with each
-# round's feeds as the round ends.
-Sink = Callable[[FeedRows, Ledger], None]
+# Takes a run's feeds.jsonl lines and ledger rows as they are made: called
+# with no lines once the rows posted before round 0 are in the ledger, then
+# with each round's lines as the round ends. These are formatted as they are
+# drawn, so a sink draws them before it returns, or formats none.
+Sink = Callable[[Iterable[str], Ledger], None]
 
 
 @dataclass
 class RunResult:
-    """What a run leaves. With a sink (see `run`), the sink took the feeds
-    and ledger rows: `feeds` is empty and the ledger holds no rows, though
-    its balances and `audit()` still cover every posting."""
+    """What a run leaves. Without a sink, `feed_lines` holds every feeds.jsonl
+    line. With one (see `run`), the sink took the lines and ledger rows, and
+    the ledger's balances and `audit()` still cover every posting."""
 
     config: ScenarioConfig
     metrics: list[RoundMetrics]
@@ -246,7 +245,7 @@ class RunResult:
     reactions: ReactionMatrix
     ledger: Ledger
     scores: Optional[ScoreSet]
-    feeds: FeedRows
+    feed_lines: list[str]
     events: list[dict]
     ideologies: np.ndarray   # (citizens x ideology_dim)
     attitude: np.ndarray     # (contents x citizens)
@@ -254,9 +253,8 @@ class RunResult:
 
     @property
     def feed_records(self) -> list[dict]:
-        """Every feed entry as its feeds.jsonl record, derived on demand."""
-        return [rec for round_, citizen, feed in self.feeds
-                for rec in feed_to_records(round_, citizen, feed)]
+        """Every feed entry as its feeds.jsonl record, parsed on demand."""
+        return [json.loads(line) for line in self.feed_lines]
 
     def exposed(self, citizen: int) -> dict[int, tuple[float, float]]:
         """{content: (attitude, belief)} over the contents the citizen has
@@ -292,9 +290,9 @@ class _Simulation:
             for cid, t in enumerate(config.communities) if t.price_per_lambda_impression is not None}
         self.advertisers: dict[int, Advertiser] = {}
         self.events: list[dict] = []
-        self.feeds: FeedRows = []
-        kept = self.feeds   # not self: a cycle would outlive the run while gc is off
-        self.sink: Sink = sink if sink is not None else (lambda feeds, ledger: kept.extend(feeds))
+        self.feed_lines: list[str] = []
+        kept = self.feed_lines   # not self: a cycle would outlive the run while gc is off
+        self.sink: Sink = sink if sink is not None else (lambda lines, ledger: kept.extend(lines))
         self.metrics: list[RoundMetrics] = []
         self.scores: Optional[ScoreSet] = None
 
@@ -392,11 +390,12 @@ class _Simulation:
             except (TooSmall, DegenerateInput):
                 pass  # keep the previous structure, if any
 
-    def _rank_phase(self, round_: int, psi_view: EffectivePsi) -> dict[int, list]:
-        """Each citizen's feed, ranked over the contents targeted at its
-        communities (plus personal ads it accepts) that it has not reacted to."""
+    def _rank_phase(self, round_: int, psi_view: EffectivePsi) -> Feeds:
+        """The round's feed table: each citizen's feed, ranked over the contents
+        targeted at its communities (plus personal ads it accepts) it has not
+        reacted to."""
         pools: dict[tuple, np.ndarray] = {}   # by (membership signature, ads flag)
-        feeds: dict[int, list] = {}
+        feeds: dict[int, list[tuple[int, float]]] = {}
         for citizen in sorted(self.fabric.citizens):
             ads = self.fabric.citizens[citizen].accepts_personal_ads
             key = (tuple(self.fabric.member_communities(citizen)), ads)
@@ -415,18 +414,18 @@ class _Simulation:
                               self.config.ranking, seed=self.seed, round_=round_)
             if feed:
                 feeds[citizen] = feed
-        return feeds
+        return Feeds.of(feeds)
 
-    def _react_phase(self, round_: int, feeds: Mapping[int, list]) -> None:
-        """One reaction draw per feed entry, in feed order; one record per round."""
+    def _react_phase(self, round_: int, feeds: Feeds) -> None:
+        """One reaction draw per feed entry, in table order; one record per round."""
         scale = self.config.sim.engagement_scale
-        citizens = sorted(feeds)
+        who = feeds.citizen.tolist()
+        citizens = list(dict.fromkeys(who))
         rngs = dict(zip(citizens, derive_rngs(self.seed, citizens, "react", round_)))
-        entries = [(citizen, entry) for citizen in citizens for entry in feeds[citizen]]
-        how = [react(float(self.attitude[entry.content, citizen]), entry.exposure_share,
-                     rngs[citizen], scale) for citizen, entry in entries]
-        self.reactions.record([citizen for citizen, _ in entries],
-                              [entry.content for _, entry in entries], how, round_)
+        how = [react(a, share, rngs[citizen], scale) for citizen, a, share in
+               zip(who, self.attitude[feeds.content, feeds.citizen].tolist(),
+                   feeds.share.tolist())]
+        self.reactions.record(feeds.citizen, feeds.content, how, round_)
 
     def _community_arrays(self, cid: int):
         """(member index array, aligned standings, bloc position arrays or None)."""
@@ -444,16 +443,16 @@ class _Simulation:
         (contents x citizens) `beliefs`, given its member arrays."""
         return _aggregate_rows(beliefs[rows][:, idx], w, bloc_idx)
 
-    def _belief_phase(self, round_: int, feeds: Mapping[int, list]) -> None:
+    def _belief_phase(self, round_: int, feeds: Feeds) -> None:
         exposure = self.exposure
-        for citizen in sorted(feeds):
-            comms = self.fabric.member_communities(citizen)
-            for entry in feeds[citizen]:
-                mid, share = entry.content, entry.exposure_share
-                exposure[mid, citizen] = min(1.0, exposure[mid, citizen] + share)
-                for cid in comms:
-                    totals = self.community_exposure.setdefault(cid, {})
-                    totals[mid] = totals.get(mid, 0.0) + share
+        # exact in one pass: a round serves each (content, citizen) at most once
+        at = (feeds.content, feeds.citizen)
+        exposure[at] = np.minimum(1.0, exposure[at] + feeds.share)
+        for citizen, mid, share in zip(feeds.citizen.tolist(), feeds.content.tolist(),
+                                       feeds.share.tolist()):
+            for cid in self.fabric.citizens[citizen].memberships:
+                totals = self.community_exposure.setdefault(cid, {})
+                totals[mid] = totals.get(mid, 0.0) + share
 
         gamma = self.config.sim.attitude_feedback_gamma
         if gamma <= 0 or not self.catalog:
@@ -488,19 +487,19 @@ class _Simulation:
                                                  *self._community_arrays(cid))
         return out
 
-    def _adapt_devotion(self, feeds: Mapping[int, list]) -> None:
+    def _adapt_devotion(self, feeds: Feeds) -> None:
         rate = self.config.sim.devotion_adapt_rate
         if rate <= 0:
             return
-        for citizen in sorted(feeds):
-            spent: dict[int, float] = {}
-            for entry in feeds[citizen]:
-                for cid in self.catalog[entry.content].target_communities:
-                    if cid in self.fabric.citizens[citizen].memberships:
-                        spent[cid] = spent.get(cid, 0.0) + entry.exposure_share
-            for cid, share in sorted(spent.items()):
-                edge = self.fabric.citizens[citizen].memberships[cid]
-                self.fabric.update_devotion(citizen, cid, edge.raw_devotion + rate * share)
+        spent: dict[tuple[int, int], float] = {}   # (citizen, community) -> share
+        for citizen, mid, share in zip(feeds.citizen.tolist(), feeds.content.tolist(),
+                                       feeds.share.tolist()):
+            for cid in self.catalog[mid].target_communities:
+                if cid in self.fabric.citizens[citizen].memberships:
+                    spent[citizen, cid] = spent.get((citizen, cid), 0.0) + share
+        for (citizen, cid), share in sorted(spent.items()):
+            edge = self.fabric.citizens[citizen].memberships[cid]
+            self.fabric.update_devotion(citizen, cid, edge.raw_devotion + rate * share)
 
     def _metrics_phase(self, round_: int, platform_before: float) -> RoundMetrics:
         scoring = self.config.scoring
@@ -568,12 +567,11 @@ class _Simulation:
                             self.catalog)
             self._adapt_devotion(feeds)
             self.metrics.append(self._metrics_phase(round_, platform_before))
-            self.sink([(round_, citizen, feeds[citizen]) for citizen in sorted(feeds)],
-                      self.ledger)
+            self.sink(feed_lines(round_, feeds, self.scores, self.fabric), self.ledger)
 
         return RunResult(config=cfg, metrics=self.metrics, fabric=self.fabric,
                          catalog=self.catalog, reactions=self.reactions,
-                         ledger=self.ledger, scores=self.scores, feeds=self.feeds,
+                         ledger=self.ledger, scores=self.scores, feed_lines=self.feed_lines,
                          events=self.events, ideologies=self.ideologies,
                          attitude=self.attitude, exposure=self.exposure)
 
@@ -582,10 +580,10 @@ def run(config: ScenarioConfig, seed: int | None = None,
         rounds: int | None = None, sink: Optional[Sink] = None) -> RunResult:
     """Execute a scenario; overrides replace the configured seed/round count.
 
-    Without a sink, `RunResult.feeds` and the ledger keep every feed and row
-    of the run. A sink is handed them instead as they are made (see `Sink`),
-    and may write them out and `drain` the ledger, so they need not all be
-    held at once.
+    Without a sink, `RunResult.feed_lines` and the ledger keep every
+    feeds.jsonl line and ledger row of the run. A sink is handed them
+    instead as they are made (see `Sink`), and may write them out and
+    `drain` the ledger, so they need not all be held at once.
 
     Raises ValueError for a seed outside [0, SEED_MAX], which would alias a
     seed inside it, or a negative round count.

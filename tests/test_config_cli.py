@@ -509,6 +509,22 @@ class TestCmdScore:
         assert str(fabric) in err and "community 0" in err
         assert not out.exists()
 
+    def test_blocs_sharing_a_member_exit_2(self, tmp_path, capsys):
+        fabric = self._fabric_json(tmp_path)
+        doc = json.loads(fabric.read_text(encoding="utf-8"))
+        doc["communities"][1]["principal_subcommunities"] = [[4], [4]]
+        fabric.write_text(json.dumps(doc), encoding="utf-8")
+        reactions = tmp_path / "reactions.csv"
+        reactions.write_text("citizen_id,content_id,round,exposed,reaction\n4,0,0,1,1\n",
+                             encoding="utf-8")
+        out = tmp_path / "cards.csv"
+        code = main(["score", "--reactions", str(reactions), "--fabric", str(fabric),
+                     "--backend", "gac_penrose", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(fabric) in err and "community 1" in err and "sharing members [4]" in err
+        assert not out.exists()
+
     def _score(self, tmp_path, fabric, reactions):
         out = tmp_path / "cards.csv"
         code = main(["score", "--reactions", str(reactions), "--fabric", str(fabric),
@@ -712,6 +728,27 @@ class TestCmdCompare:
                      "--out", str(out)]) == 0
         assert hashlib.sha256((out / "comparison.csv").read_bytes()).hexdigest() == \
             "cc88bd2a8ef217d2be2158d11baddd7266342131515e230ed71df87890c5dda2"
+
+    # recorded when rank still tagged every feed entry with its provenance
+    MARKET_4_SEEDS_2 = "46da546f80f0b12aded75e44d014371cb09dedd8de32862ce455caca17167765"
+
+    def _market_comparison(self, tmp_path) -> str:
+        path = write_scenario(tmp_path, market_doc(0, rounds=4))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", str(path), "--seeds", "2",
+                     "--out", str(out)]) == 0
+        return hashlib.sha256((out / "comparison.csv").read_bytes()).hexdigest()
+
+    def test_market_comparison_bytes(self, tmp_path):
+        assert self._market_comparison(tmp_path) == self.MARKET_4_SEEDS_2
+
+    def test_compare_formats_no_feed_line(self, tmp_path, monkeypatch):
+        from plural import rank
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare formatted a feed line")
+        monkeypatch.setattr(rank, "_tag", refuse)
+        assert self._market_comparison(tmp_path) == self.MARKET_4_SEEDS_2
 
     def test_zero_rounds_all_deltas_zero(self, tmp_path):
         doc = copy.deepcopy(TINY_SCENARIO)

@@ -11,7 +11,7 @@ from plural.econ import (PLATFORM, AdDeal, Advertiser, EconParams, Ledger,
                          sell_standing, settle_round)
 from plural.errors import InsufficientFunds, NotFound, Unregistered
 from plural.fabric import SocialFabric
-from plural.rank import FeedEntry
+from plural.rank import Feeds
 from plural.score import ContentItem, ScoreCard, ScoreSet
 
 
@@ -28,7 +28,7 @@ def one_community_world(lambda_c=1.0, balance=100.0):
     scores = ScoreSet()
     scores.add(ScoreCard(content=0, scope=("community", c), iota=1.0, beta=1.0,
                          delta=0.0, psi=1.0))
-    feeds = {p: [FeedEntry(content=0, exposure_share=1.0, rank_position=0)]}
+    feeds = Feeds.of({p: [(0, 1.0)]})
     return f, p, creator, c, ledger, catalog, scores, feeds
 
 
@@ -120,7 +120,7 @@ class TestSettleRound:
         scores = ScoreSet()
         scores.add(ScoreCard(content=0, scope=("citizen", p), iota=1.0, beta=0.5,
                              delta=0.0, psi=0.5))
-        feeds = {p: [FeedEntry(content=0, exposure_share=1.0, rank_position=0)]}
+        feeds = Feeds.of({p: [(0, 1.0)]})
         settle_round(0, feeds, f, catalog, scores, {}, {},
                      EconParams(default_price_per_lambda_impression=1.0), ledger)
         assert [e.reason for e in ledger.entries] == ["Subscription", "CreatorReward"]
@@ -138,7 +138,7 @@ class TestSettleRound:
         scores = ScoreSet()
         scores.add(ScoreCard(content=0, scope=("citizen", p), iota=1.0, beta=0.5,
                              delta=0.0, psi=0.5))
-        feeds = {p: [FeedEntry(content=0, exposure_share=1.0, rank_position=0)]}
+        feeds = Feeds.of({p: [(0, 1.0)]})
         settle_round(0, feeds, f, catalog, scores, {}, {},
                      EconParams(default_price_per_lambda_impression=1.0), ledger)
         assert ledger.entries == []
@@ -203,9 +203,8 @@ class TestSettleRound:
         for p in citizens:
             pool = list(catalog)
             shares = rng.dirichlet(np.ones(len(pool)))
-            feeds[p] = [FeedEntry(content=m, exposure_share=float(s), rank_position=i)
-                        for i, (m, s) in enumerate(zip(pool, shares))]
-        settle_round(0, feeds, f, catalog, scores, {}, {},
+            feeds[p] = list(zip(pool, shares.tolist()))
+        settle_round(0, Feeds.of(feeds), f, catalog, scores, {}, {},
                      EconParams(platform_fee=0.25, creator_share=0.6,
                                 default_price_per_lambda_impression=0.5), ledger)
         # oracle: re-sum every entry from scratch
@@ -226,8 +225,7 @@ class TestSettleRound:
             catalog[1] = other
             scores.add(ScoreCard(content=1, scope=("community", c), iota=1.0,
                                  beta=0.5, delta=0.0, psi=0.5))
-            feeds = {p: [FeedEntry(content=0, exposure_share=0.6, rank_position=0),
-                         FeedEntry(content=1, exposure_share=0.4, rank_position=1)]}
+            feeds = Feeds.of({p: [(0, 0.6), (1, 0.4)]})
             settle_round(0, feeds, f, catalog, scores, {}, {},
                          EconParams(default_price_per_lambda_impression=1.0), ledger)
             return ledger.balance(("citizen", creator))
@@ -265,8 +263,7 @@ class TestSettleRound:
         for m, share in ((0, 0.5), (1, 0.3), (2, 0.2)):
             fractions = dict(attribute_entry(p, m, f, scores))
             start = len(ledger.entries)
-            entry = FeedEntry(content=m, exposure_share=share, rank_position=0)
-            events = settle_round(0, {p: [entry]}, f, catalog, scores, prices, {},
+            events = settle_round(0, Feeds.of({p: [(m, share)]}), f, catalog, scores, prices, {},
                                   params, ledger)
             assert events == []
             charged: dict = {}
@@ -308,9 +305,7 @@ class TestSettleRound:
                                (("community", poor), 1.0), (("community", rich), 0.5)):
                 scores.add(ScoreCard(content=m, scope=scope, iota=1.0, beta=psi,
                                      delta=0.0, psi=psi))
-        feeds = {p: [FeedEntry(content=0, exposure_share=0.6, rank_position=0),
-                     FeedEntry(content=1, exposure_share=0.4, rank_position=1)]
-                 for p in (p1, p2)}
+        feeds = Feeds.of({p: [(0, 0.6), (1, 0.4)] for p in (p1, p2)})
         # numerator terms 0.5 (citizen), 0.5 (poor), 0.25 (rich) per content
         assert dict(attribute_entry(p1, 0, f, scores)) == pytest.approx(
             {("citizen", p1): 0.4, ("community", poor): 0.4, ("community", rich): 0.2})
@@ -350,7 +345,7 @@ class TestAdvertising:
         ledger.open_account(("community", c), 0.0)
         catalog = {0: ContentItem(id=0, creator=0, target_communities={c},
                                   creator_kind="advertiser")}
-        feeds = {p: [FeedEntry(content=0, exposure_share=0.5, rank_position=0)]}
+        feeds = Feeds.of({p: [(0, 0.5)]})
         return f, p, c, adv, ledger, catalog, feeds
 
     def test_ad_impressions_pay_community_and_citizen(self):

@@ -228,9 +228,15 @@ def valid_fabrics(draw):
             f.add_membership(p, c, draw(RAW), draw(RAW), opted_in=draw(st.booleans()))
     for c in f.communities.values():
         if len(c.members) >= 2 and draw(st.booleans()):
-            member = st.sampled_from(sorted(c.members))
-            c.principal_subcommunities = draw(st.lists(st.sets(member, min_size=1),
-                                                       min_size=2, max_size=7))
+            # 2-7 disjoint non-empty blocs: the first k members seed one bloc
+            # each, and every other member joins one of them or none
+            members = draw(st.permutations(sorted(c.members)))
+            k = draw(st.integers(2, min(7, len(members))))
+            labels = list(range(k)) + draw(st.lists(st.integers(-1, k - 1),
+                                                    min_size=len(members) - k,
+                                                    max_size=len(members) - k))
+            c.principal_subcommunities = [{m for m, j in zip(members, labels) if j == b}
+                                          for b in range(k)]
     return f
 
 

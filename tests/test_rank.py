@@ -6,7 +6,7 @@ import pytest
 
 from plural.errors import InsufficientStanding
 from plural.fabric import SocialFabric
-from plural.rank import (EffectivePsi, PsiOverrides, RankingParams, build_feed,
+from plural.rank import (EffectivePsi, Feeds, PsiOverrides, RankingParams, build_feed,
                          exposure_weights, feed_to_records, seed_content)
 from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, ContentItem, ReactionMatrix,
                           ScoreCard, ScoreSet, ScoringParams, score_round)
@@ -190,49 +190,48 @@ class TestBuildFeed:
     def test_epsilon_zero_top_k(self):
         f, p, c, scores, weights = feed_fixture()
         feed = build_feed(p, f, weights, scores, RankingParams(feed_size=3, epsilon=0.0))
-        assert [e.content for e in feed] == [0, 1, 2]
+        assert [m for m, _ in feed] == [0, 1, 2]
         top_weight = sum(weights[m] for m in (0, 1, 2))
-        for e in feed:
-            assert e.exposure_share == pytest.approx(weights[e.content] / top_weight)
-        assert sum(e.exposure_share for e in feed) == pytest.approx(1.0, abs=1e-9)
+        for m, share in feed:
+            assert share == pytest.approx(weights[m] / top_weight)
+        assert sum(share for _, share in feed) == pytest.approx(1.0, abs=1e-9)
 
     def test_k_covers_pool_identity(self):
         f, p, c, scores, weights = feed_fixture(n_contents=5)
         feed = build_feed(p, f, weights, scores, RankingParams(feed_size=8, epsilon=0.0))
-        assert {e.content: e.exposure_share for e in feed} == \
-            pytest.approx(weights)
+        assert dict(feed) == pytest.approx(weights)
 
     def test_budget_split(self):
         f, p, c, scores, weights = feed_fixture(n_contents=10)
         feed = build_feed(p, f, weights, scores,
                           RankingParams(feed_size=3, epsilon=0.1), seed=5)
-        top = [e for e in feed if e.content in (0, 1, 2)]
-        rest = [e for e in feed if e.content not in (0, 1, 2)]
-        assert sum(e.exposure_share for e in top) == pytest.approx(0.9)
-        assert sum(e.exposure_share for e in rest) == pytest.approx(0.1)
-        assert sum(e.exposure_share for e in feed) == pytest.approx(1.0, abs=1e-9)
+        top = [share for m, share in feed if m in (0, 1, 2)]
+        rest = [share for m, share in feed if m not in (0, 1, 2)]
+        assert sum(top) == pytest.approx(0.9)
+        assert sum(rest) == pytest.approx(0.1)
+        assert sum(share for _, share in feed) == pytest.approx(1.0, abs=1e-9)
 
     def test_epsilon_with_no_rest_pool(self):
         f, p, c, scores, weights = feed_fixture(n_contents=4)
         feed = build_feed(p, f, weights, scores,
                           RankingParams(feed_size=4, epsilon=0.2), seed=1)
-        assert sum(e.exposure_share for e in feed) == pytest.approx(1.0, abs=1e-9)
+        assert sum(share for _, share in feed) == pytest.approx(1.0, abs=1e-9)
 
     def test_rank_positions_sorted(self):
         f, p, c, scores, weights = feed_fixture()
         feed = build_feed(p, f, weights, scores,
                           RankingParams(feed_size=5, epsilon=0.2), seed=3)
-        shares = [e.exposure_share for e in feed]
-        assert shares == sorted(shares, reverse=True)
-        assert [e.rank_position for e in feed] == list(range(len(feed)))
+        assert feed == sorted(feed, key=lambda e: (-e[1], e[0]))
+        table = Feeds.of({p: feed})
+        assert table.rank.tolist() == list(range(len(feed)))
+        assert list(zip(table.content.tolist(), table.share.tolist())) == feed
 
     def test_deterministic(self):
         f, p, c, scores, weights = feed_fixture()
         params = RankingParams(feed_size=3, epsilon=0.3)
         a = build_feed(p, f, weights, scores, params, seed=9, round_=4)
         b = build_feed(p, f, weights, scores, params, seed=9, round_=4)
-        assert [(e.content, e.exposure_share) for e in a] == \
-            [(e.content, e.exposure_share) for e in b]
+        assert a == b
 
     def test_provenance_tags(self):
         f = SocialFabric()
@@ -251,21 +250,20 @@ class TestBuildFeed:
         scores.balancing[(1, ("community", c))] = [0]
         weights = exposure_weights(p, f, scores, [0, 1])
         feed = build_feed(p, f, weights, scores, RankingParams(feed_size=2))
-        by_content = {e.content: e for e in feed}
-        tags0 = by_content[0].provenance
-        assert len(tags0) == 1 and tags0[0].kind == LABEL_BRIDGING
-        assert tags0[0].balancing_peek == ()
-        tags1 = by_content[1].provenance
-        kinds = {(t.scope, t.kind) for t in tags1}
-        assert (("community", c), LABEL_DIVISIVE) in kinds
-        assert (("citizen", p), LABEL_DIVISIVE) in kinds
-        community_tag = next(t for t in tags1 if t.scope == ("community", c))
-        assert community_tag.balancing_peek == (0,)
+        records = feed_to_records(0, Feeds.of({p: feed}), scores, f)
+        by_content = {rec["content"]: rec["provenance"] for rec in records}
+        assert by_content[0] == [{"scope_kind": "community", "scope_id": c,
+                                  "kind": LABEL_BRIDGING, "balancing_peek": []}]
+        assert by_content[1] == [
+            {"scope_kind": "community", "scope_id": c, "kind": LABEL_DIVISIVE,
+             "balancing_peek": [0]},
+            {"scope_kind": "citizen", "scope_id": p, "kind": LABEL_DIVISIVE,
+             "balancing_peek": []}]
 
     def test_feed_records_shape(self):
         f, p, c, scores, weights = feed_fixture()
         feed = build_feed(p, f, weights, scores, RankingParams(feed_size=2))
-        recs = feed_to_records(7, p, feed)
+        recs = feed_to_records(7, Feeds.of({p: feed}), scores, f)
         assert recs[0]["round"] == 7
         assert recs[0]["citizen"] == p
         assert set(recs[0]) == {"round", "citizen", "rank_position", "content",

@@ -316,11 +316,10 @@ def brute_community_exposure(res) -> dict[int, dict[int, float]]:
     """Each community's served attention share per content, summed over every
     feed of each of its members, feed by feed and entry by entry."""
     totals: dict[int, dict[int, float]] = {}
-    for _, citizen, feed in res.feeds:
-        for entry in feed:
-            for cid in res.fabric.member_communities(citizen):
-                per = totals.setdefault(cid, {})
-                per[entry.content] = per.get(entry.content, 0.0) + entry.exposure_share
+    for rec in res.feed_records:
+        for cid in res.fabric.member_communities(rec["citizen"]):
+            per = totals.setdefault(cid, {})
+            per[rec["content"]] = per.get(rec["content"], 0.0) + rec["exposure_share"]
     return totals
 
 
@@ -336,12 +335,57 @@ def test_run_state_invariants(config):
     for arr in (res.attitude, res.exposure):
         assert ((arr >= 0.0) & (arr <= 1.0)).all()
     served = np.zeros(res.exposure.shape, dtype=bool)
-    for _, citizen, feed in res.feeds:
-        for entry in feed:
-            served[entry.content, citizen] |= entry.exposure_share > 0
+    for rec in res.feed_records:
+        served[rec["content"], rec["citizen"]] |= rec["exposure_share"] > 0
     assert served.any()
     assert np.array_equal(res.exposure > 0, served)
     assert simulation.community_exposure == brute_community_exposure(res)
+
+
+class _TableRecorder(_Simulation):
+    """A run that keeps each round's feed table."""
+
+    def _rank_phase(self, round_, psi_view):
+        table = super()._rank_phase(round_, psi_view)
+        self.tables.append(table)
+        return table
+
+
+def assert_feed_table(feeds):
+    """Citizens ascend; each citizen's ranks run 0..k-1 and its shares sum
+    to 1; no (citizen, content) appears twice."""
+    citizen, content, share, rank = (column.tolist() for column in feeds)
+    assert len(citizen) == len(content) == len(share) == len(rank)
+    assert citizen == sorted(citizen)
+    assert len(set(zip(citizen, content))) == len(citizen)
+    ranks: dict[int, list[int]] = {}
+    totals: dict[int, float] = {}
+    for p, r, s in zip(citizen, rank, share):
+        ranks.setdefault(p, []).append(r)
+        totals[p] = totals.get(p, 0.0) + s
+    for p, got in ranks.items():
+        assert got == list(range(len(got))), p
+        assert totals[p] == pytest.approx(1.0, abs=1e-9), p
+
+
+def test_feed_tables_are_well_formed():
+    """Every round's feed table of small tiny and market runs."""
+    entries = []
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(market=st.booleans(), seed=st.integers(0, 31), rounds=st.integers(1, 4))
+    def check(market, seed, rounds):
+        doc = market_doc(seed, rounds) if market else copy.deepcopy(TINY_SCENARIO)
+        simulation = _TableRecorder(ScenarioConfig.from_dict(doc), seed, rounds)
+        simulation.tables = []
+        simulation.run()
+        assert len(simulation.tables) == rounds
+        for table in simulation.tables:
+            assert_feed_table(table)
+            entries.append(len(table.citizen))
+
+    check()
+    assert sum(entries) > 0
 
 
 def test_market_runs_stay_sound_on_small_budgets():
@@ -369,9 +413,13 @@ def test_market_runs_stay_sound_on_small_budgets():
         res = run(cfg)
         res.fabric.audit()
         res.ledger.audit()
-        assert res.feeds
-        for _, _, feed in res.feeds:
-            assert sum(e.exposure_share for e in feed) == pytest.approx(1.0, abs=1e-9)
+        per: dict[tuple[int, int], float] = {}
+        for rec in res.feed_records:
+            key = (rec["round"], rec["citizen"])
+            per[key] = per.get(key, 0.0) + rec["exposure_share"]
+        assert per
+        for total in per.values():
+            assert total == pytest.approx(1.0, abs=1e-9)
         kinds.update(event["kind"] for event in res.events)
         clamped = {event["owner"] for event in res.events if event["kind"] == "lambda_clamped"}
         scenario = {("citizen", p): cfg.population.citizen_lambda for p in res.fabric.citizens}
@@ -401,13 +449,13 @@ def test_adapt_devotion_moves_only_served_edges():
         doc = market_doc(seed, rounds)
         doc["sim"]["devotion_adapt_rate"] = rate
         raw: list[dict] = []     # every edge's raw devotion, at each sink call
-        served: list = []        # the feed rows handed to each sink call
+        served: list = []        # the feed records handed to each sink call
 
-        def sink(rows, ledger):
+        def sink(lines, ledger):
             fabric = simulation.fabric
             raw.append({(p, c): edge.raw_devotion for p, citizen in fabric.citizens.items()
                         for c, edge in citizen.memberships.items()})
-            served.append(rows)
+            served.append([json.loads(line) for line in lines])
             for p in fabric.citizens:
                 if fabric.citizens[p].memberships:
                     assert sum(fabric.devotions(p).values()) == pytest.approx(1.0, abs=1e-12)
@@ -417,14 +465,14 @@ def test_adapt_devotion_moves_only_served_edges():
         assert len(raw) == rounds + 1
         for before, after, rows in zip(raw, raw[1:], served[1:]):
             expected = dict(before)
-            for _, citizen, feed in rows:
-                spent: dict[int, float] = {}
-                for entry in feed:
-                    for c in simulation.catalog[entry.content].target_communities:
-                        if (citizen, c) in before:
-                            spent[c] = spent.get(c, 0.0) + entry.exposure_share
-                for c, share in spent.items():
-                    expected[citizen, c] = before[citizen, c] + rate * share
+            spent: dict[tuple[int, int], float] = {}
+            for rec in rows:
+                citizen = rec["citizen"]
+                for c in simulation.catalog[rec["content"]].target_communities:
+                    if (citizen, c) in before:
+                        spent[citizen, c] = spent.get((citizen, c), 0.0) + rec["exposure_share"]
+            for edge, share in spent.items():
+                expected[edge] = before[edge] + rate * share
             assert after == expected
             moved.append(after != before)
 

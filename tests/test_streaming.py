@@ -12,7 +12,6 @@ from plural import cli, sim as simulation
 from plural.cli import main
 from plural.config import ScenarioConfig
 from plural.errors import PluralError
-from plural.rank import feed_lines
 
 from test_config_cli import OUTPUTS
 from test_sim import TINY_SCENARIO, market_doc
@@ -35,9 +34,7 @@ def test_cli_files_equal_in_memory_run(tmp_path, name, rounds):
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(scenario), "--out", str(out),
                  "--rounds", str(rounds)]) == 0
-    feeds = "".join(line for round_, citizen, feed in kept.feeds
-                    for line in feed_lines(round_, citizen, feed))
-    assert (out / "feeds.jsonl").read_text(encoding="utf-8") == feeds
+    assert (out / "feeds.jsonl").read_text(encoding="utf-8") == "".join(kept.feed_lines)
     assert (out / "ledger.csv").read_text(encoding="utf-8") == "".join(kept.ledger.csv_lines())
     assert not list(out.glob("*.partial"))
 
@@ -47,16 +44,16 @@ def test_cli_files_equal_in_memory_run(tmp_path, name, rounds):
 def test_streamed_run_keeps_no_rows_and_audits(name, rounds):
     doc = SCENARIOS[name]()
     kept = in_memory(doc, rounds)
-    feeds, rows = [], []
+    lines, rows = [], []
 
-    def sink(round_feeds, ledger):
-        feeds.extend(round_feeds)
+    def sink(round_lines, ledger):
+        lines.extend(round_lines)
         rows.extend(zip(*ledger.drain()))
 
     streamed = simulation.run(ScenarioConfig.from_dict(doc), rounds=rounds, sink=sink)
-    assert streamed.feeds == []
+    assert streamed.feed_lines == []
     assert streamed.ledger.entries == []
-    assert feeds == kept.feeds
+    assert lines == kept.feed_lines
     assert rows == [(e.round, e.from_owner, e.to_owner, e.amount, e.reason)
                     for e in kept.ledger.entries]
     # the standing purchases, posted before round 0, come first

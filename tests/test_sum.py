@@ -75,7 +75,7 @@ def test_build_feed_top_total(compensated):
     f, p = _citizen_with_tenths()
     weights = {m: 0.1 for m in range(10)}
     feed = rank.build_feed(p, f, weights, ScoreSet(), RankingParams(feed_size=10))
-    assert [e.exposure_share for e in feed] == [0.1 / left_fold(TENTHS)] * 10
+    assert [share for _, share in feed] == [0.1 / left_fold(TENTHS)] * 10
 
 
 def test_sponsor_shares(compensated):
