@@ -15,8 +15,8 @@ from .detect import (AttitudeMatrix, FuzzyPartition, fuzzy_c_means,
 from .econ import (Advertiser, AdDeal, EconParams, Ledger, LedgerEntry,
                    attribute_entry, reward_standing, sell_standing, settle_round)
 from .fabric import Citizen, Community, MembershipEdge, SocialFabric
-from .rank import (EffectivePsi, Feeds, PsiOverrides, RankingParams, build_feed,
-                   exposure_weights, feed_lines, seed_content)
+from .rank import (Feeds, PsiOverrides, RankingParams, build_feed, exposure_weights,
+                   feed_lines, seed_content, served)
 from .score import (ContentItem, ReactionMatrix, ScoreCard, ScoreSet,
                     ScoringParams, balancing_set, bridging_gac, bridging_mf,
                     citizen_score, community_score, divisiveness, interest,

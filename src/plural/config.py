@@ -332,6 +332,10 @@ class ScenarioConfig(_Section):
             for j, deal in enumerate(adv.deals):
                 _check_index(deal.community, n_communities, "community",
                              f"{p}.deals[{j}].community")
+                if any(d.community == deal.community for d in adv.deals[:j]):
+                    # each deal would pay for the same impression
+                    raise ConfigError(f"{p}.deals[{j}].community",
+                                      f"community {deal.community} is in an earlier deal")
             purchase = adv.standing_purchase
             if purchase is not None:
                 _check_index(purchase.community, n_communities, "community",

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
+import numpy as np
+
 from ._sum import left_sum
 from .config import FUNDS_TOL, AdDealConfig, EconParams
 from .errors import InsufficientFunds, NotFound, Unregistered
@@ -27,8 +29,9 @@ OwnerRef = tuple[str, int]
 
 PLATFORM: OwnerRef = ("platform", 0)
 
-# One attention numerator term: its owner, weight and psi column.
-SponsorTerm = tuple[OwnerRef, float, Mapping[int, float]]
+# One attention numerator term: its owner, weight and psi row (over the
+# psi view's `contents`).
+SponsorTerm = tuple[OwnerRef, float, np.ndarray]
 
 REASONS = ("ImpressionSponsorship", "Subscription", "AdImpression",
            "CreatorReward", "PlatformFee", "StandingPurchase")
@@ -207,15 +210,16 @@ class Advertiser:
 
 def _sponsor_terms(citizen: int, fabric, psi_view) -> list[SponsorTerm]:
     """The citizen's attention numerator terms with a positive weight, each
-    with its owner's psi column."""
+    with its owner's psi row."""
     return [(owner, w, psi_view.column(owner))
             for owner, w in attention_terms(citizen, fabric) if w > 0]
 
 
-def _shares(terms: Sequence[SponsorTerm], content: int) -> list[tuple[OwnerRef, float]]:
-    """Each owner's fraction of the content's attention numerator, over the
-    owners whose term is positive; empty when the numerator is not."""
-    values = [w * col.get(content, 0.0) for _, w, col in terms]
+def _shares(terms: Sequence[SponsorTerm], at: int) -> list[tuple[OwnerRef, float]]:
+    """Each owner's fraction of the attention numerator of the content at
+    position `at`, over the owners whose term is positive; empty when the
+    numerator is not."""
+    values = [w * row.item(at) for _, w, row in terms]
     total = left_sum(values)
     if total <= 0:
         return []
@@ -229,7 +233,7 @@ def attribute_entry(citizen: int, content: int, fabric, psi_view) -> list[tuple[
     its term contributed. Fractions sum to 1; an all-zero numerator (uniform
     fallback or exploration slot) has no sponsors.
     """
-    return _shares(_sponsor_terms(citizen, fabric, psi_view), content)
+    return _shares(_sponsor_terms(citizen, fabric, psi_view), psi_view.columns[content])
 
 
 def settle_round(round_: int, feeds: Feeds, fabric, catalog,
@@ -245,8 +249,8 @@ def settle_round(round_: int, feeds: Feeds, fabric, catalog,
     Advertiser-created content settles only through deal payments
     (AdImpression): advertisers pay the targeted community, and opted-in
     citizens directly, per unit of attention. Sponsors' shares come from
-    `psi_view.column(scope)` (ScoreSet or EffectivePsi). A sponsor's price
-    per lambda-weighted impression is `prices[owner]`, else
+    `psi_view.column(scope)`, the round's ScoreSet or its `served` copy. A
+    sponsor's price per lambda-weighted impression is `prices[owner]`, else
     `params.default_price_per_lambda_impression`. Lambdas are the scenario's,
     read from the fabric; a sponsor that cannot cover a charge has its lambda
     set to 0.0 there at once, for the rest of the run.
@@ -299,7 +303,7 @@ def settle_round(round_: int, feeds: Feeds, fabric, catalog,
                 pay_ad(adv, ("citizen", citizen), adv.personal_price * share)
             continue
 
-        for owner, frac in _shares(terms, mid):
+        for owner, frac in _shares(terms, psi_view.columns[mid]):
             if owner in clamped:
                 continue
             kind, oid = owner
@@ -351,17 +355,17 @@ def reward_standing(scores, fabric, reward_rate: float, catalog) -> None:
     # in ascending content order therefore adds to every edge in the same
     # order as a walk over all cards sorted by (content, scope), so the
     # standings come out bit for bit the same.
+    contents = scores.contents.tolist()
     for cid in sorted(fabric.communities):
         members = fabric.communities[cid].members
-        psi = scores.column(("community", cid))
-        for content_id in sorted(psi):
-            if psi[content_id] <= 0:
+        for content_id, psi in zip(contents, scores.column(("community", cid)).tolist()):
+            if psi <= 0:
                 continue
             content = catalog.get(content_id)
             if content is None or content.creator_kind != "citizen" \
                     or content.creator not in members:
                 continue
-            fabric.update_standing(content.creator, cid, reward_rate * psi[content_id])
+            fabric.update_standing(content.creator, cid, reward_rate * psi)
 
 
 def sell_standing(advertiser: Advertiser, community: int, amount: float,

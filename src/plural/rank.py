@@ -5,15 +5,18 @@ scores of the citizen and of the communities they belong to:
 
     numerator(m) = lambda(p) * psi(m; p) + sum_c devotion(c; p) * lambda(c) * psi(m; c)
 
-normalized over the pool. Feeds take the top-k of that distribution and keep
-a small epsilon of attention for seeded random exploration slots. A round's
-feeds are one table, `Feeds`. Each entry's social provenance (where it
-bridges, where it divides, and what balances it) is read off the round's
-scores only when its feeds.jsonl line is written (`feed_lines`).
+normalized over the pool. psi is read off the round's `ScoreSet`, one row
+per scope, through `served`, which lays the live seeding overrides over the
+community rows. Feeds take the top-k of that distribution and keep a small
+epsilon of attention for seeded random exploration slots. A round's feeds
+are one table, `Feeds`. Each entry's social provenance (where it bridges,
+where it divides, and what balances it) is read off the round's scores only
+when its feeds.jsonl line is written (`feed_lines`).
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -80,35 +83,18 @@ class PsiOverrides:
                 if current_round < expires}
 
 
-class EffectivePsi:
-    """Score view merging organic cards with any live seeding overrides.
-
-    `column(scope)` is the scores' psi column with the overrides live in
-    `current_round` laid over it (community scopes only). Each scope is
-    merged once and kept, so build the view after the round's seeding and
-    read it while the overrides stay as they are.
-    """
-
-    def __init__(self, scores: ScoreSet, overrides: PsiOverrides | None = None,
-                 current_round: int = 0) -> None:
-        self.scores = scores
-        self.overrides = overrides
-        self.current_round = current_round
-        self._columns: dict[Scope, Mapping[int, float]] = {}
-
-    def column(self, scope: Scope) -> Mapping[int, float]:
-        col = self._columns.get(scope)
-        if col is None:
-            col = self.scores.column(scope)
-            if self.overrides is not None and scope[0] == "community":
-                live = self.overrides.live(scope[1], self.current_round)
-                if live:
-                    col = {**col, **live}
-            self._columns[scope] = col
-        return col
-
-    def psi(self, content: int, scope: Scope) -> float:
-        return self.column(scope).get(content, 0.0)
+def served(scores: ScoreSet, overrides: PsiOverrides, round_: int) -> ScoreSet:
+    """The round's scores as ranking and settlement read them: a shallow copy
+    of `scores` whose psi has the overrides live in `round_` laid over the
+    community rows (every community `score_round` saw has one). `scores`
+    itself keeps its organic psi."""
+    view = copy.copy(scores)
+    view.psi = scores.psi.copy()
+    for (kind, community), row in scores.rows.items():
+        if kind == "community":
+            for content, psi in overrides.live(community, round_).items():
+                view.psi[row, scores.columns[content]] = psi
+    return view
 
 
 def attention_terms(citizen: int, fabric) -> list[tuple[Scope, float]]:
@@ -125,43 +111,41 @@ def attention_terms(citizen: int, fabric) -> list[tuple[Scope, float]]:
          for c in sorted(devotions)]
 
 
-def exposure_weights(citizen: int, fabric, psi_view, pool: Sequence[int]) -> dict[int, float]:
+def exposure_weights(citizen: int, fabric, psi_view: ScoreSet,
+                     pool: Sequence[int]) -> dict[int, float]:
     """Attention share per pool content for one citizen.
 
-    `psi_view` needs a .column(scope) method returning {content: psi}
-    (ScoreSet or EffectivePsi); missing scores count as zero. The numerators
-    are built one term at a time over the whole pool: each is
-    0 + term_1 + term_2 + ..., added left to right in `attention_terms`
-    order (citizen first, then communities by id), as `left_sum` adds them.
-    When every numerator is zero the budget is spread uniformly so a cold
-    system still serves content.
+    `psi_view` is the round's ScoreSet, or its `served` copy; a scope
+    without a row scores zero. Every pool content must be one of its
+    `columns`. The numerators are built one term at a time over the whole
+    pool: each is 0 + term_1 + term_2 + ..., added left to right in
+    `attention_terms` order (citizen first, then communities by id), as
+    `left_sum` adds them. When every numerator is zero the budget is spread
+    uniformly so a cold system still serves content.
     """
     if not pool:
         raise ValueError("candidate pool must be non-empty")
+    at = np.fromiter(map(psi_view.columns.__getitem__, pool), np.intp, len(pool))
     (scope, w), *rest = attention_terms(citizen, fabric)
-    psi = psi_view.column(scope)
-    acc = [0 + w * psi.get(m, 0.0) for m in pool]
+    acc = 0 + w * psi_view.column(scope)[at]
     for scope, w in rest:
-        psi = psi_view.column(scope)
-        acc = [a + w * psi.get(m, 0.0) for a, m in zip(acc, pool)]
-    numerators = dict(zip(pool, acc))
-    total = left_sum(numerators.values())
+        acc = acc + w * psi_view.column(scope)[at]
+    total = left_sum(acc.tolist())
     if total <= 0.0:
         share = 1.0 / len(pool)
         return {m: share for m in pool}
-    return {m: v / total for m, v in numerators.items()}
+    return dict(zip(pool, (acc / total).tolist()))
 
 
-def build_feed(citizen: int, fabric, weights: Mapping[int, float], scores: ScoreSet,
-               params: RankingParams, seed: int = 0, round_: int = 0) -> list[tuple[int, float]]:
+def build_feed(citizen: int, weights: Mapping[int, float], *, params: RankingParams,
+               seed: int = 0, round_: int = 0) -> list[tuple[int, float]]:
     """Feed for one citizen: exploitation top-k plus seeded exploration slots,
     as (content, share) pairs in rank order.
 
     The top-k carry (1 - epsilon) of attention proportionally to their
     renormalized weights; epsilon is spread uniformly over up to k contents
     sampled from the rest of the pool. Shares always sum to 1. Entries are
-    ordered by share descending, ties by content id. `fabric` and `scores`
-    go unread; they keep `params` fifth, where perfbench's tracer reads it.
+    ordered by share descending, ties by content id.
     """
     ranked = sorted(weights, key=lambda m: (-weights[m], m))
     top = ranked[:params.feed_size]

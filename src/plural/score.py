@@ -10,11 +10,15 @@ factorization that reads the partisanship-removed intercept as the score.
 A scope is ("community", id) or ("citizen", id). For citizen scopes the
 citizen's communities play the role the principal subcommunities play for a
 community scope.
+
+A round's scores are one `ScoreSet`: arrays over the scored contents, with
+an iota and a psi row per scope over profile rows (beta, delta, label,
+characteristic blocs) that each community holds alone and citizens in the
+same communities share. Cards are built from those arrays only when read.
 """
 
 from __future__ import annotations
 
-import bisect
 import collections.abc
 import csv
 import io
@@ -253,11 +257,6 @@ class _Tally:
         self._approve = (votes > 0).astype(float)
         self._reject = (votes < 0).astype(float)
 
-    def row(self, citizen: int) -> Optional[int]:
-        """The citizen's row; None if it has no record on these contents."""
-        i = bisect.bisect_left(self.citizens, citizen)
-        return i if i < len(self.citizens) and self.citizens[i] == citizen else None
-
     def _member(self, group: Collection[int]) -> list[bool]:
         """Which rows are the group's citizens."""
         return [p in group for p in self.citizens]
@@ -388,13 +387,16 @@ def _spread(rates: np.ndarray) -> tuple[float, frozenset[int]]:
 
 def community_score(iota: float, beta: float, delta: float,
                     popularity_only: bool = False) -> float:
-    """Combined score: interest times the stronger of bridging/balancing
-    (interest alone with `popularity_only`)."""
+    """Combined score of one validated card: interest times the stronger of
+    bridging/balancing (interest alone with `popularity_only`), by the psi
+    formula `score_round` uses."""
     if not (math.isfinite(iota) and math.isfinite(beta) and math.isfinite(delta)):
         raise ValueError("scores must be finite")
     if iota < 0 or not (0 <= beta <= 1) or not (0 <= delta <= 1):
         raise ValueError("iota >= 0 and beta, delta in [0, 1] required")
-    return iota if popularity_only else iota * max(beta, delta)
+    scores = ScoreSet([0], [("community", 0)], [0], 1)
+    scores.iota[0, 0], scores.beta[0, 0], scores.delta[0, 0] = iota, beta, delta
+    return _with_psi(scores, popularity_only).psi.item(0, 0)
 
 
 def assign_label(beta: float, delta: float, characteristic: frozenset[int],
@@ -481,53 +483,9 @@ def bridging_mf(reactions: ReactionMatrix, raters: Iterable[int],
 
 # -- card assembly --------------------------------------------------------------
 
-@dataclass(slots=True)
-class _Profile:
-    """All of a card but iota and psi. Citizens in the same communities share
-    it, so for citizen scopes it is kept once per membership signature."""
-
-    beta: float
-    delta: float
-    label: str
-    characteristic_blocs: frozenset[int]
-    low_confidence: bool
-    strength: float                         # max(beta, delta): psi = iota * strength
-
-
-@dataclass(slots=True)
-class _Column:
-    """One scope as columns over the contents of `profiles`.
-
-    A content missing from `iota` and `psi` has iota = psi = 0.0. The
-    citizen columns `score_round` fills hold only the exposed contents there,
-    as the reactions stood at scoring time. `shared` marks maps other columns
-    also hold: the membership signature's profiles, and `iota`, which is
-    `psi` in the popularity baseline.
-    """
-
-    profiles: dict[int, _Profile] = field(default_factory=dict)
-    iota: dict[int, float] = field(default_factory=dict)
-    psi: dict[int, float] = field(default_factory=dict)
-    shared: bool = False
-
-    def put(self, content: int, profile: _Profile, iota: float, psi: float) -> None:
-        self.profiles[content] = profile
-        self.iota[content] = iota
-        self.psi[content] = psi
-
-    def card(self, content: int, scope: Scope) -> Optional[ScoreCard]:
-        """The content's card in `scope`, built here and only here; None if
-        the column has no such content."""
-        p = self.profiles.get(content)
-        if p is None:
-            return None
-        return ScoreCard(content=content, scope=scope, iota=self.iota.get(content, 0.0),
-                         beta=p.beta, delta=p.delta, psi=self.psi.get(content, 0.0),
-                         characteristic_blocs=p.characteristic_blocs, label=p.label,
-                         low_confidence=p.low_confidence)
-
-
-_NO_SCOPE = _Column()        # read-only stand-in for a scope with no cards
+# A card's label as `ScoreSet.labels` holds it: its index here, 0 for no card.
+_LABELS = (None, LABEL_NEITHER, LABEL_BRIDGING, LABEL_DIVISIVE)
+_CODE = {label: code for code, label in enumerate(_LABELS)}
 
 
 class _Cards(collections.abc.Mapping):
@@ -545,113 +503,159 @@ class _Cards(collections.abc.Mapping):
         return card
 
     def __iter__(self) -> Iterator[tuple[int, Scope]]:
-        for scope, col in self._scores._columns.items():
-            for content in col.profiles:
+        s = self._scores
+        for scope, row in s.rows.items():
+            for content in s.contents[s.labels[s.profile_of[row]] != 0].tolist():
                 yield content, scope
 
     def __len__(self) -> int:
-        return sum(len(col.profiles) for col in self._scores._columns.values())
+        s = self._scores
+        return int(np.count_nonzero(s.labels, axis=1)[s.profile_of].sum())
 
 
 class ScoreSet:
-    """All cards for one scoring pass, with balancing sets per scope.
+    """All cards for one scoring pass, as arrays over `contents` (the scored
+    content ids, ascending; `columns` maps an id to its position), with
+    balancing sets per (content, scope).
 
-    Every scope, community or citizen, is kept as one `_Column`: profiles
-    (all of a card but iota and psi), iota and psi, each by content id. A
-    ScoreCard is built only when `get`, `scope_cards`, `community_cards`,
+    `iota` and `psi` hold one row per scope, at `rows[scope]`: communities by
+    id, then citizens. The rest of a card is its profile, row
+    `profile_of[row]` of `beta`, `delta`, `labels` (a code into `_LABELS`,
+    0 where the scope has no card for the content), `blocs` (characteristic
+    blocs) and `low_confidence`. Each community has a profile row, and
+    citizens in the same communities share one. Where a scope has no card,
+    iota and psi are 0.0.
+
+    A ScoreCard is built only when `get`, `scope_cards`, `community_cards`,
     `cards` or `csv_lines` asks for one. Ranking, settlement and rewards
-    read `column(scope)`, the scope's {content: psi}, where a missing
-    content scores 0.
+    read `column(scope)`, the scope's psi row.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, contents: Sequence[int] = (), scopes: Sequence[Scope] = (),
+                 profile_of: Iterable[int] = (), n_profiles: int = 0) -> None:
+        self.contents = np.array(contents, dtype=np.int64)
+        self.columns = {m: j for j, m in enumerate(self.contents.tolist())}
+        self.rows = {scope: i for i, scope in enumerate(scopes)}
+        self.profile_of = np.fromiter(profile_of, np.intp)
+        shape = (n_profiles, len(self.contents))
+        self.beta, self.delta = np.zeros(shape), np.zeros(shape)
+        self.labels = np.zeros(shape, dtype=np.int8)
+        self.blocs = np.full(shape, frozenset(), dtype=object)
+        self.low_confidence = np.zeros(n_profiles, dtype=bool)
+        self.iota = np.zeros((len(self.rows), len(self.contents)))
+        self.psi = np.zeros_like(self.iota)
         self.balancing: dict[tuple[int, Scope], list[int]] = {}
-        self._columns: dict[Scope, _Column] = {}
+
+    @classmethod
+    def of(cls, cards: Iterable[ScoreCard], contents: Iterable[int] = ()) -> "ScoreSet":
+        """The set of `cards`, each scope with its own profile row, over the
+        cards' contents and `contents`. A later card replaces an earlier one
+        under the same (content, scope); a scope's cards share low_confidence."""
+        by_key = {(card.content, card.scope): card for card in cards}
+        scopes = sorted({scope for _, scope in by_key}, key=lambda s: (s[0] != "community", s[1]))
+        scores = cls(sorted({m for m, _ in by_key}.union(contents)), scopes,
+                     range(len(scopes)), len(scopes))
+        low: dict[Scope, bool] = {}
+        for (m, scope), card in by_key.items():
+            if low.setdefault(scope, card.low_confidence) != card.low_confidence:
+                raise ValueError(f"cards of scope {scope} differ in low_confidence")
+            i, j = scores.rows[scope], scores.columns[m]
+            scores.iota[i, j], scores.psi[i, j] = card.iota, card.psi
+            scores.beta[i, j], scores.delta[i, j] = card.beta, card.delta
+            scores.labels[i, j] = _CODE[card.label]
+            scores.blocs[i, j] = card.characteristic_blocs
+            scores.low_confidence[i] = card.low_confidence
+        return scores
 
     @property
     def cards(self) -> Mapping[tuple[int, Scope], ScoreCard]:
         """Read-only view of every card by (content, scope)."""
         return _Cards(self)
 
-    def _writable(self, scope: Scope) -> _Column:
-        """The scope's column, new if missing and copied if its maps are shared."""
-        col = self._columns.get(scope)
-        if col is None:
-            col = self._columns[scope] = _Column()
-        elif col.shared:
-            col = self._columns[scope] = _Column(dict(col.profiles), dict(col.iota),
-                                                 dict(col.psi))
-        return col
-
-    def add(self, card: ScoreCard) -> None:
-        """File the card under (content, scope), replacing any card there."""
-        profile = _Profile(card.beta, card.delta, card.label, card.characteristic_blocs,
-                           card.low_confidence, max(card.beta, card.delta))
-        self._writable(card.scope).put(card.content, profile, card.iota, card.psi)
-
-    def _scope(self, scope: Scope) -> _Column:
-        return self._columns.get(scope, _NO_SCOPE)
-
-    def scope_cards(self, scope: Scope) -> Mapping[int, ScoreCard]:
-        """One scope's cards by content id, built on each call."""
-        col = self._scope(scope)
-        return {m: col.card(m, scope) for m in col.profiles}
-
-    def get(self, content: int, scope: Scope) -> Optional[ScoreCard]:
-        return self._scope(scope).card(content, scope)
-
     def label(self, content: int, scope: Scope) -> Optional[str]:
         """The card's label, without building the card; None if no card."""
-        p = self._scope(scope).profiles.get(content)
-        return p.label if p is not None else None
+        row, j = self.rows.get(scope), self.columns.get(content)
+        if row is None or j is None:
+            return None
+        return _LABELS[self.labels.item(self.profile_of.item(row), j)]
 
-    def column(self, scope: Scope) -> Mapping[int, float]:
-        """The scope's psi by content id; a missing content scores 0. Do not
-        mutate."""
-        return self._scope(scope).psi
+    def get(self, content: int, scope: Scope) -> Optional[ScoreCard]:
+        label = self.label(content, scope)
+        if label is None:
+            return None
+        row, j = self.rows[scope], self.columns[content]
+        p = self.profile_of[row]
+        return ScoreCard(content=content, scope=scope, iota=self.iota.item(row, j),
+                         beta=self.beta.item(p, j), delta=self.delta.item(p, j),
+                         psi=self.psi.item(row, j), characteristic_blocs=self.blocs[p, j],
+                         label=label, low_confidence=bool(self.low_confidence[p]))
 
-    def psi(self, content: int, scope: Scope) -> float:
-        return self.column(scope).get(content, 0.0)
+    def scope_cards(self, scope: Scope) -> Mapping[int, ScoreCard]:
+        """One scope's cards by content id, in content order, built on each call."""
+        row = self.rows.get(scope)
+        if row is None:
+            return {}
+        held = self.contents[self.labels[self.profile_of[row]] != 0].tolist()
+        return {m: self.get(m, scope) for m in held}
+
+    def column(self, scope: Scope) -> np.ndarray:
+        """The scope's psi row over `contents`; zeros for a scope without a
+        row. Do not mutate."""
+        row = self.rows.get(scope)
+        return self.psi[row] if row is not None else np.zeros(len(self.contents))
 
     def balancing_for(self, content: int, scope: Scope) -> list[int]:
         return self.balancing.get((content, scope), [])
 
     def community_cards(self, community: int) -> list[ScoreCard]:
         """The community scope's cards in content order."""
-        table = self.scope_cards(("community", community))
-        return [table[m] for m in sorted(table)]
+        return list(self.scope_cards(("community", community)).values())
 
     def csv_lines(self) -> Iterator[str]:
         """scorecards.csv lines, header first, cards in (content, scope) order.
         No field needs CSV quoting: ids are ints, scores float reprs
-        (`float.__repr__`, so a numpy scalar prints as a plain number), kinds
-        and labels plain words, characteristic blocs `;`-joined ids. Lines
-        are read off the columns; a profile's fields are formatted once for
-        all the scopes that share it."""
+        (`float.__repr__`), kinds and labels plain words, characteristic
+        blocs `;`-joined ids. A profile's fields are formatted once for all
+        the scopes that share it."""
         yield ",".join(SCORECARD_CSV_HEADER) + "\n"
-        columns = {scope: (col, f"{scope[0]},{scope[1]}") for scope, col in self._columns.items()}
-        fields: dict[int, tuple[str, str]] = {}     # id(profile) -> text either side of psi
+        order = sorted(self.rows.items())
+        where = [f"{kind},{sid}" for (kind, sid), _ in order]
+        rows = np.array([row for _, row in order], dtype=np.intp)
+        profiles = self.profile_of[rows]
+        held = self.labels[profiles] != 0
         r = float.__repr__
-        for content, scope in sorted((m, scope) for scope, (col, _) in columns.items()
-                                     for m in col.profiles):
-            col, where = columns[scope]
-            p = col.profiles[content]
-            text = fields.get(id(p))
-            if text is None:
-                blocs = ";".join(map(str, sorted(p.characteristic_blocs)))
-                text = fields[id(p)] = (f"{r(p.beta)},{r(p.delta)}", f"{p.label},{blocs}\n")
-            yield (f"{content},{where},{r(col.iota.get(content, 0.0))},{text[0]},"
-                   f"{r(col.psi.get(content, 0.0))},{text[1]}")
+        for j, content in enumerate(self.contents.tolist()):
+            fields: dict[int, tuple[str, str]] = {}      # profile -> text either side of psi
+            ks = np.flatnonzero(held[:, j])
+            for k, p, iota, psi in zip(ks.tolist(), profiles[ks].tolist(),
+                                       self.iota[rows[ks], j].tolist(),
+                                       self.psi[rows[ks], j].tolist()):
+                text = fields.get(p)
+                if text is None:
+                    blocs = ";".join(map(str, sorted(self.blocs[p, j])))
+                    text = fields[p] = (f"{r(self.beta.item(p, j))},{r(self.delta.item(p, j))}",
+                                        f"{_LABELS[self.labels.item(p, j)]},{blocs}\n")
+                yield f"{content},{where[k]},{r(iota)},{text[0]},{r(psi)},{text[1]}"
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())
 
 
-def _profiles(rates: np.ndarray, sizes: Sequence[int], params: ScoringParams,
-              beta_override: Sequence[float | None] | None = None) -> list[_Profile]:
-    """Beta, delta and label for each row of per-bloc approval rates, one
-    row per content (the one labeling path). A row's `beta_override`, when
-    not None, replaces its consensus product."""
+def _with_psi(scores: ScoreSet, popularity_only: bool) -> ScoreSet:
+    """`scores` with every scope's psi row set from its iota and profile by
+    the one psi formula: interest times the stronger of bridging and
+    balancing, or interest alone under `popularity_only`."""
+    scores.psi = scores.iota if popularity_only else \
+        scores.iota * np.maximum(scores.beta, scores.delta)[scores.profile_of]
+    return scores
+
+
+def _profile(scores: ScoreSet, p: int, cols: Sequence[int], rates: np.ndarray,
+             sizes: Sequence[int], params: ScoringParams,
+             beta_override: Sequence[float | None] | None = None) -> None:
+    """Fill profile row `p` of `scores` at content positions `cols` from one
+    row of per-bloc approval rates per content (the one labeling path). A
+    content's `beta_override`, when not None, replaces its consensus product."""
     rates = np.ascontiguousarray(rates, dtype=float)
     n_rows = rates.shape[0]
     if len(sizes) >= 2:
@@ -661,26 +665,27 @@ def _profiles(rates: np.ndarray, sizes: Sequence[int], params: ScoringParams,
             beta = np.array([b if o is None else o
                              for b, o in zip(beta.tolist(), beta_override)], dtype=float)
         delta, characteristic = _spreads(rates)
-        low_confidence = False
     else:
         # Degenerate structure: raw smoothed approval over the single bloc.
         beta = rates[:, 0] if len(sizes) else np.full(n_rows, 0.5)
         delta, characteristic = np.zeros(n_rows), [frozenset()] * n_rows
-        low_confidence = True
     n_blocs = max(len(sizes), 1)
-    return [_Profile(b, d, assign_label(b, d, c, n_blocs, params.label_floor), c,
-                     low_confidence, max(b, d))
-            for b, d, c in zip(beta.tolist(), delta.tolist(), characteristic)]
+    scores.beta[p, cols], scores.delta[p, cols] = beta, delta
+    scores.labels[p, cols] = [_CODE[assign_label(b, d, c, n_blocs, params.label_floor)]
+                              for b, d, c in zip(beta.tolist(), delta.tolist(), characteristic)]
+    scores.blocs[p, cols] = characteristic
+    scores.low_confidence[p] = len(sizes) < 2
 
 
-def _score_community(col: _Column, comm, cols: Sequence[int], tally: _Tally,
+def _score_community(scores: ScoreSet, k: int, comm, cols: Sequence[int], tally: _Tally,
                      params: ScoringParams,
                      beta_raw: Mapping[int, float] | None = None) -> np.ndarray:
-    """Score the tally's contents at positions `cols` into the community's
-    column, in one pass. Blocs are the principal subcommunities; below two,
-    the whole member set is the single bloc. `beta_raw` holds fitted betas
-    that replace the consensus product. Returns the smoothed rate over all
-    members for every content of the tally."""
+    """Score the tally's contents at positions `cols` into row and profile
+    row `k` of `scores`, the community's, in one pass. Blocs are the
+    principal subcommunities; below two, the whole member set is the single
+    bloc. `beta_raw` holds fitted betas that replace the consensus product.
+    Returns the smoothed rate over all members for every content of the
+    tally."""
     blocs = comm.principal_subcommunities
     groups = [comm.members] + (list(blocs) if len(blocs) >= 2 else [])
     rates = _smoothed_rates(*tally.counts(groups), params.alpha)
@@ -692,11 +697,10 @@ def _score_community(col: _Column, comm, cols: Sequence[int], tally: _Tally,
         block, sizes = rates[:1, cols].T, [len(comm.members)]
     else:
         block, sizes = np.zeros((len(cols), 0)), []
-    contents = tally.contents[cols].tolist()
-    override = None if beta_raw is None else [beta_raw.get(m) for m in contents]
-    iota = tally.interest(comm.members)[cols].tolist()
-    for m, p, v in zip(contents, _profiles(block, sizes, params, override), iota):
-        col.put(m, p, v, community_score(v, p.beta, p.delta, params.popularity_only))
+    override = None if beta_raw is None else \
+        [beta_raw.get(m) for m in tally.contents[cols].tolist()]
+    _profile(scores, k, cols, block, sizes, params, override)
+    scores.iota[k, cols] = tally.interest(comm.members)[cols]
     return rates[0]
 
 
@@ -709,55 +713,37 @@ def score_for_community(content: ContentItem, community, reactions: ReactionMatr
     of them the card falls back to the raw approval rate and is flagged
     low-confidence.
     """
+    scope = ("community", community.id)
+    scores = ScoreSet([content.id], [scope], [0], 1)
     tally = _Tally(reactions, [content.id], current_round, params.half_life)
-    col = _Column()
-    _score_community(col, community, [0], tally, params,
+    _score_community(scores, 0, community, [0], tally, params,
                      None if beta_override is None else {content.id: beta_override})
-    return col.card(content.id, ("community", community.id))
+    return _with_psi(scores, params.popularity_only).get(content.id, scope)
 
 
-@dataclass(slots=True)
-class _Signature:
-    """What citizens in the same communities share: the profiles of the
-    contents they could be served, at tally positions `cols`, with each
-    profile's strength, and which of the contents are Divisive."""
-
-    profiles: dict[int, _Profile]
-    cols: np.ndarray
-    strength: np.ndarray
-    divisive: list[int]
-
-
-def _signature(rates: Mapping[int, np.ndarray], comms: Sequence[int], cols: Sequence[int],
-               tally: _Tally, fabric, params: ScoringParams) -> _Signature:
-    """Profiles of the tally's contents at positions `cols` for citizens in
-    exactly the communities `comms`, whose whole-member rates (per tally
+def _score_signature(scores: ScoreSet, p: int, rates: Mapping[int, np.ndarray],
+                     comms: Sequence[int], cols: Sequence[int], fabric,
+                     params: ScoringParams) -> None:
+    """Profile row `p` of `scores`, at content positions `cols`, for citizens
+    in exactly the communities `comms`, whose whole-member rates (per
     content) are `rates`: the communities stand in for blocs."""
     cols = np.asarray(cols, dtype=np.intp)
     block = np.stack([rates[c][cols] for c in comms], axis=1) if comms \
         else np.zeros((len(cols), 0))
-    sizes = [len(fabric.communities[c].members) for c in comms]
-    profiles = dict(zip(tally.contents[cols].tolist(), _profiles(block, sizes, params)))
-    return _Signature(profiles, cols, np.array([p.strength for p in profiles.values()]),
-                      [m for m, p in profiles.items() if p.label == LABEL_DIVISIVE])
+    _profile(scores, p, cols, block, [len(fabric.communities[c].members) for c in comms],
+             params)
 
 
-def _citizen_column(sig: _Signature, tally: _Tally, citizen: int,
-                    popularity_only: bool) -> _Column:
-    """A citizen scope's column over the signature's contents: iota is the
-    interest weight of the citizen's own record (the singleton scope's
-    interest), kept for the contents it was exposed to; psi = iota *
-    strength, or iota alone under `popularity_only`."""
-    i = tally.row(citizen)
-    if i is None:
-        return _Column(sig.profiles, {}, {}, shared=True)
-    seen = tally.exposed[i, sig.cols]
-    hit = sig.cols[seen]
-    contents, weight = tally.contents[hit].tolist(), tally.weight[i, hit]
-    iota = dict(zip(contents, weight.tolist()))
-    psi = iota if popularity_only else \
-        dict(zip(contents, (weight * sig.strength[seen]).tolist()))
-    return _Column(sig.profiles, iota, psi, shared=True)
+def _citizen_iota(scores: ScoreSet, first: int, citizens: Sequence[int],
+                  tally: _Tally) -> None:
+    """Set the iota rows from `first` on, one per citizen: the interest weight
+    of the citizen's own record (the singleton scope's interest) where it has
+    a card, 0.0 elsewhere."""
+    if tally.citizens:
+        rows = np.arange(first, first + len(citizens))
+        at, has = _positions(np.array(tally.citizens, dtype=np.int64), citizens)
+        held = has[:, None] & (scores.labels[scores.profile_of[rows]] != 0)
+        scores.iota[rows] = np.where(held, tally.weight[at], 0.0)
 
 
 def citizen_score(content: ContentItem, citizen: int, fabric, reactions: ReactionMatrix,
@@ -771,12 +757,14 @@ def citizen_score(content: ContentItem, citizen: int, fabric, reactions: Reactio
     degenerate community.
     """
     comms = fabric.member_communities(citizen)
+    scope = ("citizen", citizen)
+    scores = ScoreSet([content.id], [scope], [0], 1)
     tally = _Tally(reactions, [content.id], current_round, params.half_life)
     pos, neg = tally.counts([fabric.communities[c].members for c in comms])
-    rates = dict(zip(comms, _smoothed_rates(pos, neg, params.alpha)))
-    sig = _signature(rates, comms, [0], tally, fabric, params)
-    col = _citizen_column(sig, tally, citizen, params.popularity_only)
-    return col.card(content.id, ("citizen", citizen))
+    _score_signature(scores, 0, dict(zip(comms, _smoothed_rates(pos, neg, params.alpha))),
+                     comms, [0], fabric, params)
+    _citizen_iota(scores, 0, [citizen], tally)
+    return _with_psi(scores, params.popularity_only).get(content.id, scope)
 
 
 def balancing_set(scope: Scope, content: int, scores: ScoreSet,
@@ -789,22 +777,19 @@ def balancing_set(scope: Scope, content: int, scores: ScoreSet,
     (counterparts exist only where the scope's content allows). Sorted by
     psi descending, then content id.
     """
-    col = scores._scope(scope)
-    base = col.profiles.get(content)
-    if base is None or base.label != LABEL_DIVISIVE:
+    if scores.label(content, scope) != LABEL_DIVISIVE:
         raise ValueError(f"content {content} is not Divisive in scope {scope}")
+    row, j = scores.rows[scope], scores.columns[content]
+    p = scores.profile_of[row]
+    delta, blocs, psi = scores.delta[p], scores.blocs[p], scores.psi[row]
+    near = np.flatnonzero((scores.labels[p] == _CODE[LABEL_DIVISIVE])
+                          & (np.abs(delta - delta[j]) <= delta_tol))
     out: list[tuple[float, int]] = []
-    for m, p in col.profiles.items():
-        if m == content or p.label != LABEL_DIVISIVE:
+    for k, m in zip(near.tolist(), scores.contents[near].tolist()):
+        if k == j or blocs[k] & blocs[j] or topic_overlap_required \
+                and not catalog[m].topics & catalog[content].topics:
             continue
-        if abs(p.delta - base.delta) > delta_tol:
-            continue
-        if p.characteristic_blocs & base.characteristic_blocs:
-            continue
-        if topic_overlap_required:
-            if not (catalog[m].topics & catalog[content].topics):
-                continue
-        out.append((-col.psi.get(m, 0.0), m))
+        out.append((-psi.item(k), m))
     out.sort()
     return [m for _, m in out]
 
@@ -812,8 +797,8 @@ def balancing_set(scope: Scope, content: int, scores: ScoreSet,
 def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatrix,
                 params: ScoringParams, current_round: int,
                 mf_seed: int = 0) -> ScoreSet:
-    """Full scoring pass: community columns for every (content, target
-    community), citizen columns for every content a citizen could be served,
+    """Full scoring pass: community rows for every (content, target
+    community), citizen rows for every content a citizen could be served,
     and balancing sets for everything labeled Divisive.
 
     The mf backend fits on read: only a community with at least two principal
@@ -823,10 +808,9 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
     identical to calling score_for_community / citizen_score pairwise: those
     are one-content runs of the same passes. Here the records are tallied
     once, each community's contents are profiled in one pass, and so are
-    each membership signature's; every scope's column is filled directly
-    (see ScoreSet).
+    each membership signature's; every citizen's iota is one gather from the
+    tally, and psi one formula over every row (see ScoreSet).
     """
-    scores = ScoreSet()
     contents = sorted(catalog)
     tally = _Tally(reactions, contents, current_round, params.half_life)
     targeting: dict[int, list[int]] = {}        # community -> positions in `contents`
@@ -834,8 +818,20 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
         for cid in catalog[mid].target_communities:
             targeting.setdefault(cid, []).append(j)
 
+    # Citizens with identical membership signatures share everything but
+    # interest, so each signature has one profile row, after the communities'.
+    communities, citizens = sorted(fabric.communities), sorted(fabric.citizens)
+    signatures: dict[tuple[int, ...], int] = {}
+    profile_of = list(range(len(communities)))
+    for pid in citizens:
+        comms = tuple(fabric.member_communities(pid))
+        profile_of.append(signatures.setdefault(comms, len(communities) + len(signatures)))
+    scores = ScoreSet(contents, [("community", c) for c in communities]
+                      + [("citizen", p) for p in citizens],
+                      profile_of, len(communities) + len(signatures))
+
     whole: dict[int, np.ndarray] = {}           # community -> rate over all members
-    for cid in sorted(fabric.communities):
+    for k, cid in enumerate(communities):
         comm = fabric.communities[cid]
         cols = targeting.get(cid, [])
         beta_raw = None
@@ -846,34 +842,21 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
                                        seed=derive_seed(mf_seed, "mf-community", cid)).beta_raw
             except InsufficientData:
                 pass
-        whole[cid] = _score_community(
-            scores._writable(("community", cid)) if cols else _Column(),
-            comm, cols, tally, params, beta_raw)
+        whole[cid] = _score_community(scores, k, comm, cols, tally, params, beta_raw)
+    for comms, p in signatures.items():
+        cols = sorted(set().union(*(targeting.get(c, ()) for c in comms)))
+        _score_signature(scores, p, whole, comms, cols, fabric, params)
+    _citizen_iota(scores, len(communities), citizens, tally)
+    _with_psi(scores, params.popularity_only)
 
-    def balance(scope: Scope, mid: int) -> None:
-        scores.balancing[(mid, scope)] = balancing_set(
-            scope, mid, scores, catalog,
-            topic_overlap_required=params.topic_overlap_required,
-            delta_tol=params.delta_tol)
-
-    # Balancing sets are read by key only, so the sweep needs no order.
-    for scope, col in scores._columns.items():
-        for mid, p in col.profiles.items():
-            if p.label == LABEL_DIVISIVE:
-                balance(scope, mid)
-
-    # Citizens with identical membership signatures share everything but
-    # interest, so their profiles, and which of them are Divisive, are
-    # computed once per signature.
-    signatures: dict[tuple[int, ...], _Signature] = {}
-    for pid in sorted(fabric.citizens):
-        comms = tuple(fabric.member_communities(pid))
-        sig = signatures.get(comms)
-        if sig is None:
-            cols = sorted(set().union(*(targeting.get(c, ()) for c in comms)))
-            sig = signatures[comms] = _signature(whole, comms, cols, tally, fabric, params)
-        scope: Scope = ("citizen", pid)
-        scores._columns[scope] = _citizen_column(sig, tally, pid, params.popularity_only)
-        for mid in sig.divisive:
-            balance(scope, mid)
+    # Each Divisive card gets its balancing set; they are read by key only,
+    # so the sweep needs no order.
+    divisive = [scores.contents[labels == _CODE[LABEL_DIVISIVE]].tolist()
+                for labels in scores.labels]
+    for scope, row in scores.rows.items():
+        for mid in divisive[profile_of[row]]:
+            scores.balancing[(mid, scope)] = balancing_set(
+                scope, mid, scores, catalog,
+                topic_overlap_required=params.topic_overlap_required,
+                delta_tol=params.delta_tol)
     return scores

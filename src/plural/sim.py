@@ -25,8 +25,8 @@ from .econ import (PLATFORM, Advertiser, Ledger, OwnerRef, reward_standing,
                    sell_standing, settle_round)
 from .errors import DegenerateInput, EmptyCommunity, TooSmall
 from .fabric import SocialFabric
-from .rank import (EffectivePsi, Feeds, PsiOverrides, build_feed, exposure_weights,
-                   feed_lines, seed_content)
+from .rank import (Feeds, PsiOverrides, build_feed, exposure_weights,
+                   feed_lines, seed_content, served)
 from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights,
                     consensus_products, divisiveness, score_round)
 
@@ -390,7 +390,7 @@ class _Simulation:
             except (TooSmall, DegenerateInput):
                 pass  # keep the previous structure, if any
 
-    def _rank_phase(self, round_: int, psi_view: EffectivePsi) -> Feeds:
+    def _rank_phase(self, round_: int, psi_view: ScoreSet) -> Feeds:
         """The round's feed table: each citizen's feed, ranked over the contents
         targeted at its communities (plus personal ads it accepts) it has not
         reacted to."""
@@ -410,8 +410,8 @@ class _Simulation:
             if not pool:
                 continue
             weights = exposure_weights(citizen, self.fabric, psi_view, pool)
-            feed = build_feed(citizen, self.fabric, weights, self.scores,
-                              self.config.ranking, seed=self.seed, round_=round_)
+            feed = build_feed(citizen, weights, params=self.config.ranking,
+                              seed=self.seed, round_=round_)
             if feed:
                 feeds[citizen] = feed
         return Feeds.of(feeds)
@@ -555,7 +555,7 @@ class _Simulation:
             self.scores = score_round(self.fabric, self.catalog, self.reactions,
                                       cfg.scoring, round_,
                                       mf_seed=derive_seed(self.seed, "mf", round_))
-            psi_view = EffectivePsi(self.scores, self.overrides, round_)
+            psi_view = served(self.scores, self.overrides, round_)
             feeds = self._rank_phase(round_, psi_view)
             self._react_phase(round_, feeds)
             self._belief_phase(round_, feeds)

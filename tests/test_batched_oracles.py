@@ -15,9 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plural.config import ScoringParams
-from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, LABEL_NEITHER, _bloc_weights,
-                          _profiles, _spread, _spreads, consensus_product,
-                          consensus_products)
+from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, LABEL_NEITHER, ScoreSet,
+                          _bloc_weights, _profile, _spread, _spreads, _with_psi,
+                          consensus_product, consensus_products)
 from plural.sim import _aggregate_rows, _bloc_positions, aggregate_belief
 
 
@@ -81,8 +81,17 @@ def old_aggregate_values(values, weights, bloc_idx):
     return old_consensus_product(values, weights / weights.sum())
 
 
-def fields(p):
-    return p.beta, p.delta, p.label, p.characteristic_blocs, p.low_confidence, p.strength
+def profile_rows(rates, sizes, params, beta_override=None):
+    """The rows `_profile` files for `rates` into a one-profile ScoreSet, read
+    back through its cards as old_profile tuples. iota is 1.0, so psi is the
+    strength max(beta, delta)."""
+    n = rates.shape[0]
+    scores = ScoreSet(range(n), [("community", 0)], [0], 1)
+    _profile(scores, 0, list(range(n)), rates, sizes, params, beta_override)
+    scores.iota[0] = 1.0
+    cards = [_with_psi(scores, False).get(j, ("community", 0)) for j in range(n)]
+    return [(c.beta, c.delta, c.label, c.characteristic_blocs, c.low_confidence, c.psi)
+            for c in cards]
 
 
 # -- strategies -------------------------------------------------------------------
@@ -163,14 +172,14 @@ def test_profile_rows_equal_scalar(rates, backend, floor, data):
         per_row = override or [None] * len(rates)
         want = [old_profile(row, sizes, params, o) for row, o in zip(rates, per_row)]
         for block in layouts(rates):
-            assert [fields(p) for p in _profiles(block, sizes, params, override)] == want
+            assert profile_rows(block, sizes, params, override) == want
 
 
 def test_profile_without_blocs():
     # no members: no rates, beta at the 0.5 prior, low confidence
     params = ScoringParams()
     want = old_profile(np.zeros(0), [], params)
-    assert [fields(p) for p in _profiles(np.zeros((3, 0)), [], params)] == [want] * 3
+    assert profile_rows(np.zeros((3, 0)), [], params) == [want] * 3
 
 
 # -- common belief ------------------------------------------------------------------

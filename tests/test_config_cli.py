@@ -225,6 +225,10 @@ MALFORMED_SCENARIOS = {
     "purchase_zero_amount": (["advertisers"], [{"budget": 1.0, "standing_purchase": {
         "community": 0, "amount": 0.0, "price": 0.5}}],
         "advertisers[0].standing_purchase.amount"),
+    "deal_community_twice": (["advertisers"], [{"budget": 1.0, "deals": [
+        {"community": 0, "price_per_impression": 0.1},
+        {"community": 0, "price_per_impression": 0.2}]}],
+        "advertisers[0].deals[1].community"),
     "unknown_scoring_key": (["scoring", "alpah"], 2, "scoring.alpah"),
     "unknown_top_level_key": (["ranknig"], {"feed_size": 4}, "ranknig"),
     "unknown_deal_key": (["advertisers"], [{"budget": 1.0, "deals": [

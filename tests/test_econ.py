@@ -25,10 +25,11 @@ def one_community_world(lambda_c=1.0, balance=100.0):
     ledger = Ledger()
     ledger.open_account(("community", c), balance)
     catalog = {0: ContentItem(id=0, creator=creator, target_communities={c})}
-    scores = ScoreSet()
-    scores.add(ScoreCard(content=0, scope=("community", c), iota=1.0, beta=1.0,
-                         delta=0.0, psi=1.0))
+    cards = []
+    cards.append(ScoreCard(content=0, scope=("community", c), iota=1.0, beta=1.0,
+                           delta=0.0, psi=1.0))
     feeds = Feeds.of({p: [(0, 1.0)]})
+    scores = ScoreSet.of(cards)
     return f, p, creator, c, ledger, catalog, scores, feeds
 
 
@@ -117,10 +118,11 @@ class TestSettleRound:
         ledger = Ledger()
         ledger.open_account(("citizen", p), 10.0)
         catalog = {0: ContentItem(id=0, creator=creator, target_communities={c})}
-        scores = ScoreSet()
-        scores.add(ScoreCard(content=0, scope=("citizen", p), iota=1.0, beta=0.5,
-                             delta=0.0, psi=0.5))
+        cards = []
+        cards.append(ScoreCard(content=0, scope=("citizen", p), iota=1.0, beta=0.5,
+                               delta=0.0, psi=0.5))
         feeds = Feeds.of({p: [(0, 1.0)]})
+        scores = ScoreSet.of(cards)
         settle_round(0, feeds, f, catalog, scores, {}, {},
                      EconParams(default_price_per_lambda_impression=1.0), ledger)
         assert [e.reason for e in ledger.entries] == ["Subscription", "CreatorReward"]
@@ -135,10 +137,11 @@ class TestSettleRound:
         f.add_membership(creator, c, 1.0, 1.0)
         ledger = Ledger()
         catalog = {0: ContentItem(id=0, creator=creator, target_communities={c})}
-        scores = ScoreSet()
-        scores.add(ScoreCard(content=0, scope=("citizen", p), iota=1.0, beta=0.5,
-                             delta=0.0, psi=0.5))
+        cards = []
+        cards.append(ScoreCard(content=0, scope=("citizen", p), iota=1.0, beta=0.5,
+                               delta=0.0, psi=0.5))
         feeds = Feeds.of({p: [(0, 1.0)]})
+        scores = ScoreSet.of(cards)
         settle_round(0, feeds, f, catalog, scores, {}, {},
                      EconParams(default_price_per_lambda_impression=1.0), ledger)
         assert ledger.entries == []
@@ -162,11 +165,12 @@ class TestSettleRound:
         c2 = f.add_community(lambda_=0.8)
         f.add_membership(p, c1, 1.0, 1.3)
         f.add_membership(p, c2, 1.0, 0.7)
-        scores = ScoreSet()
+        cards = []
         for scope in (("citizen", p), ("community", c1), ("community", c2)):
-            scores.add(ScoreCard(content=0, scope=scope, iota=1.0,
-                                 beta=float(rng.uniform(0.2, 1)), delta=0.0,
-                                 psi=float(rng.uniform(0.2, 1))))
+            cards.append(ScoreCard(content=0, scope=scope, iota=1.0,
+                                   beta=float(rng.uniform(0.2, 1)), delta=0.0,
+                                   psi=float(rng.uniform(0.2, 1))))
+        scores = ScoreSet.of(cards)
         terms = attribute_entry(p, 0, f, scores)
         assert terms, "expected sponsored terms"
         assert sum(frac for _, frac in terms) == pytest.approx(1.0, abs=1e-9)
@@ -190,20 +194,21 @@ class TestSettleRound:
         catalog = {m: ContentItem(id=m, creator=citizens[m % len(citizens)],
                                   target_communities={int(rng.choice(comms))})
                    for m in range(8)}
-        scores = ScoreSet()
+        cards = []
         for m in catalog:
             for c in comms:
-                scores.add(ScoreCard(content=m, scope=("community", c), iota=1.0,
-                                     beta=float(rng.uniform(0, 1)), delta=0.0,
-                                     psi=float(rng.uniform(0, 1))))
+                cards.append(ScoreCard(content=m, scope=("community", c), iota=1.0,
+                                       beta=float(rng.uniform(0, 1)), delta=0.0,
+                                       psi=float(rng.uniform(0, 1))))
             for p in citizens:
-                scores.add(ScoreCard(content=m, scope=("citizen", p), iota=1.0,
-                                     beta=0.5, delta=0.0, psi=float(rng.uniform(0, 1))))
+                cards.append(ScoreCard(content=m, scope=("citizen", p), iota=1.0,
+                                       beta=0.5, delta=0.0, psi=float(rng.uniform(0, 1))))
         feeds = {}
         for p in citizens:
             pool = list(catalog)
             shares = rng.dirichlet(np.ones(len(pool)))
             feeds[p] = list(zip(pool, shares.tolist()))
+        scores = ScoreSet.of(cards)
         settle_round(0, Feeds.of(feeds), f, catalog, scores, {}, {},
                      EconParams(platform_fee=0.25, creator_share=0.6,
                                 default_price_per_lambda_impression=0.5), ledger)
@@ -218,14 +223,15 @@ class TestSettleRound:
         def revenue(psi_value):
             f, p, creator, c, ledger, catalog, scores, feeds = \
                 one_community_world()
-            scores = ScoreSet()
-            scores.add(ScoreCard(content=0, scope=("community", c), iota=1.0,
-                                 beta=psi_value, delta=0.0, psi=psi_value))
+            cards = []
+            cards.append(ScoreCard(content=0, scope=("community", c), iota=1.0,
+                                   beta=psi_value, delta=0.0, psi=psi_value))
             other = ContentItem(id=1, creator=p, target_communities={c})
             catalog[1] = other
-            scores.add(ScoreCard(content=1, scope=("community", c), iota=1.0,
-                                 beta=0.5, delta=0.0, psi=0.5))
+            cards.append(ScoreCard(content=1, scope=("community", c), iota=1.0,
+                                   beta=0.5, delta=0.0, psi=0.5))
             feeds = Feeds.of({p: [(0, 0.6), (1, 0.4)]})
+            scores = ScoreSet.of(cards)
             settle_round(0, feeds, f, catalog, scores, {}, {},
                          EconParams(default_price_per_lambda_impression=1.0), ledger)
             return ledger.balance(("citizen", creator))
@@ -252,14 +258,15 @@ class TestSettleRound:
         catalog = {m: ContentItem(id=m, creator=creator, target_communities={c1, c2})
                    for m in range(3)}
         psis = {0: (0.3, 0.8, 0.5), 1: (0.9, 0.1, 0.6), 2: (0.4, 0.7, 0.0)}
-        scores = ScoreSet()
+        cards = []
         for m, row in psis.items():
             for owner, psi in zip(owners, row):
-                scores.add(ScoreCard(content=m, scope=owner, iota=1.0, beta=psi,
-                                     delta=0.0, psi=psi))
+                cards.append(ScoreCard(content=m, scope=owner, iota=1.0, beta=psi,
+                                       delta=0.0, psi=psi))
         prices = {("community", c2): 1.5}
         params = EconParams(platform_fee=0.25, creator_share=0.6,
                             default_price_per_lambda_impression=0.8)
+        scores = ScoreSet.of(cards)
         for m, share in ((0, 0.5), (1, 0.3), (2, 0.2)):
             fractions = dict(attribute_entry(p, m, f, scores))
             start = len(ledger.entries)
@@ -299,12 +306,13 @@ class TestSettleRound:
         ledger.open_account(("community", poor), 0.2)
         catalog = {m: ContentItem(id=m, creator=creator, target_communities={poor, rich})
                    for m in (0, 1)}
-        scores = ScoreSet()
+        cards = []
         for m in (0, 1):
             for scope, psi in ((("citizen", p1), 0.5), (("citizen", p2), 0.5),
                                (("community", poor), 1.0), (("community", rich), 0.5)):
-                scores.add(ScoreCard(content=m, scope=scope, iota=1.0, beta=psi,
-                                     delta=0.0, psi=psi))
+                cards.append(ScoreCard(content=m, scope=scope, iota=1.0, beta=psi,
+                                       delta=0.0, psi=psi))
+        scores = ScoreSet.of(cards)
         feeds = Feeds.of({p: [(0, 0.6), (1, 0.4)] for p in (p1, p2)})
         # numerator terms 0.5 (citizen), 0.5 (poor), 0.25 (rich) per content
         assert dict(attribute_entry(p1, 0, f, scores)) == pytest.approx(
@@ -403,17 +411,19 @@ class TestRewardStanding:
 
     def test_zero_psi_no_change(self):
         f, creator, other, c, catalog = self._world()
-        scores = ScoreSet()
-        scores.add(ScoreCard(content=0, scope=("community", c), iota=0.0, beta=0.5,
-                             delta=0.0, psi=0.0))
+        cards = []
+        cards.append(ScoreCard(content=0, scope=("community", c), iota=0.0, beta=0.5,
+                               delta=0.0, psi=0.0))
+        scores = ScoreSet.of(cards)
         reward_standing(scores, f, 0.1, catalog)
         assert f.standing(creator, c) == pytest.approx(0.5)
 
     def test_creator_gains_other_loses(self):
         f, creator, other, c, catalog = self._world()
-        scores = ScoreSet()
-        scores.add(ScoreCard(content=0, scope=("community", c), iota=1.0, beta=0.8,
-                             delta=0.0, psi=0.8))
+        cards = []
+        cards.append(ScoreCard(content=0, scope=("community", c), iota=1.0, beta=0.8,
+                               delta=0.0, psi=0.8))
+        scores = ScoreSet.of(cards)
         reward_standing(scores, f, 0.5, catalog)
         assert f.standing(creator, c) > 0.5
         assert f.standing(other, c) < 0.5
@@ -422,11 +432,12 @@ class TestRewardStanding:
     def test_increments_proportional_to_psi(self):
         f, creator, other, c, catalog = self._world()
         catalog[1] = ContentItem(id=1, creator=other, target_communities={c})
-        scores = ScoreSet()
-        scores.add(ScoreCard(content=0, scope=("community", c), iota=1.0, beta=0.8,
-                             delta=0.0, psi=0.8))
-        scores.add(ScoreCard(content=1, scope=("community", c), iota=1.0, beta=0.4,
-                             delta=0.0, psi=0.4))
+        cards = []
+        cards.append(ScoreCard(content=0, scope=("community", c), iota=1.0, beta=0.8,
+                               delta=0.0, psi=0.8))
+        cards.append(ScoreCard(content=1, scope=("community", c), iota=1.0, beta=0.4,
+                               delta=0.0, psi=0.4))
+        scores = ScoreSet.of(cards)
         reward_standing(scores, f, 0.5, catalog)
         assert f.raw_standing(creator, c) - 1.0 == pytest.approx(2 * (f.raw_standing(other, c) - 1.0))
 
@@ -442,28 +453,29 @@ class TestRewardStanding:
                 f.add_membership(p, c, 1.0, 1.0)
         f.add_membership(outsider, b, 1.0, 1.0)
         catalog = {}
-        scores = ScoreSet()
+        cards = []
         # Several contents of one creator in both communities; summing these
         # psi values in another order gives other floats.
         psis = [1 / 3, 0.7, 1 / 7, 0.3, 1e-3, 2 / 9]
         for m, psi in enumerate(psis):
             catalog[m] = ContentItem(id=m, creator=creator, target_communities={a, b})
             for c, scale in ((a, 1.0), (b, 0.3)):
-                scores.add(ScoreCard(content=m, scope=("community", c), iota=1.0, beta=psi,
-                                     delta=0.0, psi=psi * scale))
-            scores.add(ScoreCard(content=m, scope=("citizen", other), iota=1.0, beta=0.5,
-                                 delta=0.0, psi=0.5))
+                cards.append(ScoreCard(content=m, scope=("community", c), iota=1.0, beta=psi,
+                                       delta=0.0, psi=psi * scale))
+            cards.append(ScoreCard(content=m, scope=("citizen", other), iota=1.0, beta=0.5,
+                                   delta=0.0, psi=0.5))
         catalog[6] = ContentItem(id=6, creator=other, target_communities={a})
         catalog[7] = ContentItem(id=7, creator=outsider, target_communities={a})
         catalog[8] = ContentItem(id=8, creator=0, target_communities={b},
                                  creator_kind="advertiser")
         for m in (6, 7, 8):
-            scores.add(ScoreCard(content=m, scope=("community", a if m < 8 else b),
-                                 iota=1.0, beta=0.9, delta=0.0, psi=0.9))
-        scores.add(ScoreCard(content=9, scope=("community", a), iota=1.0, beta=0.9,
-                             delta=0.0, psi=0.9))          # not in the catalog
-        scores.add(ScoreCard(content=0, scope=("community", 17), iota=1.0, beta=0.9,
-                             delta=0.0, psi=0.9))          # community not in the fabric
+            cards.append(ScoreCard(content=m, scope=("community", a if m < 8 else b),
+                                   iota=1.0, beta=0.9, delta=0.0, psi=0.9))
+        cards.append(ScoreCard(content=9, scope=("community", a), iota=1.0, beta=0.9,
+                               delta=0.0, psi=0.9))          # not in the catalog
+        cards.append(ScoreCard(content=0, scope=("community", 17), iota=1.0, beta=0.9,
+                               delta=0.0, psi=0.9))          # community not in the fabric
+        scores = ScoreSet.of(cards)
 
         reference = copy.deepcopy(f)
         for (m, scope) in sorted(scores.cards):

@@ -161,6 +161,24 @@ def _load_workloads():
     return module
 
 
+@pytest.mark.parametrize("workload", ["crowd", "market", "mf"])
+def test_benchmark_instance_matches_golden_json(tmp_path, workload):
+    """Instance 10 of each benchmark workload, at its full length, writes the
+    artifacts whose digests perfbench/golden.json records: the benchmark's
+    correctness gate, checked here (golden.json is read, never written)."""
+    workloads = _load_workloads()
+    base = json.loads(DEMO.read_text(encoding="utf-8"))
+    doc = workloads.scenario(base, workload, 10)
+    scenario = tmp_path / f"{workload}.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+    want = golden[workload][str(workloads.instance(10))]
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in want} == want
+    assert len(want) == 5
+
+
 # The same `market` run with devotion adapting at rate 0.1: its citizens sit
 # in two communities each, so the adapted devotions reweight the attention
 # numerator and reach every artifact.

@@ -6,8 +6,8 @@ import pytest
 
 from plural.errors import InsufficientStanding
 from plural.fabric import SocialFabric
-from plural.rank import (EffectivePsi, Feeds, PsiOverrides, RankingParams, build_feed,
-                         exposure_weights, feed_to_records, seed_content)
+from plural.rank import (Feeds, PsiOverrides, RankingParams, build_feed, exposure_weights,
+                         feed_to_records, seed_content, served)
 from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, ContentItem, ReactionMatrix,
                           ScoreCard, ScoreSet, ScoringParams, score_round)
 
@@ -28,17 +28,18 @@ def exposure_oracle(fabric, psi_table, citizen, pool):
     return {m: v / s for m, v in nums.items()}
 
 
-class _TablePsi:
-    """A psi view over a {(content, scope): psi} table."""
+def table_scores(table, pool=()):
+    """A ScoreSet holding one card per entry of a {(content, scope): psi}
+    table, over the table's contents and the pool's."""
+    return ScoreSet.of([ScoreCard(content=m, scope=scope, iota=1.0, beta=0.0, delta=0.0,
+                                  psi=psi) for (m, scope), psi in table.items()],
+                       contents=pool)
 
-    def __init__(self, table):
-        self.table = table
 
-    def column(self, scope):
-        return {m: v for (m, s), v in self.table.items() if s == scope}
-
-    def psi(self, content, scope):
-        return self.table.get((content, scope), 0.0)
+def psi_of(scores, content, scope):
+    """The content's psi in `scope`; 0.0 for a content without a column."""
+    j = scores.columns.get(content)
+    return 0.0 if j is None else scores.column(scope).item(j)
 
 
 def random_instance(rng):
@@ -73,7 +74,7 @@ class TestExposureWeights:
         c = f.add_community(lambda_=1.0)
         f.add_membership(p, c, 1.0, 1.0)
         table = {(0, ("community", c)): 0.3, (1, ("community", c)): 0.1}
-        w = exposure_weights(p, f, _TablePsi(table), [0, 1])
+        w = exposure_weights(p, f, table_scores(table, [0, 1]), [0, 1])
         assert w[0] == pytest.approx(0.75)
         assert w[1] == pytest.approx(0.25)
 
@@ -83,7 +84,7 @@ class TestExposureWeights:
         c = f.add_community(lambda_=1.0)
         f.add_membership(p, c, 1.0, 1.0)
         table = {(m, ("community", c)): 0.4 for m in range(5)}
-        w = exposure_weights(p, f, _TablePsi(table), list(range(5)))
+        w = exposure_weights(p, f, table_scores(table, list(range(5))), list(range(5)))
         assert all(v == pytest.approx(0.2) for v in w.values())
 
     def test_devotion_weighted_sum(self):
@@ -93,31 +94,31 @@ class TestExposureWeights:
         c2 = f.add_community(lambda_=1.0)
         f.add_membership(p, c1, 1.0, 1.0)
         f.add_membership(p, c2, 1.0, 1.0)
-        table = {("A", ("community", c1)): 0.8, ("A", ("community", c2)): 0.0,
-                 ("B", ("community", c1)): 0.4, ("B", ("community", c2)): 0.4}
-        w = exposure_weights(p, f, _TablePsi(table), ["A", "B"])
-        assert w["A"] == pytest.approx(0.5)
-        assert w["B"] == pytest.approx(0.5)
+        table = {(0, ("community", c1)): 0.8, (0, ("community", c2)): 0.0,
+                 (1, ("community", c1)): 0.4, (1, ("community", c2)): 0.4}
+        w = exposure_weights(p, f, table_scores(table), [0, 1])
+        assert w[0] == pytest.approx(0.5)
+        assert w[1] == pytest.approx(0.5)
 
     def test_all_zero_fallback_uniform(self):
         f = SocialFabric()
         p = f.add_citizen()
         f.add_community()
-        w = exposure_weights(p, f, _TablePsi({}), [3, 4, 5])
+        w = exposure_weights(p, f, table_scores({}, [3, 4, 5]), [3, 4, 5])
         assert all(v == pytest.approx(1 / 3) for v in w.values())
 
     def test_empty_pool_rejected(self):
         f = SocialFabric()
         p = f.add_citizen()
         with pytest.raises(ValueError):
-            exposure_weights(p, f, _TablePsi({}), [])
+            exposure_weights(p, f, table_scores({}, []), [])
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(40):
             f, table, pool = random_instance(rng)
             for p in f.citizens:
-                got = exposure_weights(p, f, _TablePsi(table), pool)
+                got = exposure_weights(p, f, table_scores(table, pool), pool)
                 want = exposure_oracle(f, table, p, pool)
                 assert sum(got.values()) == pytest.approx(1.0, abs=1e-9)
                 for m in pool:
@@ -126,13 +127,13 @@ class TestExposureWeights:
     def test_lambda_scale_invariance(self):
         rng = np.random.default_rng(3)
         f, table, pool = random_instance(rng)
-        base = {p: exposure_weights(p, f, _TablePsi(table), pool) for p in f.citizens}
+        base = {p: exposure_weights(p, f, table_scores(table, pool), pool) for p in f.citizens}
         for p in f.citizens.values():
             p.lambda_ *= 7.5
         for c in f.communities.values():
             c.lambda_ *= 7.5
         for p in f.citizens:
-            scaled = exposure_weights(p, f, _TablePsi(table), pool)
+            scaled = exposure_weights(p, f, table_scores(table, pool), pool)
             for m in pool:
                 assert scaled[m] == pytest.approx(base[p][m], abs=1e-12)
 
@@ -145,10 +146,10 @@ class TestExposureWeights:
             return
         c = comms[0]
         m = pool[0]
-        before = exposure_weights(citizen, f, _TablePsi(table), pool)[m]
+        before = exposure_weights(citizen, f, table_scores(table, pool), pool)[m]
         bumped = dict(table)
         bumped[(m, ("community", c))] = bumped.get((m, ("community", c)), 0.0) + 0.5
-        after = exposure_weights(citizen, f, _TablePsi(bumped), pool)[m]
+        after = exposure_weights(citizen, f, table_scores(bumped, pool), pool)[m]
         assert after >= before - 1e-12
 
     def test_raising_community_lambda_lifts_its_argmax(self):
@@ -166,9 +167,9 @@ class TestExposureWeights:
             for m in pool:
                 table[(m, ("community", c1))] = 0.6
             star = max(pool, key=lambda m: table[(m, ("community", c0))])
-            before = exposure_weights(p, f, _TablePsi(table), pool)[star]
+            before = exposure_weights(p, f, table_scores(table, pool), pool)[star]
             f.communities[c0].lambda_ *= float(rng.uniform(1.5, 4.0))
-            after = exposure_weights(p, f, _TablePsi(table), pool)[star]
+            after = exposure_weights(p, f, table_scores(table, pool), pool)[star]
             assert after >= before - 1e-12
 
 
@@ -177,11 +178,10 @@ def feed_fixture(n_contents=10, lambda_p=0.0):
     p = f.add_citizen(lambda_=lambda_p)
     c = f.add_community(lambda_=1.0)
     f.add_membership(p, c, 1.0, 1.0)
-    scores = ScoreSet()
-    for m in range(n_contents):
-        psi = (n_contents - m) / n_contents
-        scores.add(ScoreCard(content=m, scope=("community", c), iota=1.0,
-                             beta=psi, delta=0.0, psi=psi))
+    scores = ScoreSet.of(ScoreCard(content=m, scope=("community", c), iota=1.0,
+                                   beta=(n_contents - m) / n_contents, delta=0.0,
+                                   psi=(n_contents - m) / n_contents)
+                         for m in range(n_contents))
     weights = exposure_weights(p, f, scores, list(range(n_contents)))
     return f, p, c, scores, weights
 
@@ -189,7 +189,7 @@ def feed_fixture(n_contents=10, lambda_p=0.0):
 class TestBuildFeed:
     def test_epsilon_zero_top_k(self):
         f, p, c, scores, weights = feed_fixture()
-        feed = build_feed(p, f, weights, scores, RankingParams(feed_size=3, epsilon=0.0))
+        feed = build_feed(p, weights, params=RankingParams(feed_size=3, epsilon=0.0))
         assert [m for m, _ in feed] == [0, 1, 2]
         top_weight = sum(weights[m] for m in (0, 1, 2))
         for m, share in feed:
@@ -198,13 +198,12 @@ class TestBuildFeed:
 
     def test_k_covers_pool_identity(self):
         f, p, c, scores, weights = feed_fixture(n_contents=5)
-        feed = build_feed(p, f, weights, scores, RankingParams(feed_size=8, epsilon=0.0))
+        feed = build_feed(p, weights, params=RankingParams(feed_size=8, epsilon=0.0))
         assert dict(feed) == pytest.approx(weights)
 
     def test_budget_split(self):
         f, p, c, scores, weights = feed_fixture(n_contents=10)
-        feed = build_feed(p, f, weights, scores,
-                          RankingParams(feed_size=3, epsilon=0.1), seed=5)
+        feed = build_feed(p, weights, params=RankingParams(feed_size=3, epsilon=0.1), seed=5)
         top = [share for m, share in feed if m in (0, 1, 2)]
         rest = [share for m, share in feed if m not in (0, 1, 2)]
         assert sum(top) == pytest.approx(0.9)
@@ -213,14 +212,12 @@ class TestBuildFeed:
 
     def test_epsilon_with_no_rest_pool(self):
         f, p, c, scores, weights = feed_fixture(n_contents=4)
-        feed = build_feed(p, f, weights, scores,
-                          RankingParams(feed_size=4, epsilon=0.2), seed=1)
+        feed = build_feed(p, weights, params=RankingParams(feed_size=4, epsilon=0.2), seed=1)
         assert sum(share for _, share in feed) == pytest.approx(1.0, abs=1e-9)
 
     def test_rank_positions_sorted(self):
         f, p, c, scores, weights = feed_fixture()
-        feed = build_feed(p, f, weights, scores,
-                          RankingParams(feed_size=5, epsilon=0.2), seed=3)
+        feed = build_feed(p, weights, params=RankingParams(feed_size=5, epsilon=0.2), seed=3)
         assert feed == sorted(feed, key=lambda e: (-e[1], e[0]))
         table = Feeds.of({p: feed})
         assert table.rank.tolist() == list(range(len(feed)))
@@ -229,8 +226,8 @@ class TestBuildFeed:
     def test_deterministic(self):
         f, p, c, scores, weights = feed_fixture()
         params = RankingParams(feed_size=3, epsilon=0.3)
-        a = build_feed(p, f, weights, scores, params, seed=9, round_=4)
-        b = build_feed(p, f, weights, scores, params, seed=9, round_=4)
+        a = build_feed(p, weights, params=params, seed=9, round_=4)
+        b = build_feed(p, weights, params=params, seed=9, round_=4)
         assert a == b
 
     def test_provenance_tags(self):
@@ -238,18 +235,18 @@ class TestBuildFeed:
         p = f.add_citizen()
         c = f.add_community(lambda_=1.0)
         f.add_membership(p, c, 1.0, 1.0)
-        scores = ScoreSet()
-        scores.add(ScoreCard(content=0, scope=("community", c), iota=1.0, beta=0.8,
-                             delta=0.1, psi=0.8, label=LABEL_BRIDGING))
-        scores.add(ScoreCard(content=1, scope=("community", c), iota=1.0, beta=0.1,
-                             delta=0.7, psi=0.7, label=LABEL_DIVISIVE,
-                             characteristic_blocs=frozenset({0})))
-        scores.add(ScoreCard(content=1, scope=("citizen", p), iota=1.0, beta=0.2,
-                             delta=0.6, psi=0.6, label=LABEL_DIVISIVE,
-                             characteristic_blocs=frozenset({1})))
+        scores = ScoreSet.of([
+            ScoreCard(content=0, scope=("community", c), iota=1.0, beta=0.8,
+                      delta=0.1, psi=0.8, label=LABEL_BRIDGING),
+            ScoreCard(content=1, scope=("community", c), iota=1.0, beta=0.1,
+                      delta=0.7, psi=0.7, label=LABEL_DIVISIVE,
+                      characteristic_blocs=frozenset({0})),
+            ScoreCard(content=1, scope=("citizen", p), iota=1.0, beta=0.2,
+                      delta=0.6, psi=0.6, label=LABEL_DIVISIVE,
+                      characteristic_blocs=frozenset({1}))])
         scores.balancing[(1, ("community", c))] = [0]
         weights = exposure_weights(p, f, scores, [0, 1])
-        feed = build_feed(p, f, weights, scores, RankingParams(feed_size=2))
+        feed = build_feed(p, weights, params=RankingParams(feed_size=2))
         records = feed_to_records(0, Feeds.of({p: feed}), scores, f)
         by_content = {rec["content"]: rec["provenance"] for rec in records}
         assert by_content[0] == [{"scope_kind": "community", "scope_id": c,
@@ -262,7 +259,7 @@ class TestBuildFeed:
 
     def test_feed_records_shape(self):
         f, p, c, scores, weights = feed_fixture()
-        feed = build_feed(p, f, weights, scores, RankingParams(feed_size=2))
+        feed = build_feed(p, weights, params=RankingParams(feed_size=2))
         recs = feed_to_records(7, Feeds.of({p: feed}), scores, f)
         assert recs[0]["round"] == 7
         assert recs[0]["citizen"] == p
@@ -299,8 +296,9 @@ class TestSeedContent:
         seed_content(ov, f, item_b, c, 0.08, params, 0)
         pa, pb = ov.live(c, 0).get(0), ov.live(c, 0).get(1)
         assert pb == pytest.approx(2 * pa)
-        # identical lambda weighting means exposure follows the 1:2 ratio
-        view = EffectivePsi(ScoreSet(), ov, 0)
+        # identical lambda weighting means exposure follows the 1:2 ratio;
+        # no content has organic psi
+        view = served(table_scores({(0, ("community", c)): 0.0}, [0, 1]), ov, 0)
         w = exposure_weights(a, f, view, [0, 1])
         assert w[1] == pytest.approx(2 * w[0])
 
@@ -361,59 +359,65 @@ class TestSeedContent:
 
     def test_effective_psi_prefers_live_override(self):
         f, a, b, c = self._fabric()
-        scores = ScoreSet()
-        scores.add(ScoreCard(content=0, scope=("community", c), iota=1.0,
-                             beta=0.2, delta=0.0, psi=0.2))
+        scores = table_scores({(0, ("community", c)): 0.2})
         ov = PsiOverrides()
         ov.set(0, c, 0.9, expires_round=2)
-        view = EffectivePsi(scores, ov, current_round=1)
-        assert view.psi(0, ("community", c)) == 0.9
-        view_late = EffectivePsi(scores, ov, current_round=2)
-        assert view_late.psi(0, ("community", c)) == 0.2
+        assert psi_of(served(scores, ov, 1), 0, ("community", c)) == 0.9
+        assert psi_of(served(scores, ov, 2), 0, ("community", c)) == 0.2
 
 
 class TestEffectivePsiColumn:
-    """`column(scope)` agrees with `psi()` content by content, and both
-    follow the overrides live in the view's round."""
+    """`served(scores, overrides, round_)`, which replaced the EffectivePsi
+    view: each scope's psi row in the served copy is the organic one with the
+    overrides live in the round laid over the community rows, and the
+    organic psi array is left as it was."""
+
+    OVERRIDES = ((0, 0, 0.9, 2),     # live in rounds 0 and 1
+                 (2, 0, 0.8, 1),     # live in round 0 only
+                 (7, 0, 0.6, 3),     # content without a card
+                 (3, 5, 0.1, 3))     # community 5 has no card for content 3
+
+    def _scores(self):
+        table = {(0, ("community", 0)): 0.2, (1, ("community", 0)): 0.0,
+                 (2, ("community", 0)): 0.7, (2, ("community", 1)): 0.4,
+                 (8, ("community", 5)): 0.0,
+                 (0, ("citizen", 5)): 0.3, (3, ("citizen", 5)): 0.5}
+        return table_scores(table, range(9))
+
+    def _overrides(self):
+        ov = PsiOverrides()
+        for content, community, psi, expires in self.OVERRIDES:
+            ov.set(content, community, psi, expires_round=expires)
+        return ov
 
     def _view(self, current_round):
-        scores = ScoreSet()
-        for m, psi in ((0, 0.2), (1, 0.0), (2, 0.7)):
-            scores.add(ScoreCard(content=m, scope=("community", 0), iota=1.0,
-                                 beta=psi, delta=0.0, psi=psi))
-        scores.add(ScoreCard(content=2, scope=("community", 1), iota=1.0,
-                             beta=0.4, delta=0.0, psi=0.4))
-        for m, psi in ((0, 0.3), (3, 0.5)):
-            scores.add(ScoreCard(content=m, scope=("citizen", 5), iota=1.0,
-                                 beta=psi, delta=0.0, psi=psi))
-        ov = PsiOverrides()
-        ov.set(0, 0, 0.9, expires_round=2)      # live in rounds 0 and 1
-        ov.set(2, 0, 0.8, expires_round=1)      # live in round 0 only
-        ov.set(7, 0, 0.6, expires_round=3)      # content without a card
-        ov.set(3, 5, 0.1, expires_round=3)      # community 5 has no cards
-        return EffectivePsi(scores, ov, current_round)
+        return served(self._scores(), self._overrides(), current_round)
 
     @pytest.mark.parametrize("scope", [("community", 0), ("community", 1),
                                        ("community", 5), ("citizen", 5),
                                        ("citizen", 0)])
     @pytest.mark.parametrize("current_round", [0, 1, 3])
     def test_column_matches_psi(self, scope, current_round):
-        view = self._view(current_round)
-        col = view.column(scope)
+        scores = self._scores()
+        organic, ov = scores.psi.copy(), self._overrides()
+        view = served(scores, ov, current_round)
+        assert np.array_equal(scores.psi, organic) and view.psi is not scores.psi
+        live = ov.live(scope[1], current_round) if scope[0] == "community" else {}
         for m in range(9):
-            assert col.get(m, 0.0) == view.psi(m, scope)
+            assert psi_of(view, m, scope) == live.get(m, psi_of(scores, m, scope))
 
     def test_live_and_expired_overrides(self):
-        assert dict(self._view(0).column(("community", 0))) == \
-            {0: 0.9, 1: 0.0, 2: 0.8, 7: 0.6}
-        assert dict(self._view(1).column(("community", 0))) == \
-            {0: 0.9, 1: 0.0, 2: 0.7, 7: 0.6}
-        assert dict(self._view(3).column(("community", 0))) == {0: 0.2, 1: 0.0, 2: 0.7}
-        assert dict(self._view(0).column(("community", 5))) == {3: 0.1}
+        def row(current_round, community):
+            return self._view(current_round).column(("community", community)).tolist()
+        assert row(0, 0) == [0.9, 0.0, 0.8, 0.0, 0.0, 0.0, 0.0, 0.6, 0.0]
+        assert row(1, 0) == [0.9, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0, 0.6, 0.0]
+        assert row(3, 0) == [0.2, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert row(0, 5) == [0.0, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_citizen_scope_ignores_overrides(self):
         # overrides are keyed by community id; citizen 5 shares the id only
-        assert dict(self._view(0).column(("citizen", 5))) == {0: 0.3, 3: 0.5}
+        assert self._view(0).column(("citizen", 5)).tolist() == \
+            [0.3, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_citizen_rows_from_score_round(self):
         f = SocialFabric()
@@ -430,13 +434,14 @@ class TestEffectivePsiColumn:
         scores = score_round(f, catalog, rm, ScoringParams(), current_round=2)
         ov = PsiOverrides()
         ov.set(1, c, 0.9, expires_round=3)
-        view = EffectivePsi(scores, ov, current_round=2)
+        organic_psi = scores.psi.copy()
+        view = served(scores, ov, 2)
+        assert np.array_equal(scores.psi, organic_psi)
         for scope in (("citizen", p), ("citizen", q), ("community", c)):
-            col = view.column(scope)
             for m in range(4):
                 card = scores.get(m, scope)
                 organic = card.psi if card is not None else 0.0
-                assert scores.column(scope).get(m, 0.0) == scores.psi(m, scope) == organic
+                assert psi_of(scores, m, scope) == organic
                 expected = 0.9 if (m, scope) == (1, ("community", c)) else organic
-                assert col.get(m, 0.0) == view.psi(m, scope) == expected
-        assert scores.psi(0, ("citizen", p)) > 0.0 and scores.psi(2, ("citizen", p)) == 0.0
+                assert psi_of(view, m, scope) == expected
+        assert psi_of(scores, 0, ("citizen", p)) > 0.0 and psi_of(scores, 2, ("citizen", p)) == 0.0

@@ -244,12 +244,6 @@ class TestCitizenScore:
 
 
 class TestBalancingSet:
-    def _scores_with(self, cards):
-        scores = ScoreSet()
-        for c in cards:
-            scores.add(c)
-        return scores
-
     def _card(self, mid, delta, char, psi=1.0, label=LABEL_DIVISIVE):
         from plural.score import ScoreCard
         return ScoreCard(content=mid, scope=("community", 0), iota=1.0, beta=0.0,
@@ -259,33 +253,33 @@ class TestBalancingSet:
     def test_opposite_pair_symmetric(self):
         catalog = {0: ContentItem(id=0, creator=0, target_communities={0}, topics={1}),
                    1: ContentItem(id=1, creator=0, target_communities={0}, topics={1})}
-        scores = self._scores_with([self._card(0, 0.8, {0}), self._card(1, 0.8, {1})])
+        scores = ScoreSet.of([self._card(0, 0.8, {0}), self._card(1, 0.8, {1})])
         assert balancing_set(("community", 0), 0, scores, catalog, False, 0.2) == [1]
         assert balancing_set(("community", 0), 1, scores, catalog, False, 0.2) == [0]
 
     def test_shared_characteristic_bloc_excluded(self):
         catalog = {0: ContentItem(id=0, creator=0, target_communities={0}),
                    1: ContentItem(id=1, creator=0, target_communities={0})}
-        scores = self._scores_with([self._card(0, 0.8, {0, 1}), self._card(1, 0.8, {1, 2})])
+        scores = ScoreSet.of([self._card(0, 0.8, {0, 1}), self._card(1, 0.8, {1, 2})])
         assert balancing_set(("community", 0), 0, scores, catalog, False, 0.2) == []
 
     def test_zero_tolerance_unequal_deltas(self):
         catalog = {0: ContentItem(id=0, creator=0, target_communities={0}),
                    1: ContentItem(id=1, creator=0, target_communities={0})}
-        scores = self._scores_with([self._card(0, 0.8, {0}), self._card(1, 0.75, {1})])
+        scores = ScoreSet.of([self._card(0, 0.8, {0}), self._card(1, 0.75, {1})])
         assert balancing_set(("community", 0), 0, scores, catalog, False, 0.0) == []
 
     def test_topic_overlap_required(self):
         catalog = {0: ContentItem(id=0, creator=0, target_communities={0}, topics={1}),
                    1: ContentItem(id=1, creator=0, target_communities={0}, topics={2})}
-        scores = self._scores_with([self._card(0, 0.8, {0}), self._card(1, 0.8, {1})])
+        scores = ScoreSet.of([self._card(0, 0.8, {0}), self._card(1, 0.8, {1})])
         assert balancing_set(("community", 0), 0, scores, catalog, True, 0.2) == []
         assert balancing_set(("community", 0), 0, scores, catalog, False, 0.2) == [1]
 
     def test_sorted_by_psi_then_id(self):
         catalog = {m: ContentItem(id=m, creator=0, target_communities={0})
                    for m in range(4)}
-        scores = self._scores_with([
+        scores = ScoreSet.of([
             self._card(0, 0.8, {0}),
             self._card(1, 0.8, {1}, psi=0.5),
             self._card(2, 0.8, {1}, psi=0.9),
@@ -295,7 +289,7 @@ class TestBalancingSet:
 
     def test_non_divisive_base_rejected(self):
         catalog = {0: ContentItem(id=0, creator=0, target_communities={0})}
-        scores = self._scores_with([self._card(0, 0.8, {0}, label=LABEL_BRIDGING)])
+        scores = ScoreSet.of([self._card(0, 0.8, {0}, label=LABEL_BRIDGING)])
         with pytest.raises(ValueError):
             balancing_set(("community", 0), 0, scores, catalog, False, 0.2)
 
@@ -344,10 +338,8 @@ _random_card = st.builds(
        topic_overlap_required=st.booleans(),
        delta_tol=st.sampled_from([0.0, 0.1, 0.2, 0.5]))
 def test_scope_index_matches_full_scans(cards, topics, topic_overlap_required, delta_tol):
-    """Cards re-added under a key replace the old card in both views."""
-    scores = ScoreSet()
-    for card in cards:
-        scores.add(card)
+    """A later card under an earlier card's key replaces it in both views."""
+    scores = ScoreSet.of(cards)
     catalog = {m: ContentItem(id=m, creator=0, target_communities={0}, topics=set(t))
                for m, t in enumerate(topics)}
     for scope in SCOPES:
@@ -945,24 +937,22 @@ def _citizen_rows_instance(seed):
 
 @pytest.mark.parametrize("seed", [3, 8, 21])
 def test_citizen_columns_match_a_set_of_cards(seed):
-    """The columns score_round keeps for citizen scopes give every view a
-    ScoreSet holding the same cards as ScoreCards gives."""
+    """The rows score_round keeps for citizen scopes, over profile rows
+    shared by membership signature, give every view a ScoreSet built from
+    the same cards, one profile row per scope, gives."""
     f, catalog, rm = _citizen_rows_instance(seed)
     scores = score_round(f, catalog, rm, ScoringParams(alpha=0.0), current_round=5)
-    cards = ScoreSet()
-    for key in sorted(scores.cards):
-        cards.add(scores.cards[key])
+    cards = ScoreSet.of((scores.cards[key] for key in sorted(scores.cards)), contents=catalog)
     assert len(cards.cards) == len(scores.cards)
     assert scores.to_csv() == cards.to_csv()
     scopes = {scope for _, scope in scores.cards} | {("citizen", 7), ("community", 9)}
     for scope in sorted(scopes):
         assert dict(scores.scope_cards(scope)) == dict(cards.scope_cards(scope))
+        assert scores.column(scope).tolist() == cards.column(scope).tolist()
         for m in sorted(catalog) + [99]:
             card = cards.get(m, scope)
             assert scores.get(m, scope) == card
             assert scores.label(m, scope) == (card.label if card is not None else None)
-            assert scores.column(scope).get(m, 0.0) == scores.psi(m, scope) == \
-                cards.psi(m, scope)
             if card is not None and card.label == LABEL_DIVISIVE:
                 assert balancing_set(scope, m, scores, catalog, False, 0.3) == \
                     balancing_set(scope, m, cards, catalog, False, 0.3)
@@ -970,32 +960,10 @@ def test_citizen_columns_match_a_set_of_cards(seed):
                for (_, scope), card in scores.cards.items())
 
 
-def test_add_into_a_citizen_row_keeps_the_rest():
-    f, catalog, rm = _citizen_rows_instance(3)
-    scores = score_round(f, catalog, rm, ScoringParams(), current_round=5)
-    scope = ("citizen", 2)
-    # citizen 3 has citizen 2's membership signature, so the two scopes
-    # share their profiles
-    other = ("citizen", 3)
-    assert f.member_communities(3) == f.member_communities(2)
-    before = dict(scores.scope_cards(scope))
-    other_before = dict(scores.scope_cards(other))
-    n = len(scores.cards)
-    m = min(before)
-    replacement = dataclasses.replace(before[m], psi=0.75, iota=2.0,
-                                      characteristic_blocs=frozenset({99}))
-    scores.add(replacement)
-    assert dict(scores.scope_cards(scope)) == {**before, m: replacement}
-    assert len(scores.cards) == n
-    assert scores.psi(m, scope) == scores.column(scope)[m] == 0.75
-    assert dict(scores.scope_cards(other)) == other_before
-
-
 def test_scorecard_csv_contract():
-    scores = ScoreSet()
-    scores.add(ScoreCard(content=3, scope=("community", 1), iota=0.5, beta=0.25,
-                         delta=0.7, psi=0.35, characteristic_blocs=frozenset({0, 2}),
-                         label=LABEL_DIVISIVE))
+    scores = ScoreSet.of([ScoreCard(content=3, scope=("community", 1), iota=0.5, beta=0.25,
+                                    delta=0.7, psi=0.35, characteristic_blocs=frozenset({0, 2}),
+                                    label=LABEL_DIVISIVE)])
     text = scores.to_csv()
     lines = text.splitlines()
     assert lines[0] == "content_id,scope_kind,scope_id,iota,beta,delta,psi,label,characteristic_blocs"

@@ -1,6 +1,7 @@
 """Simulation: generative model, belief aggregation, metrics, and the loop."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -12,8 +13,8 @@ from plural.config import ScenarioConfig
 from plural.detect import principal_subcommunities
 from plural.errors import EmptyCommunity
 from plural.score import ReactionMatrix
-from plural.sim import (_Simulation, aggregate_belief, attention_gini, attitude, attitudes,
-                        bloc_aggregate, gen_population, metrics_csv, react, run)
+from plural.sim import (RoundMetrics, _Simulation, aggregate_belief, attention_gini, attitude,
+                        attitudes, bloc_aggregate, gen_population, metrics_csv, react, run)
 from plural._rng import SEED_MAX, derive_rng
 from test_golden import DEMO, _load_workloads
 
@@ -386,6 +387,37 @@ def test_feed_tables_are_well_formed():
 
     check()
     assert sum(entries) > 0
+
+
+def test_run_values_are_builtin_floats():
+    """Over small tiny and market runs, every ledger amount and balance,
+    every membership's raw standing and raw devotion, and every float field
+    of RoundMetrics is a built-in float. A numpy scalar read off a psi row
+    where a float belongs would slip past the golden digests, since
+    json.dumps(np.float64(0.1)) writes 0.1."""
+    float_fields = [f.name for f in dataclasses.fields(RoundMetrics) if f.type == "float"]
+    assert len(float_fields) == 4
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(market=st.booleans(), seed=st.integers(0, 31), rounds=st.integers(1, 4))
+    def check(market, seed, rounds):
+        doc = market_doc(seed, rounds) if market else copy.deepcopy(TINY_SCENARIO)
+        res = run(ScenarioConfig.from_dict(doc), seed=seed, rounds=rounds)
+        values = {"ledger amount": [e.amount for e in res.ledger.entries],
+                  "balance": list(res.ledger._balances.values()),
+                  "raw standing": [], "raw devotion": [], "metrics": []}
+        for citizen in res.fabric.citizens.values():
+            for edge in citizen.memberships.values():
+                values["raw standing"].append(edge.raw_standing)
+                values["raw devotion"].append(edge.raw_devotion)
+        for row in res.metrics:
+            values["metrics"] += [getattr(row, name) for name in float_fields]
+            values["metrics"] += list(row.coherence.values())
+        for what, held in values.items():
+            assert held, what
+            assert [type(v) for v in held if type(v) is not float] == [], what
+
+    check()
 
 
 def test_market_runs_stay_sound_on_small_budgets():

@@ -8,15 +8,14 @@ left fold 0 + v1 + v2 + ... that `sum` gives before 3.12.
 
 import random
 
+import numpy as np
 import pytest
 
 from plural import econ, fabric, rank
 from plural._sum import left_sum
 from plural.config import RankingParams
 from plural.fabric import SocialFabric
-from plural.score import ScoreSet
-
-from test_rank import _TablePsi
+from test_rank import table_scores
 
 TENTHS = [0.1] * 10       # left fold 0.9999999999999999, compensated 1.0
 
@@ -66,7 +65,7 @@ def _citizen_with_tenths():
 def test_exposure_weights_total(compensated):
     f, p = _citizen_with_tenths()
     pool = list(range(10))
-    view = _TablePsi({(m, ("citizen", p)): 0.1 for m in pool})
+    view = table_scores({(m, ("citizen", p)): 0.1 for m in pool})
     got = rank.exposure_weights(p, f, view, pool)
     assert got == {m: 0.1 / left_fold(TENTHS) for m in pool}
 
@@ -74,12 +73,12 @@ def test_exposure_weights_total(compensated):
 def test_build_feed_top_total(compensated):
     f, p = _citizen_with_tenths()
     weights = {m: 0.1 for m in range(10)}
-    feed = rank.build_feed(p, f, weights, ScoreSet(), RankingParams(feed_size=10))
+    feed = rank.build_feed(p, weights, params=RankingParams(feed_size=10))
     assert [share for _, share in feed] == [0.1 / left_fold(TENTHS)] * 10
 
 
 def test_sponsor_shares(compensated):
-    terms = [(("citizen", k), 1.0, {0: 0.1}) for k in range(10)]
+    terms = [(("citizen", k), 1.0, np.array([0.1])) for k in range(10)]
     assert econ._shares(terms, 0) == [(("citizen", k), 0.1 / left_fold(TENTHS))
                                       for k in range(10)]
 

@@ -110,15 +110,17 @@ def feed_worlds(draw):
         for c in draw(st.sets(st.sampled_from(communities))) if communities else ():
             fabric.add_membership(p, c, 1.0, 1.0)
     contents = draw(st.lists(ids, min_size=1, max_size=5, unique=True))
-    scores = ScoreSet()
+    cards_, balancing = [], {}
     for m in contents:
         for scope in [("citizen", p) for p in citizens] + \
                 [("community", c) for c in communities]:
             if draw(st.booleans()):
-                scores.add(ScoreCard(content=m, scope=scope, iota=0.0, beta=0.0, delta=0.0,
-                                     psi=0.0, label=draw(labels)))
+                cards_.append(ScoreCard(content=m, scope=scope, iota=0.0, beta=0.0,
+                                        delta=0.0, psi=0.0, label=draw(labels)))
                 if draw(st.booleans()):
-                    scores.balancing[(m, scope)] = draw(st.lists(ids, max_size=4))
+                    balancing[(m, scope)] = draw(st.lists(ids, max_size=4))
+    scores = ScoreSet.of(cards_)
+    scores.balancing.update(balancing)
     feed = st.lists(st.tuples(st.sampled_from(contents), floats), max_size=4,
                     unique_by=lambda e: e[0])
     feeds = Feeds.of({p: draw(feed) for p in draw(st.sets(st.sampled_from(citizens)))})
@@ -129,13 +131,6 @@ def ledger_of(entries_):
     ledger = Ledger()
     ledger.entries = list(entries_)
     return ledger
-
-
-def scores_of(cards_):
-    scores = ScoreSet()
-    for card in cards_:
-        scores.add(card)
-    return scores
 
 
 # -- properties -------------------------------------------------------------------
@@ -161,7 +156,7 @@ def test_ledger_csv_lines_equal_csv_writer(entries_):
 @given(st.lists(cards, max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_scorecard_csv_lines_equal_csv_writer(cards_):
-    scores = scores_of(cards_)
+    scores = ScoreSet.of(cards_)
     assert "".join(scores.csv_lines()) == scores_csv_oracle(scores)
     assert scores.to_csv() == scores_csv_oracle(scores)
 
@@ -175,13 +170,12 @@ def test_feed_shapes_and_edge_floats():
         fabric.add_community()
     fabric.add_membership(7, 0, 1.0, 1.0)
     fabric.add_membership(7, 2, 1.0, 1.0)
-    scores = ScoreSet()
+    cards_, balancing = [], {}
 
-    def card(content, scope, label, peek=None):
-        scores.add(ScoreCard(content=content, scope=scope, iota=0.0, beta=0.0, delta=0.0,
-                             psi=0.0, label=label))
-        if peek is not None:
-            scores.balancing[(content, scope)] = peek
+    def card(content, scope, label, peek):
+        cards_.append(ScoreCard(content=content, scope=scope, iota=0.0, beta=0.0, delta=0.0,
+                                psi=0.0, label=label))
+        balancing[(content, scope)] = peek
 
     for i in range(len(EDGE_FLOATS)):
         if i % 3:                                     # no tag on i % 3 == 0
@@ -190,6 +184,8 @@ def test_feed_shapes_and_edge_floats():
             card(i, ("citizen", 7), LABEL_DIVISIVE, [3])
             card(i, ("community", 0), LABEL_DIVISIVE, [4, 11, 9])
         card(i, ("community", 1), LABEL_DIVISIVE, [6])      # not one of 7's communities
+    scores = ScoreSet.of(cards_)
+    scores.balancing.update(balancing)
     feeds = Feeds.of({citizens[7]: list(enumerate(EDGE_FLOATS))})
     text = "".join(feed_lines(3, feeds, scores, fabric))
     assert text == feed_text_oracle(3, feeds, scores, fabric)
@@ -212,11 +208,11 @@ def test_ledger_reasons_and_edge_floats():
 
 def test_scorecard_scopes_blocs_and_edge_floats():
     blocs = [frozenset(), frozenset({0, 2, 5})]
-    scores = scores_of(ScoreCard(content=i, scope=(kind, i), iota=x, beta=x, delta=x,
-                                 psi=x, characteristic_blocs=blocs[i % 2],
-                                 label=LABEL_DIVISIVE if i % 2 else LABEL_NEITHER)
-                       for i, x in enumerate(EDGE_FLOATS)
-                       for kind in ("citizen", "community"))
+    scores = ScoreSet.of(ScoreCard(content=i, scope=(kind, i), iota=x, beta=x, delta=x,
+                                   psi=x, characteristic_blocs=blocs[i % 2],
+                                   label=LABEL_DIVISIVE if i % 2 else LABEL_NEITHER)
+                         for i, x in enumerate(EDGE_FLOATS)
+                         for kind in ("citizen", "community"))
     text = scores.to_csv()
     assert text == scores_csv_oracle(scores)
     assert "np.float64" not in text
