@@ -17,7 +17,6 @@ when its feeds.jsonl line is written (`feed_lines`).
 from __future__ import annotations
 
 import copy
-import functools
 import json
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -27,7 +26,7 @@ from ._rng import derive_rng
 from ._sum import left_sum
 from .config import RankingParams
 from .errors import InsufficientStanding
-from .score import LABEL_BRIDGING, LABEL_DIVISIVE, ScoreSet, Scope
+from .score import LABEL_BRIDGING, LABEL_DIVISIVE, LABELS, ScoreSet, Scope
 
 
 class Feeds(NamedTuple):
@@ -169,10 +168,11 @@ def build_feed(citizen: int, weights: Mapping[int, float], *, params: RankingPar
     return sorted(shares.items(), key=lambda e: (-e[1], e[0]))
 
 
-def _tag(scores: ScoreSet, content: int, scope: Scope) -> Optional[str]:
-    """The content's provenance tag in `scope` as JSON, None unless its card is
-    Bridging or Divisive; only a Divisive tag peeks at the balancing set."""
-    label = scores.label(content, scope)
+def _tag(scores: ScoreSet, content: int, scope: Scope, code: int) -> Optional[str]:
+    """The content's provenance tag in `scope` as JSON, given its label code;
+    None unless its card is Bridging or Divisive. Only a Divisive tag peeks
+    at the balancing set."""
+    label = LABELS[code]
     if label == LABEL_BRIDGING:
         peek = ""
     elif label == LABEL_DIVISIVE:
@@ -188,8 +188,10 @@ def feed_lines(round_: int, feeds: Feeds, scores: ScoreSet, fabric) -> Iterator[
 
     An entry's provenance holds a tag for each of the citizen's communities
     in id order, then for the citizen's own scope, read off `scores` (the
-    round's) where the content is Bridging or Divisive. Community tags are
-    the same for every citizen, so each is made once per call.
+    round's) where the content is Bridging or Divisive. The label codes of
+    every (entry, citizen scope) and (content, community) pair are gathered
+    at once; the community tags of a content are the same for every citizen
+    in the same communities, so each such run is made once per call.
 
     Each line is byte-equal to `json.dumps(record, sort_keys=True) + "\n"`.
     Floats are written with `float.__repr__`, json's own float form, which
@@ -197,18 +199,36 @@ def feed_lines(round_: int, feeds: Feeds, scores: ScoreSet, fabric) -> Iterator[
     and the kind and scope-kind words need no escaping.
     """
     tail = f', "round": {round_}}}\n'
-    community_tag = functools.cache(lambda content, c: _tag(scores, content, ("community", c)))
+    contents, content_at = np.unique(feeds.content, return_inverse=True)
+    columns = np.array([scores.columns.get(m, -1) for m in contents.tolist()], dtype=np.intp)
+    people, person_at = np.unique(feeds.citizen, return_inverse=True)
+    own_rows = np.array([scores.rows.get(("citizen", p), -1) for p in people.tolist()],
+                        dtype=np.intp)
+    own_codes = scores.label_codes(own_rows[person_at], columns[content_at])
+    communities = sorted(fabric.communities)
+    slot = {c: k for k, c in enumerate(communities)}
+    community_rows = np.array([scores.rows.get(("community", c), -1) for c in communities],
+                              dtype=np.intp)
+    community_codes = scores.label_codes(community_rows[:, None], columns[None, :]).tolist()
+    community_tags: dict[tuple[int, tuple[int, ...]], str] = {}
     last = None
-    for citizen, content, share, rank in zip(*(column.tolist() for column in feeds)):
+    for citizen, content, share, rank, at, code in zip(
+            *(column.tolist() for column in feeds), content_at.tolist(), own_codes.tolist()):
         if citizen != last:
             last = citizen
             head = f'{{"citizen": {citizen}, "content": '
-            communities = fabric.member_communities(citizen)
-        tags = [community_tag(content, c) for c in communities]
-        tags.append(_tag(scores, content, ("citizen", citizen)))
+            mine = tuple(slot[c] for c in fabric.member_communities(citizen))
+        text = community_tags.get((at, mine))
+        if text is None:
+            tags = (_tag(scores, content, ("community", communities[k]), community_codes[k][at])
+                    for k in mine)
+            text = community_tags[at, mine] = ", ".join(t for t in tags if t is not None)
+        if code:
+            tag = _tag(scores, content, ("citizen", citizen), code)
+            if tag is not None:
+                text = f"{text}, {tag}" if text else tag
         yield (f'{head}{content}, "exposure_share": {float.__repr__(share)}, '
-               f'"provenance": [{", ".join(t for t in tags if t is not None)}], '
-               f'"rank_position": {rank}{tail}')
+               f'"provenance": [{text}], "rank_position": {rank}{tail}')
 
 
 def feed_to_records(round_: int, feeds: Feeds, scores: ScoreSet, fabric) -> list[dict]:

@@ -484,8 +484,8 @@ def bridging_mf(reactions: ReactionMatrix, raters: Iterable[int],
 # -- card assembly --------------------------------------------------------------
 
 # A card's label as `ScoreSet.labels` holds it: its index here, 0 for no card.
-_LABELS = (None, LABEL_NEITHER, LABEL_BRIDGING, LABEL_DIVISIVE)
-_CODE = {label: code for code, label in enumerate(_LABELS)}
+LABELS = (None, LABEL_NEITHER, LABEL_BRIDGING, LABEL_DIVISIVE)
+_CODE = {label: code for code, label in enumerate(LABELS)}
 
 
 class _Cards(collections.abc.Mapping):
@@ -520,7 +520,7 @@ class ScoreSet:
 
     `iota` and `psi` hold one row per scope, at `rows[scope]`: communities by
     id, then citizens. The rest of a card is its profile, row
-    `profile_of[row]` of `beta`, `delta`, `labels` (a code into `_LABELS`,
+    `profile_of[row]` of `beta`, `delta`, `labels` (a code into `LABELS`,
     0 where the scope has no card for the content), `blocs` (characteristic
     blocs) and `low_confidence`. Each community has a profile row, and
     citizens in the same communities share one. Where a scope has no card,
@@ -577,7 +577,16 @@ class ScoreSet:
         row, j = self.rows.get(scope), self.columns.get(content)
         if row is None or j is None:
             return None
-        return _LABELS[self.labels.item(self.profile_of.item(row), j)]
+        return LABELS[self.labels.item(self.profile_of.item(row), j)]
+
+    def label_codes(self, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """The label codes (into `LABELS`) at `rows` and `columns`, broadcast
+        together; 0, no card, where a row or a column is -1."""
+        rows, columns = np.broadcast_arrays(rows, columns)
+        held = (rows >= 0) & (columns >= 0)
+        codes = np.zeros(rows.shape, dtype=np.int8)
+        codes[held] = self.labels[self.profile_of[rows[held]], columns[held]]
+        return codes
 
     def get(self, content: int, scope: Scope) -> Optional[ScoreCard]:
         label = self.label(content, scope)
@@ -634,7 +643,7 @@ class ScoreSet:
                 if text is None:
                     blocs = ";".join(map(str, sorted(self.blocs[p, j])))
                     text = fields[p] = (f"{r(self.beta.item(p, j))},{r(self.delta.item(p, j))}",
-                                        f"{_LABELS[self.labels.item(p, j)]},{blocs}\n")
+                                        f"{LABELS[self.labels.item(p, j)]},{blocs}\n")
                 yield f"{content},{where[k]},{r(iota)},{text[0]},{r(psi)},{text[1]}"
 
     def to_csv(self) -> str:

@@ -2,17 +2,24 @@
 advertiser standing market."""
 
 import copy
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plural.econ import (PLATFORM, AdDeal, Advertiser, EconParams, Ledger,
+from plural import econ
+from plural.econ import (PLATFORM, REASONS, AdDeal, Advertiser, EconParams, Ledger,
                          attribute_entry, creator_pool, reward_standing,
                          sell_standing, settle_round)
 from plural.errors import InsufficientFunds, NotFound, Unregistered
 from plural.fabric import SocialFabric
 from plural.rank import Feeds
 from plural.score import ContentItem, ScoreCard, ScoreSet
+
+from settle_walk import settle_walk
 
 
 def one_community_world(lambda_c=1.0, balance=100.0):
@@ -62,7 +69,7 @@ class TestLedger:
         ledger.open_account(("community", 0), 5.0)
         ledger.post(0, ("community", 0), PLATFORM, 1.0, "PlatformFee")
         ledger.audit()
-        ledger._balances[PLATFORM] += 1.0
+        ledger._balances[ledger.code(PLATFORM)] += 1.0
         with pytest.raises(AssertionError, match="not conserved"):
             ledger.audit()
 
@@ -71,8 +78,60 @@ class TestLedger:
         ledger.open_account(("community", 0), 5.0)
         ledger.post(0, ("community", 0), PLATFORM, 1.0, "PlatformFee")
         # moved between accounts without a posting: the total still holds
-        ledger._balances[("community", 0)] -= 0.5
-        ledger._balances[PLATFORM] += 0.5
+        ledger._balances[ledger.code(("community", 0))] -= 0.5
+        ledger._balances[ledger.code(PLATFORM)] += 0.5
+        with pytest.raises(AssertionError, match="balance drift"):
+            ledger.audit()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_amounts_and_balances_rejected(self, bad):
+        ledger = Ledger()
+        ledger.open_account(("community", 0), 10.0)
+        with pytest.raises(ValueError, match="finite"):
+            ledger.post(0, ("community", 0), PLATFORM, bad, "PlatformFee")
+        with pytest.raises(ValueError, match="finite"):
+            ledger.open_account(("community", 1), bad)
+        payer, payee = ledger.code(("community", 0)), ledger.code(PLATFORM)
+        with pytest.raises(ValueError, match="finite"):
+            ledger.post_block(0, [payer, payer], [payee, payee], [1.0, bad], [4, 4])
+        assert ledger.entries == []
+        assert ledger.balance(("community", 0)) == 10.0
+        assert ledger.balance(PLATFORM) == 0.0
+        assert ledger.balance(("community", 1)) == 0.0
+        ledger.audit()
+
+    def test_block_raises_first_failing_rows_error_and_posts_nothing(self):
+        ledger = Ledger()
+        ledger.open_account(("community", 0), 1.0)
+        a, b = ledger.code(("community", 0)), ledger.code(PLATFORM)
+        fee = REASONS.index("PlatformFee")
+        # row 1 overdraws (after row 0) before row 2's self-transfer
+        with pytest.raises(InsufficientFunds, match=r"\('community', 0\) balance 0.4 < 0.7"):
+            ledger.post_block(0, [a, a, a], [b, b, a], [0.6, 0.7, 0.1], [fee] * 3)
+        with pytest.raises(ValueError, match="self-transfers"):
+            ledger.post_block(0, [a, a, a], [b, a, b], [0.6, 0.1, 0.7], [fee] * 3)
+        with pytest.raises(ValueError, match="unknown reason"):
+            ledger.post_block(0, [a], [b], [0.1], [len(REASONS)])
+        assert ledger.entries == [] and ledger.balance(("community", 0)) == 1.0
+        # an earlier credit counts
+        c = ledger.code(("citizen", 3))
+        ledger.post_block(1, [a, c], [c, b], [1.0, 1.0],
+                          [REASONS.index("CreatorReward"), REASONS.index("Subscription")])
+        assert [e.reason for e in ledger.entries] == ["CreatorReward", "Subscription"]
+        assert ledger.balance(PLATFORM) == 1.0 and ledger.balance(("community", 0)) == 0.0
+        ledger.audit()
+
+    def test_drain_keeps_the_audit(self):
+        ledger = Ledger()
+        ledger.open_account(("community", 0), 5.0)
+        ledger.post(0, ("community", 0), PLATFORM, 1.5, "PlatformFee")
+        rows = ledger.drain()
+        ledger.post(1, ("community", 0), ("citizen", 3), 0.5, "CreatorReward")
+        assert [(e.round, e.from_owner, e.to_owner, e.amount) for e in rows.entries()] \
+            == [(0, ("community", 0), PLATFORM, 1.5)]
+        assert ledger.to_csv().splitlines()[1:] == ["1,community,0,citizen,3,0.5,CreatorReward"]
+        ledger.audit()
+        ledger._drained[ledger.code(PLATFORM)] -= 1.0
         with pytest.raises(AssertionError, match="balance drift"):
             ledger.audit()
 
@@ -497,3 +556,121 @@ class TestRewardStanding:
         for psi in reversed(psis):
             reversed_walk += psi
         assert reference.raw_standing(creator, a) != reversed_walk
+
+
+# -- the batched settlement against the entry walk ----------------------------------
+
+SMALL = st.sampled_from([1.0, 0.2, 100.0, 0.05, 0.01, 0.0])
+PSI = st.sampled_from([0.5, 1.0, 0.1, 0.0]) | st.floats(0.0, 1.0)
+SHARE = st.sampled_from([0.5, 0.1, 0.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def settle_worlds(draw):
+    """A fabric with subscribers and overlapping communities, advertisers
+    with deals and personal ads, a psi view, a feed table, prices and opening
+    balances small enough to clamp sponsors and skip ad payments."""
+    f = SocialFabric()
+    n_comms = draw(st.integers(1, 3))
+    comms = [f.add_community(lambda_=draw(st.sampled_from([1.0, 0.5, 2.0, 0.0])))
+             for _ in range(n_comms)]
+    citizens = [f.add_citizen(lambda_=draw(st.sampled_from([1.0, 0.7, 0.0])),
+                              subscriber=draw(st.sampled_from([True, True, False])),
+                              accepts_personal_ads=draw(st.sampled_from([True, False])))
+                for _ in range(draw(st.integers(2, 5)))]
+    for p in citizens:
+        for c in draw(st.sets(st.sampled_from(comms), min_size=1)):
+            f.add_membership(p, c, 1.0, draw(st.sampled_from([0.3, 1.0, 1.7])))
+    advertisers = {}
+    for aid in range(draw(st.integers(0, 2))):
+        deals = [AdDeal(community=c, price_per_impression=draw(st.sampled_from([0.3, 2.0, 0.0])),
+                        accepted=draw(st.sampled_from([True, True, False])))
+                 for c in sorted(draw(st.sets(st.sampled_from(comms + [99]), min_size=1)),
+                                 reverse=True)]
+        advertisers[aid] = Advertiser(id=aid, deals=deals,
+                                      personal_targeting=draw(st.sampled_from([True, False])),
+                                      personal_price=draw(st.sampled_from([0.4, 0.0])))
+    catalog = {}
+    for m in range(draw(st.integers(2, 6))):
+        targets = draw(st.sets(st.sampled_from(comms + [99]), min_size=1))
+        if draw(st.integers(0, 3)) == 0:
+            catalog[m] = ContentItem(id=m, creator=draw(st.integers(0, 2)),
+                                     target_communities=targets, creator_kind="advertiser")
+        else:
+            catalog[m] = ContentItem(id=m, creator=draw(st.sampled_from(citizens)),
+                                     target_communities=targets)
+    scopes = [("citizen", p) for p in citizens] + [("community", c) for c in comms]
+    cards = [ScoreCard(content=m, scope=scope, iota=1.0, beta=0.5, delta=0.0, psi=draw(PSI))
+             for m in catalog for scope in scopes if draw(st.integers(0, 3))]
+    scores = ScoreSet.of(cards, contents=catalog)
+    feeds = Feeds.of({p: draw(st.lists(st.tuples(st.sampled_from(sorted(catalog)), SHARE),
+                                       min_size=1, max_size=6, unique_by=lambda e: e[0]))
+                      for p in citizens if draw(st.integers(0, 4))})
+    prices = {("community", c): draw(st.sampled_from([0.5, 3.0]))
+              for c in draw(st.sets(st.sampled_from(comms)))}
+    params = EconParams(platform_fee=draw(st.sampled_from([0.1, 0.25, 0.0])),
+                        creator_share=draw(st.sampled_from([0.6, 0.75, 0.0])),
+                        default_price_per_lambda_impression=draw(st.sampled_from([1.0, 2.5, 0.0])))
+    openings = [(owner, draw(SMALL)) for owner in
+                [("community", c) for c in comms]
+                + [("citizen", p) for p in citizens if f.citizens[p].subscriber]]
+    openings += [(("advertiser", aid), draw(st.sampled_from([0.5, 0.05, 5.0, 0.0])))
+                 for aid in advertisers]
+    return f, catalog, scores, feeds, prices, advertisers, params, openings
+
+
+def _settled(world, settle):
+    """Two rounds of `settle` over a copy of the world: its ledger, events and
+    lambdas, or the error it raised."""
+    f, catalog, scores, feeds, prices, advertisers, params, openings = copy.deepcopy(world)
+    ledger = Ledger()
+    for owner, balance in openings:
+        ledger.open_account(owner, balance)
+    try:
+        events = [settle(round_, feeds, f, catalog, scores, prices, advertisers, params, ledger)
+                  for round_ in (0, 1)]
+    except ValueError as exc:    # a share so small that a payment rounds to 0.0
+        return exc
+    lambdas = [(p, c.lambda_) for p, c in f.citizens.items()] + \
+        [(c, comm.lambda_) for c, comm in f.communities.items()]
+    return ledger, events, lambdas
+
+
+def test_settle_round_equals_the_entry_walk():
+    """Batched settlement gives the walk's ledger rows (as OwnerRefs), balance
+    bits, events in order and lambdas, over worlds where sponsors clamp, ads
+    are skipped and creators sponsor their own impressions, and whatever
+    the most entries priced at once."""
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(settle_worlds(), st.sampled_from([econ._BLOCK_ENTRIES, 1, 2, 3]))
+    def check(world, block_entries):
+        with mock.patch.object(econ, "_BLOCK_ENTRIES", block_entries):
+            got = _settled(world, settle_round)
+        want = _settled(world, settle_walk)
+        if isinstance(want, ValueError):
+            assert repr(got) == repr(want)
+            return
+        (ledger, events, lambdas), (want_ledger, want_events, want_lambdas) = got, want
+        assert ledger.entries == want_ledger.entries
+        owners = set(ledger.owners) | set(want_ledger.owners)
+        assert {o: repr(ledger.balance(o)) for o in owners} == \
+            {o: repr(want_ledger.balance(o)) for o in owners}
+        assert events == want_events
+        assert lambdas == want_lambdas
+        ledger.audit()
+        seen.update(e["kind"] for round_events in events for e in round_events)
+        entries = ledger.entries
+        if any(e.reason == "Subscription" for e in entries):
+            seen.add("subscriber")
+        if any(e.reason == "AdImpression" for e in entries):
+            seen.add("ad paid")
+        _, catalog, _, feeds, _, _, _, _ = world
+        own = {p for p, m in zip(feeds.citizen.tolist(), feeds.content.tolist())
+               if catalog[m].creator_kind == "citizen" and catalog[m].creator == p}
+        if any(e.reason == "Subscription" and e.from_owner[1] in own for e in entries):
+            seen.add("self-sponsored")
+
+    check()
+    assert seen >= {"lambda_clamped", "ad_skipped", "subscriber", "ad paid", "self-sponsored"}

@@ -404,7 +404,7 @@ def test_run_values_are_builtin_floats():
         doc = market_doc(seed, rounds) if market else copy.deepcopy(TINY_SCENARIO)
         res = run(ScenarioConfig.from_dict(doc), seed=seed, rounds=rounds)
         values = {"ledger amount": [e.amount for e in res.ledger.entries],
-                  "balance": list(res.ledger._balances.values()),
+                  "balance": [res.ledger.balance(owner) for owner in res.ledger.owners],
                   "raw standing": [], "raw devotion": [], "metrics": []}
         for citizen in res.fabric.citizens.values():
             for edge in citizen.memberships.values():

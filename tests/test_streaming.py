@@ -48,19 +48,20 @@ def test_streamed_run_keeps_no_rows_and_audits(name, rounds):
 
     def sink(round_lines, ledger):
         lines.extend(round_lines)
-        rows.extend(zip(*ledger.drain()))
+        rows.extend(ledger.drain().entries())
 
     streamed = simulation.run(ScenarioConfig.from_dict(doc), rounds=rounds, sink=sink)
     assert streamed.feed_lines == []
     assert streamed.ledger.entries == []
     assert lines == kept.feed_lines
-    assert rows == [(e.round, e.from_owner, e.to_owner, e.amount, e.reason)
-                    for e in kept.ledger.entries]
+    assert rows == kept.ledger.entries
     # the standing purchases, posted before round 0, come first
     purchases = sum(adv.get("standing_purchase") is not None for adv in doc["advertisers"])
-    assert [row[4] for row in rows[:purchases]] == ["StandingPurchase"] * purchases
+    assert [row.reason for row in rows[:purchases]] == ["StandingPurchase"] * purchases
     streamed.ledger.audit()
-    assert streamed.ledger._balances == kept.ledger._balances
+    assert streamed.ledger.owners == kept.ledger.owners
+    assert [repr(streamed.ledger.balance(owner)) for owner in streamed.ledger.owners] == \
+        [repr(kept.ledger.balance(owner)) for owner in kept.ledger.owners]
     assert streamed.metrics == kept.metrics
 
 

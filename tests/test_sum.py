@@ -78,9 +78,8 @@ def test_build_feed_top_total(compensated):
 
 
 def test_sponsor_shares(compensated):
-    terms = [(("citizen", k), 1.0, np.array([0.1])) for k in range(10)]
-    assert econ._shares(terms, 0) == [(("citizen", k), 0.1 / left_fold(TENTHS))
-                                      for k in range(10)]
+    assert econ._fractions(np.full((2, 10), 0.1)).tolist() == \
+        [[0.1 / left_fold(TENTHS)] * 10] * 2
 
 
 def test_devotions_and_standings(compensated):

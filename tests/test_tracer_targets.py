@@ -14,24 +14,45 @@ from plural import cli, rank
 ROOT = Path(__file__).resolve().parent.parent
 
 # The traced tiny run's work counts; a change that alters one on purpose
-# updates it here and says why.
+# updates it here and says why. `econ.postings` counts `Ledger.post` calls:
+# settlement posts each round as one block, so only standing purchases call
+# it, and the tiny run has none. Its 528 postings are pinned as ledger rows.
 PINNED_COUNTS = {
     "score.cards": 378,
     "score.balancing_calls": 5,
     "rank.pool_entries": 264,
-    "econ.postings": 528,
+    "econ.postings": 0,
     "detect.cells": 1080,
     "rank.feed_entries": 264,
     "rank.feed_fill": 0.4125,
 }
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  ROOT / "perfbench" / "tracer.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("tracer")
+
+
+def _traced_run(tracer, doc: dict, tmp_path: Path, installed=lambda: None):
+    """`plural run` of `doc` under `tracer`, calling `installed` once it is
+    in place: the exit code and the number of ledger.csv data lines."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    tracer.install()
+    try:
+        installed()
+        code = cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.restore()
+    with open(tmp_path / "out" / "ledger.csv", encoding="utf-8") as fh:
+        return code, sum(1 for _ in fh) - 1
 
 
 def _bindings(tracer_module) -> dict:
@@ -64,25 +85,36 @@ def test_tracer_installs_traces_a_run_and_restores(tmp_path):
     doc = json.loads((ROOT / "scenarios" / "demo.json").read_text(encoding="utf-8"))
     doc["population"]["n_citizens"] = 40
     doc["sim"].update(rounds=2, refresh_interval=1)
-    scenario = tmp_path / "tiny.json"
-    scenario.write_text(json.dumps(doc), encoding="utf-8")
+
+    def installed():
+        assert _bindings(tracer_module) != before
 
     tracer = tracer_module.Tracer()
-    tracer.install()
-    try:
-        assert _bindings(tracer_module) != before
-        code = cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
-    finally:
-        tracer.restore()
+    code, ledger_rows = _traced_run(tracer, doc, tmp_path, installed)
     assert code == 0
     assert _bindings(tracer_module) == before
     layers = tracer.layers()
-    for key in ("score.cards", "rank.pool_entries", "rank.feed_entries", "econ.postings",
-                "detect.refreshes"):
+    for key in ("score.cards", "rank.pool_entries", "rank.feed_entries", "detect.refreshes"):
         assert layers[key] > 0, key
+    assert ledger_rows == 528
     # Batching refactors must keep what the tracer counts, not only its
     # names: one react draw per feed entry, and the work counts of this run.
     assert layers["sim.react_calls"] == layers["rank.feed_entries"]
     assert {key: layers[key] for key in PINNED_COUNTS} == PINNED_COUNTS
     tracer.outcome.fabric.audit()
+    tracer.outcome.ledger.audit()
+
+
+def test_traced_market_run_keeps_its_clamps_skips_and_rows(tmp_path):
+    """The benchmark's market instance 10 clamps one sponsor and skips 2,902
+    ad payments, which the tracer counts from the settlement events, over
+    63,518 ledger rows: settling in blocks must move none of them."""
+    workloads = _load("workloads")
+    base = json.loads((ROOT / "scenarios" / "demo.json").read_text(encoding="utf-8"))
+    tracer = _load_tracer().Tracer()
+    code, ledger_rows = _traced_run(tracer, workloads.scenario(base, "market", 10), tmp_path)
+    assert code == 0
+    layers = tracer.layers()
+    assert (layers["econ.lambda_clamped"], layers["econ.ad_skipped"], ledger_rows) \
+        == (1, 2902, 63518)
     tracer.outcome.ledger.audit()
