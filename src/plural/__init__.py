@@ -12,16 +12,14 @@ coherence, conservation of attention and money) are measurable.
 from .config import ScenarioConfig
 from .detect import (AttitudeMatrix, FuzzyPartition, fuzzy_c_means,
                      principal_subcommunities)
-from .econ import (Advertiser, AdDeal, EconParams, Ledger, LedgerEntry,
-                   attribute_entry, reward_standing, sell_standing, settle_round)
+from .econ import (Advertiser, EconParams, Ledger, LedgerEntry, reward_standing,
+                   sell_standing, settle_round)
 from .fabric import Citizen, Community, MembershipEdge, SocialFabric
 from .rank import (Feeds, PsiOverrides, RankingParams, build_feed, exposure_weights,
                    feed_lines, seed_content, served)
 from .score import (ContentItem, ReactionMatrix, ScoreCard, ScoreSet,
-                    ScoringParams, balancing_set, bridging_gac, bridging_mf,
-                    citizen_score, community_score, divisiveness, interest,
+                    ScoringParams, balancing_set, bridging_mf, divisiveness,
                     score_round)
-from .sim import (RoundMetrics, RunResult, aggregate_belief, attitude,
-                  bloc_aggregate, gen_population, react, run)
+from .sim import RoundMetrics, RunResult, gen_population, react, run
 
 __version__ = "0.1.0"

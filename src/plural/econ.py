@@ -300,16 +300,12 @@ class Ledger:
         return "".join(self.csv_lines())
 
 
-# A consented advertiser deal: the scenario's own record, under its econ name.
-AdDeal = AdDealConfig
-
-
 @dataclass
 class Advertiser:
     """An advertiser's terms; its budget is its ledger account."""
 
     id: int
-    deals: list[AdDeal] = field(default_factory=list)
+    deals: list[AdDealConfig] = field(default_factory=list)
     personal_targeting: bool = False
     personal_price: float = 0.0
     seeding_allowance: dict[int, float] = field(default_factory=dict)
@@ -337,22 +333,6 @@ def _fractions(values: np.ndarray) -> np.ndarray:
     return np.divide(values, total[:, None], out=np.zeros_like(values), where=keep)
 
 
-def attribute_entry(citizen: int, content: int, fabric, psi_view) -> list[tuple[OwnerRef, float]]:
-    """Sponsor attribution for one feed entry.
-
-    Each numerator term's owner gets the fraction of the entry's attention
-    its term contributed. Fractions sum to 1; an all-zero numerator (uniform
-    fallback or exploration slot) has no sponsors.
-    """
-    communities = sorted(fabric.communities)
-    owners = [("citizen", citizen)] + [("community", c) for c in communities]
-    weights = _term_weights(citizen, fabric, {c: 1 + k for k, c in enumerate(communities)})
-    at = psi_view.columns[content]
-    values = np.array(weights) * [psi_view.column(owner).item(at) for owner in owners]
-    return [(owner, frac) for owner, frac in zip(owners, _fractions(values[None])[0].tolist())
-            if frac > 0]
-
-
 def _ad_payments(round_: int, feeds: Feeds, entries: np.ndarray, items: Sequence,
                  fabric, advertisers: Mapping[int, Advertiser], ledger: Ledger
                  ) -> tuple[list[tuple[int, int, int, float]], list[tuple[int, dict]]]:
@@ -360,12 +340,12 @@ def _ad_payments(round_: int, feeds: Feeds, entries: np.ndarray, items: Sequence
     their contents), in table order: (entry, payer code, payee code, amount)
     for each one made, and (entry, ad_skipped event) for each one skipped.
     Each advertiser pays the targeted communities it has a deal with, by
-    community id, then the opted-in citizen. Advertisers pay only here, so
-    whether one can cover a payment is its balance less its own payments
-    made before."""
+    community id, then the opted-in citizen; a payment that rounds to 0.0
+    is not made. Advertisers pay only here, so whether one can cover a
+    payment is its balance less its own payments made before."""
     made, skipped = [], []
     left: dict[OwnerRef, float] = {}
-    deals: dict[int, list[AdDeal]] = {}
+    deals: dict[int, list[AdDealConfig]] = {}
     for entry, citizen, share, item in zip(entries.tolist(), feeds.citizen[entries].tolist(),
                                            feeds.share[entries].tolist(), items):
         adv = advertisers.get(item.creator)
@@ -381,13 +361,13 @@ def _ad_payments(round_: int, feeds: Feeds, entries: np.ndarray, items: Sequence
             comm = fabric.communities.get(deal.community)
             if comm is None or citizen not in comm.members:
                 continue
-            amount = deal.price_per_impression * share
-            if amount > 0:
-                payments.append((("community", deal.community), amount))
+            payments.append((("community", deal.community), deal.price_per_impression * share))
         p = fabric.citizens[citizen]
         if adv.personal_targeting and p.accepts_personal_ads and adv.personal_price > 0:
             payments.append((("citizen", citizen), adv.personal_price * share))
         for payee, amount in payments:
+            if not amount > 0:      # rounds to 0.0: nothing to pay
+                continue
             have = left[owner] if owner in left else ledger.balance(owner)
             if have + FUNDS_TOL < amount:
                 skipped.append((entry, {"round": round_, "kind": "ad_skipped", "owner": owner}))
@@ -416,9 +396,11 @@ def settle_round(round_: int, feeds: Feeds, fabric, catalog,
     `params.default_price_per_lambda_impression`.
 
     Each entry's charge per sponsor is price * share * the sponsor's
-    fraction of the entry's attention numerator (see `attribute_entry`),
-    with psi read off `psi_view.column(scope)`, the round's ScoreSet or its
-    `served` copy, and the lambdas the scenario's, read off the fabric. The
+    fraction of the entry's attention numerator (`_fractions`: its term's
+    weight times psi over the terms' sum; an all-zero numerator, a uniform
+    fallback or an exploration slot, charges no one), with psi read off
+    `psi_view.column(scope)`, the round's ScoreSet or its `served` copy,
+    and the lambdas the scenario's, read off the fabric. The
     table is priced in array passes over blocks of entries, each an
     (entries x terms) matrix with the citizen's own term first and then
     every community by id, and each block is posted at once, in entry, term

@@ -200,24 +200,12 @@ class SocialFabric:
         total = left_sum(e.raw_devotion for e in p.memberships.values())
         return {c: e.raw_devotion / total for c, e in p.memberships.items()}
 
-    def devotion(self, citizen: int, community: int) -> float:
-        d = self.devotions(citizen)
-        if community not in d:
-            raise NotFound(f"citizen {citizen} has no membership in {community}")
-        return d[community]
-
     def standings(self, community: int) -> dict[int, float]:
         """Normalized standing over the community's members (sums to 1)."""
         c = self._community(community)
         raws = {p: self.citizens[p].memberships[community].raw_standing for p in c.members}
         total = left_sum(raws.values())
         return {p: r / total for p, r in raws.items()}
-
-    def standing(self, citizen: int, community: int) -> float:
-        s = self.standings(community)
-        if citizen not in s:
-            raise NotFound(f"citizen {citizen} is not a member of {community}")
-        return s[citizen]
 
     def raw_standing(self, citizen: int, community: int) -> float:
         p = self._citizen(citizen)

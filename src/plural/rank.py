@@ -232,7 +232,8 @@ def feed_lines(round_: int, feeds: Feeds, scores: ScoreSet, fabric) -> Iterator[
 
 
 def feed_to_records(round_: int, feeds: Feeds, scores: ScoreSet, fabric) -> list[dict]:
-    """The records of `feed_lines`, parsed back into dicts."""
+    """The records of `feed_lines`, parsed back into dicts. Nothing in the
+    program calls it; perfbench's tracer patches it by name."""
     return [json.loads(line) for line in feed_lines(round_, feeds, scores, fabric)]
 
 

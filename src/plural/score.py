@@ -23,7 +23,6 @@ import collections.abc
 import csv
 import io
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -211,8 +210,7 @@ class ScoreCard:
 
 # -- the scoring primitives ---------------------------------------------------
 # Each formula is written once, as a pass over many contents at a time:
-# `score_round` makes one pass per scope, and the per-card functions below
-# are one-row calls into the same passes.
+# `score_round` makes one pass per scope.
 
 def _decay(rounds: np.ndarray, current_round: int, half_life: float) -> np.ndarray:
     """Interest decay 2^(-age/half_life) of records made in `rounds`, with
@@ -285,20 +283,6 @@ def _smoothed_rates(pos: np.ndarray, neg: np.ndarray, alpha: float) -> np.ndarra
     return np.divide(pos + alpha, denom, out=np.full_like(denom, 0.5), where=denom > 0)
 
 
-def interest(reactions: ReactionMatrix, content: int, members: Iterable[int],
-             current_round: int, half_life: float) -> float:
-    """Time-decayed interaction weight per member of the scope.
-
-    Each exposure contributes 2^(-age/half_life) * (1 + 0.5*|reaction|);
-    the sum is divided by the scope size, so a scope where everyone just
-    reacted scores 1.5.
-    """
-    if half_life <= 0:
-        raise ValueError("half_life must be > 0")
-    tally = _Tally(reactions, [content], current_round, half_life)
-    return float(tally.interest(set(members))[0])
-
-
 def bloc_rates(reactions: ReactionMatrix, content: int,
                blocs: Sequence[Iterable[int]], alpha: float = 1.0) -> np.ndarray:
     """Smoothed approval rate per bloc: (pos + a) / (pos + neg + 2a).
@@ -336,27 +320,6 @@ def consensus_products(rates: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def consensus_product(rates: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted geometric mean of one content's bloc rates (`consensus_products`)."""
-    return float(consensus_products(np.asarray(rates, dtype=float)[None, :], weights)[0])
-
-
-def bridging_gac(reactions: ReactionMatrix, content: int,
-                 blocs: Sequence[Iterable[int]], weighting: str = "penrose",
-                 alpha: float = 1.0) -> float:
-    """Group-aware consensus bridging score in [0, 1].
-
-    The product form means dissent in any bloc suppresses the score; penrose
-    weighting gives larger blocs more, but less-than-proportional, influence.
-    """
-    blocs = [list(b) for b in blocs]
-    if len(blocs) < 2:
-        raise FewerThanTwoBlocs("bridging needs at least two blocs")
-    rates = bloc_rates(reactions, content, blocs, alpha=alpha)
-    weights = _bloc_weights([len(b) for b in blocs], weighting)
-    return consensus_product(rates, weights)
-
-
 def divisiveness(reactions: ReactionMatrix, content: int,
                  blocs: Sequence[Iterable[int]],
                  alpha: float = 1.0) -> tuple[float, frozenset[int]]:
@@ -383,20 +346,6 @@ def _spread(rates: np.ndarray) -> tuple[float, frozenset[int]]:
     """One content's spread and characteristic blocs (`_spreads`)."""
     delta, characteristic = _spreads(np.asarray(rates, dtype=float)[None, :])
     return float(delta[0]), characteristic[0]
-
-
-def community_score(iota: float, beta: float, delta: float,
-                    popularity_only: bool = False) -> float:
-    """Combined score of one validated card: interest times the stronger of
-    bridging/balancing (interest alone with `popularity_only`), by the psi
-    formula `score_round` uses."""
-    if not (math.isfinite(iota) and math.isfinite(beta) and math.isfinite(delta)):
-        raise ValueError("scores must be finite")
-    if iota < 0 or not (0 <= beta <= 1) or not (0 <= delta <= 1):
-        raise ValueError("iota >= 0 and beta, delta in [0, 1] required")
-    scores = ScoreSet([0], [("community", 0)], [0], 1)
-    scores.iota[0, 0], scores.beta[0, 0], scores.delta[0, 0] = iota, beta, delta
-    return _with_psi(scores, popularity_only).psi.item(0, 0)
 
 
 def assign_label(beta: float, delta: float, characteristic: frozenset[int],
@@ -713,23 +662,6 @@ def _score_community(scores: ScoreSet, k: int, comm, cols: Sequence[int], tally:
     return rates[0]
 
 
-def score_for_community(content: ContentItem, community, reactions: ReactionMatrix,
-                        params: ScoringParams, current_round: int,
-                        beta_override: float | None = None) -> ScoreCard:
-    """Card for one content in one community scope.
-
-    Blocs are the community's principal subcommunities; without at least two
-    of them the card falls back to the raw approval rate and is flagged
-    low-confidence.
-    """
-    scope = ("community", community.id)
-    scores = ScoreSet([content.id], [scope], [0], 1)
-    tally = _Tally(reactions, [content.id], current_round, params.half_life)
-    _score_community(scores, 0, community, [0], tally, params,
-                     None if beta_override is None else {content.id: beta_override})
-    return _with_psi(scores, params.popularity_only).get(content.id, scope)
-
-
 def _score_signature(scores: ScoreSet, p: int, rates: Mapping[int, np.ndarray],
                      comms: Sequence[int], cols: Sequence[int], fabric,
                      params: ScoringParams) -> None:
@@ -753,27 +685,6 @@ def _citizen_iota(scores: ScoreSet, first: int, citizens: Sequence[int],
         at, has = _positions(np.array(tally.citizens, dtype=np.int64), citizens)
         held = has[:, None] & (scores.labels[scores.profile_of[rows]] != 0)
         scores.iota[rows] = np.where(held, tally.weight[at], 0.0)
-
-
-def citizen_score(content: ContentItem, citizen: int, fabric, reactions: ReactionMatrix,
-                  params: ScoringParams, current_round: int) -> ScoreCard:
-    """Card for one content scoped to a citizen.
-
-    The citizen's communities stand in for subcommunities: bridging across
-    them means the content is coherent with every facet of the citizen's
-    identity, divisive means it splits them. Interest uses the singleton
-    scope. With fewer than two memberships the card falls back like a
-    degenerate community.
-    """
-    comms = fabric.member_communities(citizen)
-    scope = ("citizen", citizen)
-    scores = ScoreSet([content.id], [scope], [0], 1)
-    tally = _Tally(reactions, [content.id], current_round, params.half_life)
-    pos, neg = tally.counts([fabric.communities[c].members for c in comms])
-    _score_signature(scores, 0, dict(zip(comms, _smoothed_rates(pos, neg, params.alpha))),
-                     comms, [0], fabric, params)
-    _citizen_iota(scores, 0, [citizen], tally)
-    return _with_psi(scores, params.popularity_only).get(content.id, scope)
 
 
 def balancing_set(scope: Scope, content: int, scores: ScoreSet,
@@ -813,12 +724,11 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
     The mf backend fits on read: only a community with at least two principal
     subcommunities and a targeted content reads a factorization, so only such
     a community is fitted, from its own seed; where the fit's data
-    preconditions fail, the penrose consensus product stands. Results are
-    identical to calling score_for_community / citizen_score pairwise: those
-    are one-content runs of the same passes. Here the records are tallied
-    once, each community's contents are profiled in one pass, and so are
-    each membership signature's; every citizen's iota is one gather from the
-    tally, and psi one formula over every row (see ScoreSet).
+    preconditions fail, the penrose consensus product stands. The records
+    are tallied once, each community's contents are profiled in one pass,
+    and so are each membership signature's; every citizen's iota is one
+    gather from the tally, and psi one formula over every row (see
+    ScoreSet).
     """
     contents = sorted(catalog)
     tally = _Tally(reactions, contents, current_round, params.half_life)

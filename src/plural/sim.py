@@ -11,10 +11,9 @@ every draw, so runs are reproducible byte for byte.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -110,15 +109,6 @@ def attitudes(ideologies: np.ndarray, latent_position: np.ndarray,
     return 1.0 / (1.0 + np.exp(np.minimum(d2 / temperature, 700.0)))
 
 
-def attitude(ideology: np.ndarray, latent_position: np.ndarray,
-             temperature: float = 1.0) -> float:
-    """One citizen's attitude: `attitudes` over a single row."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    row = np.reshape(np.asarray(ideology, dtype=float), (1, -1))
-    return float(attitudes(row, latent_position, temperature)[0])
-
-
 def react(attitude_value: float, exposure_share: float, rng: np.random.Generator,
           engagement_scale: float = 1.0) -> int:
     """One reaction draw: engagement gated by the attention share, then
@@ -131,24 +121,16 @@ def react(attitude_value: float, exposure_share: float, rng: np.random.Generator
     return 1 if rng.random() < attitude_value else -1
 
 
-def _bloc_aggregates(means: np.ndarray, sizes: Sequence[int] | None = None) -> np.ndarray:
-    """Row by row, across-subcommunity aggregation: the sqrt-size-weighted
-    geometric mean of a row of bloc means (unweighted without `sizes`).
+def _bloc_aggregates(means: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Row by row, across-subcommunity aggregation: the geometric mean of a
+    row of bloc means, weighted by the square roots of the bloc `sizes`.
 
     Exact under consensus; zero whenever the mean of any subcommunity with
     members is zero (weakest link).
     """
     if means.shape[1] == 0:
         raise EmptyCommunity("no subcommunity means")
-    weights = _bloc_weights(range(means.shape[1]), "uniform") if sizes is None \
-        else _bloc_weights(sizes, "penrose")
-    return consensus_products(means, weights)
-
-
-def bloc_aggregate(means: Sequence[float], sizes: Sequence[int] | None = None) -> float:
-    """One row of `_bloc_aggregates`."""
-    means = np.asarray(means, dtype=float)
-    return float(_bloc_aggregates(means.reshape(1, means.size), sizes)[0])
+    return consensus_products(means, _bloc_weights(sizes, "penrose"))
 
 
 def _aggregate_rows(values: np.ndarray, weights: np.ndarray,
@@ -181,27 +163,6 @@ def _aggregate_rows(values: np.ndarray, weights: np.ndarray,
     else:
         out[rest] = consensus_products(block, weights / weights.sum())
     return out
-
-
-def aggregate_belief(beliefs: Mapping[int, float], standings: Mapping[int, float],
-                     structure: Sequence[set[int]] | None = None) -> float:
-    """Common belief of a scope from member beliefs.
-
-    Two-level when principal subcommunities are known: standing-weighted
-    arithmetic mean inside each bloc, sqrt-size-weighted geometric mean
-    across blocs. Single-level standing-weighted geometric mean otherwise.
-    Consensus returns the common value exactly.
-    """
-    members = sorted(standings)
-    if not members:
-        raise EmptyCommunity("aggregation over an empty member set")
-    values = np.array([beliefs.get(p, 0.0) for p in members])
-    if np.any((values < -1e-12) | (values > 1 + 1e-12)):
-        raise ValueError("beliefs must lie in [0, 1]")
-    values = np.clip(values, 0.0, 1.0)
-    weights = np.array([standings[p] for p in members], dtype=float)
-    return float(_aggregate_rows(values[None, :], weights,
-                                 _bloc_positions(members, structure))[0])
 
 
 def _bloc_positions(members: Sequence[int],
@@ -250,20 +211,6 @@ class RunResult:
     ideologies: np.ndarray   # (citizens x ideology_dim)
     attitude: np.ndarray     # (contents x citizens)
     exposure: np.ndarray     # (contents x citizens), cumulative attention share
-
-    @property
-    def feed_records(self) -> list[dict]:
-        """Every feed entry as its feeds.jsonl record, parsed on demand."""
-        return [json.loads(line) for line in self.feed_lines]
-
-    def exposed(self, citizen: int) -> dict[int, tuple[float, float]]:
-        """{content: (attitude, belief)} over the contents the citizen has
-        been exposed to; belief is attitude times cumulative exposure."""
-        out = {}
-        for mid in np.flatnonzero(self.exposure[:, citizen] > 0).tolist():
-            a = float(self.attitude[mid, citizen])
-            out[mid] = (a, a * float(self.exposure[mid, citizen]))
-        return out
 
 
 class _Simulation:

@@ -68,7 +68,9 @@ def settle_walk(round_, feeds, fabric, catalog, psi_view, prices, advertisers, p
                     pay_ad(adv, ("community", deal.community), amount)
             p = fabric.citizens[citizen]
             if adv.personal_targeting and p.accepts_personal_ads and adv.personal_price > 0:
-                pay_ad(adv, ("citizen", citizen), adv.personal_price * share)
+                amount = adv.personal_price * share
+                if amount > 0:
+                    pay_ad(adv, ("citizen", citizen), amount)
             continue
 
         for owner, frac in shares(terms, psi_view.columns[mid]):

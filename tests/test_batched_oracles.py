@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from plural.config import ScoringParams
 from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, LABEL_NEITHER, ScoreSet,
                           _bloc_weights, _profile, _spread, _spreads, _with_psi,
-                          consensus_product, consensus_products)
-from plural.sim import _aggregate_rows, _bloc_positions, aggregate_belief
+                          consensus_products)
+from plural.sim import _aggregate_rows, _bloc_positions
 
 
 # -- oracles: the scalar formulas as they stood before batching ---------------------
@@ -146,7 +146,6 @@ def test_consensus_rows_equal_scalar(rates, data):
     want = [old_consensus_product(row, weights) for row in rates]
     for block in layouts(rates):
         assert consensus_products(block, weights).tolist() == want
-    assert [consensus_product(row, weights) for row in rates] == want
 
 
 @given(rate_blocks())
@@ -222,9 +221,6 @@ def test_common_belief_rows_equal_scalar(case):
     want = [old_aggregate_values(row, weights, bloc_idx) for row in values]
     for block in layouts(values):
         assert _aggregate_rows(block, weights, bloc_idx).tolist() == want
-    standings = dict(enumerate(weights.tolist()))
-    assert [aggregate_belief(dict(enumerate(row.tolist())), standings, structure)
-            for row in values] == want
 
 
 def test_common_belief_block_in_fortran_order_over_wide_blocs():

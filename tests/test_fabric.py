@@ -21,14 +21,14 @@ class TestMembershipNormalization:
     def test_single_membership_devotion_is_one(self):
         f = small_fabric()
         f.add_membership(0, 0, raw_standing=1.0, raw_devotion=5.0)
-        assert f.devotion(0, 0) == 1.0
+        assert f.devotions(0)[0] == 1.0
 
     def test_two_equal_members_split_standing(self):
         f = small_fabric()
         f.add_membership(0, 0, 1.0, 1.0)
         f.add_membership(1, 0, 1.0, 1.0)
-        assert f.standing(0, 0) == pytest.approx(0.5, abs=1e-12)
-        assert f.standing(1, 0) == pytest.approx(0.5, abs=1e-12)
+        assert f.standings(0)[0] == pytest.approx(0.5, abs=1e-12)
+        assert f.standings(0)[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_proportional_standing(self):
         f = small_fabric()
@@ -85,7 +85,7 @@ class TestUpdateDevotion:
         f = small_fabric()
         f.add_membership(0, 0, 1.0, 2.0)
         f.update_devotion(0, 0, 17.0)
-        assert f.devotion(0, 0) == 1.0
+        assert f.devotions(0)[0] == 1.0
 
     def test_missing_edge(self):
         f = small_fabric()

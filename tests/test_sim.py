@@ -13,8 +13,8 @@ from plural.config import ScenarioConfig
 from plural.detect import principal_subcommunities
 from plural.errors import EmptyCommunity
 from plural.score import ReactionMatrix
-from plural.sim import (RoundMetrics, _Simulation, aggregate_belief, attention_gini, attitude,
-                        attitudes, bloc_aggregate, gen_population, metrics_csv, react, run)
+from plural.sim import (RoundMetrics, _Simulation, _aggregate_rows, _bloc_positions,
+                        attention_gini, attitudes, gen_population, metrics_csv, react, run)
 from plural._rng import SEED_MAX, derive_rng
 from test_golden import DEMO, _load_workloads
 
@@ -91,8 +91,7 @@ class TestGenPopulation:
         rm = ReactionMatrix()
         positions = [np.array([-0.9 if m % 2 else 0.9]) for m in range(12)]
         for mid, pos in enumerate(positions):
-            for p in fabric.citizens:
-                a = attitude(ideologies[p], pos, temperature=1.0)
+            for p, a in zip(fabric.citizens, attitudes(ideologies, pos, 1.0).tolist()):
                 rm.record_reaction(p, mid, 1 if rng.random() < a else -1, 0)
         blocs = principal_subcommunities(fabric, 0, rm.to_attitudes(), seed=2)
         planted = [set(range(12)), set(range(12, 24))]
@@ -102,35 +101,35 @@ class TestGenPopulation:
 
 
 class TestAttitude:
+    """`attitudes`, every citizen's attitude to one content at once."""
+
     def test_zero_distance_half(self):
-        assert attitude(np.zeros(3), np.zeros(3), temperature=1.0) == pytest.approx(0.5)
+        assert attitudes(np.zeros((1, 3)), np.zeros(3), 1.0)[0] == pytest.approx(0.5)
 
     def test_far_goes_to_zero(self):
-        assert attitude(np.array([0.0]), np.array([50.0]), 1.0) < 1e-12
+        assert attitudes(np.array([[0.0]]), np.array([50.0]), 1.0)[0] < 1e-12
 
     def test_symmetric_agents_equal(self):
-        pos = np.array([0.0, 0.0])
-        a1 = attitude(np.array([1.0, 0.5]), pos, 1.3)
-        a2 = attitude(np.array([-1.0, -0.5]), pos, 1.3)
+        a1, a2 = attitudes(np.array([[1.0, 0.5], [-1.0, -0.5]]), np.zeros(2), 1.3)
         assert a1 == pytest.approx(a2)
 
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
-            attitude(np.zeros(1), np.zeros(1), 0.0)
+            tiny_config(sim={"attitude_temperature": 0.0})
 
     @pytest.mark.parametrize("temperature", [1.0, 0.37])
     def test_scalar_equals_the_loops_vector(self, temperature):
-        # the loop scores every citizen at once with `attitudes`; the scalar
-        # must be bit-equal to that citizen's entry, also past the exp cap
+        # a citizen's attitude scored alone is bit-equal to its entry in the
+        # loop's all-citizen vector, also past the exp cap
         zs = [0.0, 0.3, 5.0, 700.0, 701.0, 1e6]
         pos = np.array([0.2, -0.1])
         rows = np.array([pos + [np.sqrt(z * temperature), 0.0] for z in zs])
         vector = attitudes(rows, pos, temperature)
         for i, z in enumerate(zs):
-            assert attitude(rows[i], pos, temperature) == vector[i], z
+            assert attitudes(rows[i:i + 1], pos, temperature)[0] == vector[i], z
         capped = 1.0 / (1.0 + np.exp(700.0))
-        assert attitude(rows[4], pos, temperature) == capped > 0.0
-        assert attitude(rows[5], pos, temperature) == capped
+        assert vector[4] == capped > 0.0
+        assert vector[5] == capped
 
 
 class TestReact:
@@ -153,28 +152,31 @@ class TestReact:
         assert all(react(0.5, 0.0, rng, engagement_scale=10.0) == 0 for _ in range(50))
 
 
+def common_beliefs(rows, weights, structure=None):
+    """`_aggregate_rows` over rows of member beliefs, members 0..n-1 weighted
+    by their standings `weights`, blocs given as member sets."""
+    return _aggregate_rows(np.array(rows, dtype=float, ndmin=2), np.array(weights, dtype=float),
+                           _bloc_positions(range(len(weights)), structure))
+
+
 class TestAggregateBelief:
     def test_consensus_exact(self):
-        beliefs = {p: 0.37 for p in range(5)}
-        standings = {p: 0.2 for p in range(5)}
-        assert aggregate_belief(beliefs, standings) == 0.37
-        assert aggregate_belief(beliefs, standings, [{0, 1}, {2, 3, 4}]) == 0.37
+        beliefs, standings = [0.37] * 5, [0.2] * 5
+        assert common_beliefs(beliefs, standings)[0] == 0.37
+        assert common_beliefs(beliefs, standings, [{0, 1}, {2, 3, 4}])[0] == 0.37
 
     def test_weakest_link_zero(self):
         # a whole subcommunity at zero kills the cross-bloc geometric mean
-        beliefs = {0: 0.9, 1: 0.9, 2: 0.0, 3: 0.0}
-        standings = {p: 0.25 for p in range(4)}
-        assert aggregate_belief(beliefs, standings, [{0, 1}, {2, 3}]) == \
-            pytest.approx(0.0, abs=1e-12)
+        got = common_beliefs([0.9, 0.9, 0.0, 0.0], [0.25] * 4, [{0, 1}, {2, 3}])[0]
+        assert got == pytest.approx(0.0, abs=1e-12)
         # without structure, any single zero-belief member is the weak link
-        single = aggregate_belief({0: 0.9, 1: 0.0}, {0: 0.5, 1: 0.5})
+        single = common_beliefs([0.9, 0.0], [0.5, 0.5])[0]
         assert single == pytest.approx(0.0, abs=1e-12)
 
     def test_schur_instance(self):
         # equal-size blocs, means (0.9, 0.3) vs (0.6, 0.6): sqrt(0.27) < 0.6
-        split = aggregate_belief({0: 0.9, 1: 0.3}, {0: 0.5, 1: 0.5}, [{0}, {1}])
+        split, even = common_beliefs([[0.9, 0.3], [0.6, 0.6]], [0.5, 0.5], [{0}, {1}])
         assert split == pytest.approx(np.sqrt(0.27))
-        even = aggregate_belief({0: 0.6, 1: 0.6}, {0: 0.5, 1: 0.5}, [{0}, {1}])
         assert even == 0.6
         assert split < even
 
@@ -182,45 +184,41 @@ class TestAggregateBelief:
         rng = np.random.default_rng(8)
         for _ in range(200):
             n = int(rng.integers(2, 9))
-            beliefs = {p: float(rng.uniform(0, 1)) for p in range(n)}
+            beliefs = rng.uniform(0, 1, n)
             raw = rng.uniform(0.2, 2.0, n)
-            standings = {p: float(raw[p] / raw.sum()) for p in range(n)}
             k = int(rng.integers(0, 3))
             structure = None
             if k and n >= 4:
                 ids = list(range(n))
                 rng.shuffle(ids)
                 structure = [set(ids[: n // 2]), set(ids[n // 2:])]
-            b = aggregate_belief(beliefs, standings, structure)
-            assert min(beliefs.values()) - 1e-12 <= b <= max(beliefs.values()) + 1e-12
+            b = common_beliefs(beliefs, raw / raw.sum(), structure)[0]
+            assert beliefs.min() - 1e-12 <= b <= beliefs.max() + 1e-12
 
     def test_strictly_increasing_in_member_belief(self):
-        standings = {0: 0.4, 1: 0.6}
-        low = aggregate_belief({0: 0.4, 1: 0.5}, standings)
-        high = aggregate_belief({0: 0.45, 1: 0.5}, standings)
+        standings = [0.4, 0.6]
+        low, high = common_beliefs([[0.4, 0.5], [0.45, 0.5]], standings)
         assert high > low
-        low2 = aggregate_belief({0: 0.4, 1: 0.5}, standings, [{0}, {1}])
-        high2 = aggregate_belief({0: 0.45, 1: 0.5}, standings, [{0}, {1}])
+        low2, high2 = common_beliefs([[0.4, 0.5], [0.45, 0.5]], standings, [{0}, {1}])
         assert high2 > low2
 
     def test_standing_raises_influence(self):
         # finite-difference sensitivity to member 0's belief grows with standing
         def sensitivity(s0):
-            standings = {0: s0, 1: 1 - s0}
             eps = 1e-6
-            lo = aggregate_belief({0: 0.5, 1: 0.6}, standings, [{0, 1}])
-            hi = aggregate_belief({0: 0.5 + eps, 1: 0.6}, standings, [{0, 1}])
+            lo, hi = common_beliefs([[0.5, 0.6], [0.5 + eps, 0.6]], [s0, 1 - s0], [{0, 1}])
             return (hi - lo) / eps
 
         assert sensitivity(0.7) > sensitivity(0.3) > 0
 
     def test_empty_rejected(self):
+        # two blocs, neither holding a member: no bloc mean to combine
         with pytest.raises(EmptyCommunity):
-            aggregate_belief({}, {})
+            common_beliefs([0.2, 0.4], [0.5, 0.5], [{5}, {6}])
 
     def test_bloc_aggregate_weights(self):
-        # sqrt(4):sqrt(1) = 2:1
-        got = bloc_aggregate([0.9, 0.3], [4, 1])
+        # blocs of 4 and 1 members in internal consensus: sqrt(4):sqrt(1) = 2:1
+        got = common_beliefs([0.9] * 4 + [0.3], [0.2] * 5, [{0, 1, 2, 3}, {4}])[0]
         assert got == pytest.approx(0.9 ** (2 / 3) * 0.3 ** (1 / 3))
 
 
@@ -251,7 +249,7 @@ class TestRun:
         b = run(cfg)
         ids = sorted(a.fabric.communities)
         assert metrics_csv(a.metrics, ids) == metrics_csv(b.metrics, ids)
-        assert a.feed_records == b.feed_records
+        assert a.feed_lines == b.feed_lines
         assert a.ledger.to_csv() == b.ledger.to_csv()
 
     def test_seed_override_changes_run(self):
@@ -271,16 +269,13 @@ class TestRun:
             assert 0.0 <= m.attention_gini <= 1.0
             assert 0.0 <= m.mean_common_belief_top_bridging <= 1.0
         # belief = attitude * cumulative exposure, so belief <= attitude
-        exposed = [res.exposed(p) for p in res.fabric.citizens]
-        assert any(exposed)
-        for pairs in exposed:
-            for a, b in pairs.values():
-                assert b <= a + 1e-12
+        assert (res.exposure > 0).any()
+        assert (res.attitude * res.exposure <= res.attitude + 1e-12).all()
 
     def test_attention_conservation_every_round(self):
         res = run(tiny_config())
         per = {}
-        for rec in res.feed_records:
+        for rec in map(json.loads, res.feed_lines):
             key = (rec["round"], rec["citizen"])
             per[key] = per.get(key, 0.0) + rec["exposure_share"]
         assert per, "expected feeds"
@@ -317,7 +312,7 @@ def brute_community_exposure(res) -> dict[int, dict[int, float]]:
     """Each community's served attention share per content, summed over every
     feed of each of its members, feed by feed and entry by entry."""
     totals: dict[int, dict[int, float]] = {}
-    for rec in res.feed_records:
+    for rec in map(json.loads, res.feed_lines):
         for cid in res.fabric.member_communities(rec["citizen"]):
             per = totals.setdefault(cid, {})
             per[rec["content"]] = per.get(rec["content"], 0.0) + rec["exposure_share"]
@@ -336,7 +331,7 @@ def test_run_state_invariants(config):
     for arr in (res.attitude, res.exposure):
         assert ((arr >= 0.0) & (arr <= 1.0)).all()
     served = np.zeros(res.exposure.shape, dtype=bool)
-    for rec in res.feed_records:
+    for rec in map(json.loads, res.feed_lines):
         served[rec["content"], rec["citizen"]] |= rec["exposure_share"] > 0
     assert served.any()
     assert np.array_equal(res.exposure > 0, served)
@@ -446,7 +441,7 @@ def test_market_runs_stay_sound_on_small_budgets():
         res.fabric.audit()
         res.ledger.audit()
         per: dict[tuple[int, int], float] = {}
-        for rec in res.feed_records:
+        for rec in map(json.loads, res.feed_lines):
             key = (rec["round"], rec["citizen"])
             per[key] = per.get(key, 0.0) + rec["exposure_share"]
         assert per
