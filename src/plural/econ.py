@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import FUNDS_TOL, AdDealConfig, EconParams
 from .errors import InsufficientFunds, NotFound, Unregistered
-from .rank import Feeds, attention_terms
+from .rank import Feeds, term_rows
 
 OwnerRef = tuple[str, int]
 
@@ -311,17 +311,6 @@ class Advertiser:
     seeding_allowance: dict[int, float] = field(default_factory=dict)
 
 
-def _term_weights(citizen: int, fabric, term_of: Mapping[int, int]) -> list[float]:
-    """The citizen's attention numerator weights by term: its own scope
-    first, then community c at `term_of[c]`; 0.0 where the citizen has no
-    such term or its weight is not positive."""
-    weights = [0.0] * (1 + len(term_of))
-    for (kind, oid), w in attention_terms(citizen, fabric):
-        if w > 0:
-            weights[0 if kind == "citizen" else term_of[oid]] = w
-    return weights
-
-
 def _fractions(values: np.ndarray) -> np.ndarray:
     """Each term's fraction of its row's attention numerator: the row's
     values added left to right, as `left_sum` adds them (a zero value adds
@@ -380,7 +369,7 @@ def _ad_payments(round_: int, feeds: Feeds, entries: np.ndarray, items: Sequence
 def settle_round(round_: int, feeds: Feeds, fabric, catalog,
                  psi_view, prices: Mapping[OwnerRef, float],
                  advertisers: Mapping[int, Advertiser],
-                 params: EconParams, ledger: Ledger) -> list[dict]:
+                 params: EconParams, ledger: Ledger, weights: np.ndarray) -> list[dict]:
     """Charge sponsors for the round's feed table, in its order; pay creators.
 
     Citizen-and-community sponsored impressions split three ways straight
@@ -400,17 +389,19 @@ def settle_round(round_: int, feeds: Feeds, fabric, catalog,
     weight times psi over the terms' sum; an all-zero numerator, a uniform
     fallback or an exploration slot, charges no one), with psi read off
     `psi_view.column(scope)`, the round's ScoreSet or its `served` copy,
-    and the lambdas the scenario's, read off the fabric. The
-    table is priced in array passes over blocks of entries, each an
-    (entries x terms) matrix with the citizen's own term first and then
-    every community by id, and each block is posted at once, in entry, term
-    and fee-reward-remainder order. A sponsor whose balance, after the
-    postings before, cannot cover a charge ends its block: the postings
-    before it are made, and its lambda is set to 0.0 in the fabric for the
-    rest of the run. The next block starts at that charge: the citizen
-    being settled keeps the terms read at its first entry, less the clamped
-    sponsor, and later citizens' terms are read again. This gives the rows,
-    bits and events of settling entry by entry.
+    and the weights off `weights`, the round's `rank.term_weights` as
+    ranking read them. The table is priced in array passes over blocks of
+    entries, each an (entries x terms) matrix with the citizen's own term
+    first and then every community by id, and each block is posted at once,
+    in entry, term and fee-reward-remainder order. A sponsor whose balance,
+    after the postings before, cannot cover a charge ends its block: the
+    postings before it are made, and its lambda is set to 0.0 in the fabric
+    for the rest of the run. The next block starts at that charge: the
+    citizen being settled keeps the weights it was settled with, less the
+    clamped sponsor's charges, and a clamped community's term weighs 0.0
+    for later citizens (`weights` itself is left as it was). This gives the
+    rows, bits and events of settling entry by entry with the terms read
+    off the fabric at each citizen's first entry.
 
     Returns the event log in table order (lambda clamps, skipped ad
     payments).
@@ -438,6 +429,8 @@ def settle_round(round_: int, feeds: Feeds, fabric, catalog,
     term_of = {c: 1 + k for k, c in enumerate(communities)}
     n_terms = 1 + len(communities)
     people, person_at = np.unique(feeds.citizen[sponsored], return_inverse=True)
+    person_row = term_rows(fabric, people)
+    held = weights               # less the clamped communities' terms
     entry_item = item_at[sponsored]
     cols = np.array([psi_view.columns.get(m, -1) for m in ids.tolist()], dtype=np.intp)
     at = cols[entry_item]
@@ -481,13 +474,13 @@ def settle_round(round_: int, feeds: Feeds, fabric, catalog,
         for c, k in term_of.items():
             psi[:, k] = psi_view.column(("community", c))[where]
         here, here_at = np.unique(who, return_inverse=True)
-        weights = np.array([kept[1] if kept is not None and p == kept[0]
-                            else _term_weights(p, fabric, term_of)
-                            for p in people[here].tolist()], dtype=float).reshape(-1, n_terms)
+        block = held[person_row[here]]
+        if kept is not None:
+            block[people[here] == kept[0]] = kept[1]
         price = np.empty_like(psi)
         price[:, 0] = own_price[who]
         price[:, 1:] = term_price
-        charge = price * share[sponsored[first:stop], None] * _fractions(weights[here_at] * psi)
+        charge = price * share[sponsored[first:stop], None] * _fractions(block[here_at] * psi)
         charge[:1, :first_term] = 0.0
         if kept is not None:
             charge[np.ix_(people[who] == kept[0], sorted(kept[2]))] = 0.0
@@ -536,8 +529,11 @@ def settle_round(round_: int, feeds: Feeds, fabric, catalog,
         (fabric.citizens if term == 0 else fabric.communities)[owner[1]].lambda_ = 0.0
         events.append((int(entry[k]), {"round": round_, "kind": "lambda_clamped", "owner": owner}))
         if kept is None or kept[0] != p:
-            kept = (p, weights[here_at[e[k]]], set())
+            kept = (p, block[here_at[e[k]]], set())
         kept[2].add(term)
+        if term:    # a citizen's own term is its own, and `kept` covers it
+            held = held.copy() if held is weights else held
+            held[:, term] = 0.0
         ad_done += int(np.searchsorted(ad_at[ads], entry[k]))
         first, first_term = first + int(e[k]), term + 1
     return [event for _, event in sorted(events, key=lambda pair: pair[0])]

@@ -7,11 +7,16 @@ scores of the citizen and of the communities they belong to:
 
 normalized over the pool. psi is read off the round's `ScoreSet`, one row
 per scope, through `served`, which lays the live seeding overrides over the
-community rows. Feeds take the top-k of that distribution and keep a small
-epsilon of attention for seeded random exploration slots. A round's feeds
-are one table, `Feeds`. Each entry's social provenance (where it bridges,
-where it divides, and what balances it) is read off the round's scores only
-when its feeds.jsonl line is written (`feed_lines`).
+community rows; the weights are the round's `term_weights`, one row per
+citizen, which settlement reads as well. Feeds take the top-k of that
+distribution and keep a small epsilon of attention for seeded random
+exploration slots. Citizens with the same communities (and personal-ads
+flag) share a candidate pool, and `rank_feeds` ranks each such `Group` in
+array passes over its (citizens x pool) shares; `exposure_weights` and
+`build_feed` are its one-citizen views. A round's feeds are one table,
+`Feeds`. Each entry's social provenance (where it bridges, where it
+divides, and what balances it) is read off the round's scores only when its
+feeds.jsonl line is written (`feed_lines`).
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._rng import derive_rng
-from ._sum import left_sum
+from ._rng import derive_rng, derive_rngs
 from .config import RankingParams
 from .errors import InsufficientStanding
 from .score import LABEL_BRIDGING, LABEL_DIVISIVE, LABELS, ScoreSet, Scope
@@ -96,76 +100,178 @@ def served(scores: ScoreSet, overrides: PsiOverrides, round_: int) -> ScoreSet:
     return view
 
 
-def attention_terms(citizen: int, fabric) -> list[tuple[Scope, float]]:
-    """The attention numerator's coefficients for one citizen.
+class Group(NamedTuple):
+    """Citizens ranked over one candidate pool: those in the same communities
+    (and, in a run, with the same personal-ads flag)."""
 
-    numerator(m) = sum of weight * psi(m; scope) over the returned
-    (scope, weight) pairs: the citizen's own scope with weight lambda(p)
-    first, then each community c in id order with devotion(c; p) * lambda(c).
-    Ranking sums these terms; settlement charges each term's owner.
+    communities: Sequence[int]   # the citizens' communities, ascending
+    citizens: np.ndarray         # int64 ids, ascending
+    pool: np.ndarray             # int64 content ids, ascending
+    reacted: np.ndarray          # (citizens x pool) bool: reacted to, so not offered
+
+
+def term_weights(fabric) -> np.ndarray:
+    """The attention numerator's weights, one row per citizen in id order
+    (`term_rows` finds them): the citizen's own lambda first, then
+    devotion(c) * lambda(c) for each community c by id, 0.0 where the
+    citizen is not a member. Ranking sums the terms; settlement charges each
+    term's owner."""
+    term_of = {c: 1 + k for k, c in enumerate(sorted(fabric.communities))}
+    weights = np.zeros((len(fabric.citizens), 1 + len(term_of)))
+    for row, p in zip(weights, sorted(fabric.citizens)):
+        row[0] = fabric.citizens[p].lambda_
+        for c, d in fabric.devotions(p).items():
+            row[term_of[c]] = d * fabric.communities[c].lambda_
+    return weights
+
+
+def term_rows(fabric, citizens) -> np.ndarray:
+    """The rows of `citizens` in `term_weights(fabric)`."""
+    return np.searchsorted(np.array(sorted(fabric.citizens), dtype=np.int64), citizens)
+
+
+def _offered(group: Group) -> np.ndarray:
+    """How many pool contents each citizen of the group has not reacted to."""
+    return len(group.pool) - group.reacted.sum(axis=1)
+
+
+def _shares(psi_view: ScoreSet, fabric, weights: np.ndarray, group: Group) -> np.ndarray:
+    """Each citizen's attention share over the group pool, 0.0 where it has
+    reacted; `weights` are the citizens' `term_weights` rows.
+
+    The numerators are built one term at a time, 0 + own term + each of the
+    group's communities' terms by id, and each row's total is a left fold,
+    as `left_sum` adds them: a reacted cell adds +0.0, which changes no
+    non-negative partial sum. A row whose total is not positive is spread
+    uniformly over its unreacted contents, so a cold system still serves
+    content.
     """
-    devotions = fabric.devotions(citizen)
-    return [(("citizen", citizen), fabric.citizens[citizen].lambda_)] + \
-        [(("community", c), devotions[c] * fabric.communities[c].lambda_)
-         for c in sorted(devotions)]
+    at = np.fromiter(map(psi_view.columns.__getitem__, group.pool.tolist()), np.intp,
+                     len(group.pool))
+    own_rows = np.array([psi_view.rows.get(("citizen", p), -1) for p in group.citizens.tolist()],
+                        dtype=np.intp)
+    has = own_rows >= 0
+    own = np.zeros((len(own_rows), len(at)))
+    own[has] = psi_view.psi[own_rows[has][:, None], at]
+    acc = 0 + weights[:, :1] * own
+    term_of = {c: 1 + k for k, c in enumerate(sorted(fabric.communities))}
+    for c in group.communities:
+        k = term_of[c]
+        acc = acc + weights[:, k:k + 1] * psi_view.column(("community", c))[at]
+    acc[group.reacted] = 0.0
+    total = np.cumsum(acc, axis=1)[:, -1]
+    cold = total <= 0.0
+    acc /= np.where(cold, 1.0, total)[:, None]
+    acc[cold] = (1.0 / np.maximum(_offered(group)[cold], 1))[:, None]
+    acc[group.reacted] = 0.0
+    return acc
+
+
+def _feeds(group: Group, shares: np.ndarray, params: RankingParams, rngs: Mapping
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The group's feed entries as (citizen, content, share) columns, in no
+    particular order.
+
+    Each row is ranked by (-share, content id), reacted contents last. Its
+    top k carry (1 - epsilon) of attention in proportion to their shares
+    over their left-fold total; when the row has more unreacted contents
+    than k, epsilon is spread uniformly over up to k contents drawn from
+    the rest with the citizen's generator in `rngs`. Shares always sum to 1.
+    """
+    k = params.feed_size
+    offered = _offered(group)
+    order = np.argsort(np.where(group.reacted, np.inf, -shares), axis=1, kind="stable")
+    top = np.take_along_axis(shares, order[:, :k], axis=1)
+    n_top = np.minimum(offered, k)
+    top_total = np.cumsum(top, axis=1)[:, -1]
+    keep = 1.0 - np.where(offered > k, params.epsilon, 0.0)
+    top = keep[:, None] * top / np.where(top_total > 0, top_total, 1.0)[:, None]
+    flat = (top_total <= 0) & (n_top > 0)
+    top[flat] = (keep[flat] / n_top[flat])[:, None]
+    held = np.arange(top.shape[1]) < n_top[:, None]
+    citizens = [np.broadcast_to(group.citizens[:, None], top.shape)[held]]
+    contents, shares = [group.pool[order[:, :k]][held]], [top[held]]
+    explorers = np.flatnonzero(offered > k) if params.epsilon > 0.0 else np.zeros(0, np.intp)
+    rest = offered[explorers] - k
+    slots = np.minimum(k, rest)
+    # each explorer's picks index the rest of its ranking, order[i, k:]
+    picks = [order[i, k + rngs[p].choice(n_rest, size=n, replace=False)] for i, p, n_rest, n
+             in zip(explorers.tolist(), group.citizens[explorers].tolist(), rest.tolist(),
+                    slots.tolist())]
+    citizens.append(np.repeat(group.citizens[explorers], slots))
+    contents.append(group.pool[np.concatenate(picks)] if picks else group.pool[:0])
+    shares.append(np.repeat(params.epsilon / slots, slots))
+    return np.concatenate(citizens), np.concatenate(contents), np.concatenate(shares)
+
+
+def rank_feeds(groups: Sequence[Group], weights: np.ndarray, fabric, psi_view: ScoreSet,
+               params: RankingParams, seed: int, round_: int) -> Feeds:
+    """The round's feed table: each citizen's feed over its group's pool,
+    from the round's `term_weights` and psi (`psi_view`, the round's
+    ScoreSet or its `served` copy; every pool content must be one of its
+    `columns`). A citizen with nothing left to offer gets no feed.
+
+    Each group is ranked in array passes over its (citizens x pool) shares.
+    Exploration draws come from the citizens' `derive_rng(seed, "explore",
+    round_, citizen)` streams, derived in one batch for the round. Each feed
+    is ordered by (-share, content id).
+    """
+    groups = [group for group in groups if len(group.pool)]
+    explorers = [p for group in groups if params.epsilon > 0.0
+                 for p in group.citizens[_offered(group) > params.feed_size].tolist()]
+    rngs = dict(zip(explorers, derive_rngs(seed, explorers, "explore", round_)))
+    parts = [_feeds(group, _shares(psi_view, fabric,
+                                   weights[term_rows(fabric, group.citizens)], group),
+                    params, rngs) for group in groups]
+    citizen, content, share = (np.concatenate([np.zeros(0, dtype)] + [part[i] for part in parts])
+                               for i, dtype in enumerate((np.int64, np.int64, float)))
+    order = np.lexsort((content, -share, citizen))
+    citizen, content, share = citizen[order], content[order], share[order]
+    at = np.arange(len(citizen))
+    first = np.ones(len(citizen), dtype=bool)
+    first[1:] = citizen[1:] != citizen[:-1]
+    return Feeds(citizen, content, share, at - np.maximum.accumulate(np.where(first, at, 0)))
 
 
 def exposure_weights(citizen: int, fabric, psi_view: ScoreSet,
                      pool: Sequence[int]) -> dict[int, float]:
-    """Attention share per pool content for one citizen.
+    """Attention share per pool content for one citizen: `rank_feeds`'
+    shares, for a one-citizen group over `pool`. Nothing in the program
+    calls it; perfbench's tracer patches it by name.
 
     `psi_view` is the round's ScoreSet, or its `served` copy; a scope
     without a row scores zero. Every pool content must be one of its
-    `columns`. The numerators are built one term at a time over the whole
-    pool: each is 0 + term_1 + term_2 + ..., added left to right in
-    `attention_terms` order (citizen first, then communities by id), as
-    `left_sum` adds them. When every numerator is zero the budget is spread
-    uniformly so a cold system still serves content.
+    `columns`.
     """
     if not pool:
         raise ValueError("candidate pool must be non-empty")
-    at = np.fromiter(map(psi_view.columns.__getitem__, pool), np.intp, len(pool))
-    (scope, w), *rest = attention_terms(citizen, fabric)
-    acc = 0 + w * psi_view.column(scope)[at]
-    for scope, w in rest:
-        acc = acc + w * psi_view.column(scope)[at]
-    total = left_sum(acc.tolist())
-    if total <= 0.0:
-        share = 1.0 / len(pool)
-        return {m: share for m in pool}
-    return dict(zip(pool, (acc / total).tolist()))
+    group = Group(fabric.member_communities(citizen), np.array([citizen], dtype=np.int64),
+                  np.array(pool, dtype=np.int64), np.zeros((1, len(pool)), dtype=bool))
+    weights = term_weights(fabric)[term_rows(fabric, group.citizens)]
+    return dict(zip(pool, _shares(psi_view, fabric, weights, group)[0].tolist()))
 
 
 def build_feed(citizen: int, weights: Mapping[int, float], *, params: RankingParams,
                seed: int = 0, round_: int = 0) -> list[tuple[int, float]]:
-    """Feed for one citizen: exploitation top-k plus seeded exploration slots,
-    as (content, share) pairs in rank order.
+    """Feed for one citizen over the shares `weights`, as (content, share)
+    pairs in rank order: `rank_feeds`' feed for a one-citizen group. Nothing
+    in the program calls it; perfbench's tracer patches it by name.
 
     The top-k carry (1 - epsilon) of attention proportionally to their
     renormalized weights; epsilon is spread uniformly over up to k contents
     sampled from the rest of the pool. Shares always sum to 1. Entries are
     ordered by share descending, ties by content id.
     """
-    ranked = sorted(weights, key=lambda m: (-weights[m], m))
-    top = ranked[:params.feed_size]
-    rest = ranked[params.feed_size:]
-    top_total = left_sum(weights[m] for m in top)
-
-    shares: dict[int, float] = {}
-    epsilon = params.epsilon if rest else 0.0
-    if top_total > 0:
-        for m in top:
-            shares[m] = (1.0 - epsilon) * weights[m] / top_total
-    else:
-        for m in top:
-            shares[m] = (1.0 - epsilon) / len(top)
-    if epsilon > 0.0:
-        rng = derive_rng(seed, "explore", round_, citizen)
-        n_slots = min(params.feed_size, len(rest))
-        picks = sorted(rng.choice(len(rest), size=n_slots, replace=False).tolist())
-        for idx in picks:
-            shares[rest[idx]] = epsilon / n_slots
-    return sorted(shares.items(), key=lambda e: (-e[1], e[0]))
+    if not weights:
+        return []
+    pool = sorted(weights)
+    group = Group((), np.array([citizen], dtype=np.int64), np.array(pool, dtype=np.int64),
+                  np.zeros((1, len(pool)), dtype=bool))
+    shares = np.array([[weights[m] for m in pool]], dtype=float)
+    rngs = {citizen: derive_rng(seed, "explore", round_, citizen)}
+    _, content, share = _feeds(group, shares, params, rngs)
+    order = np.lexsort((content, -share))
+    return list(zip(content[order].tolist(), share[order].tolist()))
 
 
 def _tag(scores: ScoreSet, content: int, scope: Scope, code: int) -> Optional[str]:

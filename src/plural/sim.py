@@ -24,8 +24,8 @@ from .econ import (PLATFORM, Advertiser, Ledger, OwnerRef, reward_standing,
                    sell_standing, settle_round)
 from .errors import DegenerateInput, EmptyCommunity, TooSmall
 from .fabric import SocialFabric
-from .rank import (Feeds, PsiOverrides, build_feed, exposure_weights,
-                   feed_lines, seed_content, served)
+from .rank import (Feeds, Group, PsiOverrides, feed_lines, rank_feeds, seed_content,
+                   served, term_weights)
 from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights,
                     consensus_products, divisiveness, score_round)
 
@@ -337,31 +337,29 @@ class _Simulation:
             except (TooSmall, DegenerateInput):
                 pass  # keep the previous structure, if any
 
-    def _rank_phase(self, round_: int, psi_view: ScoreSet) -> Feeds:
+    def _rank_phase(self, round_: int, psi_view: ScoreSet, weights: np.ndarray) -> Feeds:
         """The round's feed table: each citizen's feed, ranked over the contents
         targeted at its communities (plus personal ads it accepts) it has not
-        reacted to."""
-        pools: dict[tuple, np.ndarray] = {}   # by (membership signature, ads flag)
-        feeds: dict[int, list[tuple[int, float]]] = {}
+        reacted to. Citizens with the same communities and ads flag share a
+        pool and are ranked together."""
+        members: dict[tuple, list[int]] = {}   # by (membership signature, ads flag)
         for citizen in sorted(self.fabric.citizens):
             ads = self.fabric.citizens[citizen].accepts_personal_ads
-            key = (tuple(self.fabric.member_communities(citizen)), ads)
-            if key not in pools:
-                comms = set(key[0])
-                pools[key] = np.flatnonzero([   # content ids are catalog positions
-                    bool(item.target_communities & comms)
-                    or (ads and item.creator_kind == "advertiser"
-                        and self.advertisers[item.creator].personal_targeting)
-                    for item in self.catalog.values()])
-            pool = pools[key][self.reactions.sign[pools[key], citizen] == 0].tolist()
-            if not pool:
-                continue
-            weights = exposure_weights(citizen, self.fabric, psi_view, pool)
-            feed = build_feed(citizen, weights, params=self.config.ranking,
-                              seed=self.seed, round_=round_)
-            if feed:
-                feeds[citizen] = feed
-        return Feeds.of(feeds)
+            members.setdefault((tuple(self.fabric.member_communities(citizen)), ads),
+                               []).append(citizen)
+        groups = []
+        for (communities, ads), citizens in members.items():
+            comms = set(communities)
+            pool = np.flatnonzero([   # content ids are catalog positions
+                bool(item.target_communities & comms)
+                or (ads and item.creator_kind == "advertiser"
+                    and self.advertisers[item.creator].personal_targeting)
+                for item in self.catalog.values()])
+            citizens = np.array(citizens, dtype=np.int64)
+            groups.append(Group(communities, citizens, pool,
+                                self.reactions.sign[np.ix_(pool, citizens)].T != 0))
+        return rank_feeds(groups, weights, self.fabric, psi_view, self.config.ranking,
+                          self.seed, round_)
 
     def _react_phase(self, round_: int, feeds: Feeds) -> None:
         """One reaction draw per feed entry, in table order; one record per round."""
@@ -503,13 +501,14 @@ class _Simulation:
                                       cfg.scoring, round_,
                                       mf_seed=derive_seed(self.seed, "mf", round_))
             psi_view = served(self.scores, self.overrides, round_)
-            feeds = self._rank_phase(round_, psi_view)
+            weights = term_weights(self.fabric)
+            feeds = self._rank_phase(round_, psi_view, weights)
             self._react_phase(round_, feeds)
             self._belief_phase(round_, feeds)
             platform_before = self.ledger.balance(PLATFORM)
             self.events.extend(settle_round(round_, feeds, self.fabric, self.catalog,
                                             psi_view, self.prices, self.advertisers,
-                                            cfg.econ, self.ledger))
+                                            cfg.econ, self.ledger, weights))
             reward_standing(self.scores, self.fabric, cfg.econ.standing_reward_rate,
                             self.catalog)
             self._adapt_devotion(feeds)

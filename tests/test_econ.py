@@ -16,7 +16,7 @@ from plural.econ import (PLATFORM, REASONS, Advertiser, EconParams, Ledger, crea
                          reward_standing, sell_standing, settle_round)
 from plural.errors import InsufficientFunds, NotFound, Unregistered
 from plural.fabric import SocialFabric
-from plural.rank import Feeds
+from plural.rank import Feeds, term_weights
 from plural.score import ContentItem, ScoreCard, ScoreSet
 
 from settle_walk import settle_walk, shares, sponsor_terms
@@ -141,7 +141,8 @@ class TestSettleRound:
         f, p, creator, c, ledger, catalog, scores, feeds = one_community_world()
         events = settle_round(0, feeds, f, catalog, scores, {}, {},
                               EconParams(platform_fee=0.3, creator_share=0.7,
-                                         default_price_per_lambda_impression=1.0), ledger)
+                                         default_price_per_lambda_impression=1.0), ledger,
+                              term_weights(f))
         assert events == []
         assert ledger.balance(("community", c)) == pytest.approx(99.0)
         assert ledger.balance(PLATFORM) == pytest.approx(0.3)
@@ -154,14 +155,14 @@ class TestSettleRound:
         f, p, creator, c, ledger, catalog, scores, feeds = \
             one_community_world(lambda_c=0.0)
         settle_round(0, feeds, f, catalog, scores, {}, {},
-                     EconParams(default_price_per_lambda_impression=1.0), ledger)
+                     EconParams(default_price_per_lambda_impression=1.0), ledger, term_weights(f))
         assert ledger.entries == []
 
     def test_remainder_goes_to_creator_pool(self):
         f, p, creator, c, ledger, catalog, scores, feeds = one_community_world()
         params = EconParams(platform_fee=0.2, creator_share=0.5,
                             default_price_per_lambda_impression=1.0)
-        settle_round(0, feeds, f, catalog, scores, {}, {}, params, ledger)
+        settle_round(0, feeds, f, catalog, scores, {}, {}, params, ledger, term_weights(f))
         assert ledger.balance(PLATFORM) == pytest.approx(0.2)
         assert ledger.balance(("citizen", creator)) == pytest.approx(0.5)
         assert ledger.balance(creator_pool(c)) == pytest.approx(0.3)
@@ -183,7 +184,7 @@ class TestSettleRound:
         feeds = Feeds.of({p: [(0, 1.0)]})
         scores = ScoreSet.of(cards)
         settle_round(0, feeds, f, catalog, scores, {}, {},
-                     EconParams(default_price_per_lambda_impression=1.0), ledger)
+                     EconParams(default_price_per_lambda_impression=1.0), ledger, term_weights(f))
         assert [e.reason for e in ledger.entries] == ["Subscription", "CreatorReward"]
         assert ledger.balance(("citizen", p)) == pytest.approx(9.0)
 
@@ -202,14 +203,15 @@ class TestSettleRound:
         feeds = Feeds.of({p: [(0, 1.0)]})
         scores = ScoreSet.of(cards)
         settle_round(0, feeds, f, catalog, scores, {}, {},
-                     EconParams(default_price_per_lambda_impression=1.0), ledger)
+                     EconParams(default_price_per_lambda_impression=1.0), ledger, term_weights(f))
         assert ledger.entries == []
 
     def test_insufficient_funds_clamps_lambda(self):
         f, p, creator, c, ledger, catalog, scores, feeds = \
             one_community_world(balance=0.4)
         events = settle_round(0, feeds, f, catalog, scores, {}, {},
-                              EconParams(default_price_per_lambda_impression=1.0), ledger)
+                              EconParams(default_price_per_lambda_impression=1.0), ledger,
+                              term_weights(f))
         assert any(e["kind"] == "lambda_clamped" and e["owner"] == ("community", c)
                    for e in events)
         assert f.communities[c].lambda_ == 0.0
@@ -238,7 +240,7 @@ class TestSettleRound:
         # posted whole, as its pool remainder
         settle_round(0, Feeds.of({p: [(0, 1.0)]}), f, catalog, scores, {}, {},
                      EconParams(platform_fee=0.0, creator_share=0.0,
-                                default_price_per_lambda_impression=1.0), ledger)
+                                default_price_per_lambda_impression=1.0), ledger, term_weights(f))
         terms = shares(sponsor_terms(p, f, scores), scores.columns[0])
         assert len(terms) == 3
         assert [(e.from_owner, e.amount) for e in ledger.entries] == terms
@@ -280,7 +282,7 @@ class TestSettleRound:
         scores = ScoreSet.of(cards)
         settle_round(0, Feeds.of(feeds), f, catalog, scores, {}, {},
                      EconParams(platform_fee=0.25, creator_share=0.6,
-                                default_price_per_lambda_impression=0.5), ledger)
+                                default_price_per_lambda_impression=0.5), ledger, term_weights(f))
         # oracle: re-sum every entry from scratch
         debits = sum(e.amount for e in ledger.entries)
         credits = sum(e.amount for e in ledger.entries)
@@ -302,7 +304,8 @@ class TestSettleRound:
             feeds = Feeds.of({p: [(0, 0.6), (1, 0.4)]})
             scores = ScoreSet.of(cards)
             settle_round(0, feeds, f, catalog, scores, {}, {},
-                         EconParams(default_price_per_lambda_impression=1.0), ledger)
+                         EconParams(default_price_per_lambda_impression=1.0), ledger,
+                         term_weights(f))
             return ledger.balance(("citizen", creator))
 
         assert revenue(0.9) >= revenue(0.5) >= revenue(0.2)
@@ -347,7 +350,7 @@ class TestSettleRound:
                 want += [(owner, fee), (owner, reward), (owner, charge - fee - reward)]
             start = len(ledger.entries)
             events = settle_round(0, Feeds.of({p: [(m, share)]}), f, catalog, scores, prices, {},
-                                  params, ledger)
+                                  params, ledger, term_weights(f))
             assert events == []
             assert [(e.from_owner, e.amount) for e in ledger.entries[start:]] == want
         assert ("community", c2) not in {owner for owner, _ in want}     # psi 0.0 on content 2
@@ -389,7 +392,8 @@ class TestSettleRound:
 
         events = settle_round(0, feeds, f, catalog, scores, {}, {},
                               EconParams(platform_fee=0.25, creator_share=0.6,
-                                         default_price_per_lambda_impression=1.0), ledger)
+                                         default_price_per_lambda_impression=1.0), ledger,
+                              term_weights(f))
         assert events == [{"round": 0, "kind": "lambda_clamped",
                            "owner": ("community", poor)}]
         assert f.communities[poor].lambda_ == 0.0
@@ -428,7 +432,7 @@ class TestAdvertising:
     def test_ad_impressions_pay_community_and_citizen(self):
         f, p, c, adv, ledger, catalog, feeds = self._world()
         settle_round(0, feeds, f, catalog, ScoreSet(), {}, {0: adv},
-                     EconParams(), ledger)
+                     EconParams(), ledger, term_weights(f))
         reasons = sorted(e.reason for e in ledger.entries)
         assert reasons == ["AdImpression", "AdImpression"]
         assert ledger.balance(("community", c)) == pytest.approx(1.0)   # 2.0 * 0.5
@@ -442,7 +446,7 @@ class TestAdvertising:
         drained.open_account(("advertiser", 0), 0.1)
         drained.open_account(("community", c), 0.0)
         events = settle_round(0, feeds, f, catalog, ScoreSet(), {},
-                              {0: adv}, EconParams(), drained)
+                              {0: adv}, EconParams(), drained, term_weights(f))
         assert any(e["kind"] == "ad_skipped" for e in events)
         assert drained.balance(("advertiser", 0)) >= 0
         drained.audit()
@@ -455,7 +459,7 @@ class TestAdvertising:
         adv.personal_price = 0.4
         assert adv.personal_price * 5e-324 == 0.0 < 2.0 * 5e-324
         events = settle_round(0, Feeds.of({p: [(0, 5e-324)]}), f, catalog, ScoreSet(), {},
-                              {0: adv}, EconParams(), ledger)
+                              {0: adv}, EconParams(), ledger, term_weights(f))
         assert events == []
         assert [(e.from_owner, e.to_owner, e.amount, e.reason) for e in ledger.entries] == [
             (("advertiser", 0), ("community", c), 2.0 * 5e-324, "AdImpression")]
@@ -652,8 +656,8 @@ def _settled(world, settle):
     ledger = Ledger()
     for owner, balance in openings:
         ledger.open_account(owner, balance)
-    events = [settle(round_, feeds, f, catalog, scores, prices, advertisers, params, ledger)
-              for round_ in (0, 1)]
+    events = [settle(round_, feeds, f, catalog, scores, prices, advertisers, params, ledger,
+                     term_weights(f)) for round_ in (0, 1)]
     lambdas = [(p, c.lambda_) for p, c in f.citizens.items()] + \
         [(c, comm.lambda_) for c, comm in f.communities.items()]
     return ledger, events, lambdas

@@ -1,15 +1,21 @@
 """Ranking: the exposure equation against a brute-force oracle, feed
-construction, provenance tagging, and staked seeding."""
+construction, the batched rank against the citizen-by-citizen walk,
+provenance tagging, and staked seeding."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plural.errors import InsufficientStanding
 from plural.fabric import SocialFabric
-from plural.rank import (Feeds, PsiOverrides, RankingParams, build_feed, exposure_weights,
-                         feed_to_records, seed_content, served)
+from plural.rank import (Feeds, Group, PsiOverrides, RankingParams, build_feed,
+                         exposure_weights, feed_to_records, rank_feeds, seed_content, served,
+                         term_weights)
 from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, ContentItem, ReactionMatrix,
                           ScoreCard, ScoreSet, ScoringParams, score_round)
+
+from rank_walk import rank_walk
 
 
 def exposure_oracle(fabric, psi_table, citizen, pool):
@@ -265,6 +271,97 @@ class TestBuildFeed:
         assert recs[0]["citizen"] == p
         assert set(recs[0]) == {"round", "citizen", "rank_position", "content",
                                 "exposure_share", "provenance"}
+
+
+# -- the batched rank against the citizen walk ---------------------------------------
+
+TIES = [0.5, 0.25, 0.0, 1.0]
+
+
+@st.composite
+def rank_worlds(draw):
+    """A fabric with overlapping communities, lambda-0 owners, uneven
+    devotions and citizens in no community; a catalog of targeted contents
+    and personal ads; psi rows, all zero or drawn with many ties, and live
+    overrides; the round's groups as a run gathers them, each citizen having
+    reacted to none, some or all of its pool; and ranking parameters.
+
+    The psi cells and the partly reacted rows come from a generator seeded
+    by a drawn integer, so pools can be long enough for ties to straddle
+    the feed size."""
+    f = SocialFabric()
+    comms = [f.add_community(lambda_=draw(st.sampled_from([1.0, 0.5, 0.0, 2.0])))
+             for _ in range(draw(st.integers(1, 3)))]
+    citizens = [f.add_citizen(lambda_=draw(st.sampled_from([1.0, 0.7, 0.0])))
+                for _ in range(draw(st.integers(1, 8)))]
+    ads = {p: draw(st.booleans()) for p in citizens}
+    for p in citizens:
+        for c in sorted(draw(st.sets(st.sampled_from(comms)))):
+            f.add_membership(p, c, 1.0, draw(st.sampled_from([0.3, 1.0, 1.7])))
+    contents = range(draw(st.integers(0, 30)))
+    targets = {m: draw(st.sets(st.sampled_from(comms))) for m in contents}
+    personal = {m: draw(st.booleans()) for m in contents}
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cold = draw(st.booleans())
+    scopes = [("citizen", p) for p in citizens] + [("community", c) for c in comms]
+    cards = [ScoreCard(content=m, scope=scope, iota=1.0, beta=0.5, delta=0.0,
+                       psi=0.0 if cold else float(rng.choice(TIES)) if rng.random() < 0.6
+                       else rng.uniform(0.0, 2.0))
+             for m in contents for scope in scopes if rng.random() < 0.75]
+    overrides = PsiOverrides()
+    for _ in range(draw(st.integers(0, 4))):
+        overrides.set(draw(st.sampled_from(list(contents) or [0])), draw(st.sampled_from(comms)),
+                      draw(st.sampled_from(TIES)), draw(st.integers(0, 3)))
+    round_ = draw(st.integers(0, 2))
+    view = served(ScoreSet.of(cards, contents=contents), overrides, round_)
+    members = {}
+    for p in citizens:
+        members.setdefault((tuple(f.member_communities(p)), ads[p]), []).append(p)
+    groups = []
+    for (communities, flag), who in members.items():
+        pool = np.array([m for m in contents if targets[m] & set(communities)
+                         or (flag and personal[m])], dtype=np.int64)
+        modes = [draw(st.sampled_from(["none", "some", "all"])) for _ in who]
+        reacted = np.array([rng.random(len(pool)) < {"none": 0.0, "some": 0.3, "all": 1.0}[mode]
+                            for mode in modes]).reshape(len(who), len(pool))
+        groups.append(Group(communities, np.array(who, dtype=np.int64), pool, reacted))
+    params = RankingParams(feed_size=draw(st.integers(1, 6)),
+                           epsilon=draw(st.sampled_from([0.0, 0.1, 0.5])))
+    return f, view, groups, params, draw(st.integers(0, 2 ** 32 - 1)), round_
+
+
+def test_rank_feeds_equals_the_citizen_walk():
+    """The batched rank gives the walk's feed table, column for column, over
+    worlds with ties, cold and all-reacted rows, citizens whose pool holds
+    only personal ads, pools on either side of the feed size and exploration
+    on and off."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rank_worlds())
+    def check(world):
+        f, view, groups, params, seed, round_ = world
+        got = rank_feeds(groups, term_weights(f), f, view, params, seed, round_)
+        want = rank_walk(groups, f, view, params, seed, round_)
+        for column, expected in zip(got, want):
+            assert column.dtype == expected.dtype
+            assert column.tolist() == expected.tolist()
+        k = params.feed_size
+        for group in (group for group in groups if len(group.pool)):
+            if not group.communities:
+                seen.add("no community")
+            seen.update("all reacted" if n == 0 else "short pool" if n < k else "pool = feed size"
+                        if n == k else "explored" if params.epsilon else "long pool"
+                        for n in len(group.pool) - group.reacted.sum(axis=1))
+        shares = got.share.tolist()
+        if len(set(shares)) < len(shares):
+            seen.add("tied shares")
+        if len(got.share) and not view.psi.any():
+            seen.add("cold")
+
+    check()
+    assert seen >= {"no community", "all reacted", "short pool", "pool = feed size", "explored",
+                    "long pool", "tied shares", "cold"}
 
 
 class TestSeedContent:

@@ -41,6 +41,9 @@ PINNED = [
     ("econ.Ledger.to_csv", TESTS_READ),
     ("econ.LedgerRows.entries", "Ledger.entries' rows"),
     ("fabric.SocialFabric.audit", AUDIT),
+    ("rank.Feeds.of", TESTS_BUILD),
+    ("rank.build_feed", TRACER),
+    ("rank.exposure_weights", TRACER),
     ("rank.feed_to_records", TRACER),
     ("score.ReactionMatrix.get", TESTS_READ),
     ("score.ReactionMatrix.record_exposure", TESTS_BUILD),

@@ -341,8 +341,8 @@ def test_run_state_invariants(config):
 class _TableRecorder(_Simulation):
     """A run that keeps each round's feed table."""
 
-    def _rank_phase(self, round_, psi_view):
-        table = super()._rank_phase(round_, psi_view)
+    def _rank_phase(self, *args):
+        table = super()._rank_phase(*args)
         self.tables.append(table)
         return table
 

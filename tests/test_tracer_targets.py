@@ -17,14 +17,14 @@ ROOT = Path(__file__).resolve().parent.parent
 # updates it here and says why. `econ.postings` counts `Ledger.post` calls:
 # settlement posts each round as one block, so only standing purchases call
 # it, and the tiny run has none. Its 528 postings are pinned as ledger rows.
+# Ranking runs in group passes that call no per-citizen function the tracer
+# wraps, so its `rank.*` counts read 0; the run's 264 feed entries are
+# pinned as feeds.jsonl lines.
 PINNED_COUNTS = {
     "score.cards": 378,
     "score.balancing_calls": 5,
-    "rank.pool_entries": 264,
     "econ.postings": 0,
     "detect.cells": 1080,
-    "rank.feed_entries": 264,
-    "rank.feed_fill": 0.4125,
 }
 
 
@@ -40,9 +40,15 @@ def _load_tracer():
     return _load("tracer")
 
 
+def _lines(path: Path) -> int:
+    with open(path, encoding="utf-8") as fh:
+        return sum(1 for _ in fh)
+
+
 def _traced_run(tracer, doc: dict, tmp_path: Path, installed=lambda: None):
     """`plural run` of `doc` under `tracer`, calling `installed` once it is
-    in place: the exit code and the number of ledger.csv data lines."""
+    in place: the exit code, the number of ledger.csv data lines and the
+    number of feeds.jsonl lines (feed entries)."""
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     tracer.install()
@@ -51,8 +57,8 @@ def _traced_run(tracer, doc: dict, tmp_path: Path, installed=lambda: None):
         code = cli.main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
     finally:
         tracer.restore()
-    with open(tmp_path / "out" / "ledger.csv", encoding="utf-8") as fh:
-        return code, sum(1 for _ in fh) - 1
+    out = tmp_path / "out"
+    return code, _lines(out / "ledger.csv") - 1, _lines(out / "feeds.jsonl")
 
 
 def _bindings(tracer_module) -> dict:
@@ -90,16 +96,16 @@ def test_tracer_installs_traces_a_run_and_restores(tmp_path):
         assert _bindings(tracer_module) != before
 
     tracer = tracer_module.Tracer()
-    code, ledger_rows = _traced_run(tracer, doc, tmp_path, installed)
+    code, ledger_rows, feed_entries = _traced_run(tracer, doc, tmp_path, installed)
     assert code == 0
     assert _bindings(tracer_module) == before
     layers = tracer.layers()
-    for key in ("score.cards", "rank.pool_entries", "rank.feed_entries", "detect.refreshes"):
+    for key in ("score.cards", "detect.refreshes"):
         assert layers[key] > 0, key
-    assert ledger_rows == 528
+    assert (ledger_rows, feed_entries) == (528, 264)
     # Batching refactors must keep what the tracer counts, not only its
     # names: one react draw per feed entry, and the work counts of this run.
-    assert layers["sim.react_calls"] == layers["rank.feed_entries"]
+    assert layers["sim.react_calls"] == feed_entries
     assert {key: layers[key] for key in PINNED_COUNTS} == PINNED_COUNTS
     tracer.outcome.fabric.audit()
     tracer.outcome.ledger.audit()
@@ -112,7 +118,7 @@ def test_traced_market_run_keeps_its_clamps_skips_and_rows(tmp_path):
     workloads = _load("workloads")
     base = json.loads((ROOT / "scenarios" / "demo.json").read_text(encoding="utf-8"))
     tracer = _load_tracer().Tracer()
-    code, ledger_rows = _traced_run(tracer, workloads.scenario(base, "market", 10), tmp_path)
+    code, ledger_rows, _ = _traced_run(tracer, workloads.scenario(base, "market", 10), tmp_path)
     assert code == 0
     layers = tracer.layers()
     assert (layers["econ.lambda_clamped"], layers["econ.ad_skipped"], ledger_rows) \
