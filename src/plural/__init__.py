@@ -18,8 +18,7 @@ from .fabric import Citizen, Community, MembershipEdge, SocialFabric
 from .rank import (Feeds, PsiOverrides, RankingParams, build_feed, exposure_weights,
                    feed_lines, seed_content, served)
 from .score import (ContentItem, ReactionMatrix, ScoreCard, ScoreSet,
-                    ScoringParams, balancing_set, bridging_mf, divisiveness,
-                    score_round)
+                    ScoringParams, balancing_set, bridging_mf, score_round)
 from .sim import RoundMetrics, RunResult, gen_population, react, run
 
 __version__ = "0.1.0"

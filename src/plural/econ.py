@@ -579,8 +579,8 @@ def sell_standing(advertiser: Advertiser, community: int, amount: float,
         raise NotFound(f"unknown community {community}")
     if not comm.admin_registered:
         raise Unregistered(f"community {community} has no registered administrator")
-    if amount <= 0 or price <= 0:
-        raise ValueError("amount and price must be > 0")
+    if not (0 < amount < math.inf and 0 < price < math.inf):   # also rejects NaN
+        raise ValueError(f"amount and price must be > 0 and finite, got {amount!r}, {price!r}")
     if ledger.balance(("advertiser", advertiser.id)) + FUNDS_TOL < price:
         raise InsufficientFunds(
             f"advertiser {advertiser.id} balance cannot cover {price:.6g}")

@@ -33,10 +33,6 @@ class InsufficientData(PluralError):
     """Not enough raters/items for the factorization fit."""
 
 
-class FewerThanTwoBlocs(PluralError):
-    """Bridging/divisiveness need at least two blocs; caller should fall back."""
-
-
 class InsufficientFunds(PluralError):
     """Account balance cannot cover the requested amount."""
 

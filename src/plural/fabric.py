@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from ._sum import left_sum
 from .errors import AlreadyMember, InsufficientStanding, NotFound
 
@@ -172,8 +174,8 @@ class SocialFabric:
 
     def update_devotion(self, citizen: int, community: int, new_raw: float) -> None:
         """Set the raw devotion on an existing edge; siblings keep their order."""
-        if new_raw <= 0:
-            raise ValueError("raw devotion must be > 0")
+        if not 0 < new_raw < math.inf:     # also rejects NaN
+            raise ValueError(f"raw devotion must be > 0 and finite, got {new_raw!r}")
         p = self._citizen(citizen)
         if community not in p.memberships:
             raise NotFound(f"citizen {citizen} has no membership in {community}")
@@ -186,6 +188,8 @@ class SocialFabric:
             raise NotFound(f"citizen {citizen} has no membership in {community}")
         edge = p.memberships[community]
         new_raw = edge.raw_standing + delta_raw
+        if not (-math.inf < delta_raw < math.inf and new_raw < math.inf):   # also rejects NaN
+            raise ValueError(f"standing delta must keep raw standing finite, got {delta_raw!r}")
         if new_raw < STANDING_FLOOR:
             raise InsufficientStanding(
                 f"citizen {citizen} raw standing {edge.raw_standing:.6g} in community "
@@ -199,6 +203,17 @@ class SocialFabric:
         p = self._citizen(citizen)
         total = left_sum(e.raw_devotion for e in p.memberships.values())
         return {c: e.raw_devotion / total for c, e in p.memberships.items()}
+
+    def devotion_matrix(self) -> np.ndarray:
+        """Every citizen's `devotions` as a (citizens x communities) array, ids
+        ascending, 0.0 off the memberships. Raw devotions start at 1.0 in a
+        run and only grow, so there its positive cells are the memberships."""
+        column = {c: j for j, c in enumerate(sorted(self.communities))}
+        out = np.zeros((len(self.citizens), len(column)))
+        for row, p in zip(out, sorted(self.citizens)):
+            for c, d in self.devotions(p).items():
+                row[column[c]] = d
+        return out
 
     def standings(self, community: int) -> dict[int, float]:
         """Normalized standing over the community's members (sums to 1)."""

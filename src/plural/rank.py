@@ -8,7 +8,8 @@ scores of the citizen and of the communities they belong to:
 normalized over the pool. psi is read off the round's `ScoreSet`, one row
 per scope, through `served`, which lays the live seeding overrides over the
 community rows; the weights are the round's `term_weights`, one row per
-citizen, which settlement reads as well. Feeds take the top-k of that
+citizen, built from the round's `devotion_matrix()`; settlement reads them
+too. Feeds take the top-k of that
 distribution and keep a small epsilon of attention for seeded random
 exploration slots. Citizens with the same communities (and personal-ads
 flag) share a candidate pool, and `rank_feeds` ranks each such `Group` in
@@ -110,23 +111,20 @@ class Group(NamedTuple):
     reacted: np.ndarray          # (citizens x pool) bool: reacted to, so not offered
 
 
-def term_weights(fabric) -> np.ndarray:
+def term_weights(fabric, devotion: np.ndarray) -> np.ndarray:
     """The attention numerator's weights, one row per citizen in id order
     (`term_rows` finds them): the citizen's own lambda first, then
-    devotion(c) * lambda(c) for each community c by id, 0.0 where the
-    citizen is not a member. Ranking sums the terms; settlement charges each
-    term's owner."""
-    term_of = {c: 1 + k for k, c in enumerate(sorted(fabric.communities))}
-    weights = np.zeros((len(fabric.citizens), 1 + len(term_of)))
-    for row, p in zip(weights, sorted(fabric.citizens)):
-        row[0] = fabric.citizens[p].lambda_
-        for c, d in fabric.devotions(p).items():
-            row[term_of[c]] = d * fabric.communities[c].lambda_
-    return weights
+    devotion(c) * lambda(c) for each community c by id off `devotion`, the
+    fabric's `devotion_matrix()` (0.0 where the citizen is not a member).
+    Ranking sums the terms; settlement charges each term's owner."""
+    own = np.array([fabric.citizens[p].lambda_ for p in sorted(fabric.citizens)], dtype=float)
+    community = np.array([fabric.communities[c].lambda_ for c in sorted(fabric.communities)],
+                         dtype=float)
+    return np.column_stack([own, devotion * community])
 
 
 def term_rows(fabric, citizens) -> np.ndarray:
-    """The rows of `citizens` in `term_weights(fabric)`."""
+    """The rows of `citizens` in the fabric's `term_weights`."""
     return np.searchsorted(np.array(sorted(fabric.citizens), dtype=np.int64), citizens)
 
 
@@ -247,7 +245,7 @@ def exposure_weights(citizen: int, fabric, psi_view: ScoreSet,
         raise ValueError("candidate pool must be non-empty")
     group = Group(fabric.member_communities(citizen), np.array([citizen], dtype=np.int64),
                   np.array(pool, dtype=np.int64), np.zeros((1, len(pool)), dtype=bool))
-    weights = term_weights(fabric)[term_rows(fabric, group.citizens)]
+    weights = term_weights(fabric, fabric.devotion_matrix())[term_rows(fabric, group.citizens)]
     return dict(zip(pool, _shares(psi_view, fabric, weights, group)[0].tolist()))
 
 
@@ -354,8 +352,8 @@ def seed_content(overrides: PsiOverrides, fabric, content, community: int,
     content draws on `allowance`, the advertiser's own seeding allowance by
     community (bought via the standing market), which is debited in place.
     """
-    if stake < 0:
-        raise ValueError("stake must be >= 0")
+    if not 0 <= stake < np.inf:     # also rejects NaN
+        raise ValueError(f"stake must be >= 0 and finite, got {stake!r}")
     if stake == 0.0:
         return 0.0
     creator = content.creator

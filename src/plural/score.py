@@ -30,7 +30,7 @@ import numpy as np
 
 from ._rng import derive_rng, derive_seed
 from .config import ScoringParams
-from .errors import FewerThanTwoBlocs, InsufficientData
+from .errors import InsufficientData
 
 Scope = tuple[str, int]
 
@@ -283,14 +283,13 @@ def _smoothed_rates(pos: np.ndarray, neg: np.ndarray, alpha: float) -> np.ndarra
     return np.divide(pos + alpha, denom, out=np.full_like(denom, 0.5), where=denom > 0)
 
 
-def bloc_rates(reactions: ReactionMatrix, content: int,
+def bloc_rates(reactions: ReactionMatrix, contents: Sequence[int],
                blocs: Sequence[Iterable[int]], alpha: float = 1.0) -> np.ndarray:
-    """Smoothed approval rate per bloc: (pos + a) / (pos + neg + 2a).
-
-    Blocs with no votes sit at the 0.5 prior, also in the alpha=0 mode.
-    """
-    pos, neg = _Tally(reactions, [content]).counts([set(b) for b in blocs])
-    return _smoothed_rates(pos, neg, alpha)[:, 0]
+    """Smoothed approval rate per (bloc, content), (pos + a) / (pos + neg + 2a),
+    from one tally over `contents`; the metrics' polarization reads it. Blocs
+    with no votes sit at the 0.5 prior, also in the alpha=0 mode."""
+    pos, neg = _Tally(reactions, contents).counts([set(b) for b in blocs])
+    return _smoothed_rates(pos, neg, alpha)
 
 
 def _bloc_weights(sizes: Sequence[int], weighting: str) -> np.ndarray:
@@ -320,32 +319,12 @@ def consensus_products(rates: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def divisiveness(reactions: ReactionMatrix, content: int,
-                 blocs: Sequence[Iterable[int]],
-                 alpha: float = 1.0) -> tuple[float, frozenset[int]]:
-    """Bloc approval spread and the blocs the content is characteristic of.
-
-    Content only counts as divisive when the characteristic blocs (approval
-    rate >= 0.5) form a strict, non-empty subset of the blocs.
-    """
-    blocs = [list(b) for b in blocs]
-    if len(blocs) < 2:
-        raise FewerThanTwoBlocs("divisiveness needs at least two blocs")
-    return _spread(bloc_rates(reactions, content, blocs, alpha=alpha))
-
-
 def _spreads(rates: np.ndarray) -> tuple[np.ndarray, list[frozenset[int]]]:
     """Row by row: approval spread across blocs, and the blocs at or above 0.5."""
     rates = np.ascontiguousarray(rates, dtype=float)
     blocs = range(rates.shape[1])
     return (rates.max(axis=1) - rates.min(axis=1),
             [frozenset(itertools.compress(blocs, row)) for row in (rates >= 0.5).tolist()])
-
-
-def _spread(rates: np.ndarray) -> tuple[float, frozenset[int]]:
-    """One content's spread and characteristic blocs (`_spreads`)."""
-    delta, characteristic = _spreads(np.asarray(rates, dtype=float)[None, :])
-    return float(delta[0]), characteristic[0]
 
 
 def assign_label(beta: float, delta: float, characteristic: frozenset[int],

@@ -26,8 +26,8 @@ from .errors import DegenerateInput, EmptyCommunity, TooSmall
 from .fabric import SocialFabric
 from .rank import (Feeds, Group, PsiOverrides, feed_lines, rank_feeds, seed_content,
                    served, term_weights)
-from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights,
-                    consensus_products, divisiveness, score_round)
+from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights, _spreads,
+                    bloc_rates, consensus_products, score_round)
 
 
 @dataclass
@@ -121,26 +121,15 @@ def react(attitude_value: float, exposure_share: float, rng: np.random.Generator
     return 1 if rng.random() < attitude_value else -1
 
 
-def _bloc_aggregates(means: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Row by row, across-subcommunity aggregation: the geometric mean of a
-    row of bloc means, weighted by the square roots of the bloc `sizes`.
-
-    Exact under consensus; zero whenever the mean of any subcommunity with
-    members is zero (weakest link).
-    """
-    if means.shape[1] == 0:
-        raise EmptyCommunity("no subcommunity means")
-    return consensus_products(means, _bloc_weights(sizes, "penrose"))
-
-
 def _aggregate_rows(values: np.ndarray, weights: np.ndarray,
                     bloc_idx: Sequence[np.ndarray] | None) -> np.ndarray:
     """Common beliefs of one scope, one per row of `values` (a content's
     member beliefs, aligned with the member `weights`).
 
     A row in consensus gives its common value. Otherwise, with two or more
-    blocs (member positions in `bloc_idx`), each bloc's weighted mean goes
-    into `_bloc_aggregates`; else the weighted geometric mean of the row.
+    blocs (member positions in `bloc_idx`), the geometric mean of the bloc
+    means weighted by the square roots of the bloc sizes (EmptyCommunity if
+    no bloc has a member); else the weighted geometric mean of the row.
     Every row reduction runs over a C-contiguous block, where numpy sums
     each row as it sums a 1-D array.
     """
@@ -158,8 +147,9 @@ def _aggregate_rows(values: np.ndarray, weights: np.ndarray,
             w = weights[idx]
             means.append(np.sum(w * np.ascontiguousarray(block[:, idx]), axis=1) / np.sum(w))
             sizes.append(int(idx.size))
-        stacked = np.stack(means, axis=1) if means else np.zeros((len(block), 0))
-        out[rest] = _bloc_aggregates(stacked, sizes)
+        if not means:
+            raise EmptyCommunity("no subcommunity means")
+        out[rest] = consensus_products(np.stack(means, axis=1), _bloc_weights(sizes, "penrose"))
     else:
         out[rest] = consensus_products(block, weights / weights.sum())
     return out
@@ -246,8 +236,9 @@ class _Simulation:
         self.n = config.population.n_citizens
         self.attitude = np.zeros((0, self.n))
         self.exposure = np.zeros((0, self.n))
-        # community -> {content: attention share summed over members' feeds}
-        self.community_exposure: dict[int, dict[int, float]] = {}
+        # (communities x contents): members' summed feed shares; served to any
+        self.community_exposure = np.zeros((len(self.fabric.communities), 0))
+        self.served = np.zeros(self.community_exposure.shape, dtype=bool)
 
         ledger = self.ledger
         ledger.open_account(PLATFORM, 0.0)
@@ -279,8 +270,8 @@ class _Simulation:
         return item
 
     def _create_phase(self, round_: int) -> None:
-        """The round's new contents and their seeding; their attitude, exposure
-        and reaction rows are added together at the end (nothing here reads them)."""
+        """The round's new contents and their seeding; their cells in the run's
+        arrays are added together at the end (nothing here reads them)."""
         cfg = self.config
         rng = derive_rng(self.seed, "create", round_)
         first, positions = len(self.catalog), []
@@ -324,6 +315,9 @@ class _Simulation:
             self.attitude = np.vstack([self.attitude] + [
                 attitudes(self.ideologies, position, temperature) for position in positions])
             self.exposure = np.vstack([self.exposure, np.zeros((len(positions), self.n))])
+            grown = (len(self.fabric.communities), len(positions))
+            self.community_exposure = np.hstack([self.community_exposure, np.zeros(grown)])
+            self.served = np.hstack([self.served, np.zeros(grown, dtype=bool)])
             self.reactions.reserve(contents=range(first, len(self.catalog)))
 
     def _refresh_structure(self, round_: int) -> None:
@@ -381,43 +375,31 @@ class _Simulation:
         w = np.array([standings[p] for p in members])
         return idx, w, _bloc_positions(members, comm.principal_subcommunities)
 
-    @staticmethod
-    def _common_beliefs(beliefs: np.ndarray, rows, idx: np.ndarray, w: np.ndarray,
-                        bloc_idx) -> np.ndarray:
-        """A community's common belief about each content in `rows` of the
-        (contents x citizens) `beliefs`, given its member arrays."""
-        return _aggregate_rows(beliefs[rows][:, idx], w, bloc_idx)
-
-    def _belief_phase(self, round_: int, feeds: Feeds) -> None:
+    def _belief_phase(self, round_: int, feeds: Feeds, devotion: np.ndarray) -> None:
+        """Add the feeds to citizen and community exposure, then pull members'
+        attitudes to served content toward their ambient belief: the common
+        beliefs weighted by `devotion`, the round's `devotion_matrix()`,
+        whose positive cells are the memberships."""
         exposure = self.exposure
         # exact in one pass: a round serves each (content, citizen) at most once
         at = (feeds.content, feeds.citizen)
         exposure[at] = np.minimum(1.0, exposure[at] + feeds.share)
-        for citizen, mid, share in zip(feeds.citizen.tolist(), feeds.content.tolist(),
-                                       feeds.share.tolist()):
-            for cid in self.fabric.citizens[citizen].memberships:
-                totals = self.community_exposure.setdefault(cid, {})
-                totals[mid] = totals.get(mid, 0.0) + share
+        member = devotion > 0
+        # entry-major, and add.at is unbuffered: each cell adds in table order
+        entry, community = np.nonzero(member[feeds.citizen])
+        cells = (community, feeds.content[entry])
+        np.add.at(self.community_exposure, cells, feeds.share[entry])
+        self.served[cells] = True
 
         gamma = self.config.sim.attitude_feedback_gamma
         if gamma <= 0 or not self.catalog:
             return
         community_beliefs = self._community_beliefs()
-        comm_ids = sorted(self.fabric.communities)
-        devotion_matrix = np.zeros((self.n, len(comm_ids)))
-        has_membership = np.zeros(self.n, dtype=bool)
-        col = {c: j for j, c in enumerate(comm_ids)}
-        for p in range(self.n):
-            dev = self.fabric.devotions(p)
-            if dev:
-                has_membership[p] = True
-                for c, d in dev.items():
-                    devotion_matrix[p, col[c]] = d
         ambient = np.empty_like(self.attitude)
         for row, b_vec in zip(ambient, community_beliefs):
-            row[:] = devotion_matrix @ b_vec
+            row[:] = devotion @ b_vec
         # feedback only reshapes attitudes to encountered content
-        mask = (exposure > 0) & has_membership
+        mask = (exposure > 0) & member.any(axis=1)
         self.attitude[mask] = (1.0 - gamma) * self.attitude[mask] + gamma * ambient[mask]
 
     def _community_beliefs(self) -> np.ndarray:
@@ -428,8 +410,8 @@ class _Simulation:
         out = np.zeros((len(beliefs), len(comm_ids)))
         for j, cid in enumerate(comm_ids):
             if self.fabric.communities[cid].members:
-                out[:, j] = self._common_beliefs(beliefs, slice(None),
-                                                 *self._community_arrays(cid))
+                idx, w, bloc_idx = self._community_arrays(cid)
+                out[:, j] = _aggregate_rows(beliefs[:, idx], w, bloc_idx)
         return out
 
     def _adapt_devotion(self, feeds: Feeds) -> None:
@@ -447,6 +429,8 @@ class _Simulation:
             self.fabric.update_devotion(citizen, cid, edge.raw_devotion + rate * share)
 
     def _metrics_phase(self, round_: int, platform_before: float) -> RoundMetrics:
+        """The round's row (see RoundMetrics): each community's top 10 served
+        contents by (-total share, id), their spreads from one `bloc_rates`."""
         scoring = self.config.scoring
         revenue = self.ledger.balance(PLATFORM) - platform_before
         gini = attention_gini(self.exposure.sum(axis=1))
@@ -455,26 +439,28 @@ class _Simulation:
         spreads: list[float] = []
         commons: list[float] = []
         coherence: dict[int, float] = {}
-        for cid in sorted(self.fabric.communities):
+        for k, cid in enumerate(sorted(self.fabric.communities)):
             comm = self.fabric.communities[cid]
             if not comm.members:
                 continue
             idx, w, bloc_idx = self._community_arrays(cid)
-            exposure = self.community_exposure.get(cid, {})
-            top = sorted(exposure, key=lambda m: (-exposure[m], m))[:10]
+            candidates = np.flatnonzero(self.served[k])
+            # the ids ascend and the sort is stable, so ties go to the lower id
+            top = candidates[np.argsort(-self.community_exposure[k, candidates],
+                                        kind="stable")[:10]]
 
-            if top:
-                commons.append(float(np.mean(self._common_beliefs(beliefs, top, idx, w, bloc_idx))))
+            if top.size:
+                commons.append(float(np.mean(_aggregate_rows(beliefs[top][:, idx], w, bloc_idx))))
                 if bloc_idx is not None:
-                    per_content = [divisiveness(self.reactions, mid, comm.principal_subcommunities,
-                                                alpha=scoring.alpha)[0] for mid in top]
-                    spreads.append(float(np.mean(per_content)))
+                    rates = bloc_rates(self.reactions, top, comm.principal_subcommunities,
+                                       alpha=scoring.alpha)
+                    spreads.append(float(np.mean(_spreads(rates.T)[0])))
 
             cards = self.scores.community_cards(cid)
             cards.sort(key=lambda c: (-c.psi, c.content))
             top_psi = [card.content for card in cards[:5]]
-            coherence[cid] = float(np.mean(self._common_beliefs(beliefs, top_psi, idx, w, bloc_idx))) \
-                if top_psi else 0.0
+            coherence[cid] = float(np.mean(
+                _aggregate_rows(beliefs[top_psi][:, idx], w, bloc_idx))) if top_psi else 0.0
 
         return RoundMetrics(
             round=round_,
@@ -501,10 +487,11 @@ class _Simulation:
                                       cfg.scoring, round_,
                                       mf_seed=derive_seed(self.seed, "mf", round_))
             psi_view = served(self.scores, self.overrides, round_)
-            weights = term_weights(self.fabric)
+            devotion = self.fabric.devotion_matrix()
+            weights = term_weights(self.fabric, devotion)
             feeds = self._rank_phase(round_, psi_view, weights)
             self._react_phase(round_, feeds)
-            self._belief_phase(round_, feeds)
+            self._belief_phase(round_, feeds, devotion)
             platform_before = self.ledger.balance(PLATFORM)
             self.events.extend(settle_round(round_, feeds, self.fabric, self.catalog,
                                             psi_view, self.prices, self.advertisers,

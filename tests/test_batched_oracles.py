@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from plural.config import ScoringParams
 from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, LABEL_NEITHER, ScoreSet,
-                          _bloc_weights, _profile, _spread, _spreads, _with_psi,
+                          _bloc_weights, _profile, _spreads, _with_psi,
                           consensus_products)
 from plural.sim import _aggregate_rows, _bloc_positions
 
@@ -155,7 +155,6 @@ def test_spread_rows_equal_scalar(rates):
     for block in layouts(rates):
         delta, characteristic = _spreads(block)
         assert list(zip(delta.tolist(), characteristic)) == want
-    assert [_spread(row) for row in rates] == want
 
 
 @given(rate_blocks(max_cols=7), st.sampled_from(["gac_penrose", "gac_uniform"]),

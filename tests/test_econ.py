@@ -142,7 +142,7 @@ class TestSettleRound:
         events = settle_round(0, feeds, f, catalog, scores, {}, {},
                               EconParams(platform_fee=0.3, creator_share=0.7,
                                          default_price_per_lambda_impression=1.0), ledger,
-                              term_weights(f))
+                              term_weights(f, f.devotion_matrix()))
         assert events == []
         assert ledger.balance(("community", c)) == pytest.approx(99.0)
         assert ledger.balance(PLATFORM) == pytest.approx(0.3)
@@ -155,14 +155,14 @@ class TestSettleRound:
         f, p, creator, c, ledger, catalog, scores, feeds = \
             one_community_world(lambda_c=0.0)
         settle_round(0, feeds, f, catalog, scores, {}, {},
-                     EconParams(default_price_per_lambda_impression=1.0), ledger, term_weights(f))
+                     EconParams(default_price_per_lambda_impression=1.0), ledger, term_weights(f, f.devotion_matrix()))
         assert ledger.entries == []
 
     def test_remainder_goes_to_creator_pool(self):
         f, p, creator, c, ledger, catalog, scores, feeds = one_community_world()
         params = EconParams(platform_fee=0.2, creator_share=0.5,
                             default_price_per_lambda_impression=1.0)
-        settle_round(0, feeds, f, catalog, scores, {}, {}, params, ledger, term_weights(f))
+        settle_round(0, feeds, f, catalog, scores, {}, {}, params, ledger, term_weights(f, f.devotion_matrix()))
         assert ledger.balance(PLATFORM) == pytest.approx(0.2)
         assert ledger.balance(("citizen", creator)) == pytest.approx(0.5)
         assert ledger.balance(creator_pool(c)) == pytest.approx(0.3)
@@ -184,7 +184,7 @@ class TestSettleRound:
         feeds = Feeds.of({p: [(0, 1.0)]})
         scores = ScoreSet.of(cards)
         settle_round(0, feeds, f, catalog, scores, {}, {},
-                     EconParams(default_price_per_lambda_impression=1.0), ledger, term_weights(f))
+                     EconParams(default_price_per_lambda_impression=1.0), ledger, term_weights(f, f.devotion_matrix()))
         assert [e.reason for e in ledger.entries] == ["Subscription", "CreatorReward"]
         assert ledger.balance(("citizen", p)) == pytest.approx(9.0)
 
@@ -203,7 +203,7 @@ class TestSettleRound:
         feeds = Feeds.of({p: [(0, 1.0)]})
         scores = ScoreSet.of(cards)
         settle_round(0, feeds, f, catalog, scores, {}, {},
-                     EconParams(default_price_per_lambda_impression=1.0), ledger, term_weights(f))
+                     EconParams(default_price_per_lambda_impression=1.0), ledger, term_weights(f, f.devotion_matrix()))
         assert ledger.entries == []
 
     def test_insufficient_funds_clamps_lambda(self):
@@ -211,7 +211,7 @@ class TestSettleRound:
             one_community_world(balance=0.4)
         events = settle_round(0, feeds, f, catalog, scores, {}, {},
                               EconParams(default_price_per_lambda_impression=1.0), ledger,
-                              term_weights(f))
+                              term_weights(f, f.devotion_matrix()))
         assert any(e["kind"] == "lambda_clamped" and e["owner"] == ("community", c)
                    for e in events)
         assert f.communities[c].lambda_ == 0.0
@@ -240,7 +240,7 @@ class TestSettleRound:
         # posted whole, as its pool remainder
         settle_round(0, Feeds.of({p: [(0, 1.0)]}), f, catalog, scores, {}, {},
                      EconParams(platform_fee=0.0, creator_share=0.0,
-                                default_price_per_lambda_impression=1.0), ledger, term_weights(f))
+                                default_price_per_lambda_impression=1.0), ledger, term_weights(f, f.devotion_matrix()))
         terms = shares(sponsor_terms(p, f, scores), scores.columns[0])
         assert len(terms) == 3
         assert [(e.from_owner, e.amount) for e in ledger.entries] == terms
@@ -282,7 +282,7 @@ class TestSettleRound:
         scores = ScoreSet.of(cards)
         settle_round(0, Feeds.of(feeds), f, catalog, scores, {}, {},
                      EconParams(platform_fee=0.25, creator_share=0.6,
-                                default_price_per_lambda_impression=0.5), ledger, term_weights(f))
+                                default_price_per_lambda_impression=0.5), ledger, term_weights(f, f.devotion_matrix()))
         # oracle: re-sum every entry from scratch
         debits = sum(e.amount for e in ledger.entries)
         credits = sum(e.amount for e in ledger.entries)
@@ -305,7 +305,7 @@ class TestSettleRound:
             scores = ScoreSet.of(cards)
             settle_round(0, feeds, f, catalog, scores, {}, {},
                          EconParams(default_price_per_lambda_impression=1.0), ledger,
-                         term_weights(f))
+                         term_weights(f, f.devotion_matrix()))
             return ledger.balance(("citizen", creator))
 
         assert revenue(0.9) >= revenue(0.5) >= revenue(0.2)
@@ -350,7 +350,7 @@ class TestSettleRound:
                 want += [(owner, fee), (owner, reward), (owner, charge - fee - reward)]
             start = len(ledger.entries)
             events = settle_round(0, Feeds.of({p: [(m, share)]}), f, catalog, scores, prices, {},
-                                  params, ledger, term_weights(f))
+                                  params, ledger, term_weights(f, f.devotion_matrix()))
             assert events == []
             assert [(e.from_owner, e.amount) for e in ledger.entries[start:]] == want
         assert ("community", c2) not in {owner for owner, _ in want}     # psi 0.0 on content 2
@@ -393,7 +393,7 @@ class TestSettleRound:
         events = settle_round(0, feeds, f, catalog, scores, {}, {},
                               EconParams(platform_fee=0.25, creator_share=0.6,
                                          default_price_per_lambda_impression=1.0), ledger,
-                              term_weights(f))
+                              term_weights(f, f.devotion_matrix()))
         assert events == [{"round": 0, "kind": "lambda_clamped",
                            "owner": ("community", poor)}]
         assert f.communities[poor].lambda_ == 0.0
@@ -432,7 +432,7 @@ class TestAdvertising:
     def test_ad_impressions_pay_community_and_citizen(self):
         f, p, c, adv, ledger, catalog, feeds = self._world()
         settle_round(0, feeds, f, catalog, ScoreSet(), {}, {0: adv},
-                     EconParams(), ledger, term_weights(f))
+                     EconParams(), ledger, term_weights(f, f.devotion_matrix()))
         reasons = sorted(e.reason for e in ledger.entries)
         assert reasons == ["AdImpression", "AdImpression"]
         assert ledger.balance(("community", c)) == pytest.approx(1.0)   # 2.0 * 0.5
@@ -446,7 +446,7 @@ class TestAdvertising:
         drained.open_account(("advertiser", 0), 0.1)
         drained.open_account(("community", c), 0.0)
         events = settle_round(0, feeds, f, catalog, ScoreSet(), {},
-                              {0: adv}, EconParams(), drained, term_weights(f))
+                              {0: adv}, EconParams(), drained, term_weights(f, f.devotion_matrix()))
         assert any(e["kind"] == "ad_skipped" for e in events)
         assert drained.balance(("advertiser", 0)) >= 0
         drained.audit()
@@ -459,7 +459,7 @@ class TestAdvertising:
         adv.personal_price = 0.4
         assert adv.personal_price * 5e-324 == 0.0 < 2.0 * 5e-324
         events = settle_round(0, Feeds.of({p: [(0, 5e-324)]}), f, catalog, ScoreSet(), {},
-                              {0: adv}, EconParams(), ledger, term_weights(f))
+                              {0: adv}, EconParams(), ledger, term_weights(f, f.devotion_matrix()))
         assert events == []
         assert [(e.from_owner, e.to_owner, e.amount, e.reason) for e in ledger.entries] == [
             (("advertiser", 0), ("community", c), 2.0 * 5e-324, "AdImpression")]
@@ -483,6 +483,15 @@ class TestAdvertising:
             sell_standing(adv, c, 0.1, 100.0, ledger, f)
         with pytest.raises(NotFound):
             sell_standing(adv, 99, 0.1, 1.0, ledger, f)
+
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf")])
+    def test_sell_standing_rejects_non_finite_amount(self, amount):
+        # a NaN allowance would never run short in seed_content
+        f, p, c, adv, ledger, catalog, feeds = self._world()
+        with pytest.raises(ValueError, match="finite"):
+            sell_standing(adv, c, amount, 1.0, ledger, f)
+        assert adv.seeding_allowance == {}
+        assert ledger.balance(("advertiser", 0)) == 10.0
 
 
 class TestRewardStanding:
@@ -657,7 +666,7 @@ def _settled(world, settle):
     for owner, balance in openings:
         ledger.open_account(owner, balance)
     events = [settle(round_, feeds, f, catalog, scores, prices, advertisers, params, ledger,
-                     term_weights(f)) for round_ in (0, 1)]
+                     term_weights(f, f.devotion_matrix())) for round_ in (0, 1)]
     lambdas = [(p, c.lambda_) for p, c in f.citizens.items()] + \
         [(c, comm.lambda_) for c, comm in f.communities.items()]
     return ledger, events, lambdas

@@ -92,6 +92,14 @@ class TestUpdateDevotion:
         with pytest.raises(NotFound):
             f.update_devotion(0, 0, 1.0)
 
+    @pytest.mark.parametrize("raw", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, raw):
+        f = small_fabric()
+        f.add_membership(0, 0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            f.update_devotion(0, 0, raw)
+        assert f.devotions(0) == {0: 1.0}
+
     def test_untouched_order_preserved(self):
         f = SocialFabric()
         f.add_citizen()
@@ -130,6 +138,16 @@ class TestUpdateStanding:
             f.update_standing(0, 0, -1.0)
         # untouched on failure
         assert f.raw_standing(0, 0) == 1.0
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf"), 1.7e308])
+    def test_non_finite_rejected(self, delta):
+        # 1.7e308 is finite, but the sum overflows
+        f = small_fabric()
+        f.add_membership(0, 0, 1e308, 1.0)
+        f.add_membership(1, 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            f.update_standing(0, 0, delta)
+        assert f.raw_standing(0, 0) == 1e308
 
     def test_spend_to_floor_allowed(self):
         f = small_fabric()

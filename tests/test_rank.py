@@ -15,7 +15,7 @@ from plural.rank import (Feeds, Group, PsiOverrides, RankingParams, build_feed,
 from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, ContentItem, ReactionMatrix,
                           ScoreCard, ScoreSet, ScoringParams, score_round)
 
-from rank_walk import rank_walk
+from rank_walk import attention_terms, rank_walk
 
 
 def exposure_oracle(fabric, psi_table, citizen, pool):
@@ -330,6 +330,43 @@ def rank_worlds(draw):
     return f, view, groups, params, draw(st.integers(0, 2 ** 32 - 1)), round_
 
 
+@st.composite
+def shuffled_fabrics(draw):
+    """Fabrics with ids that need not be contiguous, whose citizens,
+    communities and memberships are added out of id order, with raw
+    devotions across six decades."""
+    f = SocialFabric()
+    for p in draw(st.lists(st.integers(0, 20), unique=True, max_size=8)):
+        f.add_citizen(lambda_=draw(st.floats(0, 10)), citizen_id=p)
+    for c in draw(st.lists(st.integers(0, 9), unique=True, max_size=4)):
+        f.add_community(lambda_=draw(st.floats(0, 10)), community_id=c)
+    edges = draw(st.permutations([(p, c) for p in f.citizens for c in f.communities]))
+    for p, c in edges[:draw(st.integers(0, len(edges)))]:
+        f.add_membership(p, c, 1.0, draw(st.floats(1e-3, 1e3)))
+    return f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shuffled_fabrics())
+def test_devotion_matrix_and_term_weights_equal_the_walk(f):
+    """Each `devotion_matrix` row is the citizen's `devotions`, its positive
+    cells are the memberships, and each `term_weights` cell is the walk's
+    attention term (0.0 for a community the citizen is not in)."""
+    citizens, communities = sorted(f.citizens), sorted(f.communities)
+    devotion = f.devotion_matrix()
+    weights = term_weights(f, devotion)
+    assert devotion.shape == (len(citizens), len(communities))
+    assert weights.shape == (len(citizens), 1 + len(communities))
+    member = [[c in f.citizens[p].memberships for c in communities] for p in citizens]
+    assert (devotion > 0).tolist() == member
+    for i, p in enumerate(citizens):
+        devotions = f.devotions(p)
+        assert devotion[i].tolist() == [devotions.get(c, 0.0) for c in communities]
+        terms = dict(attention_terms(p, f))
+        assert weights[i].tolist() == [terms[("citizen", p)]] + \
+            [terms.get(("community", c), 0.0) for c in communities]
+
+
 def test_rank_feeds_equals_the_citizen_walk():
     """The batched rank gives the walk's feed table, column for column, over
     worlds with ties, cold and all-reacted rows, citizens whose pool holds
@@ -341,7 +378,7 @@ def test_rank_feeds_equals_the_citizen_walk():
     @given(rank_worlds())
     def check(world):
         f, view, groups, params, seed, round_ = world
-        got = rank_feeds(groups, term_weights(f), f, view, params, seed, round_)
+        got = rank_feeds(groups, term_weights(f, f.devotion_matrix()), f, view, params, seed, round_)
         want = rank_walk(groups, f, view, params, seed, round_)
         for column, expected in zip(got, want):
             assert column.dtype == expected.dtype
@@ -413,6 +450,17 @@ class TestSeedContent:
         item = ContentItem(id=0, creator=a, target_communities={c})
         with pytest.raises(InsufficientStanding):
             seed_content(ov, f, item, c, 2.0, RankingParams(), 0)
+
+    @pytest.mark.parametrize("kind", ["citizen", "advertiser"])
+    @pytest.mark.parametrize("stake", [float("nan"), float("inf")])
+    def test_non_finite_stake_rejected(self, kind, stake):
+        f, a, b, c = self._fabric()
+        ov = PsiOverrides()
+        item = ContentItem(id=0, creator=a, target_communities={c}, creator_kind=kind)
+        allowance = {c: 1.0}
+        with pytest.raises(ValueError, match="finite"):
+            seed_content(ov, f, item, c, stake, RankingParams(), 0, allowance=allowance)
+        assert (allowance, f.raw_standing(a, c), ov.live(c, 0)) == ({c: 1.0}, 1.0, {})
 
     def test_override_expires(self):
         f, a, b, c = self._fabric()

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from plural import score
 from plural._rng import derive_rng, derive_seed
-from plural.errors import FewerThanTwoBlocs, InsufficientData
+from plural.errors import InsufficientData
 from plural.fabric import SocialFabric
 from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, LABEL_NEITHER,
                           ContentItem, MfFit, ReactionMatrix, ScoreCard, ScoringParams, ScoreSet,
-                          assign_label, balancing_set, bridging_mf, consensus_products,
-                          divisiveness, score_round)
+                          _spreads, assign_label, balancing_set, bloc_rates, bridging_mf,
+                          consensus_products, score_round)
+
+from test_batched_oracles import old_spread
 
 
 def votes(spec_by_bloc, content=0, start_id=0):
@@ -135,8 +137,6 @@ class TestBridgingGac:
         card = one_community_scores(rm, blocs).get(0, COMMUNITY)
         assert card.low_confidence
         assert (card.beta, card.delta) == (0.5, 0.0)
-        with pytest.raises(FewerThanTwoBlocs):      # the metrics' spread needs two
-            divisiveness(rm, 0, blocs)
 
     def test_count_scaling_invariance_alpha_zero(self):
         a, blocs_a = votes([(3, 1), (2, 2)])
@@ -163,31 +163,68 @@ class TestBridgingGac:
         assert got[0] <= got[1] + 1e-12
 
 
+def one_content_spread(rm, m, blocs, alpha):
+    """Content m's spread and characteristic blocs, through the batched pass
+    the metrics read: `bloc_rates` over [m], then `_spreads`."""
+    delta, characteristic = _spreads(bloc_rates(rm, [m], blocs, alpha=alpha).T)
+    return float(delta[0]), characteristic[0]
+
+
 class TestDivisiveness:
     def test_spread_and_characteristic(self):
         rm, blocs = votes([(9, 1), (1, 9)])
-        delta, char = divisiveness(rm, 0, blocs, alpha=0.0)
+        delta, char = one_content_spread(rm, 0, blocs, alpha=0.0)
         assert delta == pytest.approx(0.8)
         assert char == frozenset({0})
 
     def test_consensus_zero_spread(self):
         rm, blocs = votes([(4, 1), (4, 1)])
-        delta, char = divisiveness(rm, 0, blocs, alpha=0.0)
+        delta, char = one_content_spread(rm, 0, blocs, alpha=0.0)
         assert delta == 0.0
         assert char == frozenset({0, 1})  # both blocs: not a strict subset
         assert assign_label(0.0, delta, char, 2, 0.1) == LABEL_NEITHER
 
     def test_both_below_half_not_divisive(self):
         rm, blocs = votes([(4, 6), (3, 7)])
-        delta, char = divisiveness(rm, 0, blocs, alpha=0.0)
+        delta, char = one_content_spread(rm, 0, blocs, alpha=0.0)
         assert char == frozenset()
         assert assign_label(0.0, delta, char, 2, 0.05) == LABEL_NEITHER
 
     def test_relabeling_invariance(self):
         rm, blocs = votes([(9, 1), (2, 8), (5, 5)])
-        d1, _ = divisiveness(rm, 0, blocs, alpha=1.0)
-        d2, _ = divisiveness(rm, 0, list(reversed(blocs)), alpha=1.0)
+        d1, _ = one_content_spread(rm, 0, blocs, alpha=1.0)
+        d2, _ = one_content_spread(rm, 0, list(reversed(blocs)), alpha=1.0)
         assert d1 == d2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), alpha=st.sampled_from([0.0, 0.5, 1.0]))
+def test_bloc_rates_columns_equal_one_content_oracle(data, alpha):
+    """Over random votes, blocs and content lists, each column of
+    `bloc_rates` is that content's rates by the record walk, and `_spreads`
+    over the columns is each content's spread and characteristic blocs by
+    the scalar formula: the metrics' polarization, one pass per community."""
+    n = data.draw(st.integers(1, 8), label="citizens")
+    n_contents = data.draw(st.integers(1, 5), label="contents")
+    rm = ReactionMatrix()
+    cells = data.draw(st.lists(st.one_of(st.none(), st.tuples(st.sampled_from([-1, 0, 1]),
+                                                              st.integers(0, 3))),
+                               min_size=n * n_contents, max_size=n * n_contents), label="votes")
+    for (p, m), cell in zip(itertools.product(range(n), range(n_contents)), cells):
+        if cell is not None:
+            rm.record_reaction(p, m, *cell)    # reaction 0: exposed, no vote
+    n_blocs = data.draw(st.integers(1, 4), label="blocs")
+    groups = data.draw(st.lists(st.integers(0, n_blocs), min_size=n, max_size=n), label="groups")
+    blocs = [[p for p, g in enumerate(groups) if g == k] for k in range(n_blocs)]   # some empty
+    # content n_contents has no record at all
+    contents = data.draw(st.lists(st.integers(0, n_contents), min_size=1, unique=True),
+                         label="content list")
+    rates = bloc_rates(rm, contents, blocs, alpha=alpha)
+    assert rates.shape == (n_blocs, len(contents))
+    for j, m in enumerate(contents):
+        assert rates[:, j].tolist() == _ref_bloc_rates(rm, m, blocs, alpha).tolist()
+    delta, characteristic = _spreads(rates.T)
+    assert list(zip(delta.tolist(), characteristic)) == [old_spread(row) for row in rates.T]
 
 
 class TestCommunityScore:

@@ -319,9 +319,13 @@ def brute_community_exposure(res) -> dict[int, dict[int, float]]:
     return totals
 
 
-@pytest.mark.parametrize("config", [tiny_config, lambda: ScenarioConfig.from_dict(market_doc())],
-                         ids=["tiny", "market"])
-def test_run_state_invariants(config):
+@pytest.mark.parametrize("config,zero_entry,zero_cell", [
+    (tiny_config, False, False),
+    (lambda: ScenarioConfig.from_dict(market_doc()), True, False),
+    # after one round, two served (community, content) cells hold only zero shares
+    (lambda: ScenarioConfig.from_dict(market_doc(rounds=1)), True, True)],
+    ids=["tiny", "market", "market-1-round"])
+def test_run_state_invariants(config, zero_entry, zero_cell):
     cfg = config()
     simulation = _Simulation(cfg, cfg.seed, cfg.sim.rounds)
     res = simulation.run()
@@ -335,7 +339,20 @@ def test_run_state_invariants(config):
         served[rec["content"], rec["citizen"]] |= rec["exposure_share"] > 0
     assert served.any()
     assert np.array_equal(res.exposure > 0, served)
-    assert simulation.community_exposure == brute_community_exposure(res)
+    # each community's totals and served contents, cell by cell
+    brute = brute_community_exposure(res)
+    communities = sorted(res.fabric.communities)
+    assert simulation.community_exposure.shape == simulation.served.shape == \
+        (len(communities), len(res.catalog))
+    for k, cid in enumerate(communities):
+        per = brute.get(cid, {})
+        assert np.flatnonzero(simulation.served[k]).tolist() == sorted(per)
+        want = np.zeros(len(res.catalog))
+        want[list(per)] = list(per.values())
+        assert simulation.community_exposure[k].tolist() == want.tolist()
+    shares = [rec["exposure_share"] for rec in map(json.loads, res.feed_lines)]
+    assert (0.0 in shares) == zero_entry
+    assert (simulation.served & (simulation.community_exposure == 0.0)).any() == zero_cell
 
 
 class _TableRecorder(_Simulation):
