@@ -8,7 +8,6 @@ deterministic given a seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -42,16 +41,6 @@ class AttitudeMatrix:
             raise ValueError("row/col ids must be unique")
         if self.values.size and (np.nanmax(np.abs(self.values)) > 1 + 1e-12):
             raise ValueError("attitude values must lie in [-1, 1]")
-
-    def row_index(self) -> dict[int, int]:
-        return {r: i for i, r in enumerate(self.row_ids)}
-
-    def restrict_rows(self, keep: Iterable[int]) -> "AttitudeMatrix":
-        wanted = set(keep)
-        keep = [r for r in self.row_ids if r in wanted]
-        idx = self.row_index()
-        sel = [idx[r] for r in keep]
-        return AttitudeMatrix(keep, list(self.col_ids), self.values[sel, :])
 
 
 @dataclass
@@ -216,11 +205,13 @@ def principal_subcommunities(fabric, community: int, reactions: AttitudeMatrix,
     comm = fabric.communities.get(community)
     if comm is None:
         raise NotFound(f"unknown community {community}")
-    sub = reactions.restrict_rows(comm.members)
-    observed = [r for i, r in enumerate(sub.row_ids) if np.any(sub.values[i] != 0.0)]
+    # the members with an observed (nonzero) cell
+    keep = np.array([r in comm.members for r in reactions.row_ids], dtype=bool) \
+        & (reactions.values != 0.0).any(axis=1)
+    observed = [r for r, kept in zip(reactions.row_ids, keep.tolist()) if kept]
     if len(observed) < 4:
         raise TooSmall(f"community {community}: {len(observed)} observed members, need >= 4")
-    sub = sub.restrict_rows(observed)
+    sub = AttitudeMatrix(observed, list(reactions.col_ids), reactions.values[keep])
     part = select_partition(sub, (2, 7), seed=seed)
     assign = np.argmax(part.memberships, axis=1)
     blocs: list[set[int]] = []

@@ -11,7 +11,8 @@ the run instead.
 Account owners are ("citizen", id), ("community", id), ("advertiser", id),
 ("platform", 0) or ("creator_pool", community_id). The ledger knows each by
 an int code, and holds its postings as columns of codes, amounts and reason
-codes. `settle_round` prices a round's whole feed table in array passes and
+codes. `settle_round` prices a round's whole feed table in array passes,
+from the attention terms ranking kept on each entry (`Feeds.terms`), and
 posts it as one block, a new one after each clamp, with the rows, bits and
 events of settling the table entry by entry.
 """
@@ -24,9 +25,10 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._sum import left_sum
 from .config import FUNDS_TOL, AdDealConfig, EconParams
 from .errors import InsufficientFunds, NotFound, Unregistered
-from .rank import Feeds, term_rows
+from .rank import Feeds
 
 OwnerRef = tuple[str, int]
 
@@ -313,11 +315,9 @@ class Advertiser:
 
 def _fractions(values: np.ndarray) -> np.ndarray:
     """Each term's fraction of its row's attention numerator: the row's
-    values added left to right, as `left_sum` adds them (a zero value adds
-    nothing). 0.0 where the value or the numerator is not positive."""
-    total = 0
-    for column in values.T:
-        total = total + column
+    values folded by `left_sum` (a zero value adds nothing). 0.0 where the
+    value or the numerator is not positive."""
+    total = left_sum(values.T)
     keep = (values > 0) & (total > 0)[:, None]
     return np.divide(values, total[:, None], out=np.zeros_like(values), where=keep)
 
@@ -367,9 +367,9 @@ def _ad_payments(round_: int, feeds: Feeds, entries: np.ndarray, items: Sequence
 
 
 def settle_round(round_: int, feeds: Feeds, fabric, catalog,
-                 psi_view, prices: Mapping[OwnerRef, float],
+                 prices: Mapping[OwnerRef, float],
                  advertisers: Mapping[int, Advertiser],
-                 params: EconParams, ledger: Ledger, weights: np.ndarray) -> list[dict]:
+                 params: EconParams, ledger: Ledger) -> list[dict]:
     """Charge sponsors for the round's feed table, in its order; pay creators.
 
     Citizen-and-community sponsored impressions split three ways straight
@@ -385,21 +385,17 @@ def settle_round(round_: int, feeds: Feeds, fabric, catalog,
     `params.default_price_per_lambda_impression`.
 
     Each entry's charge per sponsor is price * share * the sponsor's
-    fraction of the entry's attention numerator (`_fractions`: its term's
-    weight times psi over the terms' sum; an all-zero numerator, a uniform
-    fallback or an exploration slot, charges no one), with psi read off
-    `psi_view.column(scope)`, the round's ScoreSet or its `served` copy,
-    and the weights off `weights`, the round's `rank.term_weights` as
-    ranking read them. The table is priced in array passes over blocks of
-    entries, each an (entries x terms) matrix with the citizen's own term
-    first and then every community by id, and each block is posted at once,
-    in entry, term and fee-reward-remainder order. A sponsor whose balance,
-    after the postings before, cannot cover a charge ends its block: the
-    postings before it are made, and its lambda is set to 0.0 in the fabric
-    for the rest of the run. The next block starts at that charge: the
-    citizen being settled keeps the weights it was settled with, less the
-    clamped sponsor's charges, and a clamped community's term weighs 0.0
-    for later citizens (`weights` itself is left as it was). This gives the
+    fraction of the entry's attention numerator: `_fractions` of the
+    entry's `feeds.terms`, the citizen's own term first and then every
+    community's by id (an all-zero numerator, a uniform fallback or an
+    exploration slot, charges no one). The table is priced in array passes
+    over blocks of entries, and each block is posted at once, in entry,
+    term and fee-reward-remainder order. A sponsor whose balance, after the
+    postings before, cannot cover a charge ends its block: the postings
+    before it are made, and its lambda is set to 0.0 in the fabric for the
+    rest of the run. The next block starts at that charge: the citizen
+    being settled keeps its terms, less the clamped sponsor's charges, and
+    a clamped community's term is 0.0 for later citizens. This gives the
     rows, bits and events of settling entry by entry with the terms read
     off the fabric at each citizen's first entry.
 
@@ -422,29 +418,20 @@ def settle_round(round_: int, feeds: Feeds, fabric, catalog,
                for i, dtype in ((1, np.intp), (2, np.intp), (3, float))]
     ad_rows.append(np.full(len(made), _REASON["AdImpression"], dtype=np.intp))
 
-    # Tables by citizen, content and community, gathered for each block:
-    # psi rows, prices (NaN for citizens who are not subscribers: never
-    # charged) and payer and payee codes.
+    # Tables by citizen, content and term, gathered for each block: prices
+    # (NaN for citizens who are not subscribers: never charged) and payer and
+    # payee codes.
     communities = sorted(fabric.communities)
-    term_of = {c: 1 + k for k, c in enumerate(communities)}
-    n_terms = 1 + len(communities)
     people, person_at = np.unique(feeds.citizen[sponsored], return_inverse=True)
-    person_row = term_rows(fabric, people)
-    held = weights               # less the clamped communities' terms
     entry_item = item_at[sponsored]
-    cols = np.array([psi_view.columns.get(m, -1) for m in ids.tolist()], dtype=np.intp)
-    at = cols[entry_item]
-    if (at < 0).any():
-        raise KeyError(int(feeds.content[sponsored][at < 0][0]))
     default = params.default_price_per_lambda_impression
     subscribed = [fabric.citizens[p].subscriber for p in people.tolist()]
-    own_row = np.array([psi_view.rows.get(("citizen", p), -1) for p in people.tolist()],
-                       dtype=np.intp)
     own_price = np.array([prices.get(("citizen", p), default) if paying else math.nan
                           for p, paying in zip(people.tolist(), subscribed)])
     own_code = np.array([ledger.code(("citizen", p)) if paying else -1
                          for p, paying in zip(people.tolist(), subscribed)], dtype=np.intp)
-    term_price = [prices.get(("community", c), default) for c in communities]
+    term_price = np.array([math.nan] + [prices.get(("community", c), default)
+                                        for c in communities])
     term_code = np.array([-1] + [ledger.code(("community", c)) for c in communities],
                          dtype=np.intp)
     term_pool = np.array([-1] + [ledger.code(creator_pool(c)) for c in communities],
@@ -461,31 +448,26 @@ def settle_round(round_: int, feeds: Feeds, fabric, catalog,
     share_reasons = _REASON["CreatorReward"], _REASON["ImpressionSponsorship"]
 
     first, first_term = 0, 0     # where the block starts: sponsored entry, term
-    kept = None                  # (citizen, its weights, its clamped terms)
+    clamps = []                  # (citizen's index in `people`, term) of each clamp
     ad_done = 0                  # ad postings made
     while True:
         # A block spans at most _BLOCK_ENTRIES sponsored entries, which bounds
         # its arrays; settling is where a crowd run's memory peaks.
         stop = min(first + _BLOCK_ENTRIES, len(sponsored))
-        who, what, where = person_at[first:stop], entry_item[first:stop], at[first:stop]
-        psi = np.zeros((len(who), n_terms))
-        own = own_row[who]
-        psi[own >= 0, 0] = psi_view.psi[own[own >= 0], where[own >= 0]]
-        for c, k in term_of.items():
-            psi[:, k] = psi_view.column(("community", c))[where]
-        here, here_at = np.unique(who, return_inverse=True)
-        block = held[person_row[here]]
-        if kept is not None:
-            block[people[here] == kept[0]] = kept[1]
-        price = np.empty_like(psi)
-        price[:, 0] = own_price[who]
-        price[:, 1:] = term_price
-        charge = price * share[sponsored[first:stop], None] * _fractions(block[here_at] * psi)
-        charge[:1, :first_term] = 0.0
-        if kept is not None:
-            charge[np.ix_(people[who] == kept[0], sorted(kept[2]))] = 0.0
-        e, t = np.nonzero(charge > 0)
-        amount = charge[e, t]
+        who, what = person_at[first:stop], entry_item[first:stop]
+        terms = feeds.terms[sponsored[first:stop]]
+        for person, term in clamps:     # a clamped community weighs 0.0 for later citizens
+            if term:
+                terms[who > person, term] = 0.0
+        fractions = _fractions(terms)
+        fractions[:1, :first_term] = 0.0
+        for person, term in clamps:     # and charges nothing more in the clamp's citizen
+            fractions[who == person, term] = 0.0
+        e, t = np.nonzero(fractions > 0)
+        charge = np.where(t == 0, own_price[who[e]], term_price[t]) \
+            * share[sponsored[first + e]] * fractions[e, t]
+        paid = charge > 0
+        e, t, amount = e[paid], t[paid], charge[paid]
         person, item = who[e], what[e]
         payer = np.where(t == 0, own_code[person], term_code[t])
         fee = params.platform_fee * amount
@@ -507,7 +489,7 @@ def settle_round(round_: int, feeds: Feeds, fabric, catalog,
             ad_at[ad_done:], sponsored[stop] if stop < len(sponsored) else len(share))))
         rows = (np.repeat(payer, counts), payees[made_here], amounts[made_here],
                 reasons[made_here])
-        del psi, price, charge, fee, reward, amounts, payees, reasons, made_here
+        del terms, fractions, charge, fee, reward, amounts, payees, reasons, made_here
         if ads.stop > ads.start:
             order = np.argsort(np.concatenate((np.repeat(entry, counts), ad_at[ads])),
                                kind="stable")
@@ -528,12 +510,7 @@ def settle_round(round_: int, feeds: Feeds, fabric, catalog,
         owner = ("citizen", p) if term == 0 else ("community", communities[term - 1])
         (fabric.citizens if term == 0 else fabric.communities)[owner[1]].lambda_ = 0.0
         events.append((int(entry[k]), {"round": round_, "kind": "lambda_clamped", "owner": owner}))
-        if kept is None or kept[0] != p:
-            kept = (p, block[here_at[e[k]]], set())
-        kept[2].add(term)
-        if term:    # a citizen's own term is its own, and `kept` covers it
-            held = held.copy() if held is weights else held
-            held[:, term] = 0.0
+        clamps.append((int(person[k]), term))
         ad_done += int(np.searchsorted(ad_at[ads], entry[k]))
         first, first_term = first + int(e[k]), term + 1
     return [event for _, event in sorted(events, key=lambda pair: pair[0])]

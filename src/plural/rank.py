@@ -5,11 +5,12 @@ scores of the citizen and of the communities they belong to:
 
     numerator(m) = lambda(p) * psi(m; p) + sum_c devotion(c; p) * lambda(c) * psi(m; c)
 
-normalized over the pool. psi is read off the round's `ScoreSet`, one row
-per scope, through `served`, which lays the live seeding overrides over the
-community rows; the weights are the round's `term_weights`, one row per
-citizen, built from the round's `devotion_matrix()`; settlement reads them
-too. Feeds take the top-k of that
+normalized over the pool. The weights are the round's `term_weights`, one
+row per citizen, built from the round's `devotion_matrix()`; psi is read off
+the round's `ScoreSet` through `served`, which lays the live seeding
+overrides over the community rows. `_terms` builds the numerator's terms
+once, and each feed entry keeps its own in `Feeds.terms`, from which
+settlement charges each term's owner. Feeds take the top-k of that
 distribution and keep a small epsilon of attention for seeded random
 exploration slots. Citizens with the same communities (and personal-ads
 flag) share a candidate pool, and `rank_feeds` ranks each such `Group` in
@@ -29,6 +30,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._rng import derive_rng, derive_rngs
+from ._sum import left_sum
 from .config import RankingParams
 from .errors import InsufficientStanding
 from .score import LABEL_BRIDGING, LABEL_DIVISIVE, LABELS, ScoreSet, Scope
@@ -39,22 +41,28 @@ class Feeds(NamedTuple):
 
     Citizens ascend, and each citizen's feed is in rank order: `rank` runs
     0, 1, ... within it. A round serves each (citizen, content) at most once.
+    `terms` holds each entry's attention numerator terms, laid out as
+    `term_weights` columns: the citizen's own first, then every community's
+    by id (0.0 where the citizen is not a member).
     """
 
     citizen: np.ndarray   # int64
     content: np.ndarray   # int64
     share: np.ndarray     # float64, the entry's attention share
     rank: np.ndarray      # int64
+    terms: np.ndarray     # float64, (entries x terms)
 
     @classmethod
-    def of(cls, feeds: Mapping[int, Sequence[tuple[int, float]]]) -> "Feeds":
-        """The table of each citizen's (content, share) feed, as `build_feed`
-        returns it."""
-        rows = [(citizen, content, share, rank) for citizen in sorted(feeds)
-                for rank, (content, share) in enumerate(feeds[citizen])]
-        citizen, content, share, rank = zip(*rows) if rows else ((),) * 4
+    def of(cls, feeds: Mapping[int, Sequence[tuple[int, float, Sequence[float]]]]) -> "Feeds":
+        """The table of each citizen's feed of (content, share, terms)
+        entries in rank order."""
+        rows = [(citizen, content, share, rank, terms) for citizen in sorted(feeds)
+                for rank, (content, share, terms) in enumerate(feeds[citizen])]
+        citizen, content, share, rank, terms = zip(*rows) if rows else ((),) * 4 + (
+            np.zeros((0, 1)),)
         return cls(np.array(citizen, dtype=np.int64), np.array(content, dtype=np.int64),
-                   np.array(share, dtype=float), np.array(rank, dtype=np.int64))
+                   np.array(share, dtype=float), np.array(rank, dtype=np.int64),
+                   np.array(terms, dtype=float))
 
 
 class PsiOverrides:
@@ -105,7 +113,6 @@ class Group(NamedTuple):
     """Citizens ranked over one candidate pool: those in the same communities
     (and, in a run, with the same personal-ads flag)."""
 
-    communities: Sequence[int]   # the citizens' communities, ascending
     citizens: np.ndarray         # int64 ids, ascending
     pool: np.ndarray             # int64 content ids, ascending
     reacted: np.ndarray          # (citizens x pool) bool: reacted to, so not offered
@@ -115,8 +122,7 @@ def term_weights(fabric, devotion: np.ndarray) -> np.ndarray:
     """The attention numerator's weights, one row per citizen in id order
     (`term_rows` finds them): the citizen's own lambda first, then
     devotion(c) * lambda(c) for each community c by id off `devotion`, the
-    fabric's `devotion_matrix()` (0.0 where the citizen is not a member).
-    Ranking sums the terms; settlement charges each term's owner."""
+    fabric's `devotion_matrix()` (0.0 where the citizen is not a member)."""
     own = np.array([fabric.citizens[p].lambda_ for p in sorted(fabric.citizens)], dtype=float)
     community = np.array([fabric.communities[c].lambda_ for c in sorted(fabric.communities)],
                          dtype=float)
@@ -133,31 +139,38 @@ def _offered(group: Group) -> np.ndarray:
     return len(group.pool) - group.reacted.sum(axis=1)
 
 
-def _shares(psi_view: ScoreSet, fabric, weights: np.ndarray, group: Group) -> np.ndarray:
-    """Each citizen's attention share over the group pool, 0.0 where it has
-    reacted; `weights` are the citizens' `term_weights` rows.
-
-    The numerators are built one term at a time, 0 + own term + each of the
-    group's communities' terms by id, and each row's total is a left fold,
-    as `left_sum` adds them: a reacted cell adds +0.0, which changes no
-    non-negative partial sum. A row whose total is not positive is spread
-    uniformly over its unreacted contents, so a cold system still serves
-    content.
-    """
+def _terms(psi_view: ScoreSet, fabric, weights: np.ndarray, group: Group) -> np.ndarray:
+    """The attention numerator's terms over the group pool, (citizens x pool
+    x terms): each citizen's `term_weights` row (`weights`) times the psi of
+    its own scope, then of every community by id, 0.0 for a scope without a
+    row in `psi_view`."""
     at = np.fromiter(map(psi_view.columns.__getitem__, group.pool.tolist()), np.intp,
                      len(group.pool))
-    own_rows = np.array([psi_view.rows.get(("citizen", p), -1) for p in group.citizens.tolist()],
-                        dtype=np.intp)
-    has = own_rows >= 0
-    own = np.zeros((len(own_rows), len(at)))
-    own[has] = psi_view.psi[own_rows[has][:, None], at]
-    acc = 0 + weights[:, :1] * own
-    term_of = {c: 1 + k for k, c in enumerate(sorted(fabric.communities))}
-    for c in group.communities:
-        k = term_of[c]
-        acc = acc + weights[:, k:k + 1] * psi_view.column(("community", c))[at]
+    scopes = [("citizen", p) for p in group.citizens.tolist()] + \
+        [("community", c) for c in sorted(fabric.communities)]
+    rows = np.array([psi_view.rows.get(scope, -1) for scope in scopes], dtype=np.intp)
+    psi = np.zeros((len(rows), len(at)))
+    psi[rows >= 0] = psi_view.psi[rows[rows >= 0][:, None], at]
+    n = len(group.citizens)
+    gathered = np.empty((n, len(at), weights.shape[1]))
+    gathered[..., 0] = psi[:n]
+    gathered[..., 1:] = psi[n:].T
+    return weights[:, None, :] * gathered
+
+
+def _shares(terms: np.ndarray, group: Group) -> np.ndarray:
+    """Each citizen's attention share over the group pool from its `_terms`,
+    0.0 where it has reacted.
+
+    The numerators and each row's total are left folds, as `left_sum` adds
+    them: a non-member's term is 0.0 * psi = +0.0 and a reacted cell +0.0,
+    which change no non-negative partial sum. A row whose total is not
+    positive is spread uniformly over its unreacted contents, so a cold
+    system still serves content.
+    """
+    acc = left_sum(np.moveaxis(terms, 2, 0))
     acc[group.reacted] = 0.0
-    total = np.cumsum(acc, axis=1)[:, -1]
+    total = left_sum(acc.T)
     cold = total <= 0.0
     acc /= np.where(cold, 1.0, total)[:, None]
     acc[cold] = (1.0 / np.maximum(_offered(group)[cold], 1))[:, None]
@@ -165,10 +178,11 @@ def _shares(psi_view: ScoreSet, fabric, weights: np.ndarray, group: Group) -> np
     return acc
 
 
-def _feeds(group: Group, shares: np.ndarray, params: RankingParams, rngs: Mapping
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The group's feed entries as (citizen, content, share) columns, in no
-    particular order.
+def _feeds(group: Group, shares: np.ndarray, terms: np.ndarray, params: RankingParams,
+           rngs: Mapping) -> tuple[np.ndarray, ...]:
+    """The group's feed entries as (citizen, content, share, terms) columns,
+    in no particular order; `terms` are the group's `_terms`, and each
+    entry's are cut from them.
 
     Each row is ranked by (-share, content id), reacted contents last. Its
     top k carry (1 - epsilon) of attention in proportion to their shares
@@ -181,25 +195,25 @@ def _feeds(group: Group, shares: np.ndarray, params: RankingParams, rngs: Mappin
     order = np.argsort(np.where(group.reacted, np.inf, -shares), axis=1, kind="stable")
     top = np.take_along_axis(shares, order[:, :k], axis=1)
     n_top = np.minimum(offered, k)
-    top_total = np.cumsum(top, axis=1)[:, -1]
+    top_total = left_sum(top.T)
     keep = 1.0 - np.where(offered > k, params.epsilon, 0.0)
     top = keep[:, None] * top / np.where(top_total > 0, top_total, 1.0)[:, None]
     flat = (top_total <= 0) & (n_top > 0)
     top[flat] = (keep[flat] / n_top[flat])[:, None]
     held = np.arange(top.shape[1]) < n_top[:, None]
-    citizens = [np.broadcast_to(group.citizens[:, None], top.shape)[held]]
-    contents, shares = [group.pool[order[:, :k]][held]], [top[held]]
+    rows = [np.broadcast_to(np.arange(len(order))[:, None], top.shape)[held]]
+    columns, shares = [order[:, :k][held]], [top[held]]
     explorers = np.flatnonzero(offered > k) if params.epsilon > 0.0 else np.zeros(0, np.intp)
     rest = offered[explorers] - k
     slots = np.minimum(k, rest)
     # each explorer's picks index the rest of its ranking, order[i, k:]
-    picks = [order[i, k + rngs[p].choice(n_rest, size=n, replace=False)] for i, p, n_rest, n
-             in zip(explorers.tolist(), group.citizens[explorers].tolist(), rest.tolist(),
-                    slots.tolist())]
-    citizens.append(np.repeat(group.citizens[explorers], slots))
-    contents.append(group.pool[np.concatenate(picks)] if picks else group.pool[:0])
+    columns += [order[i, k + rngs[p].choice(n_rest, size=n, replace=False)]
+                for i, p, n_rest, n in zip(explorers.tolist(), group.citizens[explorers].tolist(),
+                                           rest.tolist(), slots.tolist())]
+    rows.append(np.repeat(explorers, slots))
     shares.append(np.repeat(params.epsilon / slots, slots))
-    return np.concatenate(citizens), np.concatenate(contents), np.concatenate(shares)
+    rows, columns = np.concatenate(rows), np.concatenate(columns)
+    return group.citizens[rows], group.pool[columns], np.concatenate(shares), terms[rows, columns]
 
 
 def rank_feeds(groups: Sequence[Group], weights: np.ndarray, fabric, psi_view: ScoreSet,
@@ -218,17 +232,21 @@ def rank_feeds(groups: Sequence[Group], weights: np.ndarray, fabric, psi_view: S
     explorers = [p for group in groups if params.epsilon > 0.0
                  for p in group.citizens[_offered(group) > params.feed_size].tolist()]
     rngs = dict(zip(explorers, derive_rngs(seed, explorers, "explore", round_)))
-    parts = [_feeds(group, _shares(psi_view, fabric,
-                                   weights[term_rows(fabric, group.citizens)], group),
-                    params, rngs) for group in groups]
-    citizen, content, share = (np.concatenate([np.zeros(0, dtype)] + [part[i] for part in parts])
-                               for i, dtype in enumerate((np.int64, np.int64, float)))
+    parts = []
+    for group in groups:
+        terms = _terms(psi_view, fabric, weights[term_rows(fabric, group.citizens)], group)
+        parts.append(_feeds(group, _shares(terms, group), terms, params, rngs))
+    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0),
+             np.zeros((0, weights.shape[1])))
+    citizen, content, share, terms = (np.concatenate([blank] + [part[i] for part in parts])
+                                      for i, blank in enumerate(empty))
     order = np.lexsort((content, -share, citizen))
     citizen, content, share = citizen[order], content[order], share[order]
     at = np.arange(len(citizen))
     first = np.ones(len(citizen), dtype=bool)
     first[1:] = citizen[1:] != citizen[:-1]
-    return Feeds(citizen, content, share, at - np.maximum.accumulate(np.where(first, at, 0)))
+    return Feeds(citizen, content, share, at - np.maximum.accumulate(np.where(first, at, 0)),
+                 terms[order])
 
 
 def exposure_weights(citizen: int, fabric, psi_view: ScoreSet,
@@ -243,10 +261,10 @@ def exposure_weights(citizen: int, fabric, psi_view: ScoreSet,
     """
     if not pool:
         raise ValueError("candidate pool must be non-empty")
-    group = Group(fabric.member_communities(citizen), np.array([citizen], dtype=np.int64),
-                  np.array(pool, dtype=np.int64), np.zeros((1, len(pool)), dtype=bool))
+    group = Group(np.array([citizen], dtype=np.int64), np.array(pool, dtype=np.int64),
+                  np.zeros((1, len(pool)), dtype=bool))
     weights = term_weights(fabric, fabric.devotion_matrix())[term_rows(fabric, group.citizens)]
-    return dict(zip(pool, _shares(psi_view, fabric, weights, group)[0].tolist()))
+    return dict(zip(pool, _shares(_terms(psi_view, fabric, weights, group), group)[0].tolist()))
 
 
 def build_feed(citizen: int, weights: Mapping[int, float], *, params: RankingParams,
@@ -263,11 +281,11 @@ def build_feed(citizen: int, weights: Mapping[int, float], *, params: RankingPar
     if not weights:
         return []
     pool = sorted(weights)
-    group = Group((), np.array([citizen], dtype=np.int64), np.array(pool, dtype=np.int64),
+    group = Group(np.array([citizen], dtype=np.int64), np.array(pool, dtype=np.int64),
                   np.zeros((1, len(pool)), dtype=bool))
     shares = np.array([[weights[m] for m in pool]], dtype=float)
     rngs = {citizen: derive_rng(seed, "explore", round_, citizen)}
-    _, content, share = _feeds(group, shares, params, rngs)
+    _, content, share, _ = _feeds(group, shares, np.zeros((1, len(pool), 0)), params, rngs)
     order = np.lexsort((content, -share))
     return list(zip(content[order].tolist(), share[order].tolist()))
 
@@ -317,7 +335,8 @@ def feed_lines(round_: int, feeds: Feeds, scores: ScoreSet, fabric) -> Iterator[
     community_tags: dict[tuple[int, tuple[int, ...]], str] = {}
     last = None
     for citizen, content, share, rank, at, code in zip(
-            *(column.tolist() for column in feeds), content_at.tolist(), own_codes.tolist()):
+            *(column.tolist() for column in feeds[:4]), content_at.tolist(),
+            own_codes.tolist()):
         if citizen != last:
             last = citizen
             head = f'{{"citizen": {citizen}, "content": '

@@ -239,6 +239,16 @@ class _Simulation:
         # (communities x contents): members' summed feed shares; served to any
         self.community_exposure = np.zeros((len(self.fabric.communities), 0))
         self.served = np.zeros(self.community_exposure.shape, dtype=bool)
+        # `_adapt_devotion` is a run's only writer of raw devotion, and only
+        # `gen_population` adds memberships
+        self.devotion = self.fabric.devotion_matrix()
+        members: dict[tuple, list[int]] = {}   # by (membership signature, ads flag)
+        for citizen in sorted(self.fabric.citizens):
+            ads = self.fabric.citizens[citizen].accepts_personal_ads
+            members.setdefault((tuple(self.fabric.member_communities(citizen)), ads),
+                               []).append(citizen)
+        self.groups = [(set(communities), ads, np.array(citizens, dtype=np.int64))
+                       for (communities, ads), citizens in members.items()]
 
         ledger = self.ledger
         ledger.open_account(PLATFORM, 0.0)
@@ -335,22 +345,15 @@ class _Simulation:
         """The round's feed table: each citizen's feed, ranked over the contents
         targeted at its communities (plus personal ads it accepts) it has not
         reacted to. Citizens with the same communities and ads flag share a
-        pool and are ranked together."""
-        members: dict[tuple, list[int]] = {}   # by (membership signature, ads flag)
-        for citizen in sorted(self.fabric.citizens):
-            ads = self.fabric.citizens[citizen].accepts_personal_ads
-            members.setdefault((tuple(self.fabric.member_communities(citizen)), ads),
-                               []).append(citizen)
+        pool and are ranked together (`self.groups`)."""
         groups = []
-        for (communities, ads), citizens in members.items():
-            comms = set(communities)
+        for communities, ads, citizens in self.groups:
             pool = np.flatnonzero([   # content ids are catalog positions
-                bool(item.target_communities & comms)
+                bool(item.target_communities & communities)
                 or (ads and item.creator_kind == "advertiser"
                     and self.advertisers[item.creator].personal_targeting)
                 for item in self.catalog.values()])
-            citizens = np.array(citizens, dtype=np.int64)
-            groups.append(Group(communities, citizens, pool,
+            groups.append(Group(citizens, pool,
                                 self.reactions.sign[np.ix_(pool, citizens)].T != 0))
         return rank_feeds(groups, weights, self.fabric, psi_view, self.config.ranking,
                           self.seed, round_)
@@ -415,6 +418,8 @@ class _Simulation:
         return out
 
     def _adapt_devotion(self, feeds: Feeds) -> None:
+        """Raise each served edge's raw devotion by rate times its shares, then
+        rebuild `self.devotion` if an edge moved."""
         rate = self.config.sim.devotion_adapt_rate
         if rate <= 0:
             return
@@ -427,6 +432,8 @@ class _Simulation:
         for (citizen, cid), share in sorted(spent.items()):
             edge = self.fabric.citizens[citizen].memberships[cid]
             self.fabric.update_devotion(citizen, cid, edge.raw_devotion + rate * share)
+        if spent:
+            self.devotion = self.fabric.devotion_matrix()
 
     def _metrics_phase(self, round_: int, platform_before: float) -> RoundMetrics:
         """The round's row (see RoundMetrics): each community's top 10 served
@@ -487,15 +494,15 @@ class _Simulation:
                                       cfg.scoring, round_,
                                       mf_seed=derive_seed(self.seed, "mf", round_))
             psi_view = served(self.scores, self.overrides, round_)
-            devotion = self.fabric.devotion_matrix()
-            weights = term_weights(self.fabric, devotion)
+            # every round: a clamp changes lambda
+            weights = term_weights(self.fabric, self.devotion)
             feeds = self._rank_phase(round_, psi_view, weights)
             self._react_phase(round_, feeds)
-            self._belief_phase(round_, feeds, devotion)
+            self._belief_phase(round_, feeds, self.devotion)
             platform_before = self.ledger.balance(PLATFORM)
             self.events.extend(settle_round(round_, feeds, self.fabric, self.catalog,
-                                            psi_view, self.prices, self.advertisers,
-                                            cfg.econ, self.ledger, weights))
+                                            self.prices, self.advertisers, cfg.econ,
+                                            self.ledger))
             reward_standing(self.scores, self.fabric, cfg.econ.standing_reward_rate,
                             self.catalog)
             self._adapt_devotion(feeds)

@@ -4,7 +4,8 @@ This is the walk the batched rank replaced. For each citizen in id order it
 reads the attention terms off the fabric, builds the shares over the
 citizen's unreacted pool with one dict, sorts the feed with Python's
 `sorted` and draws its exploration slots from the citizen's own
-`derive_rng` stream. The batched rank must give the same `Feeds` columns.
+`derive_rng` stream. The batched rank must give the same `Feeds` columns,
+each entry's attention terms (`entry_terms`) among them.
 """
 
 import numpy as np
@@ -22,6 +23,23 @@ def attention_terms(citizen, fabric):
     return [(("citizen", citizen), fabric.citizens[citizen].lambda_)] + \
         [(("community", c), devotions[c] * fabric.communities[c].lambda_)
          for c in sorted(devotions)]
+
+
+def entry_terms(citizen, fabric, psi_view, content):
+    """The attention numerator's terms for the citizen's entry of `content`,
+    as `Feeds.terms` lays them out: the citizen's own, then every
+    community's in id order, 0.0 for a community it is not in."""
+    at = psi_view.columns[content]
+    terms = {scope: w * psi_view.column(scope)[at] for scope, w in attention_terms(citizen, fabric)}
+    return [terms[("citizen", citizen)]] + \
+        [terms.get(("community", c), 0.0) for c in sorted(fabric.communities)]
+
+
+def feeds_table(feeds, fabric, psi_view):
+    """`Feeds.of` each citizen's (content, share) feed, each entry with its
+    `entry_terms`."""
+    return Feeds.of({citizen: [(m, share, entry_terms(citizen, fabric, psi_view, m))
+                               for m, share in feed] for citizen, feed in feeds.items()})
 
 
 def exposure_weights(citizen, fabric, psi_view, pool):
@@ -78,4 +96,4 @@ def rank_walk(groups, fabric, psi_view, params, seed, round_):
                 continue
             weights = exposure_weights(citizen, fabric, psi_view, pool)
             feeds[citizen] = build_feed(citizen, weights, params, seed, round_)
-    return Feeds.of(feeds)
+    return feeds_table(feeds, fabric, psi_view)

@@ -4,8 +4,8 @@ This is the walk `settle_round` replaced. It settles the feed table one entry
 at a time through `Ledger.post`, reading each citizen's attention terms at
 its first entry and each sponsor's balance before each charge. The batched
 settlement must give the same ledger rows, balance bits, events and lambdas.
-It reads the terms off the fabric itself (`rank_walk.attention_terms`), so
-it takes the round's term weights only to share `settle_round`'s signature.
+It reads the terms off the fabric (`rank_walk.attention_terms`) and psi off
+`psi_view`, not off the table's `terms`.
 """
 
 from plural._sum import left_sum
@@ -33,8 +33,7 @@ def shares(terms, at):
     return [(term[0], v / total) for term, v in zip(terms, values) if v > 0]
 
 
-def settle_walk(round_, feeds, fabric, catalog, psi_view, prices, advertisers, params, ledger,
-                weights=None):
+def settle_walk(round_, feeds, fabric, catalog, prices, advertisers, params, ledger, psi_view):
     """`settle_round`, one entry and one posting at a time."""
     events = []
     clamped = set()

@@ -2,6 +2,7 @@
 advertiser standing market."""
 
 import copy
+import functools
 import math
 from unittest import mock
 
@@ -16,9 +17,10 @@ from plural.econ import (PLATFORM, REASONS, Advertiser, EconParams, Ledger, crea
                          reward_standing, sell_standing, settle_round)
 from plural.errors import InsufficientFunds, NotFound, Unregistered
 from plural.fabric import SocialFabric
-from plural.rank import Feeds, term_weights
+from plural.rank import Feeds
 from plural.score import ContentItem, ScoreCard, ScoreSet
 
+from rank_walk import feeds_table
 from settle_walk import settle_walk, shares, sponsor_terms
 
 
@@ -35,8 +37,8 @@ def one_community_world(lambda_c=1.0, balance=100.0):
     cards = []
     cards.append(ScoreCard(content=0, scope=("community", c), iota=1.0, beta=1.0,
                            delta=0.0, psi=1.0))
-    feeds = Feeds.of({p: [(0, 1.0)]})
     scores = ScoreSet.of(cards)
+    feeds = feeds_table({p: [(0, 1.0)]}, f, scores)
     return f, p, creator, c, ledger, catalog, scores, feeds
 
 
@@ -139,10 +141,9 @@ class TestLedger:
 class TestSettleRound:
     def test_single_flow_split(self):
         f, p, creator, c, ledger, catalog, scores, feeds = one_community_world()
-        events = settle_round(0, feeds, f, catalog, scores, {}, {},
+        events = settle_round(0, feeds, f, catalog, {}, {},
                               EconParams(platform_fee=0.3, creator_share=0.7,
-                                         default_price_per_lambda_impression=1.0), ledger,
-                              term_weights(f, f.devotion_matrix()))
+                                         default_price_per_lambda_impression=1.0), ledger)
         assert events == []
         assert ledger.balance(("community", c)) == pytest.approx(99.0)
         assert ledger.balance(PLATFORM) == pytest.approx(0.3)
@@ -154,15 +155,15 @@ class TestSettleRound:
     def test_zero_lambda_no_entries(self):
         f, p, creator, c, ledger, catalog, scores, feeds = \
             one_community_world(lambda_c=0.0)
-        settle_round(0, feeds, f, catalog, scores, {}, {},
-                     EconParams(default_price_per_lambda_impression=1.0), ledger, term_weights(f, f.devotion_matrix()))
+        settle_round(0, feeds, f, catalog, {}, {},
+                     EconParams(default_price_per_lambda_impression=1.0), ledger)
         assert ledger.entries == []
 
     def test_remainder_goes_to_creator_pool(self):
         f, p, creator, c, ledger, catalog, scores, feeds = one_community_world()
         params = EconParams(platform_fee=0.2, creator_share=0.5,
                             default_price_per_lambda_impression=1.0)
-        settle_round(0, feeds, f, catalog, scores, {}, {}, params, ledger, term_weights(f, f.devotion_matrix()))
+        settle_round(0, feeds, f, catalog, {}, {}, params, ledger)
         assert ledger.balance(PLATFORM) == pytest.approx(0.2)
         assert ledger.balance(("citizen", creator)) == pytest.approx(0.5)
         assert ledger.balance(creator_pool(c)) == pytest.approx(0.3)
@@ -181,10 +182,10 @@ class TestSettleRound:
         cards = []
         cards.append(ScoreCard(content=0, scope=("citizen", p), iota=1.0, beta=0.5,
                                delta=0.0, psi=0.5))
-        feeds = Feeds.of({p: [(0, 1.0)]})
         scores = ScoreSet.of(cards)
-        settle_round(0, feeds, f, catalog, scores, {}, {},
-                     EconParams(default_price_per_lambda_impression=1.0), ledger, term_weights(f, f.devotion_matrix()))
+        feeds = feeds_table({p: [(0, 1.0)]}, f, scores)
+        settle_round(0, feeds, f, catalog, {}, {},
+                     EconParams(default_price_per_lambda_impression=1.0), ledger)
         assert [e.reason for e in ledger.entries] == ["Subscription", "CreatorReward"]
         assert ledger.balance(("citizen", p)) == pytest.approx(9.0)
 
@@ -200,18 +201,17 @@ class TestSettleRound:
         cards = []
         cards.append(ScoreCard(content=0, scope=("citizen", p), iota=1.0, beta=0.5,
                                delta=0.0, psi=0.5))
-        feeds = Feeds.of({p: [(0, 1.0)]})
         scores = ScoreSet.of(cards)
-        settle_round(0, feeds, f, catalog, scores, {}, {},
-                     EconParams(default_price_per_lambda_impression=1.0), ledger, term_weights(f, f.devotion_matrix()))
+        feeds = feeds_table({p: [(0, 1.0)]}, f, scores)
+        settle_round(0, feeds, f, catalog, {}, {},
+                     EconParams(default_price_per_lambda_impression=1.0), ledger)
         assert ledger.entries == []
 
     def test_insufficient_funds_clamps_lambda(self):
         f, p, creator, c, ledger, catalog, scores, feeds = \
             one_community_world(balance=0.4)
-        events = settle_round(0, feeds, f, catalog, scores, {}, {},
-                              EconParams(default_price_per_lambda_impression=1.0), ledger,
-                              term_weights(f, f.devotion_matrix()))
+        events = settle_round(0, feeds, f, catalog, {}, {},
+                              EconParams(default_price_per_lambda_impression=1.0), ledger)
         assert any(e["kind"] == "lambda_clamped" and e["owner"] == ("community", c)
                    for e in events)
         assert f.communities[c].lambda_ == 0.0
@@ -238,9 +238,9 @@ class TestSettleRound:
         catalog = {0: ContentItem(id=0, creator=p, target_communities={c1})}
         # price 1, share 1 and no fee or reward: each sponsor's fraction is
         # posted whole, as its pool remainder
-        settle_round(0, Feeds.of({p: [(0, 1.0)]}), f, catalog, scores, {}, {},
+        settle_round(0, feeds_table({p: [(0, 1.0)]}, f, scores), f, catalog, {}, {},
                      EconParams(platform_fee=0.0, creator_share=0.0,
-                                default_price_per_lambda_impression=1.0), ledger, term_weights(f, f.devotion_matrix()))
+                                default_price_per_lambda_impression=1.0), ledger)
         terms = shares(sponsor_terms(p, f, scores), scores.columns[0])
         assert len(terms) == 3
         assert [(e.from_owner, e.amount) for e in ledger.entries] == terms
@@ -280,9 +280,9 @@ class TestSettleRound:
             shares = rng.dirichlet(np.ones(len(pool)))
             feeds[p] = list(zip(pool, shares.tolist()))
         scores = ScoreSet.of(cards)
-        settle_round(0, Feeds.of(feeds), f, catalog, scores, {}, {},
+        settle_round(0, feeds_table(feeds, f, scores), f, catalog, {}, {},
                      EconParams(platform_fee=0.25, creator_share=0.6,
-                                default_price_per_lambda_impression=0.5), ledger, term_weights(f, f.devotion_matrix()))
+                                default_price_per_lambda_impression=0.5), ledger)
         # oracle: re-sum every entry from scratch
         debits = sum(e.amount for e in ledger.entries)
         credits = sum(e.amount for e in ledger.entries)
@@ -301,11 +301,10 @@ class TestSettleRound:
             catalog[1] = other
             cards.append(ScoreCard(content=1, scope=("community", c), iota=1.0,
                                    beta=0.5, delta=0.0, psi=0.5))
-            feeds = Feeds.of({p: [(0, 0.6), (1, 0.4)]})
             scores = ScoreSet.of(cards)
-            settle_round(0, feeds, f, catalog, scores, {}, {},
-                         EconParams(default_price_per_lambda_impression=1.0), ledger,
-                         term_weights(f, f.devotion_matrix()))
+            feeds = feeds_table({p: [(0, 0.6), (1, 0.4)]}, f, scores)
+            settle_round(0, feeds, f, catalog, {}, {},
+                         EconParams(default_price_per_lambda_impression=1.0), ledger)
             return ledger.balance(("citizen", creator))
 
         assert revenue(0.9) >= revenue(0.5) >= revenue(0.2)
@@ -349,8 +348,8 @@ class TestSettleRound:
                 fee, reward = params.platform_fee * charge, params.creator_share * charge
                 want += [(owner, fee), (owner, reward), (owner, charge - fee - reward)]
             start = len(ledger.entries)
-            events = settle_round(0, Feeds.of({p: [(m, share)]}), f, catalog, scores, prices, {},
-                                  params, ledger, term_weights(f, f.devotion_matrix()))
+            events = settle_round(0, feeds_table({p: [(m, share)]}, f, scores), f, catalog, prices, {},
+                                  params, ledger)
             assert events == []
             assert [(e.from_owner, e.amount) for e in ledger.entries[start:]] == want
         assert ("community", c2) not in {owner for owner, _ in want}     # psi 0.0 on content 2
@@ -385,15 +384,14 @@ class TestSettleRound:
                 cards.append(ScoreCard(content=m, scope=scope, iota=1.0, beta=psi,
                                        delta=0.0, psi=psi))
         scores = ScoreSet.of(cards)
-        feeds = Feeds.of({p: [(0, 0.6), (1, 0.4)] for p in (p1, p2)})
+        feeds = feeds_table({p: [(0, 0.6), (1, 0.4)] for p in (p1, p2)}, f, scores)
         # numerator terms 0.5 (citizen), 0.5 (poor), 0.25 (rich) per content
         assert shares(sponsor_terms(p1, f, scores), scores.columns[0]) == [
             (("citizen", p1), 0.4), (("community", poor), 0.4), (("community", rich), 0.2)]
 
-        events = settle_round(0, feeds, f, catalog, scores, {}, {},
+        events = settle_round(0, feeds, f, catalog, {}, {},
                               EconParams(platform_fee=0.25, creator_share=0.6,
-                                         default_price_per_lambda_impression=1.0), ledger,
-                              term_weights(f, f.devotion_matrix()))
+                                         default_price_per_lambda_impression=1.0), ledger)
         assert events == [{"round": 0, "kind": "lambda_clamped",
                            "owner": ("community", poor)}]
         assert f.communities[poor].lambda_ == 0.0
@@ -426,13 +424,13 @@ class TestAdvertising:
         ledger.open_account(("community", c), 0.0)
         catalog = {0: ContentItem(id=0, creator=0, target_communities={c},
                                   creator_kind="advertiser")}
-        feeds = Feeds.of({p: [(0, 0.5)]})
+        feeds = Feeds.of({p: [(0, 0.5, (0.0, 0.0))]})     # an ad's terms are not read
         return f, p, c, adv, ledger, catalog, feeds
 
     def test_ad_impressions_pay_community_and_citizen(self):
         f, p, c, adv, ledger, catalog, feeds = self._world()
-        settle_round(0, feeds, f, catalog, ScoreSet(), {}, {0: adv},
-                     EconParams(), ledger, term_weights(f, f.devotion_matrix()))
+        settle_round(0, feeds, f, catalog, {}, {0: adv},
+                     EconParams(), ledger)
         reasons = sorted(e.reason for e in ledger.entries)
         assert reasons == ["AdImpression", "AdImpression"]
         assert ledger.balance(("community", c)) == pytest.approx(1.0)   # 2.0 * 0.5
@@ -445,8 +443,8 @@ class TestAdvertising:
         drained = Ledger()
         drained.open_account(("advertiser", 0), 0.1)
         drained.open_account(("community", c), 0.0)
-        events = settle_round(0, feeds, f, catalog, ScoreSet(), {},
-                              {0: adv}, EconParams(), drained, term_weights(f, f.devotion_matrix()))
+        events = settle_round(0, feeds, f, catalog, {},
+                              {0: adv}, EconParams(), drained)
         assert any(e["kind"] == "ad_skipped" for e in events)
         assert drained.balance(("advertiser", 0)) >= 0
         drained.audit()
@@ -458,8 +456,8 @@ class TestAdvertising:
         f, p, c, adv, ledger, catalog, _ = self._world()
         adv.personal_price = 0.4
         assert adv.personal_price * 5e-324 == 0.0 < 2.0 * 5e-324
-        events = settle_round(0, Feeds.of({p: [(0, 5e-324)]}), f, catalog, ScoreSet(), {},
-                              {0: adv}, EconParams(), ledger, term_weights(f, f.devotion_matrix()))
+        events = settle_round(0, Feeds.of({p: [(0, 5e-324, (0.0, 0.0))]}), f, catalog, {},
+                              {0: adv}, EconParams(), ledger)
         assert events == []
         assert [(e.from_owner, e.to_owner, e.amount, e.reason) for e in ledger.entries] == [
             (("advertiser", 0), ("community", c), 2.0 * 5e-324, "AdImpression")]
@@ -642,9 +640,9 @@ def settle_worlds(draw):
     cards = [ScoreCard(content=m, scope=scope, iota=1.0, beta=0.5, delta=0.0, psi=draw(PSI))
              for m in catalog for scope in scopes if draw(st.integers(0, 3))]
     scores = ScoreSet.of(cards, contents=catalog)
-    feeds = Feeds.of({p: draw(st.lists(st.tuples(st.sampled_from(sorted(catalog)), SHARE),
-                                       min_size=1, max_size=6, unique_by=lambda e: e[0]))
-                      for p in citizens if draw(st.integers(0, 4))})
+    feeds = {p: draw(st.lists(st.tuples(st.sampled_from(sorted(catalog)), SHARE),
+                              min_size=1, max_size=6, unique_by=lambda e: e[0]))
+             for p in citizens if draw(st.integers(0, 4))}
     prices = {("community", c): draw(st.sampled_from([0.5, 3.0]))
               for c in draw(st.sets(st.sampled_from(comms)))}
     params = EconParams(platform_fee=draw(st.sampled_from([0.1, 0.25, 0.0])),
@@ -658,15 +656,18 @@ def settle_worlds(draw):
     return f, catalog, scores, feeds, prices, advertisers, params, openings
 
 
-def _settled(world, settle):
-    """Two rounds of `settle` over a copy of the world: its ledger, events and
-    lambdas. Neither settlement raises, also where a payment rounds to 0.0."""
+def _settled(world, walk=False):
+    """Two rounds of `settle_round`, or of the walk, over a copy of the world:
+    its ledger, events and lambdas. Each round's table carries the terms its
+    ranking would read off the fabric. Neither settlement raises, also where
+    a payment rounds to 0.0."""
     f, catalog, scores, feeds, prices, advertisers, params, openings = copy.deepcopy(world)
+    settle = functools.partial(settle_walk, psi_view=scores) if walk else settle_round
     ledger = Ledger()
     for owner, balance in openings:
         ledger.open_account(owner, balance)
-    events = [settle(round_, feeds, f, catalog, scores, prices, advertisers, params, ledger,
-                     term_weights(f, f.devotion_matrix())) for round_ in (0, 1)]
+    events = [settle(round_, feeds_table(feeds, f, scores), f, catalog, prices, advertisers,
+                     params, ledger) for round_ in (0, 1)]
     lambdas = [(p, c.lambda_) for p, c in f.citizens.items()] + \
         [(c, comm.lambda_) for c, comm in f.communities.items()]
     return ledger, events, lambdas
@@ -683,8 +684,8 @@ def test_settle_round_equals_the_entry_walk():
     @given(settle_worlds(), st.sampled_from([econ._BLOCK_ENTRIES, 1, 2, 3]))
     def check(world, block_entries):
         with mock.patch.object(econ, "_BLOCK_ENTRIES", block_entries):
-            got = _settled(world, settle_round)
-        want = _settled(world, settle_walk)
+            got = _settled(world)
+        want = _settled(world, walk=True)
         (ledger, events, lambdas), (want_ledger, want_events, want_lambdas) = got, want
         assert ledger.entries == want_ledger.entries
         owners = set(ledger.owners) | set(want_ledger.owners)
@@ -700,7 +701,7 @@ def test_settle_round_equals_the_entry_walk():
         if any(e.reason == "AdImpression" for e in entries):
             seen.add("ad paid")
         _, catalog, _, feeds, _, _, _, _ = world
-        own = {p for p, m in zip(feeds.citizen.tolist(), feeds.content.tolist())
+        own = {p for p, feed in feeds.items() for m, _ in feed
                if catalog[m].creator_kind == "citizen" and catalog[m].creator == p}
         if any(e.reason == "Subscription" and e.from_owner[1] in own for e in entries):
             seen.add("self-sponsored")

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from plural.errors import InsufficientStanding
 from plural.fabric import SocialFabric
-from plural.rank import (Feeds, Group, PsiOverrides, RankingParams, build_feed,
+from plural.rank import (Group, PsiOverrides, RankingParams, build_feed,
                          exposure_weights, feed_to_records, rank_feeds, seed_content, served,
                          term_weights)
 from plural.score import (LABEL_BRIDGING, LABEL_DIVISIVE, ContentItem, ReactionMatrix,
                           ScoreCard, ScoreSet, ScoringParams, score_round)
 
-from rank_walk import attention_terms, rank_walk
+from rank_walk import attention_terms, entry_terms, feeds_table, rank_walk
 
 
 def exposure_oracle(fabric, psi_table, citizen, pool):
@@ -225,7 +225,7 @@ class TestBuildFeed:
         f, p, c, scores, weights = feed_fixture()
         feed = build_feed(p, weights, params=RankingParams(feed_size=5, epsilon=0.2), seed=3)
         assert feed == sorted(feed, key=lambda e: (-e[1], e[0]))
-        table = Feeds.of({p: feed})
+        table = feeds_table({p: feed}, f, scores)
         assert table.rank.tolist() == list(range(len(feed)))
         assert list(zip(table.content.tolist(), table.share.tolist())) == feed
 
@@ -253,7 +253,7 @@ class TestBuildFeed:
         scores.balancing[(1, ("community", c))] = [0]
         weights = exposure_weights(p, f, scores, [0, 1])
         feed = build_feed(p, weights, params=RankingParams(feed_size=2))
-        records = feed_to_records(0, Feeds.of({p: feed}), scores, f)
+        records = feed_to_records(0, feeds_table({p: feed}, f, scores), scores, f)
         by_content = {rec["content"]: rec["provenance"] for rec in records}
         assert by_content[0] == [{"scope_kind": "community", "scope_id": c,
                                   "kind": LABEL_BRIDGING, "balancing_peek": []}]
@@ -266,7 +266,7 @@ class TestBuildFeed:
     def test_feed_records_shape(self):
         f, p, c, scores, weights = feed_fixture()
         feed = build_feed(p, weights, params=RankingParams(feed_size=2))
-        recs = feed_to_records(7, Feeds.of({p: feed}), scores, f)
+        recs = feed_to_records(7, feeds_table({p: feed}, f, scores), scores, f)
         assert recs[0]["round"] == 7
         assert recs[0]["citizen"] == p
         assert set(recs[0]) == {"round", "citizen", "rank_position", "content",
@@ -324,7 +324,7 @@ def rank_worlds(draw):
         modes = [draw(st.sampled_from(["none", "some", "all"])) for _ in who]
         reacted = np.array([rng.random(len(pool)) < {"none": 0.0, "some": 0.3, "all": 1.0}[mode]
                             for mode in modes]).reshape(len(who), len(pool))
-        groups.append(Group(communities, np.array(who, dtype=np.int64), pool, reacted))
+        groups.append(Group(np.array(who, dtype=np.int64), pool, reacted))
     params = RankingParams(feed_size=draw(st.integers(1, 6)),
                            epsilon=draw(st.sampled_from([0.0, 0.1, 0.5])))
     return f, view, groups, params, draw(st.integers(0, 2 ** 32 - 1)), round_
@@ -385,7 +385,7 @@ def test_rank_feeds_equals_the_citizen_walk():
             assert column.tolist() == expected.tolist()
         k = params.feed_size
         for group in (group for group in groups if len(group.pool)):
-            if not group.communities:
+            if not f.citizens[int(group.citizens[0])].memberships:
                 seen.add("no community")
             seen.update("all reacted" if n == 0 else "short pool" if n < k else "pool = feed size"
                         if n == k else "explored" if params.epsilon else "long pool"
@@ -399,6 +399,21 @@ def test_rank_feeds_equals_the_citizen_walk():
     check()
     assert seen >= {"no community", "all reacted", "short pool", "pool = feed size", "explored",
                     "long pool", "tied shares", "cold"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rank_worlds())
+def test_rank_feeds_terms_equal_the_walk(world):
+    """Each feed entry's terms are the walk's attention terms for its citizen
+    and content: own first, then every community by id, 0.0 outside the
+    citizen's communities."""
+    f, view, groups, params, seed, round_ = world
+    feeds = rank_feeds(groups, term_weights(f, f.devotion_matrix()), f, view, params, seed,
+                       round_)
+    assert feeds.terms.shape == (len(feeds.citizen), 1 + len(f.communities))
+    for citizen, content, terms in zip(feeds.citizen.tolist(), feeds.content.tolist(),
+                                       feeds.terms.tolist()):
+        assert terms == entry_terms(citizen, f, view, content)
 
 
 class TestSeedContent:

@@ -367,7 +367,7 @@ class _TableRecorder(_Simulation):
 def assert_feed_table(feeds):
     """Citizens ascend; each citizen's ranks run 0..k-1 and its shares sum
     to 1; no (citizen, content) appears twice."""
-    citizen, content, share, rank = (column.tolist() for column in feeds)
+    citizen, content, share, rank = (column.tolist() for column in feeds[:4])
     assert len(citizen) == len(content) == len(share) == len(rank)
     assert citizen == sorted(citizen)
     assert len(set(zip(citizen, content))) == len(citizen)
@@ -522,3 +522,16 @@ def test_adapt_devotion_moves_only_served_edges():
 
     check()
     assert any(moved)
+
+
+def test_held_devotion_matrix_follows_adaptation():
+    """The run's devotion matrix, built at set-up and rebuilt only when
+    `_adapt_devotion` moves an edge, is the fabric's after a run whose
+    devotions moved."""
+    doc = market_doc(3, 3)
+    doc["sim"]["devotion_adapt_rate"] = 0.1
+    simulation = _Simulation(ScenarioConfig.from_dict(doc), 3, 3)
+    before = simulation.devotion.copy()
+    simulation.run()
+    assert (simulation.devotion == simulation.fabric.devotion_matrix()).all()
+    assert (simulation.devotion != before).any()

@@ -121,7 +121,8 @@ def feed_worlds(draw):
                     balancing[(m, scope)] = draw(st.lists(ids, max_size=4))
     scores = ScoreSet.of(cards_)
     scores.balancing.update(balancing)
-    feed = st.lists(st.tuples(st.sampled_from(contents), floats), max_size=4,
+    # feed_lines reads no terms
+    feed = st.lists(st.tuples(st.sampled_from(contents), floats, st.just(())), max_size=4,
                     unique_by=lambda e: e[0])
     feeds = Feeds.of({p: draw(feed) for p in draw(st.sets(st.sampled_from(citizens)))})
     return fabric, scores, feeds
@@ -186,7 +187,7 @@ def test_feed_shapes_and_edge_floats():
         card(i, ("community", 1), LABEL_DIVISIVE, [6])      # not one of 7's communities
     scores = ScoreSet.of(cards_)
     scores.balancing.update(balancing)
-    feeds = Feeds.of({citizens[7]: list(enumerate(EDGE_FLOATS))})
+    feeds = Feeds.of({citizens[7]: [(m, share, ()) for m, share in enumerate(EDGE_FLOATS)]})
     text = "".join(feed_lines(3, feeds, scores, fabric))
     assert text == feed_text_oracle(3, feeds, scores, fabric)
     assert '"exposure_share": 1e+22,' in text and "np.float64" not in text
