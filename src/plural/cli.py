@@ -216,7 +216,8 @@ def cmd_score(args: argparse.Namespace) -> int:
                     principal_subcommunities(fabric, cid, matrix, seed=0)
                 except (TooSmall, DegenerateInput):
                     pass
-        scores = score_round(fabric, catalog, reactions, params, current_round)
+        scores = score_round(fabric, catalog, reactions, params, current_round,
+                             fabric.signatures())
     except PluralError as exc:
         print(f"scoring failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

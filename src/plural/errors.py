@@ -45,6 +45,11 @@ class EmptyCommunity(PluralError):
     """Aggregation over an empty member set."""
 
 
+class Overflow(PluralError, ValueError):
+    """A total passed the float range. Also a ValueError, as a mutator
+    handed an update that overflows refuses it as it refuses any other."""
+
+
 class ConfigError(PluralError, ValueError):
     """Scenario document or parameter failed validation.
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ._sum import left_sum
-from .errors import AlreadyMember, InsufficientStanding, NotFound
+from .errors import AlreadyMember, InsufficientStanding, NotFound, Overflow
 
 # Raw standing may never drop below this, keeping every normalized standing
 # strictly inside (0, 1).
@@ -188,8 +188,11 @@ class SocialFabric:
             raise NotFound(f"citizen {citizen} has no membership in {community}")
         edge = p.memberships[community]
         new_raw = edge.raw_standing + delta_raw
-        if not (-math.inf < delta_raw < math.inf and new_raw < math.inf):   # also rejects NaN
-            raise ValueError(f"standing delta must keep raw standing finite, got {delta_raw!r}")
+        if not -math.inf < delta_raw < math.inf:   # also rejects NaN
+            raise ValueError(f"standing delta must be finite, got {delta_raw!r}")
+        if new_raw == math.inf:
+            raise Overflow(f"raw standing of citizen {citizen} in community {community} "
+                           f"overflowed: {edge.raw_standing!r} + {delta_raw!r} is not finite")
         if new_raw < STANDING_FLOOR:
             raise InsufficientStanding(
                 f"citizen {citizen} raw standing {edge.raw_standing:.6g} in community "
@@ -202,6 +205,8 @@ class SocialFabric:
         """Normalized devotion over the citizen's memberships (sums to 1)."""
         p = self._citizen(citizen)
         total = left_sum(e.raw_devotion for e in p.memberships.values())
+        if total == math.inf:
+            raise Overflow(f"devotion total of citizen {citizen} overflowed")
         return {c: e.raw_devotion / total for c, e in p.memberships.items()}
 
     def devotion_matrix(self) -> np.ndarray:
@@ -220,6 +225,8 @@ class SocialFabric:
         c = self._community(community)
         raws = {p: self.citizens[p].memberships[community].raw_standing for p in c.members}
         total = left_sum(raws.values())
+        if total == math.inf:
+            raise Overflow(f"standing total of community {community} overflowed")
         return {p: r / total for p, r in raws.items()}
 
     def raw_standing(self, citizen: int, community: int) -> float:
@@ -231,6 +238,11 @@ class SocialFabric:
     def member_communities(self, citizen: int) -> list[int]:
         """Sorted community ids the citizen belongs to."""
         return sorted(self._citizen(citizen).memberships)
+
+    def signatures(self) -> dict[int, tuple[int, ...]]:
+        """Every citizen's membership signature, its `member_communities` as a
+        tuple, by citizen id ascending. It holds until a membership is added."""
+        return {p: tuple(sorted(self.citizens[p].memberships)) for p in sorted(self.citizens)}
 
     # -- audit ----------------------------------------------------------------
 

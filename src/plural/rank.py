@@ -32,7 +32,7 @@ import numpy as np
 from ._rng import derive_rng, derive_rngs
 from ._sum import left_sum
 from .config import RankingParams
-from .errors import InsufficientStanding
+from .errors import InsufficientStanding, Overflow
 from .score import LABEL_BRIDGING, LABEL_DIVISIVE, LABELS, ScoreSet, Scope
 
 
@@ -166,11 +166,14 @@ def _shares(terms: np.ndarray, group: Group) -> np.ndarray:
     them: a non-member's term is 0.0 * psi = +0.0 and a reacted cell +0.0,
     which change no non-negative partial sum. A row whose total is not
     positive is spread uniformly over its unreacted contents, so a cold
-    system still serves content.
+    system still serves content; one whose total overflowed raises Overflow.
     """
     acc = left_sum(np.moveaxis(terms, 2, 0))
     acc[group.reacted] = 0.0
     total = left_sum(acc.T)
+    over = total == np.inf
+    if over.any():
+        raise Overflow(f"attention total of citizen {group.citizens[over][0]} overflowed")
     cold = total <= 0.0
     acc /= np.where(cold, 1.0, total)[:, None]
     acc[cold] = (1.0 / np.maximum(_offered(group)[cold], 1))[:, None]
@@ -305,15 +308,17 @@ def _tag(scores: ScoreSet, content: int, scope: Scope, code: int) -> Optional[st
             f'"scope_id": {scope[1]}, "scope_kind": "{scope[0]}"}}')
 
 
-def feed_lines(round_: int, feeds: Feeds, scores: ScoreSet, fabric) -> Iterator[str]:
+def feed_lines(round_: int, feeds: Feeds, scores: ScoreSet, fabric,
+               signatures: Mapping[int, tuple[int, ...]]) -> Iterator[str]:
     """feeds.jsonl lines of the round's table: one JSON record per entry.
 
     An entry's provenance holds a tag for each of the citizen's communities
-    in id order, then for the citizen's own scope, read off `scores` (the
-    round's) where the content is Bridging or Divisive. The label codes of
-    every (entry, citizen scope) and (content, community) pair are gathered
-    at once; the community tags of a content are the same for every citizen
-    in the same communities, so each such run is made once per call.
+    in id order (its entry in `signatures`, the fabric's `signatures()`),
+    then for the citizen's own scope, read off `scores` (the round's) where
+    the content is Bridging or Divisive. The label codes of every (entry,
+    citizen scope) and (content, community) pair are gathered at once; the
+    community tags of a content are the same for every citizen in the same
+    communities, so each such run is made once per call.
 
     Each line is byte-equal to `json.dumps(record, sort_keys=True) + "\n"`.
     Floats are written with `float.__repr__`, json's own float form, which
@@ -340,7 +345,7 @@ def feed_lines(round_: int, feeds: Feeds, scores: ScoreSet, fabric) -> Iterator[
         if citizen != last:
             last = citizen
             head = f'{{"citizen": {citizen}, "content": '
-            mine = tuple(slot[c] for c in fabric.member_communities(citizen))
+            mine = tuple(slot[c] for c in signatures[citizen])
         text = community_tags.get((at, mine))
         if text is None:
             tags = (_tag(scores, content, ("community", communities[k]), community_codes[k][at])
@@ -357,7 +362,8 @@ def feed_lines(round_: int, feeds: Feeds, scores: ScoreSet, fabric) -> Iterator[
 def feed_to_records(round_: int, feeds: Feeds, scores: ScoreSet, fabric) -> list[dict]:
     """The records of `feed_lines`, parsed back into dicts. Nothing in the
     program calls it; perfbench's tracer patches it by name."""
-    return [json.loads(line) for line in feed_lines(round_, feeds, scores, fabric)]
+    return [json.loads(line)
+            for line in feed_lines(round_, feeds, scores, fabric, fabric.signatures())]
 
 
 def seed_content(overrides: PsiOverrides, fabric, content, community: int,

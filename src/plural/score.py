@@ -695,7 +695,7 @@ def balancing_set(scope: Scope, content: int, scores: ScoreSet,
 
 def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatrix,
                 params: ScoringParams, current_round: int,
-                mf_seed: int = 0) -> ScoreSet:
+                signatures: Mapping[int, tuple[int, ...]], mf_seed: int = 0) -> ScoreSet:
     """Full scoring pass: community rows for every (content, target
     community), citizen rows for every content a citizen could be served,
     and balancing sets for everything labeled Divisive.
@@ -705,9 +705,9 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
     a community is fitted, from its own seed; where the fit's data
     preconditions fail, the penrose consensus product stands. The records
     are tallied once, each community's contents are profiled in one pass,
-    and so are each membership signature's; every citizen's iota is one
-    gather from the tally, and psi one formula over every row (see
-    ScoreSet).
+    and so are each membership signature's (`signatures`, the fabric's
+    `signatures()`); every citizen's iota is one gather from the tally, and
+    psi one formula over every row (see ScoreSet).
     """
     contents = sorted(catalog)
     tally = _Tally(reactions, contents, current_round, params.half_life)
@@ -719,14 +719,13 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
     # Citizens with identical membership signatures share everything but
     # interest, so each signature has one profile row, after the communities'.
     communities, citizens = sorted(fabric.communities), sorted(fabric.citizens)
-    signatures: dict[tuple[int, ...], int] = {}
+    profiles: dict[tuple[int, ...], int] = {}   # signature -> profile row
     profile_of = list(range(len(communities)))
     for pid in citizens:
-        comms = tuple(fabric.member_communities(pid))
-        profile_of.append(signatures.setdefault(comms, len(communities) + len(signatures)))
+        profile_of.append(profiles.setdefault(signatures[pid], len(communities) + len(profiles)))
     scores = ScoreSet(contents, [("community", c) for c in communities]
                       + [("citizen", p) for p in citizens],
-                      profile_of, len(communities) + len(signatures))
+                      profile_of, len(communities) + len(profiles))
 
     whole: dict[int, np.ndarray] = {}           # community -> rate over all members
     for k, cid in enumerate(communities):
@@ -741,7 +740,7 @@ def score_round(fabric, catalog: dict[int, ContentItem], reactions: ReactionMatr
             except InsufficientData:
                 pass
         whole[cid] = _score_community(scores, k, comm, cols, tally, params, beta_raw)
-    for comms, p in signatures.items():
+    for comms, p in profiles.items():
         cols = sorted(set().union(*(targeting.get(c, ()) for c in comms)))
         _score_signature(scores, p, whole, comms, cols, fabric, params)
     _citizen_iota(scores, len(communities), citizens, tally)

@@ -1,4 +1,6 @@
-"""The closed loop: create, detect, score, rank, react, settle, measure.
+"""The closed loop. Each round runs ten phases, `_Simulation.PHASES`:
+create, refresh, score, rank, react, belief, settle, reward, metrics and
+export; after each, the hook `_Simulation.after` may observe the state.
 
 The generative model places citizens in ideological blocs; a citizen's
 attitude to content decays logistically with squared ideological distance,
@@ -22,10 +24,9 @@ from .config import ScenarioConfig
 from .detect import principal_subcommunities
 from .econ import (PLATFORM, Advertiser, Ledger, OwnerRef, reward_standing,
                    sell_standing, settle_round)
-from .errors import DegenerateInput, EmptyCommunity, TooSmall
+from .errors import DegenerateInput, EmptyCommunity, Overflow, TooSmall
 from .fabric import SocialFabric
-from .rank import (Feeds, Group, PsiOverrides, feed_lines, rank_feeds, seed_content,
-                   served, term_weights)
+from .rank import Group, PsiOverrides, feed_lines, rank_feeds, seed_content, served, term_weights
 from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights, _spreads,
                     bloc_rates, consensus_products, score_round)
 
@@ -204,12 +205,18 @@ class RunResult:
 
 
 class _Simulation:
-    """One run's mutable state; `run()` drives the phase sequence.
+    """One run's mutable state; `run()` plays each round as the `PHASES` in
+    order, each a method `_<name>(round_) -> None` over the state on `self`,
+    and after each calls the hook `after(name, round_)`, a no-op here.
 
     The latent state is three arrays indexed by citizen id and content id:
     `ideologies` (citizens x dim), and `attitude` and `exposure` (contents x
-    citizens), which, like the reaction arrays, gain a row per content.
+    citizens), which, like the reaction arrays, gain a row per content. The
+    round's `scores`, their `served` view `psi_view` and `feeds` are held too.
     """
+
+    PHASES = ("create", "refresh", "score", "rank", "react", "belief", "settle", "reward",
+              "metrics", "export")
 
     def __init__(self, config: ScenarioConfig, seed: int, rounds: int,
                  sink: Optional[Sink] = None):
@@ -231,7 +238,7 @@ class _Simulation:
         kept = self.feed_lines   # not self: a cycle would outlive the run while gc is off
         self.sink: Sink = sink if sink is not None else (lambda lines, ledger: kept.extend(lines))
         self.metrics: list[RoundMetrics] = []
-        self.scores: Optional[ScoreSet] = None
+        self.scores = self.psi_view = self.feeds = None
 
         self.n = config.population.n_citizens
         self.attitude = np.zeros((0, self.n))
@@ -239,14 +246,13 @@ class _Simulation:
         # (communities x contents): members' summed feed shares; served to any
         self.community_exposure = np.zeros((len(self.fabric.communities), 0))
         self.served = np.zeros(self.community_exposure.shape, dtype=bool)
-        # `_adapt_devotion` is a run's only writer of raw devotion, and only
-        # `gen_population` adds memberships
+        # only `_reward` writes raw devotion, and only `gen_population` adds memberships
         self.devotion = self.fabric.devotion_matrix()
+        self.signatures = self.fabric.signatures()
         members: dict[tuple, list[int]] = {}   # by (membership signature, ads flag)
-        for citizen in sorted(self.fabric.citizens):
+        for citizen, communities in self.signatures.items():
             ads = self.fabric.citizens[citizen].accepts_personal_ads
-            members.setdefault((tuple(self.fabric.member_communities(citizen)), ads),
-                               []).append(citizen)
+            members.setdefault((communities, ads), []).append(citizen)
         self.groups = [(set(communities), ads, np.array(citizens, dtype=np.int64))
                        for (communities, ads), citizens in members.items()]
 
@@ -267,6 +273,7 @@ class _Simulation:
                 sp = adv_cfg.standing_purchase
                 sell_standing(adv, sp.community, sp.amount, sp.price,
                               ledger, self.fabric, round_=0)
+        self.platform_balance = ledger.balance(PLATFORM)   # see `_metrics`
 
     # -- phases ----------------------------------------------------------------
 
@@ -279,15 +286,16 @@ class _Simulation:
         self.catalog[mid] = item
         return item
 
-    def _create_phase(self, round_: int) -> None:
-        """The round's new contents and their seeding; their cells in the run's
-        arrays are added together at the end (nothing here reads them)."""
+    def _create(self, round_: int) -> None:
+        """Expire old seeding overrides, then add the round's contents and their
+        seeding; their cells in the run's arrays are added at the end."""
+        self.overrides.expire(round_)
         cfg = self.config
         rng = derive_rng(self.seed, "create", round_)
         first, positions = len(self.catalog), []
         for _ in range(cfg.content.creators_per_round if self.n else 0):
             creator = int(rng.integers(self.n))
-            targets = set(self.fabric.member_communities(creator))
+            targets = set(self.signatures[creator])
             if not targets:
                 continue
             position = self.ideologies[creator] + \
@@ -304,8 +312,7 @@ class _Simulation:
                     seed_content(self.overrides, self.fabric, item, cid, stake,
                                  cfg.ranking, round_)
         for aid in sorted(self.advertisers):
-            adv_cfg = cfg.advertisers[aid]
-            adv = self.advertisers[aid]
+            adv_cfg, adv = cfg.advertisers[aid], self.advertisers[aid]
             targets = {d.community for d in adv.deals if d.accepted}
             if not targets or adv_cfg.items_per_round == 0:
                 continue
@@ -330,8 +337,9 @@ class _Simulation:
             self.served = np.hstack([self.served, np.zeros(grown, dtype=bool)])
             self.reactions.reserve(contents=range(first, len(self.catalog)))
 
-    def _refresh_structure(self, round_: int) -> None:
-        if len(self.reactions) == 0:
+    def _refresh(self, round_: int) -> None:
+        """Every `refresh_interval` rounds, detect each community's blocs anew."""
+        if round_ % self.config.sim.refresh_interval or len(self.reactions) == 0:
             return
         matrix = self.reactions.to_attitudes(row_ids=sorted(self.fabric.citizens))
         for cid in sorted(self.fabric.communities):
@@ -341,11 +349,20 @@ class _Simulation:
             except (TooSmall, DegenerateInput):
                 pass  # keep the previous structure, if any
 
-    def _rank_phase(self, round_: int, psi_view: ScoreSet, weights: np.ndarray) -> Feeds:
+    def _score(self, round_: int) -> None:
+        """The round's scores and their `served` view, `psi_view`."""
+        # drop the last round's first: two rounds' sets are never held at once
+        self.scores = self.psi_view = None
+        self.scores = score_round(self.fabric, self.catalog, self.reactions, self.config.scoring,
+                                  round_, self.signatures,
+                                  mf_seed=derive_seed(self.seed, "mf", round_))
+        self.psi_view = served(self.scores, self.overrides, round_)
+
+    def _rank(self, round_: int) -> None:
         """The round's feed table: each citizen's feed, ranked over the contents
         targeted at its communities (plus personal ads it accepts) it has not
-        reacted to. Citizens with the same communities and ads flag share a
-        pool and are ranked together (`self.groups`)."""
+        reacted to. Citizens with the same communities and ads flag share a pool
+        and are ranked together (`self.groups`), under term weights built anew."""
         groups = []
         for communities, ads, citizens in self.groups:
             pool = np.flatnonzero([   # content ids are catalog positions
@@ -355,12 +372,13 @@ class _Simulation:
                 for item in self.catalog.values()])
             groups.append(Group(citizens, pool,
                                 self.reactions.sign[np.ix_(pool, citizens)].T != 0))
-        return rank_feeds(groups, weights, self.fabric, psi_view, self.config.ranking,
-                          self.seed, round_)
+        # every round: a clamp changes lambda
+        self.feeds = rank_feeds(groups, term_weights(self.fabric, self.devotion), self.fabric,
+                                self.psi_view, self.config.ranking, self.seed, round_)
 
-    def _react_phase(self, round_: int, feeds: Feeds) -> None:
+    def _react(self, round_: int) -> None:
         """One reaction draw per feed entry, in table order; one record per round."""
-        scale = self.config.sim.engagement_scale
+        feeds, scale = self.feeds, self.config.sim.engagement_scale
         who = feeds.citizen.tolist()
         citizens = list(dict.fromkeys(who))
         rngs = dict(zip(citizens, derive_rngs(self.seed, citizens, "react", round_)))
@@ -378,12 +396,12 @@ class _Simulation:
         w = np.array([standings[p] for p in members])
         return idx, w, _bloc_positions(members, comm.principal_subcommunities)
 
-    def _belief_phase(self, round_: int, feeds: Feeds, devotion: np.ndarray) -> None:
+    def _belief(self, round_: int) -> None:
         """Add the feeds to citizen and community exposure, then pull members'
         attitudes to served content toward their ambient belief: the common
-        beliefs weighted by `devotion`, the round's `devotion_matrix()`,
+        beliefs weighted by `self.devotion`, the fabric's `devotion_matrix()`,
         whose positive cells are the memberships."""
-        exposure = self.exposure
+        feeds, devotion, exposure = self.feeds, self.devotion, self.exposure
         # exact in one pass: a round serves each (content, citizen) at most once
         at = (feeds.content, feeds.citizen)
         exposure[at] = np.minimum(1.0, exposure[at] + feeds.share)
@@ -417,30 +435,35 @@ class _Simulation:
                 out[:, j] = _aggregate_rows(beliefs[:, idx], w, bloc_idx)
         return out
 
-    def _adapt_devotion(self, feeds: Feeds) -> None:
-        """Raise each served edge's raw devotion by rate times its shares, then
-        rebuild `self.devotion` if an edge moved."""
+    def _settle(self, round_: int) -> None:
+        self.events.extend(settle_round(round_, self.feeds, self.fabric, self.catalog, self.prices,
+                                        self.advertisers, self.config.econ, self.ledger))
+
+    def _reward(self, round_: int) -> None:
+        """Reward creators' standing by psi; with devotion adapting, raise each
+        served edge's raw devotion by rate times its shares, then rebuild `self.devotion`."""
+        reward_standing(self.scores, self.fabric, self.config.econ.standing_reward_rate,
+                        self.catalog)
         rate = self.config.sim.devotion_adapt_rate
         if rate <= 0:
             return
         spent: dict[tuple[int, int], float] = {}   # (citizen, community) -> share
-        for citizen, mid, share in zip(feeds.citizen.tolist(), feeds.content.tolist(),
-                                       feeds.share.tolist()):
-            for cid in self.catalog[mid].target_communities:
-                if cid in self.fabric.citizens[citizen].memberships:
-                    spent[citizen, cid] = spent.get((citizen, cid), 0.0) + share
+        for citizen, mid, share in zip(*(column.tolist() for column in self.feeds[:3])):
+            for cid in self.catalog[mid].target_communities.intersection(self.signatures[citizen]):
+                spent[citizen, cid] = spent.get((citizen, cid), 0.0) + share
         for (citizen, cid), share in sorted(spent.items()):
-            edge = self.fabric.citizens[citizen].memberships[cid]
-            self.fabric.update_devotion(citizen, cid, edge.raw_devotion + rate * share)
+            raw = self.fabric.citizens[citizen].memberships[cid].raw_devotion + rate * share
+            if raw == math.inf:
+                raise Overflow(f"raw devotion of citizen {citizen} in community {cid} overflowed")
+            self.fabric.update_devotion(citizen, cid, raw)
         if spent:
             self.devotion = self.fabric.devotion_matrix()
 
-    def _metrics_phase(self, round_: int, platform_before: float) -> RoundMetrics:
+    def _metrics(self, round_: int) -> None:
         """The round's row (see RoundMetrics): each community's top 10 served
-        contents by (-total share, id), their spreads from one `bloc_rates`."""
-        scoring = self.config.scoring
-        revenue = self.ledger.balance(PLATFORM) - platform_before
-        gini = attention_gini(self.exposure.sum(axis=1))
+        contents by (-total share, id), their spreads from one `bloc_rates`;
+        the revenue is what settlement paid the platform since the last one."""
+        before, self.platform_balance = self.platform_balance, self.ledger.balance(PLATFORM)
         beliefs = self.attitude * self.exposure
 
         spreads: list[float] = []
@@ -460,7 +483,7 @@ class _Simulation:
                 commons.append(float(np.mean(_aggregate_rows(beliefs[top][:, idx], w, bloc_idx))))
                 if bloc_idx is not None:
                     rates = bloc_rates(self.reactions, top, comm.principal_subcommunities,
-                                       alpha=scoring.alpha)
+                                       alpha=self.config.scoring.alpha)
                     spreads.append(float(np.mean(_spreads(rates.T)[0])))
 
             cards = self.scores.community_cards(cid)
@@ -469,51 +492,36 @@ class _Simulation:
             coherence[cid] = float(np.mean(
                 _aggregate_rows(beliefs[top_psi][:, idx], w, bloc_idx))) if top_psi else 0.0
 
-        return RoundMetrics(
+        self.metrics.append(RoundMetrics(
             round=round_,
             mean_common_belief_top_bridging=float(np.mean(commons)) if commons else 0.0,
             polarization_index=float(np.mean(spreads)) if spreads else 0.0,
-            attention_gini=gini,
-            platform_revenue=revenue,
+            attention_gini=attention_gini(self.exposure.sum(axis=1)),
+            platform_revenue=self.platform_balance - before,
             coherence=coherence,
-        )
+        ))
+
+    def _export(self, round_: int) -> None:
+        lines = feed_lines(round_, self.feeds, self.scores, self.fabric, self.signatures)
+        self.sink(lines, self.ledger)
 
     # -- driver ------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        cfg = self.config
         self.sink([], self.ledger)
         for round_ in range(self.rounds):
-            self.overrides.expire(round_)
-            self._create_phase(round_)
-            if round_ % cfg.sim.refresh_interval == 0:
-                self._refresh_structure(round_)
-            # drop the last round's scores first: two rounds' sets are never held at once
-            self.scores = psi_view = None
-            self.scores = score_round(self.fabric, self.catalog, self.reactions,
-                                      cfg.scoring, round_,
-                                      mf_seed=derive_seed(self.seed, "mf", round_))
-            psi_view = served(self.scores, self.overrides, round_)
-            # every round: a clamp changes lambda
-            weights = term_weights(self.fabric, self.devotion)
-            feeds = self._rank_phase(round_, psi_view, weights)
-            self._react_phase(round_, feeds)
-            self._belief_phase(round_, feeds, self.devotion)
-            platform_before = self.ledger.balance(PLATFORM)
-            self.events.extend(settle_round(round_, feeds, self.fabric, self.catalog,
-                                            self.prices, self.advertisers, cfg.econ,
-                                            self.ledger))
-            reward_standing(self.scores, self.fabric, cfg.econ.standing_reward_rate,
-                            self.catalog)
-            self._adapt_devotion(feeds)
-            self.metrics.append(self._metrics_phase(round_, platform_before))
-            self.sink(feed_lines(round_, feeds, self.scores, self.fabric), self.ledger)
-
-        return RunResult(config=cfg, metrics=self.metrics, fabric=self.fabric,
+            for name in self.PHASES:
+                # looked up by name: a bound method held on self would be a cycle
+                getattr(self, "_" + name)(round_)
+                self.after(name, round_)
+        return RunResult(config=self.config, metrics=self.metrics, fabric=self.fabric,
                          catalog=self.catalog, reactions=self.reactions,
                          ledger=self.ledger, scores=self.scores, feed_lines=self.feed_lines,
                          events=self.events, ideologies=self.ideologies,
                          attitude=self.attitude, exposure=self.exposure)
+
+    def after(self, phase: str, round_: int) -> None:
+        """Called by `run()` after each phase with its name; does nothing."""
 
 
 def run(config: ScenarioConfig, seed: int | None = None,

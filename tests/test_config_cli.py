@@ -8,6 +8,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -409,6 +410,26 @@ class TestCmdRun:
         assert capsys.readouterr().err == "run failed: boom in round 1\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("block,key,message", [
+        ("sim", "devotion_adapt_rate", "raw devotion of citizen 0 in community 0 overflowed"),
+        ("econ", "standing_reward_rate", "standing total of community 1 overflowed"),
+        ("communities", "lambda", "attention total of citizen 100 overflowed")],
+        ids=["devotion", "standing", "attention"])
+    def test_overflowing_total_fails_the_run(self, tmp_path, capsys, block, key, message):
+        """Each of these 3-round demo runs passes validation, but a total
+        passes the float range: the run ends in exit 1 naming that total,
+        and leaves no artifact."""
+        doc = json.loads(DEMO.read_text(encoding="utf-8"))
+        doc["sim"]["rounds"] = 3
+        for part in doc[block] if block == "communities" else [doc[block]]:
+            part[key] = 1e308
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):   # numpy warns as the attention total overflows
+            code = main(["run", "--scenario", str(path), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (1, f"run failed: {message}\n")
+        assert list(out.iterdir()) == []
+
     def test_successful_run_leaves_no_partial_files(self, tmp_path):
         path = write_scenario(tmp_path, TINY_SCENARIO)
         out = tmp_path / "out"
@@ -705,7 +726,7 @@ class TestCmdScore:
         catalog = {mid: ContentItem(id=mid, creator=0, created_round=mid,
                                     target_communities={0, 1})
                    for mid in range(4)}
-        expected = score_round(f, catalog, log, ScoringParams(), 3).to_csv()
+        expected = score_round(f, catalog, log, ScoringParams(), 3, f.signatures()).to_csv()
         assert out.read_text(encoding="utf-8") == expected
 
 

@@ -591,7 +591,8 @@ class TestEffectivePsiColumn:
         rm.record_reaction(p, 0, 1, 0)
         rm.record_exposure(p, 1, 1)
         rm.record_reaction(q, 2, -1, 1)
-        scores = score_round(f, catalog, rm, ScoringParams(), current_round=2)
+        scores = score_round(f, catalog, rm, ScoringParams(), current_round=2,
+                             signatures=f.signatures())
         ov = PsiOverrides()
         ov.set(1, c, 0.9, expires_round=3)
         organic_psi = scores.psi.copy()

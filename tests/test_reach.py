@@ -41,6 +41,7 @@ PINNED = [
     ("econ.Ledger.to_csv", TESTS_READ),
     ("econ.LedgerRows.entries", "Ledger.entries' rows"),
     ("fabric.SocialFabric.audit", AUDIT),
+    ("fabric.SocialFabric.member_communities", TRACER),
     ("rank.Feeds.of", TESTS_BUILD),
     ("rank.build_feed", TRACER),
     ("rank.exposure_weights", TRACER),

@@ -55,7 +55,7 @@ def one_community_scores(rm, blocs, params=ScoringParams(), current_round=0):
     if len(blocs) >= 2:
         f.communities[c].principal_subcommunities = [set(b) for b in blocs]
     catalog = {0: ContentItem(id=0, creator=0, target_communities={c})}
-    return score_round(f, catalog, rm, params, current_round)
+    return score_round(f, catalog, rm, params, current_round, f.signatures())
 
 
 COMMUNITY = ("community", 0)
@@ -291,7 +291,7 @@ class TestCitizenScore:
 
     def scores(self, f, rm, targets, params=ScoringParams()):
         catalog = {0: ContentItem(id=0, creator=0, target_communities=targets)}
-        return score_round(f, catalog, rm, params, 0)
+        return score_round(f, catalog, rm, params, 0, f.signatures())
 
     def test_bridging_across_both_communities(self):
         f, a, b = two_community_fabric()
@@ -890,13 +890,14 @@ def _random_round_cards(seed, params):
     f, a, b = two_community_fabric()
     f.communities[a].principal_subcommunities = [{0, 1}, {2, 3}]
     catalog, rm = _random_votes(f, lambda mid: {a} if mid % 2 else {a, b}, 4, seed=seed)
-    return list(score_round(f, catalog, rm, params, current_round=3).cards.values())
+    scores = score_round(f, catalog, rm, params, current_round=3, signatures=f.signatures())
+    return list(scores.cards.values())
 
 
 def assert_matches_oracle(f, catalog, rm, params, current_round):
     """score_round equals the brute-force reference exactly; returns the
     cards for case-specific checks."""
-    scores = score_round(f, catalog, rm, params, current_round)
+    scores = score_round(f, catalog, rm, params, current_round, f.signatures())
     checked = []
     for mid, item in sorted(catalog.items()):
         for cid in sorted(item.target_communities):
@@ -1012,7 +1013,7 @@ def test_score_round_columns_in_range(data, backend, alpha, popularity_only):
         if cell is not None:
             rm.record_reaction(p, m, *cell)    # reaction 0: exposed, no vote
     params = ScoringParams(backend=backend, alpha=alpha, popularity_only=popularity_only)
-    scores = score_round(f, catalog, rm, params, current_round=5)
+    scores = score_round(f, catalog, rm, params, current_round=5, signatures=f.signatures())
     assert len(scores.cards) >= n_contents
     for card in scores.cards.values():
         assert 0.0 <= card.beta <= 1.0 and 0.0 <= card.delta <= 1.0 and card.iota >= 0.0
@@ -1033,7 +1034,8 @@ def test_citizen_columns_match_a_set_of_cards(seed):
     shared by membership signature, give every view a ScoreSet built from
     the same cards, one profile row per scope, gives."""
     f, catalog, rm = _citizen_rows_instance(seed)
-    scores = score_round(f, catalog, rm, ScoringParams(alpha=0.0), current_round=5)
+    scores = score_round(f, catalog, rm, ScoringParams(alpha=0.0), current_round=5,
+                         signatures=f.signatures())
     cards = ScoreSet.of((scores.cards[key] for key in sorted(scores.cards)), contents=catalog)
     assert len(cards.cards) == len(scores.cards)
     assert scores.to_csv() == cards.to_csv()
@@ -1091,14 +1093,15 @@ def test_mf_fits_only_communities_whose_cards_read_it(monkeypatch):
 
     monkeypatch.setattr(score, "bridging_mf", counted)
     params = ScoringParams(backend="mf", mf_epochs=60)
-    scores = score_round(f, catalog, rm, params, current_round=3, mf_seed=7)
+    scores = score_round(f, catalog, rm, params, current_round=3, signatures=f.signatures(),
+                         mf_seed=7)
     assert calls == [[0, 1, 2, 3]]
 
     fit = bridging_mf(rm, f.communities[a].members, reg=params.mf_reg,
                       epochs=params.mf_epochs, lr=params.mf_lr,
                       seed=derive_seed(7, "mf-community", a))
     penrose = score_round(f, catalog, rm, dataclasses.replace(params, backend="gac_penrose"),
-                          current_round=3)
+                          current_round=3, signatures=f.signatures())
     fitted = scores.scope_cards(("community", a))
     assert sorted(fitted) == sorted(catalog)
     for mid, card in fitted.items():

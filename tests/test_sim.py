@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -355,13 +357,24 @@ def test_run_state_invariants(config, zero_entry, zero_cell):
     assert (simulation.served & (simulation.community_exposure == 0.0)).any() == zero_cell
 
 
-class _TableRecorder(_Simulation):
-    """A run that keeps each round's feed table."""
+class _PhaseChecker(_Simulation):
+    """A run that logs each (round, phase) the hook sees, keeps each round's
+    feed table, and checks the state each phase leaves."""
 
-    def _rank_phase(self, *args):
-        table = super()._rank_phase(*args)
-        self.tables.append(table)
-        return table
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen, self.tables = [], []
+
+    def after(self, phase, round_):
+        self.seen.append((round_, phase))
+        if phase == "rank":
+            assert_feed_table(self.feeds)
+            self.tables.append(self.feeds)
+        elif phase == "settle":
+            self.ledger.audit()
+        elif phase == "reward":
+            self.fabric.audit()
+            assert (self.devotion == self.fabric.devotion_matrix()).all()
 
 
 def assert_feed_table(feeds):
@@ -389,8 +402,7 @@ def test_feed_tables_are_well_formed():
     @given(market=st.booleans(), seed=st.integers(0, 31), rounds=st.integers(1, 4))
     def check(market, seed, rounds):
         doc = market_doc(seed, rounds) if market else copy.deepcopy(TINY_SCENARIO)
-        simulation = _TableRecorder(ScenarioConfig.from_dict(doc), seed, rounds)
-        simulation.tables = []
+        simulation = _PhaseChecker(ScenarioConfig.from_dict(doc), seed, rounds)
         simulation.run()
         assert len(simulation.tables) == rounds
         for table in simulation.tables:
@@ -399,6 +411,51 @@ def test_feed_tables_are_well_formed():
 
     check()
     assert sum(entries) > 0
+
+
+def test_after_sees_each_phase_once_per_round_in_order():
+    """Over small tiny and market runs, with and without devotion adapting,
+    the hook sees the ten phases once per round, in order; the feed table
+    is well formed after ranking, the ledger audits after settlement, and
+    after the rewards the fabric audits and the held devotion matrix is the
+    fabric's."""
+    phases = ["create", "refresh", "score", "rank", "react", "belief", "settle", "reward",
+              "metrics", "export"]
+    rates = set()
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(market=st.booleans(), seed=st.integers(0, 31), rounds=st.integers(1, 4),
+           rate=st.sampled_from([0.0, 0.1]))
+    def check(market, seed, rounds, rate):
+        doc = market_doc(seed, rounds) if market else copy.deepcopy(TINY_SCENARIO)
+        doc["sim"]["devotion_adapt_rate"] = rate
+        simulation = _PhaseChecker(ScenarioConfig.from_dict(doc), seed, rounds)
+        simulation.run()
+        assert simulation.seen == [(r, phase) for r in range(rounds) for phase in phases]
+        rates.add((market, rate))
+
+    check()
+    assert (True, 0.1) in rates
+
+
+def test_a_finished_run_is_freed_without_the_collector():
+    """`cli.main` runs with the cyclic collector off, which frees a run only
+    if its state holds no reference cycle: once it has run and is deleted,
+    a simulation is gone."""
+    doc = market_doc(3, 2)
+    doc["sim"]["devotion_adapt_rate"] = 0.1
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        simulation = _Simulation(ScenarioConfig.from_dict(doc), 3, 2)
+        result = simulation.run()
+        gone = weakref.ref(simulation)
+        del simulation
+        assert gone() is None
+        assert result.metrics
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_run_values_are_builtin_floats():
@@ -526,7 +583,7 @@ def test_adapt_devotion_moves_only_served_edges():
 
 def test_held_devotion_matrix_follows_adaptation():
     """The run's devotion matrix, built at set-up and rebuilt only when
-    `_adapt_devotion` moves an edge, is the fabric's after a run whose
+    `_reward` moves an edge, is the fabric's after a run whose
     devotions moved."""
     doc = market_doc(3, 3)
     doc["sim"]["devotion_adapt_rate"] = 0.1

@@ -140,7 +140,7 @@ def ledger_of(entries_):
 @settings(max_examples=200, deadline=None)
 def test_feed_lines_equal_json_dumps(round_, world):
     fabric, scores, feeds = world
-    assert "".join(feed_lines(round_, feeds, scores, fabric)) == \
+    assert "".join(feed_lines(round_, feeds, scores, fabric, fabric.signatures())) == \
         feed_text_oracle(round_, feeds, scores, fabric)
     assert feed_to_records(round_, feeds, scores, fabric) == \
         records_oracle(round_, feeds, scores, fabric)
@@ -188,7 +188,7 @@ def test_feed_shapes_and_edge_floats():
     scores = ScoreSet.of(cards_)
     scores.balancing.update(balancing)
     feeds = Feeds.of({citizens[7]: [(m, share, ()) for m, share in enumerate(EDGE_FLOATS)]})
-    text = "".join(feed_lines(3, feeds, scores, fabric))
+    text = "".join(feed_lines(3, feeds, scores, fabric, fabric.signatures()))
     assert text == feed_text_oracle(3, feeds, scores, fabric)
     assert '"exposure_share": 1e+22,' in text and "np.float64" not in text
     assert '"provenance": [], ' in text
