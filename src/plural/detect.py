@@ -3,6 +3,15 @@
 Fuzzy c-means over signed-attitude rows finds a community's principal
 subcommunities, its 2-7 internal blocs of shared attitude. It is
 deterministic given a seed.
+
+`select_partition` fits every K of its range in one lockstep sweep
+(`_sweep`; `fuzzy_c_means` is the sweep of one K). The K's centroids sit in
+one stacked array, so each iteration serves them all with the same few
+array calls. The sweep reads each distinct row once, weighted by how many
+rows repeat it, and only the observed columns, those where some row has a
+nonzero cell: an unobserved column's centroid coordinate is exactly 0.
+Distances go through one difference buffer of bounded size, a block of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +48,9 @@ class AttitudeMatrix:
             raise ValueError("values shape does not match id sequences")
         if len(set(self.row_ids)) != len(self.row_ids) or len(set(self.col_ids)) != len(self.col_ids):
             raise ValueError("row/col ids must be unique")
-        if self.values.size and (np.nanmax(np.abs(self.values)) > 1 + 1e-12):
+        if not np.isfinite(self.values).all():
+            raise ValueError("attitude values must be finite")
+        if self.values.size and (np.max(np.abs(self.values)) > 1 + 1e-12):
             raise ValueError("attitude values must lie in [-1, 1]")
 
 
@@ -59,46 +70,65 @@ class FuzzyPartition:
         return float(np.mean(np.sum(self.memberships ** 2, axis=1)))
 
 
-def _memberships_from_distances(d2: np.ndarray) -> np.ndarray:
-    # u_ik proportional to d_ik^(-1/(m-1)); rows touching a centroid exactly
-    # split their mass over the zero-distance centroids.
+def _block_sums(a: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Each row's sum over each block of `sizes` columns, repeated across the
+    block. The blocks are laid side by side, zero-padded to the widest, so
+    each sums left to right as `a.sum(axis=1)` over its columns alone would
+    for up to 7 of them."""
+    padded = np.zeros((len(a), len(sizes), max(sizes)))
+    padded[:, np.arange(max(sizes)) < np.array(sizes)[:, None]] = a
+    return np.repeat(padded.sum(axis=2), sizes, axis=1)
+
+
+def _memberships_from_distances(d2: np.ndarray, sizes: list[int] | None = None) -> np.ndarray:
+    # u_ik proportional to d_ik^(-1/(m-1)) within each block of `sizes`
+    # columns, one block per K (one block of every column by default); a row
+    # touching a block's centroid exactly splits that block's mass over its
+    # zero-distance centroids.
+    sizes = [d2.shape[1]] if sizes is None else sizes
     power = -1.0 / (FUZZIFIER - 1.0)
     zero = d2 <= 1e-300
     if not zero.any():
         g = d2 ** power
-        return g / g.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        g = np.where(zero, 0.0, d2) ** power
-        g[zero] = 0.0
-    u = np.zeros_like(d2)
-    hit = zero.any(axis=1)
-    if hit.any():
-        z = zero[hit]
-        u[hit] = z / z.sum(axis=1, keepdims=True)
-    rest = ~hit
-    if rest.any():
-        u[rest] = g[rest] / g[rest].sum(axis=1, keepdims=True)
-    return u
+    else:
+        with np.errstate(divide="ignore"):
+            g = np.where(zero, 0.0, d2) ** power
+        g = np.where(_block_sums(zero, sizes) > 0, zero, g)
+    return g / _block_sums(g, sizes)
+
+
+# Cells of the distance kernel's difference buffer (or one row's, if more).
+_CELLS = 1 << 15
 
 
 class _SqDistances:
-    """Squared distances from each row of `x` to each of K centroids.
+    """Squared distances from each row of `x` to each of up to K centroids.
 
-    The rows are repeated K times once, as a C-contiguous (n, K, F) array,
-    so each call's subtraction runs over whole (K, F) blocks into a buffer
-    kept between calls. For C-ordered `x` and centroids (a fit's centroids
-    always are), the differences have the values and the layout of the
-    broadcast `x[:, None, :] - centroids[None, :, :]`, so the einsum gives
-    its bits; the buffer is C-ordered whatever the layout of `x`.
+    The rows are broadcast against the centroids a block of rows at a time
+    into one C-ordered buffer of at most _CELLS cells, kept between calls,
+    so memory stays bounded whatever the number of rows. The differences
+    have the values of the broadcast `x[:, None, :] - centroids[None, :, :]`
+    in its C-ordered layout, so for C-ordered `x` and centroids (a fit's
+    always are) the einsum gives the broadcast's bits, and whatever the
+    layout of `x` the bits of its C-ordered copy.
     """
 
     def __init__(self, x: np.ndarray, K: int) -> None:
-        self._rows = np.repeat(x[:, None, :], K, axis=1)
-        self._diff = np.empty_like(self._rows)
+        self._x = x
+        n, features = x.shape
+        self._buffer = np.empty(min(max(_CELLS, K * features), n * K * features))
 
     def __call__(self, centroids: np.ndarray) -> np.ndarray:
-        np.subtract(self._rows, centroids[None, :, :], out=self._diff)
-        return np.einsum("nkf,nkf->nk", self._diff, self._diff)
+        n, features = self._x.shape
+        k = len(centroids)
+        step = max(1, len(self._buffer) // (k * features))
+        d2 = np.empty((n, k))
+        for lo in range(0, n, step):
+            rows = self._x[lo:lo + step]
+            diff = self._buffer[:rows.size * k].reshape(len(rows), k, features)
+            np.subtract(rows[:, None, :], centroids[None, :, :], out=diff)
+            np.einsum("nkf,nkf->nk", diff, diff, out=d2[lo:lo + step])
+        return d2
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,75 +149,89 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
-def _distinct_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct rows of `values`, each row's index among them); no rows
-    when `values` holds no cells."""
-    if not values.size:
-        return values[:0], np.zeros(len(values), dtype=np.intp)
-    rows, inverse = np.unique(values, axis=0, return_inverse=True)
-    return rows, inverse.reshape(-1)    # numpy 2.0.0 returns another shape
+def _sweep(data: AttitudeMatrix, k_lo: int, k_hi: int, seed: int) -> list[FuzzyPartition]:
+    """One fit for each K in k_lo..k_hi, the top clamped to the number of
+    distinct rows, all in lockstep.
 
-
-def fuzzy_c_means(data: AttitudeMatrix, K: int, seed: int = 0, *,
-                  distinct: tuple[np.ndarray, np.ndarray] | None = None) -> FuzzyPartition:
-    """Alternating membership/centroid updates until centroids move < TOL.
-
-    Seeding is k-means++ from the given seed; non-convergence within
-    MAX_ITERS is reported through the `converged` flag, never an error.
-    The recorded objective is non-increasing iteration over iteration.
-
-    `distinct` is `_distinct_rows(data.values)`, computed here when not
-    given. Distances and memberships are row-wise, so they run on the
-    distinct rows only and are gathered back to every row with the same
-    bits; seeding, centroid updates, the objective and the shift run over
-    all rows, whose order fixes their sums.
+    Each K seeds with k-means++ on every row, in row order, from its own
+    stream. Its centroids then join one stacked (sum of K x observed
+    columns) array, and each iteration updates every K in the stack with
+    the same few array calls: distances, memberships per K block, and
+    centroids `(w * u^m)^T @ rows / (w @ u^m)` over the distinct rows, each
+    weighted by its count w. A K leaves the stack once its centroids move
+    less than TOL, or at MAX_ITERS. The recorded objective is the
+    count-weighted sum of u^m * d^2, non-increasing iteration over iteration.
     """
+    x = data.values
+    rows, inverse = np.unique(x, axis=0, return_inverse=True) if x.size else (x[:0], None)
+    if len(rows) < k_lo:
+        raise DegenerateInput(f"need at least K={k_lo} distinct rows, found {len(rows)}")
+    inverse = inverse.reshape(-1)    # numpy 2.0.0 returns another shape
+    sizes = list(range(k_lo, min(k_hi, len(rows)) + 1))    # the K still in the stack
+    # an unobserved column's centroid coordinate is exactly 0: fit without it
+    observed = (rows != 0.0).any(axis=0)
+    # C-ordered, as column indexing is not: the distances' bits follow the layout
+    kept = np.ascontiguousarray(rows[:, observed])
+    weights = np.bincount(inverse, minlength=len(rows)).astype(float)
+    centroids = np.ascontiguousarray(np.vstack([
+        _kmeanspp_init(x, k, derive_rng(seed, "fcm", k))[:, observed] for k in sizes]))
+    sq_distances = _SqDistances(kept, len(centroids))
+    um = _memberships_from_distances(sq_distances(centroids), sizes) ** FUZZIFIER
+    histories: dict[int, list[float]] = {k: [] for k in sizes}
+    fits: dict[int, FuzzyPartition] = {}
+    for it in range(1, MAX_ITERS + 1):
+        new_centroids = ((um * weights[:, None]).T @ kept) / (weights @ um)[:, None]
+        d2 = sq_distances(new_centroids)
+        u = _memberships_from_distances(d2, sizes)
+        um = u ** FUZZIFIER          # the objective's weights, and the next update's
+        starts = np.cumsum(sizes) - sizes
+        objective = np.add.reduceat(weights @ (um * d2), starts)
+        shift = np.maximum.reduceat(np.abs(new_centroids - centroids).max(axis=1), starts)
+        centroids = new_centroids
+        for k, value in zip(sizes, objective.tolist()):
+            histories[k].append(value)
+        done = (shift < TOL) | (it == MAX_ITERS)
+        if not done.any():
+            continue
+        for j in np.flatnonzero(done).tolist():
+            k, lo = sizes[j], int(starts[j])
+            full = np.zeros((k, x.shape[1]))
+            full[:, observed] = centroids[lo:lo + k]
+            fits[k] = FuzzyPartition(memberships=u[inverse, lo:lo + k], centroids=full, K=k,
+                                     converged=bool(shift[j] < TOL), n_iters=it,
+                                     objective_history=histories[k])
+        stay = np.repeat(~done, sizes)
+        sizes = [k for k, left in zip(sizes, done) if not left]
+        if not sizes:
+            break
+        centroids, um = centroids[stay], um[:, stay]
+    return [fits[k] for k in sorted(fits)]
+
+
+def fuzzy_c_means(data: AttitudeMatrix, K: int, seed: int = 0) -> FuzzyPartition:
+    """The fit of one K, from k-means++ seeding on the given seed: the
+    lockstep sweep (`_sweep`) of K alone. Non-convergence within MAX_ITERS
+    is reported through the `converged` flag, never an error;
+    DegenerateInput is raised below K distinct rows."""
     if K < 2:
         raise ValueError("K must be >= 2")
-    x = data.values
-    rows, inverse = _distinct_rows(x) if distinct is None else distinct
-    if len(rows) < K:
-        raise DegenerateInput(f"need at least K={K} distinct rows, found {len(rows)}")
-
-    rng = derive_rng(seed, "fcm", K)
-    centroids = _kmeanspp_init(x, K, rng)
-    sq_distances = _SqDistances(rows, K)
-    u = _memberships_from_distances(sq_distances(centroids))[inverse]
-    um = u ** FUZZIFIER
-    history: list[float] = []
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITERS + 1):
-        new_centroids = (um.T @ x) / um.sum(axis=0)[:, None]
-        d2_rows = sq_distances(new_centroids)
-        d2 = d2_rows[inverse]
-        u = _memberships_from_distances(d2_rows)[inverse]
-        um = u ** FUZZIFIER          # the objective's weights, and the next update's
-        history.append(float(np.sum(um * d2)))
-        shift = float(np.max(np.abs(new_centroids - centroids)))
-        centroids = new_centroids
-        if shift < TOL:
-            converged = True
-            break
-    return FuzzyPartition(memberships=u, centroids=centroids, K=K, converged=converged,
-                          n_iters=it, objective_history=history)
+    return _sweep(data, K, K, seed)[0]
 
 
 def select_partition(data: AttitudeMatrix, k_range: tuple[int, int],
                      seed: int = 0) -> FuzzyPartition:
-    """Sweep K over `k_range` and keep the run maximizing the partition coefficient.
+    """Fit every K of `k_range` in one lockstep sweep (`_sweep`) and keep the
+    fit maximizing the partition coefficient, the lowest K on a tie.
 
-    The top of the range is clamped to the number of distinct rows; if even
-    the bottom is infeasible, DegenerateInput propagates from the K=2 run.
+    Each K's fit is `fuzzy_c_means(data, K, seed)`'s up to rounding, as the
+    stacked sums group differently. The top of the range is clamped to the
+    number of distinct rows; below the bottom, DegenerateInput is raised.
     """
     k_lo, k_hi = k_range
     if k_lo < 2 or k_hi < k_lo:
         raise ValueError("K range must satisfy 2 <= lo <= hi")
-    distinct = _distinct_rows(data.values)
-    k_hi = min(k_hi, max(len(distinct[0]), k_lo))
     best: FuzzyPartition | None = None
-    for k in range(k_lo, k_hi + 1):
-        part = fuzzy_c_means(data, k, seed=seed, distinct=distinct)
+    for part in _sweep(data, k_lo, k_hi, seed):
         if best is None or part.partition_coefficient() > best.partition_coefficient():
             best = part
     assert best is not None

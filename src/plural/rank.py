@@ -168,9 +168,10 @@ def _shares(terms: np.ndarray, group: Group) -> np.ndarray:
     positive is spread uniformly over its unreacted contents, so a cold
     system still serves content; one whose total overflowed raises Overflow.
     """
-    acc = left_sum(np.moveaxis(terms, 2, 0))
-    acc[group.reacted] = 0.0
-    total = left_sum(acc.T)
+    with np.errstate(over="ignore"):    # an overflowed total raises below
+        acc = left_sum(np.moveaxis(terms, 2, 0))
+        acc[group.reacted] = 0.0
+        total = left_sum(acc.T)
     over = total == np.inf
     if over.any():
         raise Overflow(f"attention total of citizen {group.citizens[over][0]} overflowed")

@@ -8,7 +8,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -425,8 +424,7 @@ class TestCmdRun:
             part[key] = 1e308
         path = write_scenario(tmp_path, doc)
         out = tmp_path / "out"
-        with np.errstate(over="ignore"):   # numpy warns as the attention total overflows
-            code = main(["run", "--scenario", str(path), "--out", str(out)])
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
         assert (code, capsys.readouterr().err) == (1, f"run failed: {message}\n")
         assert list(out.iterdir()) == []
 

@@ -3,6 +3,8 @@ recovery."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plural import detect
 from plural.detect import (FUZZIFIER, AttitudeMatrix, _SqDistances,
@@ -10,6 +12,8 @@ from plural.detect import (FUZZIFIER, AttitudeMatrix, _SqDistances,
                            principal_subcommunities)
 from plural.errors import DegenerateInput, TooSmall
 from plural.fabric import SocialFabric
+
+from fcm_walk import fcm_walk, select_walk
 
 
 # -- independent oracles -------------------------------------------------------
@@ -73,6 +77,62 @@ def planted_attitudes(rng, sizes, centers, sigma, n_features):
     x = np.clip(np.vstack(rows), -1, 1)
     ids = list(range(x.shape[0]))
     return AttitudeMatrix(ids, list(range(n_features)), x), np.array(labels)
+
+
+@st.composite
+def sign_matrices(draw):
+    """Every one of a few distinct sign patterns and repeats of them in
+    random order, then some columns zeroed in all rows."""
+    n_features = draw(st.integers(1, 8))
+    patterns = draw(st.lists(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n_features,
+                                      max_size=n_features), min_size=2, max_size=10,
+                             unique_by=tuple))
+    repeats = draw(st.lists(st.integers(0, len(patterns) - 1), min_size=1, max_size=50))
+    x = np.array(patterns)[draw(st.permutations(list(range(len(patterns))) + repeats))]
+    x[:, draw(st.lists(st.integers(0, n_features - 1), max_size=2))] = 0.0
+    return x
+
+
+def same_fit(fit, walk):
+    """The same K, `converged` and `n_iters`, memberships and centroids within
+    1e-12, and the same argmax bloc for every row whose two highest walk
+    memberships are further apart than that tolerance allows to flip."""
+    top = np.sort(walk.memberships, axis=1)
+    decided = top[:, -1] - top[:, -2] > 2e-12
+    return ((fit.K, fit.converged, fit.n_iters) == (walk.K, walk.converged, walk.n_iters)
+            and np.abs(fit.memberships - walk.memberships).max() <= 1e-12
+            and np.abs(fit.centroids - walk.centroids).max() <= 1e-12
+            and np.array_equal(fit.memberships.argmax(axis=1)[decided],
+                               walk.memberships.argmax(axis=1)[decided]))
+
+
+def assert_sweep_equals_the_walk(x, seed):
+    """`fuzzy_c_means` of each K and `select_partition` over K = 2..7 give
+    the walk's fit (`same_fit`), and raise DegenerateInput where it must;
+    the fits, K ascending.
+
+    A K whose walk changes when its centroid sums run over the rows in
+    reverse order sits where rounding decides the fit (a symmetric start
+    that the iterations leave one way or another), so no regrouped fit need
+    match it: it is not compared, nor is a selection over it."""
+    data = AttitudeMatrix(list(range(len(x))), list(range(x.shape[1])), x)
+    n_distinct = len(np.unique(x, axis=0))
+    with pytest.raises(DegenerateInput):
+        fuzzy_c_means(data, n_distinct + 1, seed=seed)
+    if n_distinct < 2:
+        with pytest.raises(DegenerateInput):
+            detect.select_partition(data, (2, 7), seed=seed)
+        return []
+    ks = range(2, min(n_distinct, 7) + 1)
+    fits = [fuzzy_c_means(data, K, seed=seed) for K in ks]
+    walks = [fcm_walk(x, K, seed) for K in ks]
+    posed = [same_fit(fcm_walk(x, K, seed, reverse=True), walk) for K, walk in zip(ks, walks)]
+    for K, fit, walk, compared in zip(ks, fits, walks, posed):
+        assert not compared or same_fit(fit, walk), K
+    if all(posed):
+        assert same_fit(detect.select_partition(data, (2, 7), seed=seed),
+                        select_walk(x, (2, 7), seed))
+    return fits
 
 
 # -- fuzzy c-means --------------------------------------------------------------
@@ -150,11 +210,10 @@ class TestFuzzyCMeans:
             assert fit.objective_history == ref.objective_history
 
     @pytest.mark.parametrize("case", ["signs", "k_distinct", "planted"])
-    def test_fit_on_distinct_rows_equals_the_all_rows_fit(self, case, monkeypatch):
-        """Distances and memberships on the distinct rows, gathered back,
-        give the fit over every row, with rows duplicated many times and
-        rows on a centroid (k-means++ seeds on rows; with K distinct rows
-        every row sits on a centroid at every iteration)."""
+    def test_sweep_equals_the_walk_on_examples(self, case):
+        """Rows duplicated many times, and rows on a centroid (k-means++
+        seeds on rows; with K distinct rows every row sits on a centroid at
+        every iteration)."""
         rng = np.random.default_rng(11)
         if case == "signs":
             patterns = rng.integers(-1, 2, size=(6, 5)).astype(float)
@@ -166,22 +225,39 @@ class TestFuzzyCMeans:
                                                               [0.1, -0.9, -0.2]], 0.3, 3)
             x = np.vstack([planted.values, planted.values[[0, 0, 3, 5, 5, 5, 29, 29]]])
             x = x[rng.permutation(len(x))]
-        data = AttitudeMatrix(list(range(len(x))), list(range(x.shape[1])), x)
-        n_distinct = len(np.unique(x, axis=0))
-        assert n_distinct < len(x)
-        ks = range(2, min(n_distinct, 5) + 1)
-        fits = [fuzzy_c_means(data, K, seed=3) for K in ks]
-        best = detect.select_partition(data, (2, 7), seed=3)
-        monkeypatch.setattr(detect, "_distinct_rows", lambda v: (v, np.arange(len(v))))
-        refs = [fuzzy_c_means(data, K, seed=3) for K in ks]
-        refs.append(detect.select_partition(data, (2, min(7, n_distinct)), seed=3))
-        for fit, ref in zip(fits + [best], refs):
-            assert np.array_equal(fit.memberships, ref.memberships)
-            assert np.array_equal(fit.centroids, ref.centroids)
-            assert (fit.K, fit.n_iters, fit.converged) == (ref.K, ref.n_iters, ref.converged)
-            assert fit.objective_history == ref.objective_history
+        assert len(np.unique(x, axis=0)) < len(x)
+        fits = assert_sweep_equals_the_walk(x, seed=3)
         if case == "k_distinct":
             assert set(np.unique(fits[-1].memberships)) == {0.0, 1.0}
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(sign_matrices(), st.integers(0, 2**32 - 1))
+    # rows tied between two blocs, and two fits that rounding decides
+    @example(np.array([[-1, -1, -1, -1], [-1, 0, -1, -1], [-1, 0, -1, 0], [-1, 0, 0, -1],
+                       [-1, 0, -1, -1]], dtype=float), 0)
+    @example(np.array([[-1, -1, -1, -1], [-1, -1, -1, 0], [-1, 0, -1, 0], [-1, 0, -1, -1],
+                       [-1, -1, -1, 0]], dtype=float), 0)
+    @example(np.array([[-1, -1, -1, 0], [-1, -1, -1, -1], [-1, 0, -1, -1], [-1, 0, -1, 0],
+                       [-1, -1, -1, -1]], dtype=float), 0)
+    def test_sweep_equals_the_walk(self, x, seed):
+        """On sign matrices with duplicate rows and all-zero columns, from one
+        distinct row (DegenerateInput) up, the sweep gives each K the walk's
+        fit."""
+        assert_sweep_equals_the_walk(x, seed)
+
+    def test_distance_kernel_in_blocks_equals_the_broadcast(self):
+        # More rows than one buffer holds: the rows go through it in blocks.
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1, 1, size=(300, 12))
+        centroids = rng.normal(size=(27, 12))
+        assert x.size * len(centroids) > 2 * detect._CELLS
+        assert np.array_equal(_SqDistances(x, 27)(centroids), broadcast_sq_distances(x, centroids))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_attitudes_rejected(self, bad):
+        values = np.array([[1.0, 0.0], [bad, -1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            AttitudeMatrix([0, 1, 2], [0, 1], values)
 
     def test_k_one_rejected(self):
         data = AttitudeMatrix([0, 1], [0], np.array([[0.0], [1.0]]))

@@ -34,6 +34,7 @@ PINNED = [
     ("config.ScenarioConfig.to_dict", "tests round-trip scenarios through it"),
     ("config.ScenarioConfig.to_json", "tests round-trip scenarios through it"),
     ("config._dump", "ScenarioConfig.to_dict's walk"),
+    ("detect.fuzzy_c_means", TRACER),
     ("econ.Ledger.audit", AUDIT),
     ("econ.Ledger.csv_lines", "Ledger.to_csv's lines"),
     ("econ.Ledger.entries", TESTS_READ),

@@ -19,12 +19,14 @@ ROOT = Path(__file__).resolve().parent.parent
 # it, and the tiny run has none. Its 528 postings are pinned as ledger rows.
 # Ranking runs in group passes that call no per-citizen function the tracer
 # wraps, so its `rank.*` counts read 0; the run's 264 feed entries are
-# pinned as feeds.jsonl lines.
+# pinned as feeds.jsonl lines. `detect.cells` counts the cells of the
+# matrices handed to `fuzzy_c_means`, which `select_partition` no longer
+# calls: it fits every K in one sweep of its own.
 PINNED_COUNTS = {
     "score.cards": 378,
     "score.balancing_calls": 5,
     "econ.postings": 0,
-    "detect.cells": 1080,
+    "detect.cells": 0,
 }
 
 
