@@ -59,8 +59,9 @@ def _write_file(path: Path, chunks: Iterable[str]) -> None:
 
 class _RoundStreams:
     """A run's sink: appends each round's feeds.jsonl lines and drained
-    ledger.csv rows to `*.partial` files, which `commit` renames to their
-    real names. It first deletes an earlier run's artifacts, and leaving the
+    ledger.csv rows to `*.partial` files, and `write` puts each artifact of
+    the run's end state in one too; `commit` renames them all to their real
+    names. It first deletes an earlier run's artifacts, and leaving the
     `with` block deletes what was not committed, so a run that fails leaves
     no artifact that looks like its own."""
 
@@ -70,8 +71,8 @@ class _RoundStreams:
                 (out_dir / name).unlink(missing_ok=True)
             except OSError as exc:
                 raise _write_error(out_dir / name, exc) from None
-        self.paths = [out_dir / "feeds.jsonl", out_dir / "ledger.csv"]
-        self.partials = [path.with_name(path.name + ".partial") for path in self.paths]
+        self.out_dir = out_dir
+        self.partials = [out_dir / "feeds.jsonl.partial", out_dir / "ledger.csv.partial"]
         self.files = []
         for partial in self.partials:
             try:
@@ -97,14 +98,20 @@ class _RoundStreams:
         except OSError as exc:
             raise _write_error(self.partials[i], exc) from None
 
+    def write(self, name: str, chunks: Iterable[str]) -> None:
+        """Write the artifact `name` whole to `<name>.partial`."""
+        self.partials.append(self.out_dir / (name + ".partial"))
+        _write_file(self.partials[-1], chunks)
+
     def commit(self) -> None:
-        """Close the files and give them their real names."""
+        """Close the files and give every artifact its real name."""
         for fh, partial in zip(self.files, self.partials):
             try:
                 fh.close()
             except OSError as exc:
                 raise _write_error(partial, exc) from None
-        for partial, path in zip(self.partials, self.paths):
+        for partial in self.partials:
+            path = partial.with_suffix("")
             try:
                 os.replace(partial, path)
             except OSError as exc:
@@ -121,14 +128,13 @@ class _RoundStreams:
             partial.unlink(missing_ok=True)
 
 
-def _write_outputs(out_dir: Path, result) -> None:
+def _write_outputs(streams: _RoundStreams, result) -> None:
     """Write the three artifacts that hold the run's end state."""
     community_ids = sorted(result.fabric.communities)
-    _write_file(out_dir / "metrics.csv",
-                [simulation.metrics_csv(result.metrics, community_ids)])
-    _write_file(out_dir / "fabric.json", [result.fabric.to_json(indent=2)])
+    streams.write("metrics.csv", [simulation.metrics_csv(result.metrics, community_ids)])
+    streams.write("fabric.json", [result.fabric.to_json(indent=2)])
     scores = result.scores if result.scores is not None else ScoreSet()
-    _write_file(out_dir / "scorecards.csv", scores.csv_lines())
+    streams.write("scorecards.csv", scores.csv_lines())
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -146,15 +152,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"--seed must be in [0, {SEED_MAX}], got {args.seed}", file=sys.stderr)
         return EXIT_CONFIG
     _make_out_dir(args.out)
-    out_dir = Path(args.out)
-    with _RoundStreams(out_dir) as streams:
+    with _RoundStreams(Path(args.out)) as streams:
         try:
             result = simulation.run(config, seed=args.seed, rounds=args.rounds,
                                     sink=streams)
         except PluralError as exc:
             print(f"run failed: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        _write_outputs(out_dir, result)
+        _write_outputs(streams, result)
         streams.commit()
     return EXIT_OK
 

@@ -115,7 +115,7 @@ class Ledger:
         self._codes: dict[OwnerRef, int] = {}
         self.owners: list[OwnerRef] = []
         self.fields: list[str] = []
-        # by code, with room to grow past len(owners)
+        # by code, one cell per owner
         self._balances = np.zeros(0)
         self._initial = np.zeros(0)
         self._drained = np.zeros(0)
@@ -150,11 +150,8 @@ class Ledger:
             code = self._codes[owner] = len(self.owners)
             self.owners.append(owner)
             self.fields.append(f"{owner[0]},{owner[1]}")
-            if code == len(self._balances):
-                room = np.zeros(max(16, code))
-                self._balances, self._initial, self._drained = (
-                    np.concatenate((held, room))
-                    for held in (self._balances, self._initial, self._drained))
+            self._balances, self._initial, self._drained = (
+                np.append(held, 0.0) for held in (self._balances, self._initial, self._drained))
         return code
 
     def open_account(self, owner: OwnerRef, balance: float = 0.0) -> None:
@@ -231,7 +228,7 @@ class Ledger:
         if not len(needs):
             return None
         n = len(self.owners)
-        start = self._balances[:n]
+        start = self._balances
         debits = np.bincount(payers, weights=amounts, minlength=n)
         credits = np.bincount(payees, weights=amounts, minlength=n)
         most = np.zeros(n)
@@ -266,7 +263,7 @@ class Ledger:
         Balances stay, and each owner's net drained amount is kept for
         `audit`."""
         rows = self._rows()
-        self._drained[:len(self.owners)] += self._net(rows)
+        self._drained += self._net(rows)
         self._clear()
         return rows
 
@@ -283,12 +280,11 @@ class Ledger:
         Conservation: balances sum to the opening balances, to within `tol`
         relative to that total (each posting may round both balances).
         """
-        n = len(self.owners)
-        balances = self._balances[:n]
-        opening = math.fsum(self._initial[:n].tolist())
+        balances = self._balances
+        opening = math.fsum(self._initial.tolist())
         assert abs(math.fsum(balances.tolist()) - opening) <= tol * max(1.0, opening), \
             "money not conserved: balances do not sum to the opening balances"
-        recomputed = self._initial[:n] + self._drained[:n] + self._net(self._rows())
+        recomputed = self._initial + self._drained + self._net(self._rows())
         for owner, bal, want in zip(self.owners, balances.tolist(), recomputed.tolist()):
             assert abs(bal - want) <= tol, f"balance drift on {owner}"
             assert bal >= -tol, f"negative balance on {owner}"

@@ -454,9 +454,10 @@ class ScoreSet:
     citizens in the same communities share one. Where a scope has no card,
     iota and psi are 0.0.
 
-    A ScoreCard is built only when `get`, `scope_cards`, `community_cards`,
-    `cards` or `csv_lines` asks for one. Ranking, settlement and rewards
-    read `column(scope)`, the scope's psi row.
+    A ScoreCard is built only when `get`, `scope_cards`, `community_cards`
+    or `cards` asks for one, and no command does: ranking, settlement and
+    rewards read `column(scope)`, the scope's psi row, the metrics read
+    `psi` and `labels`, and `csv_lines` formats the arrays.
     """
 
     def __init__(self, contents: Sequence[int] = (), scopes: Sequence[Scope] = (),

@@ -27,8 +27,8 @@ from .econ import (PLATFORM, Advertiser, Ledger, OwnerRef, reward_standing,
 from .errors import DegenerateInput, EmptyCommunity, Overflow, TooSmall
 from .fabric import SocialFabric
 from .rank import Group, PsiOverrides, feed_lines, rank_feeds, seed_content, served, term_weights
-from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights, _spreads,
-                    bloc_rates, consensus_products, score_round)
+from .score import (ContentItem, ReactionMatrix, ScoreSet, _bloc_weights, bloc_rates,
+                    consensus_products, score_round)
 
 
 @dataclass
@@ -387,15 +387,6 @@ class _Simulation:
                    feeds.share.tolist())]
         self.reactions.record(feeds.citizen, feeds.content, how, round_)
 
-    def _community_arrays(self, cid: int):
-        """(member index array, aligned standings, bloc position arrays or None)."""
-        comm = self.fabric.communities[cid]
-        members = sorted(comm.members)
-        idx = np.array(members, dtype=int)
-        standings = self.fabric.standings(cid)
-        w = np.array([standings[p] for p in members])
-        return idx, w, _bloc_positions(members, comm.principal_subcommunities)
-
     def _belief(self, round_: int) -> None:
         """Add the feeds to citizen and community exposure, then pull members'
         attitudes to served content toward their ambient belief: the common
@@ -415,10 +406,9 @@ class _Simulation:
         gamma = self.config.sim.attitude_feedback_gamma
         if gamma <= 0 or not self.catalog:
             return
-        community_beliefs = self._community_beliefs()
-        ambient = np.empty_like(self.attitude)
-        for row, b_vec in zip(ambient, community_beliefs):
-            row[:] = devotion @ b_vec
+        # one gemv per content, `devotion @ row`, in one call; a single gemm
+        # would add a citizen's terms in another order, and move the outputs
+        ambient = (devotion @ self._community_beliefs()[:, :, None])[:, :, 0]
         # feedback only reshapes attitudes to encountered content
         mask = (exposure > 0) & member.any(axis=1)
         self.attitude[mask] = (1.0 - gamma) * self.attitude[mask] + gamma * ambient[mask]
@@ -430,9 +420,13 @@ class _Simulation:
         comm_ids = sorted(self.fabric.communities)
         out = np.zeros((len(beliefs), len(comm_ids)))
         for j, cid in enumerate(comm_ids):
-            if self.fabric.communities[cid].members:
-                idx, w, bloc_idx = self._community_arrays(cid)
-                out[:, j] = _aggregate_rows(beliefs[:, idx], w, bloc_idx)
+            comm = self.fabric.communities[cid]
+            if comm.members:
+                members = sorted(comm.members)
+                standings = self.fabric.standings(cid)
+                out[:, j] = _aggregate_rows(beliefs[:, members],
+                                            np.array([standings[p] for p in members]),
+                                            _bloc_positions(members, comm.principal_subcommunities))
         return out
 
     def _settle(self, round_: int) -> None:
@@ -460,11 +454,14 @@ class _Simulation:
             self.devotion = self.fabric.devotion_matrix()
 
     def _metrics(self, round_: int) -> None:
-        """The round's row (see RoundMetrics): each community's top 10 served
-        contents by (-total share, id), their spreads from one `bloc_rates`;
-        the revenue is what settlement paid the platform since the last one."""
+        """The round's row (see RoundMetrics), read from one table of common
+        beliefs: each community's top 10 served contents by (-total share,
+        id), their spreads from one `bloc_rates`, and its top 5 cards by
+        (-psi, id) in the organic `scores`; the revenue is what settlement
+        paid the platform since the last one."""
         before, self.platform_balance = self.platform_balance, self.ledger.balance(PLATFORM)
-        beliefs = self.attitude * self.exposure
+        common = self._community_beliefs()
+        scores = self.scores
 
         spreads: list[float] = []
         commons: list[float] = []
@@ -473,24 +470,21 @@ class _Simulation:
             comm = self.fabric.communities[cid]
             if not comm.members:
                 continue
-            idx, w, bloc_idx = self._community_arrays(cid)
+            # ids ascend and the sorts are stable, so ties go to the lower id
             candidates = np.flatnonzero(self.served[k])
-            # the ids ascend and the sort is stable, so ties go to the lower id
             top = candidates[np.argsort(-self.community_exposure[k, candidates],
                                         kind="stable")[:10]]
-
             if top.size:
-                commons.append(float(np.mean(_aggregate_rows(beliefs[top][:, idx], w, bloc_idx))))
-                if bloc_idx is not None:
+                commons.append(float(np.mean(common[top, k])))
+                if len(comm.principal_subcommunities) >= 2:
                     rates = bloc_rates(self.reactions, top, comm.principal_subcommunities,
                                        alpha=self.config.scoring.alpha)
-                    spreads.append(float(np.mean(_spreads(rates.T)[0])))
+                    spreads.append(float(np.mean(rates.max(axis=0) - rates.min(axis=0))))
 
-            cards = self.scores.community_cards(cid)
-            cards.sort(key=lambda c: (-c.psi, c.content))
-            top_psi = [card.content for card in cards[:5]]
-            coherence[cid] = float(np.mean(
-                _aggregate_rows(beliefs[top_psi][:, idx], w, bloc_idx))) if top_psi else 0.0
+            row = scores.rows[("community", cid)]
+            held = np.flatnonzero(scores.labels[scores.profile_of[row]])   # its cards
+            top_psi = scores.contents[held[np.argsort(-scores.psi[row, held], kind="stable")[:5]]]
+            coherence[cid] = float(np.mean(common[top_psi, k])) if top_psi.size else 0.0
 
         self.metrics.append(RoundMetrics(
             round=round_,

@@ -243,3 +243,29 @@ def test_single_level_consensus_and_zero(structure):
     got = _aggregate_rows(values, weights, bloc_idx).tolist()
     assert got == [old_aggregate_values(row, weights, bloc_idx) for row in values]
     assert got[0] == 0.4 and got[1] == 0.0
+
+
+# -- ambient belief ------------------------------------------------------------------
+
+@given(k=st.integers(1, 7), contents=st.integers(0, 120), citizens=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_ambient_product_equals_the_per_row_products(k, contents, citizens, seed):
+    """The belief phase takes every content's ambient belief in one stacked
+    product, `devotion @ beliefs[:, :, None]`, where it took one
+    `devotion @ beliefs[i]` per content row; it must be the same BLAS call
+    per row. The layouts are the run's: both C-ordered. Some belief rows are
+    zero, and each citizen is devoted to a random subset of the communities,
+    which may be empty. (A single `beliefs @ devotion.T` is not: OpenBLAS's
+    gemm rounds a citizen's terms in another order than its gemv once two
+    of them are nonzero.)"""
+    rng = np.random.default_rng(seed)
+    beliefs = rng.random((contents, k)) * (rng.random((contents, 1)) < 0.8)
+    raw = rng.random((citizens, k)) * (rng.random((citizens, k)) < 0.5)
+    totals = raw.sum(axis=1, keepdims=True)
+    devotion = np.divide(raw, totals, out=np.zeros_like(raw), where=totals > 0)
+    got = (devotion @ beliefs[:, :, None])[:, :, 0]
+    want = np.empty((contents, citizens))
+    for row, b_vec in zip(want, beliefs):
+        row[:] = devotion @ b_vec
+    assert got.tobytes() == want.tobytes()

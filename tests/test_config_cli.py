@@ -1,11 +1,14 @@
 """Scenario config validation/round-trip and the command-line surface."""
 
+import builtins
 import copy
 import dataclasses
+import errno
 import gc
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -407,6 +410,25 @@ class TestCmdRun:
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "run failed: boom in round 1\n"
+        assert list(out.iterdir()) == []
+
+    def test_failed_artifact_write_leaves_no_artifact(self, tmp_path, capsys, monkeypatch):
+        """Opening scorecards.csv (or its partial file) fails with ENOSPC,
+        after metrics.csv and fabric.json are written: the run ends in exit 2
+        and --out holds no artifact and no partial file."""
+        def open_fails_on_scorecards(file, *args, **kwargs):
+            if Path(file).name.startswith("scorecards.csv"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+            return builtins.open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", open_fails_on_scorecards, raising=False)
+        path = write_scenario(tmp_path, TINY_SCENARIO)
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"output error: {out / 'scorecards.csv'}")
+        assert err.endswith(f": cannot write the file: {os.strerror(errno.ENOSPC)}\n")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("block,key,message", [

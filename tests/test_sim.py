@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from plural.config import ScenarioConfig
 from plural.detect import principal_subcommunities
 from plural.errors import EmptyCommunity
-from plural.score import ReactionMatrix
+from plural.econ import PLATFORM
+from plural.score import ReactionMatrix, _spreads, bloc_rates
 from plural.sim import (RoundMetrics, _Simulation, _aggregate_rows, _bloc_positions,
                         attention_gini, attitudes, gen_population, metrics_csv, react, run)
 from plural._rng import SEED_MAX, derive_rng
@@ -359,11 +360,17 @@ def test_run_state_invariants(config, zero_entry, zero_cell):
 
 class _PhaseChecker(_Simulation):
     """A run that logs each (round, phase) the hook sees, keeps each round's
-    feed table, and checks the state each phase leaves."""
+    feed table, and checks the state each phase leaves. After the metrics it
+    recomputes the round's row with `oracle_metrics`, and counts the
+    communities whose coherence turns on how a psi tie at the top-5 cut is
+    broken (`ties`) and those whose top 5 differs under the served psi
+    (`moved`)."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.seen, self.tables = [], []
+        self.paid = self.ledger.balance(PLATFORM)
+        self.ties = self.moved = 0
 
     def after(self, phase, round_):
         self.seen.append((round_, phase))
@@ -375,6 +382,63 @@ class _PhaseChecker(_Simulation):
         elif phase == "reward":
             self.fabric.audit()
             assert (self.devotion == self.fabric.devotion_matrix()).all()
+        elif phase == "metrics":
+            assert self.metrics[-1] == oracle_metrics(self, round_, self.paid)
+            self.paid = self.ledger.balance(PLATFORM)
+            for cid, comm in self.fabric.communities.items():
+                cards = self.scores.community_cards(cid)
+                top = top_contents(cards)
+                if comm.members and top:
+                    flipped = top_contents(cards, tie=-1)
+                    self.ties += oracle_common(self, cid, top) != oracle_common(self, cid, flipped)
+                self.moved += top != top_contents(self.psi_view.community_cards(cid))
+
+
+def top_contents(cards, tie=1):
+    """The contents of the first 5 `cards` by (-psi, tie * content)."""
+    return [c.content for c in sorted(cards, key=lambda c: (-c.psi, tie * c.content))[:5]]
+
+
+def oracle_common(simulation, cid, contents):
+    """The mean common belief of community `cid` in `contents`, from
+    `_aggregate_rows` over their rows alone."""
+    comm = simulation.fabric.communities[cid]
+    members = sorted(comm.members)
+    standings = simulation.fabric.standings(cid)
+    beliefs = (simulation.attitude * simulation.exposure)[contents][:, members]
+    return float(np.mean(_aggregate_rows(beliefs, np.array([standings[p] for p in members]),
+                                         _bloc_positions(members, comm.principal_subcommunities))))
+
+
+def oracle_metrics(simulation, round_, paid_before):
+    """The round's metrics row as the metrics phase built it from cards and
+    one community at a time: each community's top 5 ScoreCards by (-psi,
+    content) in the organic scores, common beliefs from `oracle_common`, and
+    spreads from `_spreads`."""
+    fabric = simulation.fabric
+    spreads, commons, coherence = [], [], {}
+    for k, cid in enumerate(sorted(fabric.communities)):
+        comm = fabric.communities[cid]
+        if not comm.members:
+            continue
+        candidates = np.flatnonzero(simulation.served[k])
+        top = candidates[np.argsort(-simulation.community_exposure[k, candidates],
+                                    kind="stable")[:10]]
+        if top.size:
+            commons.append(oracle_common(simulation, cid, top.tolist()))
+            if len(comm.principal_subcommunities) >= 2:
+                rates = bloc_rates(simulation.reactions, top, comm.principal_subcommunities,
+                                   alpha=simulation.config.scoring.alpha)
+                spreads.append(float(np.mean(_spreads(rates.T)[0])))
+        top_psi = top_contents(simulation.scores.community_cards(cid))
+        coherence[cid] = oracle_common(simulation, cid, top_psi) if top_psi else 0.0
+    return RoundMetrics(
+        round=round_,
+        mean_common_belief_top_bridging=float(np.mean(commons)) if commons else 0.0,
+        polarization_index=float(np.mean(spreads)) if spreads else 0.0,
+        attention_gini=attention_gini(simulation.exposure.sum(axis=1)),
+        platform_revenue=simulation.ledger.balance(PLATFORM) - paid_before,
+        coherence=coherence)
 
 
 def assert_feed_table(feeds):
@@ -436,6 +500,33 @@ def test_after_sees_each_phase_once_per_round_in_order():
 
     check()
     assert (True, 0.1) in rates
+
+
+def test_metrics_rows_equal_the_card_oracle():
+    """Over small tiny and market runs, organic and popularity-only, with
+    engagement as configured or so low that many cards keep zero interest,
+    each round's metrics row equals the one `oracle_metrics` builds. The runs
+    meet psi ties whose break decides a coherence, and seeding overrides
+    that move a top 5."""
+    ties = moved = 0
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(market=st.booleans(), seed=st.integers(0, 31), rounds=st.integers(1, 4),
+           popularity_only=st.booleans(), low_engagement=st.booleans())
+    def check(market, seed, rounds, popularity_only, low_engagement):
+        nonlocal ties, moved
+        doc = market_doc(seed, rounds) if market else copy.deepcopy(TINY_SCENARIO)
+        doc["scoring"]["popularity_only"] = popularity_only
+        if low_engagement:
+            doc["sim"]["engagement_scale"] = 0.05
+        simulation = _PhaseChecker(ScenarioConfig.from_dict(doc), seed, rounds)
+        simulation.run()
+        assert len(simulation.metrics) == rounds
+        ties += simulation.ties
+        moved += simulation.moved
+
+    check()
+    assert ties > 0 and moved > 0
 
 
 def test_a_finished_run_is_freed_without_the_collector():
